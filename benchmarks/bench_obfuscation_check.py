@@ -1,32 +1,44 @@
 """Obfuscation-checker benchmark: full rebuild vs incremental delta cache.
 
-Times the (k, epsilon)-obfuscation check for a GenObf-shaped workload --
-many candidate graphs, each differing from the base graph only on a small
-perturbed edge set -- under both selectable checkers:
+Times the (k, epsilon)-obfuscation check of many candidate graphs, each
+described as a delta against one base graph, under both selectable
+checkers:
 
-* ``full``        -- overlay the delta onto the base graph and rebuild
+* ``full``        -- materialize the candidate
+                     (:func:`repro.ugraph.apply_edge_updates`) and rebuild
                      the whole degree-uncertainty matrix
                      (:func:`repro.privacy.check_obfuscation`);
-* ``incremental`` -- :meth:`repro.privacy.DegreeUncertaintyCache.check_delta`,
-                     recomputing degree pmfs only for the touched
-                     endpoints and re-deriving column entropies in place.
+* ``incremental`` -- :meth:`repro.privacy.DegreeUncertaintyCache.check_edge_arrays`,
+                     recomputing the touched endpoints' degree pmfs with
+                     the batched DP and re-deriving column entropies.
+
+Two delta shapes are timed:
+
+* ``40-entry``  -- random 40-entry deltas (three quarters existing-edge
+                   tweaks, the rest fresh pairs), touching ~80 rows;
+* ``genobf``    -- what a GenObf trial actually checks: the whole
+                   candidate set ``E_C`` from ``select_candidate_edges``
+                   at the default ``size_multiplier`` (1.3), perturbed at
+                   sigma levels the search probes.  About ``1.3 |E|``
+                   entries touching nearly every vertex.
 
 Every timed delta is also cross-checked for bit-identical reports, so the
 benchmark doubles as an end-to-end equivalence audit at realistic scale.
 
-A second table isolates the kernel layer: the checker's dominant inner
-work -- the Poisson-binomial degree-pmf DP behind the base-matrix build
--- timed under each available ``repro.kernels`` backend (compiled numba
-vs pure-NumPy fallback), with a bit-equality audit between them.  When
-numba is absent the results file says so instead of recording a
-fictitious speedup.
+A second table isolates the kernel layer: the Poisson-binomial per-row
+DP behind the full checker's matrix build
+(:func:`repro.privacy.degree_uncertainty_matrix`), timed under each
+available ``repro.kernels`` backend (compiled numba vs pure-NumPy
+fallback), with a bit-equality audit between them.  When numba is absent
+the results file says so instead of recording a fictitious speedup.
 
 Scaling knobs (environment variables):
 
 * ``REPRO_BENCH_OBF_SCALE``  -- profile size multiplier (default 2.0,
                                 i.e. n=1200 / |E| ~ 4200)
-* ``REPRO_BENCH_OBF_DELTAS`` -- candidate checks timed (default 60)
-* ``REPRO_BENCH_OBF_EDGES``  -- perturbed edges per candidate (default 40)
+* ``REPRO_BENCH_OBF_DELTAS`` -- candidate checks timed per shape
+                                (default 60)
+* ``REPRO_BENCH_OBF_EDGES``  -- entries per random delta (default 40)
 
 The module is also importable at tiny scale as the tier-1
 ``benchmark_smoke`` test (see ``tests/test_benchmark_smoke.py``), so both
@@ -40,9 +52,18 @@ import time
 
 import numpy as np
 
+from repro.core.config import ChameleonConfig
+from repro.core.genobf import build_selection_context
+from repro.core.noise import perturb_probabilities
+from repro.core.parallel import _edge_noise_scales
+from repro.core.selection import select_candidate_edges
 from repro.datasets import load_profile
-from repro.privacy import DegreeUncertaintyCache, check_obfuscation
-from repro.ugraph import overlay
+from repro.privacy import (
+    DegreeUncertaintyCache,
+    check_obfuscation,
+    degree_uncertainty_matrix,
+)
+from repro.ugraph import apply_edge_updates
 
 OBF_SCALE = float(os.environ.get("REPRO_BENCH_OBF_SCALE", "2.0"))
 OBF_DELTAS = int(os.environ.get("REPRO_BENCH_OBF_DELTAS", "60"))
@@ -51,13 +72,18 @@ OBF_SEED = 2018
 OBF_K = 10
 OBF_EPSILON = 0.05
 
+#: Noise levels the GenObf deltas cycle through: the sigma search's first
+#: probe and bisection steps down to its accepted range.
+GENOBF_SIGMAS = (1.0, 0.5, 0.25, 0.12, 0.06)
 
-def _sample_delta(graph, n_edges: int, rng) -> list[tuple[int, int, float, float]]:
-    """One GenObf-like candidate delta against ``graph``.
+HEADERS = ["delta", "checker", "entries", "rows", "seconds", "ms/check",
+           "speedup"]
 
-    Mixes tweaks of existing edges (the common case: candidate selection
-    is biased toward the realized edge set) with a few brand-new pairs,
-    mirroring what ``select_candidate_edges`` + perturbation produce.
+
+def _sample_delta(graph, n_edges: int, rng):
+    """One random delta of ``n_edges`` entries against ``graph``.
+
+    Mixes tweaks of existing edges with a few brand-new pairs.
     """
     n = graph.n_nodes
     seen: set[tuple[int, int]] = set()
@@ -79,7 +105,64 @@ def _sample_delta(graph, n_edges: int, rng) -> list[tuple[int, int, float, float
         seen.add((u, v))
         delta.append((u, v, float(graph.probability(u, v)),
                       float(rng.uniform())))
-    return delta
+    us, vs, p_old, p_new = (np.array(column) for column in zip(*delta))
+    return us, vs, p_old, p_new
+
+
+def _genobf_delta(graph, weights, config, sigma: float, rng):
+    """One GenObf trial's delta: the perturbed candidate set ``E_C``."""
+    pairs = select_candidate_edges(
+        graph, weights, config.size_multiplier, seed=rng
+    )
+    us = np.array([u for u, __ in pairs], dtype=np.int64)
+    vs = np.array([v for __, v in pairs], dtype=np.int64)
+    current = graph.pair_probabilities(us, vs)
+    perturbed = perturb_probabilities(
+        current,
+        _edge_noise_scales(us, vs, weights, sigma),
+        mode=config.perturbation_mode,
+        white_noise=config.white_noise,
+        seed=rng,
+    )
+    return us, vs, current, perturbed
+
+
+def _time_checkers(graph, cache, deltas, k, epsilon):
+    """``(full_s, incremental_s, identical)`` over one delta stream."""
+    knowledge = cache.knowledge
+
+    def full(delta):
+        us, vs, __, p_new = delta
+        return check_obfuscation(
+            apply_edge_updates(graph, us, vs, p_new), k, epsilon,
+            knowledge=knowledge,
+        )
+
+    def incremental(delta):
+        return cache.check_edge_arrays(
+            *delta, k, epsilon, knowledge=knowledge
+        )
+
+    # Warm-up both paths (imports, allocator) on the first delta.
+    full(deltas[0])
+    incremental(deltas[0])
+
+    started = time.perf_counter()
+    full_reports = [full(delta) for delta in deltas]
+    full_seconds = time.perf_counter() - started
+
+    started = time.perf_counter()
+    incremental_reports = [incremental(delta) for delta in deltas]
+    incremental_seconds = time.perf_counter() - started
+
+    identical = all(
+        f.entropies.tobytes() == i.entropies.tobytes()
+        and np.array_equal(f.obfuscated, i.obfuscated)
+        and f.epsilon_achieved == i.epsilon_achieved
+        and f.satisfied == i.satisfied
+        for f, i in zip(full_reports, incremental_reports)
+    )
+    return full_seconds, incremental_seconds, identical
 
 
 def run_check_comparison(
@@ -90,81 +173,78 @@ def run_check_comparison(
     k: int = OBF_K,
     epsilon: float = OBF_EPSILON,
 ) -> dict:
-    """Time both checkers over the same delta stream; verify bit-equality.
+    """Time both checkers over both delta shapes; verify bit-equality.
 
-    Returns ``{"rows": [[checker, seconds, per_check_ms, speedup], ...],
-    "graph": (n_nodes, n_edges), "n_deltas": D, "delta_edges": B,
-    "identical": bool}``.  Checker timings cover the *steady state* of the
-    trial loop (cache construction is one-off per anonymization run and
-    excluded, exactly as in :meth:`Chameleon.anonymize`).
+    Returns ``{"rows": [[delta, checker, entries, rows, seconds,
+    ms/check, speedup], ...], "graph": (n_nodes, n_edges), "n_deltas": D,
+    "delta_edges": B, "identical": bool, "speedup": {delta: x}}``, where
+    ``entries`` and ``rows`` are the mean delta length and the mean
+    number of distinct endpoints of changed entries.  Checker timings
+    cover the *steady state* of the trial loop (cache construction is
+    one-off per anonymization run and excluded, exactly as in
+    :meth:`Chameleon.anonymize`).
     """
     graph = load_profile("brightkite", scale=scale, seed=seed)
     rng = np.random.default_rng(seed)
-    deltas = [_sample_delta(graph, delta_edges, rng) for __ in range(n_deltas)]
-
     cache = DegreeUncertaintyCache(graph)
-    knowledge = cache.knowledge
+    config = ChameleonConfig(k=k, epsilon=epsilon)
+    weights = build_selection_context(
+        graph, config, cache.knowledge, seed=rng
+    ).weights
+    shapes = {
+        f"{delta_edges}-entry": [
+            _sample_delta(graph, delta_edges, rng) for __ in range(n_deltas)
+        ],
+        "genobf": [
+            _genobf_delta(
+                graph, weights, config,
+                GENOBF_SIGMAS[i % len(GENOBF_SIGMAS)], rng,
+            )
+            for i in range(n_deltas)
+        ],
+    }
 
-    # Warm-up both paths (imports, allocator) on the first delta.
-    warm = deltas[0]
-    cache.check_delta(warm, k, epsilon, knowledge=knowledge)
-    check_obfuscation(
-        overlay(graph, ((u, v, p_new) for u, v, __, p_new in warm)),
-        k, epsilon, knowledge=knowledge,
-    )
-
-    started = time.perf_counter()
-    full_reports = [
-        check_obfuscation(
-            overlay(graph, ((u, v, p_new) for u, v, __, p_new in delta)),
-            k, epsilon, knowledge=knowledge,
+    rows, speedup, identical = [], {}, True
+    for name, deltas in shapes.items():
+        entries = float(np.mean([d[0].size for d in deltas]))
+        touched = float(np.mean([
+            np.unique(np.concatenate([us, vs])[np.tile(p_old != p_new, 2)])
+            .size
+            for us, vs, p_old, p_new in deltas
+        ]))
+        full_s, incremental_s, same = _time_checkers(
+            graph, cache, deltas, k, epsilon
         )
-        for delta in deltas
-    ]
-    full_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    incremental_reports = [
-        cache.check_delta(delta, k, epsilon, knowledge=knowledge)
-        for delta in deltas
-    ]
-    incremental_seconds = time.perf_counter() - started
-
-    identical = all(
-        np.array_equal(f.entropies, i.entropies)
-        and np.array_equal(f.obfuscated, i.obfuscated)
-        and f.epsilon_achieved == i.epsilon_achieved
-        and f.satisfied == i.satisfied
-        for f, i in zip(full_reports, incremental_reports)
-    )
-    rows = [
-        ["full", full_seconds, 1000.0 * full_seconds / n_deltas, 1.0],
-        ["incremental", incremental_seconds,
-         1000.0 * incremental_seconds / n_deltas,
-         full_seconds / incremental_seconds],
-    ]
+        identical = identical and same
+        speedup[name] = full_s / incremental_s
+        rows += [
+            [name, "full", entries, touched, full_s,
+             1000.0 * full_s / n_deltas, 1.0],
+            [name, "incremental", entries, touched, incremental_s,
+             1000.0 * incremental_s / n_deltas, speedup[name]],
+        ]
     return {
         "rows": rows,
         "graph": (graph.n_nodes, graph.n_edges),
         "n_deltas": n_deltas,
         "delta_edges": delta_edges,
         "identical": identical,
-        "speedup": full_seconds / incremental_seconds,
+        "speedup": speedup,
     }
 
 
 def run_kernel_comparison(scale: float = OBF_SCALE, seed: int = OBF_SEED):
-    """Degree-pmf DP (the checker's kernel-bound core) per kernel backend.
+    """Per-row degree-pmf DP (the full checker's core) per kernel backend.
 
-    Rebuilds the :class:`DegreeUncertaintyCache` base matrix -- one
-    Poisson-binomial DP per vertex -- under each available backend and
-    audits the matrices for bit-equality.
+    Rebuilds the degree-uncertainty matrix -- one Poisson-binomial DP per
+    vertex through :mod:`repro.kernels` -- under each available backend
+    and audits the matrices for bit-equality.
     """
     import _harness
 
     graph = load_profile("brightkite", scale=scale, seed=seed)
     rows, note, outputs = _harness.kernel_comparison(
-        lambda: DegreeUncertaintyCache(graph).base_matrix
+        lambda: degree_uncertainty_matrix(graph)
     )
     matrices = list(outputs.values())
     identical = all(
@@ -179,15 +259,12 @@ def test_bench_obfuscation_check():
 
     result = run_check_comparison()
     n_nodes, n_edges = result["graph"]
-    table = _harness.format_table(
-        ["checker", "seconds", "ms/check", "speedup"],
-        result["rows"],
-    )
+    table = _harness.format_table(HEADERS, result["rows"])
     header = (
         f"brightkite-like profile: n={n_nodes} |E|={n_edges} "
-        f"D={result['n_deltas']} candidate checks x "
-        f"{result['delta_edges']} perturbed edges "
-        f"(k={OBF_K}, eps={OBF_EPSILON})\n"
+        f"D={result['n_deltas']} candidate checks per delta shape "
+        f"(k={OBF_K}, eps={OBF_EPSILON}); entries = delta length, "
+        "rows = distinct endpoints of changed entries (mean per check)\n"
         f"reports bit-identical: {result['identical']}\n"
     )
     kernel_rows, kernel_note, kernel_identical = run_kernel_comparison()
@@ -197,7 +274,8 @@ def test_bench_obfuscation_check():
     _harness.emit(
         "bench_obfuscation_check",
         header + table
-        + "\n\ndegree-pmf DP (base-matrix build) per kernel backend:\n"
+        + "\n\nper-row degree-pmf DP (full checker's matrix build) per "
+        "kernel backend:\n"
         + kernel_table
         + f"\nbackends bit-identical: {kernel_identical}\n" + kernel_note,
         data={
@@ -208,10 +286,7 @@ def test_bench_obfuscation_check():
             "epsilon": OBF_EPSILON,
             "identical": bool(result["identical"] and kernel_identical),
             "speedup": result["speedup"],
-            **_harness.table_data(
-                ["checker", "seconds", "ms/check", "speedup"],
-                result["rows"],
-            ),
+            **_harness.table_data(HEADERS, result["rows"]),
             "kernel": _harness.table_data(
                 ["kernel backend", "seconds/build", "speedup"],
                 kernel_rows,
@@ -220,6 +295,9 @@ def test_bench_obfuscation_check():
     )
     assert result["identical"], "incremental and full reports diverged"
     assert kernel_identical, "kernel backends diverged on the base matrix"
-    assert result["speedup"] >= 5.0, (
-        f"expected >= 5x speedup, got {result['speedup']:.2f}x"
-    )
+    for name, floor in ((f"{OBF_EDGES}-entry", 5.0), ("genobf", 3.0)):
+        speedup = result["speedup"][name]
+        assert speedup >= floor, (
+            f"expected >= {floor}x speedup on {name} deltas, "
+            f"got {speedup:.2f}x"
+        )

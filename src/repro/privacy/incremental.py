@@ -1,44 +1,76 @@
-"""Incremental (k, epsilon)-obfuscation checking for trial loops.
+"""Delta-based (k, epsilon)-obfuscation checking for trial loops.
 
 GenObf (Algorithm 3) evaluates the obfuscation criterion once per trial,
-and the sigma search of Algorithm 1 runs GenObf dozens of times -- yet a
-single trial perturbs only the candidate edge set ``E_C``, so only the
-*endpoints* of perturbed edges change their degree pmfs.  The full
-checker nevertheless reruns the ``O(d^2)`` Poisson-binomial dynamic
-program for every one of the ``n`` vertices on every call.
+and the sigma search of Algorithm 1 runs GenObf dozens of times; every
+trial perturbs the same base graph.  :class:`DegreeUncertaintyCache`
+holds that base graph's degree-uncertainty matrix and answers each
+trial's check from a *delta* -- parallel ``(u, v, p_old, p_new)`` edge
+update arrays -- without materializing the candidate graph.
 
-:class:`DegreeUncertaintyCache` stores the base graph's per-vertex
-incident-probability structure and degree-pmf rows once, then answers
-:meth:`DegreeUncertaintyCache.check_delta` for a candidate expressed as
-a delta -- a list of ``(u, v, p_old, p_new)`` edge updates.  Only the
-touched endpoints rerun their dynamic program; their matrix rows are
-patched in place, the column entropies are recomputed as one vectorized
-pass, and the rows are rolled back afterwards so the cache always
-reflects the base graph and can serve the next trial.
+Measured traffic
+----------------
+A GenObf delta is the whole candidate edge set ``E_C``: at the default
+``size_multiplier`` (1.3) it is about ``1.3 |E|`` entries and touches
+nearly every vertex (5,888 entries touching 889 of 890 rows on the
+dblp-like benchmark graph).  So for GenObf the cache does not save
+rows: about every pmf row is recomputed on every check.  What it buys
+is a base built once (pmf matrix and incident index) and cheap
+rollback, instead of a candidate graph per trial.  Deltas of the
+streaming path (:mod:`repro.stream`) and of targeted repair are small,
+and there the untouched rows are genuinely reused.
+
+The delta engine
+----------------
+Construction, :meth:`~DegreeUncertaintyCache.check_edge_arrays` (the
+GenObf and repair path), its tuple adapter
+:meth:`~DegreeUncertaintyCache.check_delta`,
+:meth:`~DegreeUncertaintyCache.check_base` and
+:meth:`~DegreeUncertaintyCache.apply_edge_arrays` (the stream path)
+share one array-native engine:
+
+1. **Validate** the delta with vector operations (self-loops, vertices
+   outside the graph, duplicate pairs, non-finite or out-of-range
+   probabilities, stale ``p_old``) through
+   :meth:`~repro.ugraph.graph.UncertainGraph.pair_edge_ids`.  The first
+   offending entry raises, with the message a per-entry scan would give.
+2. **Gather** each touched vertex's incident probabilities from a CSR
+   incident index (``indptr`` plus edge ids in ascending dense order):
+   overrides are scattered onto one copy of the base probabilities,
+   fresh pairs are appended in delta order, zeros are dropped.
+   Construction gathers every vertex of the base graph.
+3. **Recompute** the touched rows with a batched Poisson-binomial DP
+   written straight into the matrix rows, then derive the column
+   entropies and the report; checks roll the rows back afterwards, and
+   the base check is this step with nothing to recompute.
+
+The CSR index is immutable: :meth:`~DegreeUncertaintyCache.
+apply_edge_arrays` rebinds a new one, so clones that share it never
+observe each other's updates.
 
 Bit-identical guarantee
 -----------------------
-The cache reproduces exactly what the full pipeline would compute for
-``overlay(base, delta)``:
+The cache reproduces exactly what
+:func:`~repro.privacy.obfuscation.check_obfuscation` computes on
+``apply_edge_updates(base, delta)``:
 
-* A touched vertex's incident probabilities are reassembled in the same
-  order the candidate graph would store them (original edges in dense
-  order, then new edges in delta order), so the DP convolutions run over
-  the same float sequence and yield bit-identical pmfs.
+* A touched vertex's factors are ordered as the candidate graph stores
+  its incident edges: original edges by ascending dense id (overrides
+  applied), then fresh pairs in delta first-occurrence order, zeros
+  dropped.  The batched DP performs the per-row kernel's two-term
+  multiply-add on every row at once, so each pmf is the same float
+  sequence bit for bit.
 * Untouched rows are reused verbatim.
-* The cached matrix may be *wider* than the candidate's (it only ever
-  grows); extra trailing all-zero columns have entropy ``+inf``, exactly
-  the value :func:`~repro.privacy.obfuscation.report_from_entropy_profile`
-  pads out-of-support knowledge with, so reports are unaffected.
-* The final report is assembled by the same shared
-  :func:`~repro.privacy.obfuscation.report_from_entropy_profile` code.
+* The matrix only ever grows wider; extra trailing all-zero columns
+  have entropy ``+inf``, the value
+  :func:`~repro.privacy.obfuscation.report_from_entropy_profile` pads
+  out-of-support knowledge with, so reports are unaffected.
 
 Property tests in ``tests/test_incremental.py`` assert report equality
-(entropies, mask, epsilon-hat -- all bitwise) against the full checker
-across randomized graphs and deltas, and
-``benchmarks/bench_obfuscation_check.py`` records the speedup on a
-GenObf-shaped workload.  The full recompute stays available as the
-correctness oracle behind ``ChameleonConfig.obfuscation_checker``.
+(entropies, mask, epsilon-hat, bitwise) against the full checker on
+random and GenObf-shaped deltas, and pin the batched DP to
+:func:`~repro.privacy.degree_distribution.poisson_binomial_pmf` row by
+row.  The full recompute stays available as the correctness oracle
+behind ``ChameleonConfig.obfuscation_checker``.
 """
 
 from __future__ import annotations
@@ -48,7 +80,7 @@ import numpy as np
 from ..exceptions import ObfuscationError
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.operations import apply_edge_updates
-from .degree_distribution import expected_degree_knowledge, poisson_binomial_pmf
+from .degree_distribution import expected_degree_knowledge
 from .entropy import column_entropies
 from .obfuscation import ObfuscationReport, report_from_entropy_profile
 
@@ -57,61 +89,158 @@ __all__ = ["OBFUSCATION_CHECKERS", "DegreeUncertaintyCache"]
 #: Selectable checker implementations for ``ChameleonConfig``.
 OBFUSCATION_CHECKERS = ("incremental", "full")
 
+#: Rows per batched-DP block.  Rows run in ascending factor count, so a
+#: block's buffers are only as wide as its own longest row; the cap
+#: bounds them on graphs with many vertices.
+_DP_BLOCK_ROWS = 4096
 
-def _build_incident_ids(graph: UncertainGraph) -> list[list[int]]:
-    """Dense incident edge ids per vertex, in edge order.
+_NO_INTS = np.zeros(0, dtype=np.int64)
+_NO_FLOATS = np.zeros(0, dtype=np.float64)
 
-    This is the order ``incident_probability_lists()`` walks, which fixes
-    the degree-pmf DP's float operation sequence.
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(
+        starts - (ends - lengths), lengths
+    )
+
+
+def _within_row_rank(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Rank of each entry among the entries of its row (``rows`` sorted)."""
+    counts = np.bincount(rows, minlength=n_rows)
+    return np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+
+
+def _incident_index(graph: UncertainGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR incident index of ``graph``, read-only.
+
+    ``indices[indptr[w]:indptr[w + 1]]`` are the dense ids of the edges
+    incident to ``w`` in ascending order -- the order
+    ``incident_probability_lists()`` walks, which fixes the degree-pmf
+    DP's float operation sequence.
     """
-    incident_ids: list[list[int]] = [[] for __ in range(graph.n_nodes)]
-    for i, (u, v) in enumerate(
-        zip(graph.edge_src.tolist(), graph.edge_dst.tolist())
-    ):
-        incident_ids[u].append(i)
-        incident_ids[v].append(i)
-    return incident_ids
+    # Interleaved endpoints (src0, dst0, src1, dst1, ...): slot s belongs
+    # to edge s // 2, so sorting by (vertex, slot) keeps ids ascending.
+    # The keys are unique, so the default sort gives that order; it is
+    # about 3x faster than a stable sort, and the stream path rebuilds
+    # the index on every update that adds edges.
+    ends = np.column_stack([graph.edge_src, graph.edge_dst]).ravel()
+    indices = np.argsort(ends * ends.size + np.arange(ends.size)) // 2
+    indptr = np.zeros(graph.n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=graph.n_nodes), out=indptr[1:])
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return indptr, indices
 
 
-def _padded_pmf_rows(factors: list[np.ndarray]) -> np.ndarray:
-    """Poisson-binomial pmfs of many factor lists in one vectorized DP.
+def _factor_rows(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    probabilities: np.ndarray,
+    rows: np.ndarray,
+    fresh_lo: np.ndarray = _NO_INTS,
+    fresh_hi: np.ndarray = _NO_INTS,
+    fresh_p: np.ndarray = _NO_FLOATS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positive incident probabilities of each vertex in ``rows``.
 
-    Rows are padded with ``p = 0.0`` factors; a zero factor convolves
-    with the exact kernel ``[1.0, 0.0]``, and IEEE multiplication by
-    ``1.0``/``0.0`` and addition of ``0.0`` are bitwise-exact, so every
-    row of the result equals ``poisson_binomial_pmf(factors[i])`` in its
-    leading ``len(factors[i]) + 1`` entries and is exactly ``0.0``
-    beyond.  Each DP step performs the same two-term multiply-add as the
-    scalar kernel, just across all rows at once -- this is the hot path
-    of the streaming update engine, where the per-call overhead of one
-    ``np.convolve`` per incident edge per vertex would dominate.
+    ``rows`` is sorted and holds both endpoints of every fresh pair;
+    fresh probabilities are positive (a fresh pair's ``p_old`` is 0 and
+    unchanged entries are dropped before this point).  Returns ragged
+    rows ``(lengths, values)``: row ``i``'s factors are
+    ``values[start_i : start_i + lengths[i]]``, original edges first in
+    ascending dense id (read from ``probabilities``, zeros dropped),
+    then the fresh pairs touching it in delta order.
     """
-    m = len(factors)
-    width = max((f.size for f in factors), default=0)
-    sizes = np.fromiter((f.size for f in factors), dtype=np.int64, count=m)
-    order = np.argsort(sizes, kind="stable")
-    sizes_sorted = sizes[order]
-    padded = np.zeros((m, width), dtype=np.float64)
-    for i, gi in enumerate(order):
-        f = factors[gi]
-        padded[i, : f.size] = f
-    out = np.zeros((m, width + 1), dtype=np.float64)
-    out[:, 0] = 1.0
-    for j in range(width):
-        # Rows whose factor list is exhausted would only convolve with
-        # the exact no-op kernel [1.0, 0.0]; ascending-size order makes
-        # the still-active rows a suffix, so each step touches exactly
-        # the work the per-row scalar DP would.
-        a = slice(int(np.searchsorted(sizes_sorted, j, side="right")), m)
-        pj = padded[a, j : j + 1]
-        qj = 1.0 - pj
-        out[a, j + 1 : j + 2] = out[a, j : j + 1] * pj
-        if j > 0:
-            out[a, 1 : j + 1] = out[a, 1 : j + 1] * qj + out[a, 0:j] * pj
-        out[a, 0:1] = out[a, 0:1] * qj
-    unsorted = np.empty_like(out)
-    unsorted[order] = out
-    return unsorted
+    m = rows.size
+    seg_lengths = indptr[rows + 1] - indptr[rows]
+    ids = indices[_ragged_arange(indptr[rows], seg_lengths)]
+    orig_p = probabilities[ids]
+    orig_rows = np.repeat(np.arange(m), seg_lengths)
+    keep = orig_p > 0.0
+    orig_p, orig_rows = orig_p[keep], orig_rows[keep]
+
+    # Each fresh pair feeds both endpoint rows; a stable sort by row keeps
+    # delta order within a row.
+    fresh_rows = np.column_stack(
+        [np.searchsorted(rows, fresh_lo), np.searchsorted(rows, fresh_hi)]
+    ).ravel()
+    by_row = np.argsort(fresh_rows, kind="stable")
+    fresh_rows = fresh_rows[by_row]
+    fresh_p = np.repeat(fresh_p, 2)[by_row]
+
+    n_orig = np.bincount(orig_rows, minlength=m)
+    lengths = n_orig + np.bincount(fresh_rows, minlength=m)
+    starts = np.cumsum(lengths) - lengths
+    values = np.empty(int(lengths.sum()), dtype=np.float64)
+    values[starts[orig_rows] + _within_row_rank(orig_rows, m)] = orig_p
+    values[
+        starts[fresh_rows] + n_orig[fresh_rows]
+        + _within_row_rank(fresh_rows, m)
+    ] = fresh_p
+    return lengths, values
+
+
+def _write_pmf_rows(
+    matrix: np.ndarray,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """Set ``matrix[rows[i]]`` to the Poisson-binomial pmf of ragged row ``i``.
+
+    ``matrix`` must be at least ``lengths.max() + 1`` wide; each row is
+    zero beyond its pmf.  Step ``j`` convolves every row that still has
+    a ``j``-th factor ``p`` with ``[1 - p, p]``: ``pmf[t] * q + pmf[t - 1]
+    * p`` for every ``t``, the per-row kernel's two-term multiply-add.
+    The pmf sits behind a zero guard column, so the end terms read
+    ``pmf[0] * q + 0.0 * p`` and ``0.0 * q + pmf[j] * p``; adding an
+    exact zero changes no bit, so each row equals
+    ``poisson_binomial_pmf`` of its factors bit for bit.  Rows run in
+    ascending factor count, which makes the rows active at each step a
+    suffix of the block, and their factors are laid out step-major so
+    each step reads one contiguous slice.
+    """
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    for b0 in range(0, order.size, _DP_BLOCK_ROWS):
+        block = order[b0:b0 + _DP_BLOCK_ROWS]
+        sizes = lengths[block]
+        width = int(sizes[-1])
+        first_active = np.searchsorted(sizes, np.arange(width), side="right")
+        n_active = block.size - first_active
+        offsets = np.cumsum(n_active) - n_active
+        flat = _ragged_arange(starts[block], sizes)
+        step = flat - np.repeat(starts[block], sizes)
+        row = np.repeat(np.arange(block.size), sizes)
+        p_steps = np.empty(flat.size, dtype=np.float64)
+        p_steps[offsets[step] + row - first_active[step]] = values[flat]
+        q_steps = 1.0 - p_steps
+        pmf = np.zeros((block.size, width + 2), dtype=np.float64)
+        pmf[:, 1] = 1.0
+        for j, (a, o) in enumerate(zip(first_active.tolist(),
+                                        offsets.tolist())):
+            p = p_steps[o:o + block.size - a, None]
+            q = q_steps[o:o + block.size - a, None]
+            pmf[a:, 1:j + 3] = pmf[a:, 1:j + 3] * q + pmf[a:, :j + 2] * p
+        target = rows[block]
+        matrix[target, :width + 1] = pmf[:, 1:]
+        matrix[target, width + 1:] = 0.0
+
+
+def _delta_arrays(us, vs, p_old, p_new):
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    p_old = np.asarray(p_old, dtype=np.float64)
+    p_new = np.asarray(p_new, dtype=np.float64)
+    if not (us.shape == vs.shape == p_old.shape == p_new.shape) \
+            or us.ndim != 1:
+        raise ObfuscationError(
+            "delta arrays must be 1-D and parallel, got shapes "
+            f"{us.shape} / {vs.shape} / {p_old.shape} / {p_new.shape}"
+        )
+    return us, vs, p_old, p_new
 
 
 class DegreeUncertaintyCache:
@@ -124,9 +253,9 @@ class DegreeUncertaintyCache:
         GenObf: the graph being anonymized -- all trials at all sigma
         levels perturb this one graph).
     knowledge:
-        Default adversary degree knowledge for :meth:`check_delta`.
-        Defaults to the *base* graph's expected-degree knowledge, which
-        is what anonymization checks against (note the difference from
+        Default adversary degree knowledge for the checks.  Defaults to
+        the *base* graph's expected-degree knowledge, which is what
+        anonymization checks against (note the difference from
         :func:`~repro.privacy.obfuscation.check_obfuscation`, whose
         default is extracted from the published candidate).
     """
@@ -134,6 +263,17 @@ class DegreeUncertaintyCache:
     def __init__(
         self, graph: UncertainGraph, knowledge: np.ndarray | None = None
     ):
+        self._bind(graph, knowledge)
+        rows = np.arange(self._n, dtype=np.int64)
+        lengths, values = _factor_rows(
+            self._indptr, self._indices, graph.edge_probabilities, rows
+        )
+        self._matrix = np.zeros(
+            (self._n, int(lengths.max(initial=0)) + 1), dtype=np.float64
+        )
+        _write_pmf_rows(self._matrix, rows, lengths, values)
+
+    def _bind(self, graph: UncertainGraph, knowledge) -> None:
         self._graph = graph
         self._n = graph.n_nodes
         if knowledge is None:
@@ -144,20 +284,7 @@ class DegreeUncertaintyCache:
                 f"knowledge has shape {self._knowledge.shape}, expected "
                 f"({self._n},)"
             )
-
-        self._incident_ids = _build_incident_ids(graph)
-
-        # Base-graph pmf rows assembled into the degree-uncertainty
-        # matrix.  The matrix only ever grows wider (extra all-zero
-        # columns are report-neutral), never shrinks.
-        pmfs = [
-            poisson_binomial_pmf(self._incident_probabilities(w, {}, ()))
-            for w in range(self._n)
-        ]
-        width = max((pmf.shape[0] for pmf in pmfs), default=1)
-        self._matrix = np.zeros((self._n, width), dtype=np.float64)
-        for w, pmf in enumerate(pmfs):
-            self._matrix[w, : pmf.shape[0]] = pmf
+        self._indptr, self._indices = _incident_index(graph)
 
     @classmethod
     def from_base_matrix(
@@ -171,45 +298,32 @@ class DegreeUncertaintyCache:
         The Poisson-binomial DP over every vertex is the expensive part
         of construction; parallel trial workers skip it by receiving the
         parent cache's :attr:`base_matrix` through shared memory and
-        re-deriving only the (cheap) incident-id structure.  ``matrix``
-        is copied, so the caller's buffer may be a read-only view.
+        re-deriving only the (cheap) CSR incident index.  ``matrix`` is
+        copied, so the caller's buffer may be a read-only view.
         """
         self = cls.__new__(cls)
-        self._graph = graph
-        self._n = graph.n_nodes
-        if knowledge is None:
-            knowledge = expected_degree_knowledge(graph)
-        self._knowledge = np.asarray(knowledge, dtype=np.int64)
-        if self._knowledge.shape != (self._n,):
-            raise ObfuscationError(
-                f"knowledge has shape {self._knowledge.shape}, expected "
-                f"({self._n},)"
-            )
+        self._bind(graph, knowledge)
         matrix = np.array(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != self._n:
             raise ObfuscationError(
                 f"base matrix has shape {matrix.shape}, expected "
                 f"({self._n}, width)"
             )
-        self._incident_ids = _build_incident_ids(graph)
         self._matrix = matrix
         return self
 
     def clone(self) -> "DegreeUncertaintyCache":
         """An independent cache answering identical checks.
 
-        :meth:`check_delta` patches matrix rows in place (and rolls them
-        back), so one cache instance must never serve two concurrent
-        callers.  The thread-backed trial engine gives each worker thread
-        its own clone: the pmf matrix is copied (the only mutable state),
-        while the graph, knowledge and incident-id structure -- all
-        read-only -- are shared by reference.
+        Checks patch matrix rows in place (and roll them back), so one
+        cache instance must never serve two concurrent callers.  A clone
+        copies the pmf matrix, the only state mutated in place; the
+        graph, knowledge and the read-only CSR incident index are shared
+        by reference (:meth:`apply_edge_arrays` rebinds them rather than
+        mutating them, so sharing is safe).
         """
         clone = type(self).__new__(type(self))
-        clone._graph = self._graph
-        clone._n = self._n
-        clone._knowledge = self._knowledge
-        clone._incident_ids = self._incident_ids
+        clone.__dict__.update(self.__dict__)
         clone._matrix = self._matrix.copy()
         return clone
 
@@ -227,140 +341,104 @@ class DegreeUncertaintyCache:
 
         Publishing this to :meth:`from_base_matrix` reproduces the cache
         without rerunning the per-vertex DP -- both caches then answer
-        every :meth:`check_delta` bit-identically.
+        every check bit-identically.
         """
         return self._matrix
 
-    def _incident_probabilities(
-        self,
-        vertex: int,
-        overrides: dict[int, float],
-        new_edges: tuple[tuple[int, int, float], ...],
-    ) -> np.ndarray:
-        """Positive incident probabilities of ``vertex`` under a delta.
+    # -- the delta engine ----------------------------------------------- #
 
-        Original edges come first in dense order (with overridden
-        probabilities applied), then delta-introduced edges in delta
-        order -- the exact order ``overlay`` + ``incident_probability_
-        lists`` would produce for the candidate graph.
+    def _changes(self, us, vs, p_old, p_new):
+        """Validate a delta; return its probability-changing entries.
+
+        Returns ``(lo, hi, ids, p)``: canonical endpoints, dense edge ids
+        (``-1`` for fresh pairs) and new probabilities of the entries
+        with ``p_new != p_old``, in delta order.  The first invalid entry
+        raises, checked in the order self-loop, vertex range, duplicate
+        pair, probability value, stale ``p_old``.
         """
-        base = self._graph.edge_probabilities
-        ids = self._incident_ids[vertex]
-        if not overrides and not new_edges:
-            # Empty-delta fast path (cache construction and post-apply
-            # row refresh): one gather + one filter, same floats in the
-            # same dense order as the generic loop below.
-            incident = base[np.asarray(ids, dtype=np.intp)]
-            return incident[incident > 0.0]
-        probs = []
-        for eid in ids:
-            p = overrides.get(eid)
-            if p is None:
-                p = float(base[eid])
-            if p > 0.0:
-                probs.append(p)
-        for u, v, p in new_edges:
-            if p > 0.0 and (u == vertex or v == vertex):
-                probs.append(p)
-        return np.asarray(probs, dtype=np.float64)
-
-    def _parse_delta(self, delta):
-        """Validate a delta and split it into overrides / new edges.
-
-        Returns ``(overrides, new_edges, touched)`` where ``overrides``
-        maps dense edge ids to new probabilities, ``new_edges`` lists
-        delta-introduced ``(u, v, p)`` triples in delta order, and
-        ``touched`` is the set of vertices whose pmf actually changes.
-        No-op entries (``p_new == p_old``) are dropped.
-        """
-        graph = self._graph
-        overrides: dict[int, float] = {}
-        new_edges: list[tuple[int, int, float]] = []
-        touched: set[int] = set()
-        seen: set[tuple[int, int]] = set()
-        for u, v, p_old, p_new in delta:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ObfuscationError(f"delta contains self-loop on vertex {u}")
-            if not (0 <= u < self._n and 0 <= v < self._n):
+        n = self._n
+        lo = np.minimum(us, vs)
+        hi = np.maximum(us, vs)
+        loop = us == vs
+        outside = (lo < 0) | (hi >= n)
+        ids = self._graph.pair_edge_ids(lo, hi)
+        hit = ids >= 0
+        stored = np.zeros(us.size, dtype=np.float64)
+        stored[hit] = self._graph.edge_probabilities[ids[hit]]
+        # Invalid pairs get distinct negative keys so they never collide.
+        keys = np.where(
+            loop | outside, -1 - np.arange(us.size), lo * n + hi
+        )
+        duplicate = np.ones(us.size, dtype=bool)
+        duplicate[np.unique(keys, return_index=True)[1]] = False
+        bad_value = ~np.isfinite(p_new) | (p_new < 0.0) | (p_new > 1.0)
+        stale = p_old != stored
+        failed = loop | outside | duplicate | bad_value | stale
+        if failed.any():
+            i = int(np.argmax(failed))
+            u, v = int(us[i]), int(vs[i])
+            pair = (int(lo[i]), int(hi[i]))
+            if loop[i]:
+                raise ObfuscationError(
+                    f"delta contains self-loop on vertex {u}"
+                )
+            if outside[i]:
                 raise ObfuscationError(
                     f"delta edge ({u}, {v}) references a vertex outside "
-                    f"0..{self._n - 1}"
+                    f"0..{n - 1}"
                 )
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                raise ObfuscationError(f"duplicate delta entry for edge {pair}")
-            seen.add(pair)
-            p_old = float(p_old)
-            p_new = float(p_new)
-            if not np.isfinite(p_new) or p_new < 0.0 or p_new > 1.0:
+            if duplicate[i]:
                 raise ObfuscationError(
-                    f"delta edge {pair} has probability {p_new!r}, expected "
-                    "a finite value in [0, 1]"
+                    f"duplicate delta entry for edge {pair}"
                 )
-            stored = graph.probability(*pair)
-            if p_old != stored:
+            if bad_value[i]:
                 raise ObfuscationError(
-                    f"stale delta: edge {pair} has base probability "
-                    f"{stored!r}, delta claims {p_old!r}"
+                    f"delta edge {pair} has probability {float(p_new[i])!r}, "
+                    "expected a finite value in [0, 1]"
                 )
-            if p_new == p_old:
-                continue
-            if graph.has_edge(*pair):
-                overrides[graph.edge_id(*pair)] = p_new
-            else:
-                new_edges.append((pair[0], pair[1], p_new))
-            touched.add(u)
-            touched.add(v)
-        return overrides, tuple(new_edges), touched
-
-    def check_delta(
-        self,
-        delta,
-        k: int,
-        epsilon: float,
-        knowledge: np.ndarray | None = None,
-    ) -> ObfuscationReport:
-        """Evaluate Definition 3 for ``overlay(base, delta)``.
-
-        ``delta`` is an iterable of ``(u, v, p_old, p_new)`` tuples;
-        ``p_old`` must match the base graph (a mismatch means the caller
-        holds a stale view and raises).  The returned report is
-        bit-identical to ``check_obfuscation`` on the materialized
-        candidate.  The cache state is rolled back before returning, so
-        consecutive calls are independent.
-        """
-        if knowledge is None:
-            knowledge = self._knowledge
-        overrides, new_edges, touched = self._parse_delta(delta)
-
-        new_pmfs = {
-            w: poisson_binomial_pmf(
-                self._incident_probabilities(w, overrides, new_edges)
+            raise ObfuscationError(
+                f"stale delta: edge {pair} has base probability "
+                f"{float(stored[i])!r}, delta claims {float(p_old[i])!r}"
             )
-            for w in sorted(touched)
-        }
-        needed = max(
-            (pmf.shape[0] for pmf in new_pmfs.values()), default=0
-        )
-        if needed > self._matrix.shape[1]:
-            grown = np.zeros((self._n, needed), dtype=np.float64)
+        changed = p_new != p_old
+        return lo[changed], hi[changed], ids[changed], p_new[changed]
+
+    def _grow_to(self, width: int) -> None:
+        if width > self._matrix.shape[1]:
+            grown = np.zeros((self._n, width), dtype=np.float64)
             grown[:, : self._matrix.shape[1]] = self._matrix
             self._matrix = grown
 
-        saved = {w: self._matrix[w].copy() for w in new_pmfs}
+    def _report(self, k, epsilon, knowledge) -> ObfuscationReport:
+        return report_from_entropy_profile(
+            column_entropies(self._matrix),
+            self._knowledge if knowledge is None else knowledge,
+            k, epsilon, n_nodes=self._n,
+        )
+
+    def _check(self, us, vs, p_old, p_new, k, epsilon, knowledge):
+        """Report for ``apply_edge_updates(base, delta)``; rows rolled back."""
+        lo, hi, ids, p = self._changes(us, vs, p_old, p_new)
+        rows = np.unique(np.concatenate([lo, hi]))
+        hit = ids >= 0
+        probabilities = self._graph.edge_probabilities
+        if hit.any():
+            probabilities = probabilities.copy()
+            probabilities[ids[hit]] = p[hit]
+        fresh = ~hit
+        lengths, values = _factor_rows(
+            self._indptr, self._indices, probabilities, rows,
+            lo[fresh], hi[fresh], p[fresh],
+        )
+        self._grow_to(int(lengths.max(initial=0)) + 1)
+        saved = self._matrix[rows]
         try:
-            for w, pmf in new_pmfs.items():
-                row = self._matrix[w]
-                row[:] = 0.0
-                row[: pmf.shape[0]] = pmf
-            profile = column_entropies(self._matrix)
-            return report_from_entropy_profile(
-                profile, knowledge, k, epsilon, n_nodes=self._n
-            )
+            _write_pmf_rows(self._matrix, rows, lengths, values)
+            return self._report(k, epsilon, knowledge)
         finally:
-            for w, row in saved.items():
-                self._matrix[w] = row
+            self._matrix[rows] = saved
+
+    # -- entry points ----------------------------------------------------- #
 
     def check_edge_arrays(
         self,
@@ -372,34 +450,41 @@ class DegreeUncertaintyCache:
         epsilon: float,
         knowledge: np.ndarray | None = None,
     ) -> ObfuscationReport:
-        """:meth:`check_delta` over parallel delta arrays.
+        """Evaluate Definition 3 for ``apply_edge_updates(base, delta)``.
 
-        The GenObf trial path describes a candidate as four parallel
-        arrays (endpoints, base probabilities, perturbed probabilities);
-        this adapter lets the same arrays drive both the obfuscation
-        check and -- through
+        The delta is four parallel arrays: endpoints, base probabilities
+        and new probabilities.  ``p_old`` must match the base graph (a
+        mismatch means the caller holds a stale view and raises).  The
+        same arrays drive the GenObf trial's check here and -- through
         :func:`repro.ugraph.operations.apply_edge_updates` -- the
-        materialization of a winning candidate, with no per-pair
-        generator overlays in between.
+        materialization of a winning candidate.  The report is
+        bit-identical to ``check_obfuscation`` on the materialized
+        candidate, and the cache is rolled back before returning, so
+        consecutive calls are independent.
         """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        p_old = np.asarray(p_old, dtype=np.float64)
-        p_new = np.asarray(p_new, dtype=np.float64)
-        if not (us.shape == vs.shape == p_old.shape == p_new.shape) \
-                or us.ndim != 1:
-            raise ObfuscationError(
-                "delta arrays must be 1-D and parallel, got shapes "
-                f"{us.shape} / {vs.shape} / {p_old.shape} / {p_new.shape}"
-            )
-        delta = zip(us.tolist(), vs.tolist(), p_old.tolist(), p_new.tolist())
-        return self.check_delta(delta, k, epsilon, knowledge=knowledge)
+        return self._check(
+            *_delta_arrays(us, vs, p_old, p_new), k, epsilon, knowledge
+        )
+
+    def check_delta(
+        self,
+        delta,
+        k: int,
+        epsilon: float,
+        knowledge: np.ndarray | None = None,
+    ) -> ObfuscationReport:
+        """:meth:`check_edge_arrays` over ``(u, v, p_old, p_new)`` tuples."""
+        entries = list(delta)
+        columns = zip(*entries) if entries else ((), (), (), ())
+        return self._check(
+            *_delta_arrays(*columns), k, epsilon, knowledge
+        )
 
     def check_base(
         self, k: int, epsilon: float, knowledge: np.ndarray | None = None
     ) -> ObfuscationReport:
         """The empty-delta check: the base graph itself."""
-        return self.check_delta((), k, epsilon, knowledge=knowledge)
+        return self._report(k, epsilon, knowledge)
 
     def apply_edge_arrays(
         self,
@@ -412,63 +497,30 @@ class DegreeUncertaintyCache:
         patched graph.
 
         The streaming re-certification pipeline accepts an update batch
-        as its new published truth, so unlike :meth:`check_delta` the
-        touched pmf rows are patched **without rollback** and the cache's
-        base graph is rebound to ``apply_edge_updates(graph, us, vs,
-        p_new)``.  Returns the patched graph.
+        as its new published truth, so unlike the checks the touched pmf
+        rows are patched **without rollback** and the cache's base graph
+        is rebound to ``apply_edge_updates(graph, us, vs, p_new)``, with
+        a new CSR incident index holding the fresh pairs.  Returns the
+        patched graph.
 
         Bit-identical guarantee: after the apply, every answer equals a
         freshly built ``DegreeUncertaintyCache(patched, knowledge)``.
-        A touched vertex's pmf is recomputed over the exact incident
-        float sequence the patched graph stores (original edges in dense
-        order, fresh pairs appended in delta first-occurrence order,
-        zero probabilities filtered on both paths); untouched rows keep
-        their floats; the matrix may only be *wider* (trailing all-zero
-        columns have entropy ``+inf``, the padding value reports use).
-        The knowledge vector is deliberately kept: the adversary's
-        degree observations predate the update.
+        Touched rows are recomputed over the patched graph's incident
+        sequence, untouched rows keep their floats, and the matrix may
+        only be *wider*.  The knowledge vector is deliberately kept: the
+        adversary's degree observations predate the update.
         """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        p_old = np.asarray(p_old, dtype=np.float64)
-        p_new = np.asarray(p_new, dtype=np.float64)
-        if not (us.shape == vs.shape == p_old.shape == p_new.shape) \
-                or us.ndim != 1:
-            raise ObfuscationError(
-                "delta arrays must be 1-D and parallel, got shapes "
-                f"{us.shape} / {vs.shape} / {p_old.shape} / {p_new.shape}"
-            )
-        delta = zip(us.tolist(), vs.tolist(), p_old.tolist(), p_new.tolist())
-        __, __, touched = self._parse_delta(delta)
-
+        us, vs, p_old, p_new = _delta_arrays(us, vs, p_old, p_new)
+        lo, hi, __, __ = self._changes(us, vs, p_old, p_new)
         n_before = self._graph.n_edges
         patched = apply_edge_updates(self._graph, us, vs, p_new)
+        if patched.n_edges > n_before:
+            self._indptr, self._indices = _incident_index(patched)
         self._graph = patched
-        # ``apply_edge_updates`` keeps existing edges at their dense ids
-        # and appends fresh pairs, so the incident index extends in
-        # place; a rebuild would cost O(|E|) for an O(|delta|) change.
-        for eid in range(n_before, patched.n_edges):
-            self._incident_ids[int(patched.edge_src[eid])].append(eid)
-            self._incident_ids[int(patched.edge_dst[eid])].append(eid)
-
-        # With the graph already rebound, each touched row's incident
-        # sequence is exactly the delta-overlaid one (overrides applied
-        # in dense order, fresh pairs appended), so the empty-delta fast
-        # path recomputes the same pmf floats the generic overlay would.
-        order = sorted(touched)
-        factors = [
-            self._incident_probabilities(w, {}, ()) for w in order
-        ]
-        block = _padded_pmf_rows(factors)
-        needed = block.shape[1]
-        if needed > self._matrix.shape[1]:
-            grown = np.zeros((self._n, needed), dtype=np.float64)
-            grown[:, : self._matrix.shape[1]] = self._matrix
-            self._matrix = grown
-        if order:
-            rows = np.zeros(
-                (len(order), self._matrix.shape[1]), dtype=np.float64
-            )
-            rows[:, :needed] = block
-            self._matrix[np.asarray(order, dtype=np.intp)] = rows
+        rows = np.unique(np.concatenate([lo, hi]))
+        lengths, values = _factor_rows(
+            self._indptr, self._indices, patched.edge_probabilities, rows
+        )
+        self._grow_to(int(lengths.max(initial=0)) + 1)
+        _write_pmf_rows(self._matrix, rows, lengths, values)
         return patched

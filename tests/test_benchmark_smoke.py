@@ -46,9 +46,12 @@ def test_obfuscation_check_comparison_smoke():
     )
     assert result["n_deltas"] == 4
     assert result["identical"], "incremental and full reports diverged"
-    checkers = [row[0] for row in result["rows"]]
-    assert checkers == ["full", "incremental"]
-    assert all(row[1] >= 0.0 for row in result["rows"])
+    cases = [(row[0], row[1]) for row in result["rows"]]
+    assert cases == [
+        ("6-entry", "full"), ("6-entry", "incremental"),
+        ("genobf", "full"), ("genobf", "incremental"),
+    ]
+    assert all(row[4] >= 0.0 for row in result["rows"])
 
 
 @pytest.mark.benchmark_smoke

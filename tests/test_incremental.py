@@ -5,24 +5,36 @@ any delta, ``cache.check_delta(delta, ...)`` must return exactly the
 report ``check_obfuscation(overlay(base, delta), ...)`` would -- same
 entropy floats bit for bit, same obfuscated mask, same epsilon-hat.
 These tests drive that contract with randomized graphs and deltas
-(seeded numpy sweeps plus a hypothesis property), and pin down the cache
-mechanics: rollback between calls, monotone width growth, and delta
-validation errors.
+(seeded numpy sweeps plus a hypothesis property) and with GenObf-shaped
+deltas -- a whole candidate edge set touching nearly every vertex --
+pin the batched Poisson-binomial DP to the per-row kernel, and pin down
+the cache mechanics: rollback between calls, monotone width growth,
+clone isolation, and delta validation errors.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import ChameleonConfig
+from repro.core.noise import perturb_probabilities
+from repro.core.parallel import _edge_noise_scales
+from repro.core.selection import select_candidate_edges
+from repro.datasets import load_profile
 from repro.exceptions import ObfuscationError
 from repro.privacy import (
     OBFUSCATION_CHECKERS,
     DegreeUncertaintyCache,
     check_obfuscation,
+    degree_uncertainty_matrix,
     expected_degree_knowledge,
+    poisson_binomial_pmf,
 )
-from repro.ugraph import UncertainGraph, overlay
+from repro.privacy.incremental import _write_pmf_rows
+from repro.ugraph import UncertainGraph, apply_edge_updates, overlay
 
 
 def random_graph(rng, n_nodes=None, density=0.25):
@@ -53,12 +65,35 @@ def random_delta(graph, rng, max_edges=8):
     return delta
 
 
+def genobf_delta(graph, rng, sigma):
+    """One GenObf trial's delta: the whole candidate set ``E_C`` drawn by
+    ``select_candidate_edges`` at the default size multiplier, perturbed
+    as Algorithm 3 does."""
+    config = ChameleonConfig()
+    weights = rng.dirichlet(np.ones(graph.n_nodes))
+    pairs = select_candidate_edges(
+        graph, weights, config.size_multiplier, seed=rng
+    )
+    us = np.array([u for u, __ in pairs], dtype=np.int64)
+    vs = np.array([v for __, v in pairs], dtype=np.int64)
+    current = graph.pair_probabilities(us, vs)
+    perturbed = perturb_probabilities(
+        current,
+        _edge_noise_scales(us, vs, weights, sigma),
+        mode=config.perturbation_mode,
+        white_noise=config.white_noise,
+        seed=rng,
+    )
+    return us, vs, current, perturbed
+
+
 def assert_reports_identical(full, incremental):
     np.testing.assert_array_equal(full.entropies, incremental.entropies)
     np.testing.assert_array_equal(full.obfuscated, incremental.obfuscated)
     assert full.epsilon_achieved == incremental.epsilon_achieved
     assert full.satisfied == incremental.satisfied
     assert full.k == incremental.k and full.epsilon == incremental.epsilon
+    assert full.entropies.tobytes() == incremental.entropies.tobytes()
 
 
 class TestBitIdenticalEquivalence:
@@ -139,6 +174,119 @@ class TestBitIdenticalEquivalence:
         assert_reports_identical(full, incremental)
 
 
+class TestGenObfShapedDeltas:
+    """Deltas as GenObf produces them: ``1.3 |E|`` entries, a fifth of
+    them fresh pairs, touching about every vertex."""
+
+    @pytest.mark.parametrize("profile,seed", [
+        ("dblp", 3), ("ppi", 4), ("brightkite", 5),
+    ])
+    def test_candidate_sets_match_full_checker(self, profile, seed):
+        graph = load_profile(profile, scale=0.2, seed=seed)
+        knowledge = expected_degree_knowledge(graph)
+        cache = DegreeUncertaintyCache(graph, knowledge=knowledge)
+        rng = np.random.default_rng(seed)
+        for sigma in (1.0, 0.1, 0.02):
+            us, vs, current, perturbed = genobf_delta(graph, rng, sigma)
+            fresh = graph.pair_edge_ids(us, vs) < 0
+            touched = np.unique(np.concatenate([us, vs])).size
+            assert fresh.sum() > 0.15 * graph.n_edges
+            assert touched > 0.9 * graph.n_nodes
+            candidate = apply_edge_updates(graph, us, vs, perturbed)
+            for k, epsilon in ((5, 0.1), (20, 0.01)):
+                full = check_obfuscation(
+                    candidate, k, epsilon, knowledge=knowledge
+                )
+                assert_reports_identical(
+                    full,
+                    cache.check_edge_arrays(
+                        us, vs, current, perturbed, k, epsilon
+                    ),
+                )
+        assert_reports_identical(
+            check_obfuscation(graph, 5, 0.1, knowledge=knowledge),
+            cache.check_base(5, 0.1),
+        )
+
+
+def ragged_rows():
+    """Lists of factor lists: empty rows, p in {0, 1}, equal lengths."""
+    factor = st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(0.0, 1.0, allow_nan=False),
+    )
+    row = st.lists(factor, max_size=12)
+    equal_rows = st.integers(0, 8).flatmap(
+        lambda size: st.lists(
+            st.lists(factor, min_size=size, max_size=size), max_size=6
+        )
+    )
+    return st.one_of(st.lists(row, max_size=10), equal_rows)
+
+
+class TestBatchedPmfRows:
+    """The batched DP equals ``poisson_binomial_pmf`` row by row, bitwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        factors=ragged_rows(),
+        block_rows=st.sampled_from([1, 2, 3, 4096]),
+        extra_width=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_rows_equal_per_row_kernel(
+        self, factors, block_rows, extra_width, data
+    ):
+        m = len(factors)
+        lengths = np.array([len(f) for f in factors], dtype=np.int64)
+        values = np.array(
+            [p for f in factors for p in f], dtype=np.float64
+        )
+        rows = np.array(
+            data.draw(st.permutations(range(m)), label="rows"),
+            dtype=np.int64,
+        )
+        width = int(lengths.max(initial=0)) + 1 + extra_width
+        matrix = np.full((m, width), np.nan)
+        with mock.patch(
+            "repro.privacy.incremental._DP_BLOCK_ROWS", block_rows
+        ):
+            _write_pmf_rows(matrix, rows, lengths, values)
+        for i, f in enumerate(factors):
+            expected = np.zeros(width)
+            pmf = poisson_binomial_pmf(np.array(f, dtype=np.float64))
+            expected[: pmf.size] = pmf
+            assert matrix[rows[i]].tobytes() == expected.tobytes()
+
+    def test_all_empty_input_writes_nothing(self):
+        matrix = np.full((2, 3), 7.0)
+        _write_pmf_rows(
+            matrix, np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int64), np.zeros(0),
+        )
+        assert (matrix == 7.0).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_build_equals_degree_uncertainty_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, n_nodes=int(rng.integers(0, 30)))
+        if graph.n_edges:
+            # explicit zero-probability edges and certain edges
+            p = graph.edge_probabilities.copy()
+            p[rng.random(p.size) < 0.2] = 0.0
+            p[rng.random(p.size) < 0.1] = 1.0
+            graph = graph.with_probabilities(p)
+        oracle = degree_uncertainty_matrix(graph)
+        built = DegreeUncertaintyCache(graph).base_matrix
+        assert built.shape == oracle.shape
+        assert built.tobytes() == oracle.tobytes()
+
+    def test_build_equals_oracle_on_profile(self, small_profile_graph):
+        built = DegreeUncertaintyCache(small_profile_graph).base_matrix
+        oracle = degree_uncertainty_matrix(small_profile_graph)
+        assert built.tobytes() == oracle.tobytes()
+
+
 class TestCacheMechanics:
     def test_rollback_between_calls(self, bridge_graph):
         """A delta check must not leak state into the next check."""
@@ -169,6 +317,83 @@ class TestCacheMechanics:
 
     def test_checker_registry(self):
         assert OBFUSCATION_CHECKERS == ("incremental", "full")
+
+    def test_apply_on_clone_leaves_parent_untouched(self):
+        """A clone's apply rebinds its own incident index: the parent and
+        later clones answer exactly as before (the warm service hands
+        clones of one pristine cache to every job)."""
+        rng = np.random.default_rng(11)
+        graph = random_graph(rng, n_nodes=20, density=0.2)
+        parent = DegreeUncertaintyCache(graph)
+        knowledge = parent.knowledge
+        probe = random_delta(graph, rng)
+        base_before = parent.check_base(2, 0.2)
+        probe_before = parent.check_delta(probe, 2, 0.2)
+        matrix_before = parent.base_matrix.copy()
+
+        def fresh_pairs(at):
+            return [
+                (at, v, 0.0, float(rng.uniform(0.2, 0.9)))
+                for v in range(at + 1, graph.n_nodes)
+                if not graph.has_edge(at, v)
+            ][:3]
+
+        deltas = (
+            fresh_pairs(0) + [(int(graph.edge_src[0]),
+                               int(graph.edge_dst[0]),
+                               float(graph.edge_probabilities[0]), 0.05)],
+            fresh_pairs(0) + fresh_pairs(1),
+        )
+        for delta in deltas:
+            clone = parent.clone()
+            us, vs, p_old, p_new = (np.array(c) for c in zip(*delta))
+            patched = clone.apply_edge_arrays(us, vs, p_old, p_new)
+            assert patched.n_edges > graph.n_edges
+            fresh = DegreeUncertaintyCache(patched, knowledge=knowledge)
+            assert_reports_identical(
+                fresh.check_base(2, 0.2), clone.check_base(2, 0.2)
+            )
+            assert clone.base_matrix.tobytes() == (
+                fresh.base_matrix.tobytes()
+            )
+            follow_up = random_delta(patched, rng)
+            assert_reports_identical(
+                fresh.check_delta(follow_up, 2, 0.2),
+                clone.check_delta(follow_up, 2, 0.2),
+            )
+            assert parent.graph is graph
+            assert parent.base_matrix.tobytes() == matrix_before.tobytes()
+            assert_reports_identical(base_before, parent.check_base(2, 0.2))
+            assert_reports_identical(
+                probe_before, parent.check_delta(probe, 2, 0.2)
+            )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_chained_applies_match_fresh_builds(self, seed):
+        """Applying deltas one after another (fresh pairs landing on
+        vertices with empty segments included) leaves the incident index
+        and every answer equal to a freshly built cache."""
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, n_nodes=int(rng.integers(4, 18)),
+                             density=0.15)
+        cache = DegreeUncertaintyCache(graph)
+        knowledge = cache.knowledge
+        for __ in range(4):
+            delta = random_delta(cache.graph, rng)
+            if delta:
+                us, vs, p_old, p_new = (np.array(c) for c in zip(*delta))
+                cache.apply_edge_arrays(us, vs, p_old, p_new)
+            fresh = DegreeUncertaintyCache(cache.graph, knowledge=knowledge)
+            np.testing.assert_array_equal(cache._indptr, fresh._indptr)
+            np.testing.assert_array_equal(cache._indices, fresh._indices)
+            width = fresh.base_matrix.shape[1]
+            assert cache.base_matrix[:, :width].tobytes() == (
+                fresh.base_matrix.tobytes()
+            )
+            assert not cache.base_matrix[:, width:].any()
+            assert_reports_identical(
+                fresh.check_base(2, 0.2), cache.check_base(2, 0.2)
+            )
 
 
 class TestDeltaValidation:

@@ -405,3 +405,46 @@ def test_served_update_byte_identical(published_setup, tmp_path):
         assert repeat_out.read_bytes() == direct_out.read_bytes()
     finally:
         service._executor.shutdown(wait=True, cancel_futures=True)
+
+
+def test_served_update_leaves_warm_dataset_intact(tmp_path):
+    """Served updates that add fresh pairs run on a clone of the warm
+    dataset's degree cache; a later served anonymize of the same dataset
+    must still match the one-shot run byte for byte."""
+    from repro.server import ChameleonService
+
+    pub = tmp_path / "pub.pel"
+    write_edge_list(random_graph(5, n=60, n_edges=200), pub)
+    on_disk = read_edge_list(pub)
+    fresh = [
+        (0, v, 0.0, 0.6) for v in range(1, on_disk.n_nodes)
+        if not on_disk.has_edge(0, v)
+    ][:2]
+    upd = tmp_path / "fresh.upd"
+    write_update_file(UpdateBatch.from_deltas(fresh), upd)
+    tail = ["--method", "me", "--k", "3", "--epsilon", "0.2",
+            "--trials", "2", "--seed", "7"]
+    service = ChameleonService()
+    try:
+        for attempt in range(2):
+            update = service._jobs.submit([
+                "update", str(pub), str(upd),
+                str(tmp_path / f"updated{attempt}.pel"),
+                "--k", "3", "--epsilon", "0.2", "--samples", "0",
+            ])
+            service._run_job(update)
+            assert update.state == "done", update.error
+        served_out = tmp_path / "served.pel"
+        direct_out = tmp_path / "direct.pel"
+        job = service._jobs.submit(
+            ["anonymize", str(pub), str(served_out)] + tail
+        )
+        service._run_job(job)
+        code, stdout, __ = _cli(
+            ["anonymize", str(pub), str(direct_out)] + tail
+        )
+        assert job.exit_code == code, job.error
+        assert job.stdout == stdout
+        assert served_out.read_bytes() == direct_out.read_bytes()
+    finally:
+        service._executor.shutdown(wait=True, cancel_futures=True)
