@@ -155,13 +155,15 @@ def emit(bench_name: str, text: str, data: dict | None = None) -> None:
     print(banner, file=sys.__stdout__, flush=True)
     archived = f"{text}\n\n{environment_block()}\n"
     (RESULTS_DIR / f"{bench_name}.txt").write_text(archived)
+    if data is None:
+        return
     payload = {
         "bench": bench_name,
         "version": repro.__version__,
         "scale": SCALE,
         "seed": SEED,
         "metric_samples": METRIC_SAMPLES,
-        **(data or {}),
+        **data,
         "environment": execution_environment(),
         "peak_rss_bytes": peak_rss_bytes(),
     }

@@ -23,60 +23,71 @@ from __future__ import annotations
 
 import numpy as np
 
-from _harness import EPSILONS, SEED, dataset, emit, format_table, knowledge
+from _harness import EPSILONS, SEED, dataset, emit, format_table
 from repro.core import ChameleonConfig, build_selection_context
 from repro.core.genobf import _edge_noise_scales
 from repro.core.noise import perturb_probabilities
 from repro.core.selection import select_candidate_edges
 from repro.metrics import average_reliability_discrepancy
-from repro.ugraph.operations import overlay
+from repro.privacy import expected_degree_knowledge
+from repro.ugraph.operations import apply_edge_updates
 
 _SIGMAS = (0.1, 0.2, 0.4)
 _DATASET = "brightkite"
 _TRIALS = 3
 
 
-def _loss_under(selection_mode: str, sigma: float) -> float:
-    graph = dataset(_DATASET)
+def _loss_under(graph, known, selection_mode: str, sigma: float,
+                relevance_samples: int, n_samples: int, n_pairs: int) -> float:
     config = ChameleonConfig(
         k=10, epsilon=EPSILONS[_DATASET], n_trials=1,
-        relevance_samples=300, size_multiplier=2.0,
+        relevance_samples=relevance_samples, size_multiplier=2.0,
         selection_mode=selection_mode,
     )
-    context = build_selection_context(graph, config, knowledge(_DATASET),
-                                      seed=SEED)
+    context = build_selection_context(graph, config, known, seed=SEED)
     losses = []
     for trial in range(_TRIALS):
         pairs = select_candidate_edges(
             graph, context.weights, 2.0, seed=SEED + trial
         )
-        current = np.asarray([graph.probability(u, v) for u, v in pairs])
-        scales = _edge_noise_scales(pairs, context.weights, sigma)
+        us, vs = pairs.T
+        current = graph.pair_probabilities(us, vs)
+        scales = _edge_noise_scales(us, vs, context.weights, sigma)
         perturbed = perturb_probabilities(
             current, scales, mode="max-entropy", white_noise=0.01,
             seed=SEED + trial,
         )
-        candidate = overlay(
-            graph, ((u, v, p) for (u, v), p in zip(pairs, perturbed))
-        )
+        candidate = apply_edge_updates(graph, us, vs, perturbed)
         losses.append(average_reliability_discrepancy(
-            graph, candidate, n_samples=250, n_pairs=15_000, seed=SEED,
+            graph, candidate, n_samples=n_samples, n_pairs=n_pairs, seed=SEED,
         ))
     return float(np.mean(losses))
 
 
-def _build_rows():
+def build_rows(graph=None, sigmas=_SIGMAS, relevance_samples=300,
+               n_samples=250, n_pairs=15_000):
+    """One row per sigma: reliability loss under both weightings.
+
+    ``graph`` defaults to the recorded ``brightkite`` stand-in; the
+    tier-1 smoke test passes a tiny graph and small sample counts.
+    """
+    if graph is None:
+        graph = dataset(_DATASET)
+    known = expected_degree_knowledge(graph)
     rows = []
-    for sigma in _SIGMAS:
-        sensitive = _loss_under("reliability-sensitive", sigma)
-        uniform = _loss_under("uniqueness-only", sigma)
+    for sigma in sigmas:
+        sensitive, uniform = (
+            _loss_under(graph, known, mode, sigma, relevance_samples,
+                        n_samples, n_pairs)
+            for mode in ("reliability-sensitive", "uniqueness-only")
+        )
         rows.append([sigma, sensitive, uniform,
                      uniform / max(sensitive, 1e-9)])
     return rows
 
 
 def test_ablation_selection_strategy(benchmark):
-    rows = benchmark.pedantic(_build_rows, rounds=1, iterations=1)
+    rows = benchmark.pedantic(build_rows, rounds=1, iterations=1)
     emit(
         "ablation_selection",
         format_table(

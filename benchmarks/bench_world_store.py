@@ -25,7 +25,18 @@ under both engines on one materialized candidate (the anonymize ->
 evaluate path; the engines draw different candidate streams there, so
 agreement is statistical rather than bitwise).
 
-A third table isolates the kernel layer: the derive hot path --
+A third table times the all-pairs path (``pairs=None``, ``n <=
+FULL_MATRIX_LIMIT``) that utility scoring in the sigma search runs:
+every candidate's full ``n x n`` reliability matrix comes from the
+pairwise equality accumulator.  The accumulator is timed against the
+broadcast compare it replaced (kept as the oracle in
+``tests/test_worldstore.py``), once through ``WorldStore.discrepancy``
+on derived candidates of the profile graph and once on an adversarial
+label matrix: equal-size components of ``ceil(n / 8) - 1`` vertices,
+the largest that still take the sparse path.  Both must agree bit for
+bit.
+
+A fourth table isolates the kernel layer: the derive hot path --
 changed-column re-threshold + dirty-world union-find relabeling -- timed
 under each available ``repro.kernels`` backend with a bit-equality audit
 between them.  When numba is absent the results file says so instead of
@@ -57,8 +68,10 @@ from repro.reliability import (
     reliability_discrepancy,
     sample_vertex_pairs,
 )
+from repro.reliability import worldstore
 from repro.reliability.worldstore import _pair_equal_counts
 from repro.ugraph import overlay
+from tests.test_worldstore import broadcast_pairwise_acc, canonical_labels
 
 WS_SCALE = float(os.environ.get("REPRO_BENCH_WS_SCALE", "2.0"))
 WS_SAMPLES = int(os.environ.get("REPRO_BENCH_WS_SAMPLES", "1000"))
@@ -261,6 +274,84 @@ def run_engine_comparison(
             "speedup": timings["fresh"] / timings["store"]}
 
 
+def run_pairwise_comparison(
+    scale: float = WS_SCALE,
+    n_samples: int = WS_SAMPLES,
+    n_deltas: int = 5,
+    delta_edges: int = WS_EDGES,
+    seed: int = WS_SEED,
+) -> dict:
+    """All-pairs discrepancy: size-split accumulator vs broadcast compare.
+
+    Returns ``{"rows": [[case, kernel, seconds, speedup, identical],
+    ...], "graph": (n_nodes, n_edges), "n_samples": N, "n_deltas": D,
+    "component_size": s, "identical": bool}``.  The profile case times
+    ``D`` all-pairs :meth:`WorldStore.discrepancy` calls (base
+    accumulator cached, as in the sigma search) with each kernel swapped
+    in; the adversarial case times one accumulator over ``N`` worlds of
+    equal-size components.
+    """
+    graph = load_profile("brightkite", scale=scale, seed=seed)
+    n = graph.n_nodes
+    if n > worldstore.FULL_MATRIX_LIMIT:
+        raise ValueError(f"n={n} exceeds FULL_MATRIX_LIMIT")
+    rng = np.random.default_rng(seed)
+    sigmas = np.geomspace(SIGMA_HI, SIGMA_LO, num=n_deltas)
+    deltas = [
+        _sample_sigma_delta(graph, delta_edges, sigma, rng)
+        for sigma in sigmas
+    ]
+    store = WorldStore(graph, n_samples=n_samples, seed=seed,
+                       backend=WS_BACKEND)
+    views = [store.derive(delta) for delta in deltas]
+    production = worldstore._pairwise_equal_acc
+
+    def discrepancies(kernel):
+        worldstore._pairwise_equal_acc = kernel
+        try:
+            started = time.perf_counter()
+            values = [store.discrepancy(view) for view in views]
+            return time.perf_counter() - started, values
+        finally:
+            worldstore._pairwise_equal_acc = production
+
+    base_identical = np.array_equal(
+        store.base_pair_acc, broadcast_pairwise_acc(store.base_labels, n)
+    )
+    store.base_pairwise_reliability()
+    oracle_seconds, oracle_values = discrepancies(broadcast_pairwise_acc)
+    fast_seconds, fast_values = discrepancies(production)
+    profile_identical = base_identical and oracle_values == fast_values
+
+    size = max(1, -(-n // 8) - 1)
+    groups = np.stack([rng.permutation(n) // size for __ in range(n_samples)])
+    labels = canonical_labels(groups)
+    started = time.perf_counter()
+    expected = broadcast_pairwise_acc(labels, n)
+    oracle_kernel = time.perf_counter() - started
+    started = time.perf_counter()
+    acc = production(labels, n)
+    fast_kernel = time.perf_counter() - started
+    partition_identical = np.array_equal(acc, expected)
+
+    rows = [
+        ["profile", "broadcast", oracle_seconds, 1.0, profile_identical],
+        ["profile", "accumulator", fast_seconds,
+         oracle_seconds / fast_seconds, profile_identical],
+        ["equal-size", "broadcast", oracle_kernel, 1.0, partition_identical],
+        ["equal-size", "accumulator", fast_kernel,
+         oracle_kernel / fast_kernel, partition_identical],
+    ]
+    return {
+        "rows": rows,
+        "graph": (n, graph.n_edges),
+        "n_samples": n_samples,
+        "n_deltas": n_deltas,
+        "component_size": size,
+        "identical": bool(profile_identical and partition_identical),
+    }
+
+
 def run_kernel_comparison(
     scale: float = WS_SCALE,
     n_samples: int = WS_SAMPLES,
@@ -321,6 +412,9 @@ def test_bench_world_store():
         ["engine", "seconds/call", "discrepancy", "speedup"],
         engines["rows"], precision=5,
     )
+    pairwise = run_pairwise_comparison()
+    pairwise_headers = ["case", "kernel", "seconds", "speedup", "identical"]
+    pairwise_table = _harness.format_table(pairwise_headers, pairwise["rows"])
     kernel_rows, kernel_note, kernel_identical = run_kernel_comparison()
     kernel_table = _harness.format_table(
         ["kernel backend", "seconds/stream", "speedup"], kernel_rows,
@@ -330,6 +424,12 @@ def test_bench_world_store():
         header + table
         + "\n\nreliability_discrepancy end-to-end (one candidate):\n"
         + engine_table
+        + f"\n\nall-pairs discrepancy path (pairs=None, n={n_nodes}, "
+          f"N={pairwise['n_samples']} worlds): pairwise accumulator vs "
+          f"broadcast compare over {pairwise['n_deltas']} profile "
+          "discrepancies, then one accumulator over equal-size "
+          f"components of {pairwise['component_size']} vertices\n"
+        + pairwise_table
         + "\n\nderive hot path (re-threshold + relabel) per kernel "
           "backend:\n"
         + kernel_table
@@ -339,7 +439,10 @@ def test_bench_world_store():
             "n_samples": result["n_samples"],
             "n_deltas": result["n_deltas"],
             "delta_edges": result["delta_edges"],
-            "identical": bool(result["identical"] and kernel_identical),
+            "identical": bool(
+                result["identical"] and pairwise["identical"]
+                and kernel_identical
+            ),
             "speedup": result["speedup"],
             "dirty_fraction": result["dirty_fraction"],
             **_harness.table_data(
@@ -350,6 +453,9 @@ def test_bench_world_store():
                 ["engine", "seconds/call", "discrepancy", "speedup"],
                 engines["rows"],
             ),
+            "pairwise": _harness.table_data(
+                pairwise_headers, pairwise["rows"]
+            ),
             "kernel": _harness.table_data(
                 ["kernel backend", "seconds/stream", "speedup"],
                 kernel_rows,
@@ -357,6 +463,10 @@ def test_bench_world_store():
         },
     )
     assert result["identical"], "store and fresh-oracle queries diverged"
+    assert pairwise["identical"], "accumulator and broadcast oracle diverged"
+    assert all(row[3] >= 1.0 for row in pairwise["rows"]), (
+        "accumulator slower than the broadcast compare"
+    )
     assert kernel_identical, "kernel backends diverged on derived labels"
     assert result["speedup"] >= 3.0, (
         f"expected >= 3x speedup, got {result['speedup']:.2f}x"

@@ -184,10 +184,9 @@ def run_trial(
     pairs = select_candidate_edges(
         graph, context.weights, config.size_multiplier, seed=rng
     )
-    if not pairs:
+    if len(pairs) == 0:
         return failure
-    us = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    vs = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
+    us, vs = pairs.T
     current = graph.pair_probabilities(us, vs)
     scales = _edge_noise_scales(us, vs, context.weights, sigma)
     perturbed = perturb_probabilities(

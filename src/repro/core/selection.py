@@ -94,15 +94,26 @@ def select_candidate_edges(
     size_multiplier: float,
     seed=None,
     max_rounds: int | None = None,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Sample the candidate edge set ``E_C`` (Algorithm 3, lines 9-16).
 
-    Returns canonical ``(u, v)`` pairs: the surviving original edges plus
-    the newly proposed ones, ``round(c * |E|)`` in total.
+    Returns an ``(m, 2)`` int64 array of canonical ``(u, v)`` pairs
+    (``u < v``) in ascending ``(u, v)`` order: the surviving original
+    edges plus the newly proposed ones, ``round(c * |E|)`` in total.
 
-    ``max_rounds`` caps the sampling loop (default ``200 * target``); if
-    the cap is hit -- possible only for pathological weight vectors -- the
-    current candidate set is returned as-is.
+    The walk draws vertex pairs by ``Q`` in batches of ``_BATCH``: a
+    still-selected original edge is dropped when its draw falls below
+    ``p(e)``, a non-edge joins, and the walk stops at the first draw that
+    brings ``|E_C|`` to the target.  Each pair's state is monotone -- a
+    dropped edge never returns and an added non-edge stays -- so a whole
+    batch resolves at once: only the first effective draw of each pair
+    changes ``|E_C|`` (by -1 or +1), and a cumulative sum over those
+    events in draw order finds the stopping draw.
+
+    ``max_rounds`` caps the walk (default ``200 * target``) and is
+    checked between batches; if the cap is hit -- possible only for
+    pathological weight vectors -- the current candidate set is
+    returned as-is.
     """
     rng = as_generator(seed)
     n = graph.n_nodes
@@ -128,37 +139,51 @@ def select_candidate_edges(
         raise ObfuscationError(
             f"candidate budget {target} exceeds the {max_pairs} possible edges"
         )
-
-    candidates: set[tuple[int, int]] = set(graph.endpoint_pairs())
-    original_probability = {
-        pair: p for pair, p in zip(graph.endpoint_pairs(), graph.edge_probabilities)
-    }
     if max_rounds is None:
         max_rounds = 200 * max(target, 1)
 
+    probabilities = graph.edge_probabilities
+    dropped = np.zeros(graph.n_edges, dtype=bool)
+    added = np.empty(0, dtype=np.int64)
+    size = graph.n_edges
     rounds = 0
     # With c = 1 the original edge set already meets the target; without
     # this entry check the walk drifts away from the target (adds dominate
     # removals on sparse graphs) and only stops at the round cap.
-    done = len(candidates) == target
-    while not done and rounds < max_rounds:
+    while size != target and rounds < max_rounds:
         us = rng.choice(n, size=_BATCH, p=weights)
         vs = rng.choice(n, size=_BATCH, p=weights)
         removal_draws = rng.random(_BATCH)
-        for u, v, draw in zip(us.tolist(), vs.tolist(), removal_draws.tolist()):
-            rounds += 1
-            if u == v:
-                continue
-            pair = (u, v) if u < v else (v, u)
-            p_original = original_probability.get(pair)
-            if p_original is not None:
-                # Original edge: deselect with probability p(e) -- near-
-                # certain edges resist being dropped from consideration.
-                if pair in candidates and draw < p_original:
-                    candidates.discard(pair)
-            else:
-                candidates.add(pair)
-            if len(candidates) == target:
-                done = True
-                break
-    return sorted(candidates)
+        rounds += _BATCH
+        ids = graph.pair_edge_ids(us, vs)
+        # Original edge: deselect with probability p(e) -- near-certain
+        # edges resist being dropped from consideration.
+        drop_at = np.flatnonzero(ids >= 0)
+        drop_at = drop_at[
+            removal_draws[drop_at] < probabilities[ids[drop_at]]
+        ]
+        drop_at = drop_at[~dropped[ids[drop_at]]]
+        drop_at = drop_at[np.unique(ids[drop_at], return_index=True)[1]]
+        add_at = np.flatnonzero((ids < 0) & (us != vs))
+        keys = (
+            np.minimum(us[add_at], vs[add_at]) * n
+            + np.maximum(us[add_at], vs[add_at])
+        )
+        fresh = ~np.isin(keys, added)
+        keys, add_at = keys[fresh], add_at[fresh]
+        first = np.unique(keys, return_index=True)[1]
+        keys, add_at = keys[first], add_at[first]
+
+        step = np.zeros(_BATCH, dtype=np.int64)
+        step[drop_at] = -1
+        step[add_at] = 1
+        sizes = size + np.cumsum(step)
+        hit = np.flatnonzero(sizes == target)
+        stop = hit[0] if hit.size else _BATCH - 1
+        dropped[ids[drop_at[drop_at <= stop]]] = True
+        added = np.concatenate((added, keys[add_at <= stop]))
+        size = int(sizes[stop])
+
+    kept = graph.edge_src[~dropped] * np.int64(n) + graph.edge_dst[~dropped]
+    chosen = np.sort(np.concatenate((kept, added)))
+    return np.stack((chosen // n, chosen % n), axis=1)

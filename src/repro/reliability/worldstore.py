@@ -67,6 +67,7 @@ import copy
 import os
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .. import _segments, kernels
 from .._rng import as_generator
@@ -148,12 +149,66 @@ def graph_delta(
 
 
 def _pairwise_equal_acc(labels: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Exact int64 ``n x n`` accumulator of per-world label equalities."""
+    """Exact int64 ``n x n`` accumulator of per-world label equalities.
+
+    ``labels`` is ``(worlds, n)`` with per-row component ids in
+    ``[0, n)`` (the canonical labeling).  A world's connected pairs are
+    one all-ones block per component, so the accumulator is a sum of
+    outer products ``1_C 1_C^T``, split by component size within each
+    block of worlds:
+
+    * components with at least ``ceil(n / 8)`` vertices (at most eight
+      per world; in practice the giant component) are rows of a dense
+      float32 0/1 matrix ``O`` and add ``O^T O`` through one BLAS GEMM;
+    * smaller non-singleton components add a ``scipy.sparse`` one-hot
+      product, whose work is the sum of their squared sizes;
+    * singletons add to the diagonal.
+
+    The GEMM is exact: every entry is an integer no larger than the
+    block's world count, at most ``2**24``, and float32 holds every such
+    integer, so no summation order or BLAS thread count changes the
+    int64 result.  Every temporary stays within
+    ``PAIRWISE_BLOCK_ELEMENTS`` elements: per world, ``O`` holds at most
+    ``8 * n`` entries and the sparse product fewer than
+    ``n * ceil(n / 8)``.
+    """
     acc = np.zeros((n_nodes, n_nodes), dtype=np.int64)
-    block = max(1, PAIRWISE_BLOCK_ELEMENTS // max(1, n_nodes * n_nodes))
+    if n_nodes == 0 or labels.shape[0] == 0:
+        return acc
+    tau = max(2, -(-n_nodes // 8))
+    block = min(
+        1 << 24, max(1, PAIRWISE_BLOCK_ELEMENTS // (n_nodes * max(8, tau)))
+    )
+    vertex_row = np.arange(n_nodes, dtype=np.int64)
+    diagonal = np.zeros(n_nodes, dtype=np.int64)
     for start in range(0, labels.shape[0], block):
         chunk = labels[start:start + block]
-        acc += (chunk[:, :, None] == chunk[:, None, :]).sum(axis=0)
+        keys = (
+            np.arange(chunk.shape[0], dtype=np.int64)[:, None] * n_nodes
+            + chunk
+        ).ravel()
+        sizes = np.bincount(keys, minlength=keys.size)
+        entry_size = sizes[keys]
+        vertex = np.tile(vertex_row, chunk.shape[0])
+        diagonal += np.bincount(vertex[entry_size == 1], minlength=n_nodes)
+        big = entry_size >= tau
+        if big.any():
+            components = np.flatnonzero(sizes >= tau)
+            dense = np.zeros((components.size, n_nodes), dtype=np.float32)
+            dense[np.searchsorted(components, keys[big]), vertex[big]] = 1.0
+            np.add(acc, dense.T @ dense, out=acc, casting="unsafe")
+        small = (entry_size > 1) & ~big
+        if small.any():
+            components = np.flatnonzero((sizes > 1) & (sizes < tau))
+            one_hot = csr_matrix(
+                (
+                    np.ones(int(small.sum()), dtype=np.int64),
+                    (np.searchsorted(components, keys[small]), vertex[small]),
+                ),
+                shape=(components.size, n_nodes),
+            )
+            acc += (one_hot.T @ one_hot).toarray()
+    acc[np.diag_indices(n_nodes)] += diagonal
     return acc
 
 

@@ -114,13 +114,6 @@ def violator_weights(n: int, violators: np.ndarray) -> np.ndarray:
     return q / q.sum()
 
 
-def _incident_filter(
-    pairs: list[tuple[int, int]], violators: set[int]
-) -> list[tuple[int, int]]:
-    """Keep only candidate edges touching at least one violator."""
-    return [(u, v) for u, v in pairs if u in violators or v in violators]
-
-
 def repair_violations(
     graph: UncertainGraph,
     cache: DegreeUncertaintyCache,
@@ -138,14 +131,14 @@ def repair_violations(
     :meth:`~repro.privacy.incremental.DegreeUncertaintyCache.apply_edge_arrays`
     and :meth:`~repro.reliability.worldstore.WorldStore.rebase`.
     """
-    violators = np.flatnonzero(~np.asarray(report.obfuscated, dtype=bool))
+    violator_mask = ~np.asarray(report.obfuscated, dtype=bool)
+    violators = np.flatnonzero(violator_mask)
     if violators.size == 0:
         raise ObfuscationError(
             "repair_violations needs a failing report; every vertex is "
             "already obfuscated"
         )
     weights = violator_weights(graph.n_nodes, violators)
-    violator_set = set(violators.tolist())
 
     n_trials_run = 0
     max_pool = 0
@@ -160,17 +153,13 @@ def repair_violations(
             pairs = select_candidate_edges(
                 graph, weights, policy.size_multiplier, seed=rng
             )
-            pairs = _incident_filter(pairs, violator_set)
+            # Keep only candidate edges touching at least one violator.
+            pairs = pairs[violator_mask[pairs].any(axis=1)]
             n_trials_run += 1
-            if not pairs:
+            if len(pairs) == 0:
                 continue
             max_pool = max(max_pool, len(pairs))
-            us = np.fromiter(
-                (p[0] for p in pairs), dtype=np.int64, count=len(pairs)
-            )
-            vs = np.fromiter(
-                (p[1] for p in pairs), dtype=np.int64, count=len(pairs)
-            )
+            us, vs = pairs.T
             current = graph.pair_probabilities(us, vs)
             scales = _edge_noise_scales(us, vs, weights, sigma)
             perturbed = perturb_probabilities(

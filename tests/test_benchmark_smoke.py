@@ -15,10 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
+
 BENCHMARKS_DIR = str(Path(__file__).resolve().parent.parent / "benchmarks")
 if BENCHMARKS_DIR not in sys.path:
     sys.path.insert(0, BENCHMARKS_DIR)
 
+import bench_ablation_perturbation as bench_abl_pert  # noqa: E402
+import bench_ablation_selection as bench_abl_sel  # noqa: E402
 import bench_connectivity_backends as bench  # noqa: E402
 import bench_incremental_update as bench_upd  # noqa: E402
 import bench_obfuscation_check as bench_obf  # noqa: E402
@@ -93,6 +97,44 @@ def test_world_store_engine_smoke():
     assert engines == ["fresh", "store"]
     # Different candidate streams: agreement is statistical, both finite.
     assert all(np.isfinite(row[2]) for row in result["rows"])
+
+
+@pytest.mark.benchmark_smoke
+def test_world_store_pairwise_smoke():
+    """All-pairs accumulator vs the broadcast oracle at tiny scale."""
+    result = bench_ws.run_pairwise_comparison(
+        scale=0.15, n_samples=16, n_deltas=2, delta_edges=6
+    )
+    assert result["identical"], "accumulator and broadcast oracle diverged"
+    cases = [(row[0], row[1]) for row in result["rows"]]
+    assert cases == [
+        ("profile", "broadcast"), ("profile", "accumulator"),
+        ("equal-size", "broadcast"), ("equal-size", "accumulator"),
+    ]
+    assert all(row[2] >= 0.0 and row[4] for row in result["rows"])
+
+
+@pytest.mark.benchmark_smoke
+def test_ablation_perturbation_smoke():
+    """The perturbation ablation end to end on a tiny graph."""
+    graph = repro.load_dataset("ppi", scale=0.1, seed=3)
+    rows = bench_abl_pert.build_rows(
+        graph, sigmas=(0.1,), relevance_samples=20
+    )
+    assert len(rows) == 1 and len(rows[0]) == 5
+    assert all(np.isfinite(value) for value in rows[0])
+
+
+@pytest.mark.benchmark_smoke
+def test_ablation_selection_smoke():
+    """The selection ablation end to end on a tiny graph."""
+    graph = repro.load_dataset("brightkite", scale=0.1, seed=3)
+    rows = bench_abl_sel.build_rows(
+        graph, sigmas=(0.1,), relevance_samples=20, n_samples=16,
+        n_pairs=200,
+    )
+    assert len(rows) == 1 and len(rows[0]) == 4
+    assert all(np.isfinite(value) for value in rows[0])
 
 
 @pytest.mark.benchmark_smoke

@@ -39,7 +39,7 @@ from repro.reliability import (
     resolve_backend,
     sample_vertex_pairs,
 )
-from repro.reliability import connectivity
+from repro.reliability import connectivity, worldstore
 from repro.ugraph import UncertainGraph, WorldSampler, overlay, sample_edge_masks
 
 
@@ -51,14 +51,61 @@ def oracle_labels(store: WorldStore, view: DerivedWorlds) -> np.ndarray:
     )
 
 
-def oracle_pairwise(labels: np.ndarray, n: int) -> np.ndarray:
+def broadcast_pairwise_acc(labels: np.ndarray, n: int) -> np.ndarray:
+    """Int64 ``n x n`` count of worlds in which each vertex pair shares a
+    label, by a per-world broadcast compare: the oracle for
+    ``worldstore._pairwise_equal_acc``."""
     acc = np.zeros((n, n), dtype=np.int64)
     for start in range(0, labels.shape[0], 37):
         chunk = labels[start:start + 37]
         acc += (chunk[:, :, None] == chunk[:, None, :]).sum(axis=0)
-    result = acc / labels.shape[0]
+    return acc
+
+
+def oracle_pairwise(labels: np.ndarray, n: int) -> np.ndarray:
+    result = broadcast_pairwise_acc(labels, n) / labels.shape[0]
     np.fill_diagonal(result, 1.0)
     return result
+
+
+def canonical_labels(groups: np.ndarray) -> np.ndarray:
+    """Renumber each row's group ids in first-appearance order."""
+    labels = np.empty(groups.shape, dtype=np.int32)
+    for row, group in enumerate(groups):
+        __, first, inverse = np.unique(
+            group, return_index=True, return_inverse=True
+        )
+        rank = np.empty(first.size, dtype=np.int32)
+        rank[np.argsort(first)] = np.arange(first.size, dtype=np.int32)
+        labels[row] = rank[inverse]
+    return labels
+
+
+@st.composite
+def label_matrices(draw):
+    """Canonical ``(N, n)`` label matrices: random partitions, all
+    singletons, one component, and equal-size partitions on both sides
+    of the accumulator's ``ceil(n / 8)`` dense/sparse split."""
+    n = draw(st.integers(min_value=1, max_value=48))
+    n_worlds = draw(st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ["random", "singletons", "one-component", "equal-size"]
+    ))
+    if kind == "random":
+        groups = rng.integers(0, draw(st.integers(1, n)), size=(n_worlds, n))
+    elif kind == "singletons":
+        groups = np.tile(np.arange(n), (n_worlds, 1))
+    elif kind == "one-component":
+        groups = np.zeros((n_worlds, n), dtype=np.int64)
+    else:
+        tau = -(-n // 8)
+        size = draw(st.sampled_from([max(1, tau - 1), tau, tau + 1]))
+        groups = np.array(
+            [rng.permutation(n) // size for __ in range(n_worlds)],
+            dtype=np.int64,
+        )
+    return canonical_labels(groups.reshape(n_worlds, n)), n
 
 
 @st.composite
@@ -99,6 +146,39 @@ def graphs_and_deltas(draw):
         p_new = draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
         delta.append((u, v, 0.0, p_new))
     return graph, delta
+
+
+class TestPairwiseAccumulator:
+    """The size-split accumulator equals the broadcast compare exactly,
+    whatever the component sizes and world-block size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=label_matrices())
+    def test_matches_broadcast_oracle(self, case):
+        labels, n = case
+        expected = broadcast_pairwise_acc(labels, n)
+        acc = worldstore._pairwise_equal_acc(labels, n)
+        assert acc.dtype == np.int64
+        np.testing.assert_array_equal(acc, expected)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(worldstore, "PAIRWISE_BLOCK_ELEMENTS", 1)
+            np.testing.assert_array_equal(
+                worldstore._pairwise_equal_acc(labels, n), expected
+            )
+
+    def test_no_vertices(self):
+        acc = worldstore._pairwise_equal_acc(np.empty((3, 0), np.int32), 0)
+        assert acc.shape == (0, 0)
+
+    def test_profile_worlds(self, small_profile_graph):
+        labels = WorldStore(
+            small_profile_graph, n_samples=60, seed=4
+        ).base_labels
+        n = small_profile_graph.n_nodes
+        np.testing.assert_array_equal(
+            worldstore._pairwise_equal_acc(labels, n),
+            broadcast_pairwise_acc(labels, n),
+        )
 
 
 class TestBaseReproduction:
