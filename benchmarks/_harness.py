@@ -1,9 +1,9 @@
 """Shared benchmark harness: datasets, cached anonymization sweep, output.
 
 Every figure bench consumes the same (dataset x method x k) anonymization
-sweep; results are cached on disk under ``benchmarks/.bench_cache`` so the
-expensive runs happen exactly once per parameter set no matter how many
-benches execute.  Tables are echoed to the real stdout (bypassing pytest
+sweep; results are cached on disk under ``benchmarks/.bench_cache`` (never
+committed) so the expensive runs happen exactly once per parameter set and
+source tree no matter how many benches execute.  Tables are echoed to the real stdout (bypassing pytest
 capture) and written to ``benchmarks/results/*.txt``.
 
 Scaling knobs (environment variables):
@@ -234,9 +234,24 @@ def knowledge(name: str):
 # Cached anonymization sweep
 # --------------------------------------------------------------------- #
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """sha256 over every ``repro/**/*.py`` file (relative path + bytes).
+
+    Cache entries are keyed by it, so any change to the library's source
+    invalidates them; the package version stays put across changes.
+    """
+    root = Path(repro.__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_path(kind: str, **params) -> Path:
     payload = json.dumps(
-        {"kind": kind, "scale": SCALE, "seed": SEED, "version": repro.__version__,
+        {"kind": kind, "scale": SCALE, "seed": SEED, "source": source_digest(),
          **params, "run": {k: v for k, v in sorted(RUN_KWARGS.items())}},
         sort_keys=True,
     )
@@ -244,16 +259,29 @@ def _cache_path(kind: str, **params) -> Path:
     return _CACHE_DIR / f"{kind}-{digest}.pkl"
 
 
+def _load_cached(path: Path) -> dict | None:
+    """A cache entry's cell, or None when absent or unreadable."""
+    try:
+        with path.open("rb") as fh:
+            return pickle.load(fh)
+    except (OSError, EOFError, pickle.UnpicklingError, AttributeError,
+            ImportError):
+        # Missing, truncated, foreign bytes, or classes that moved since
+        # the entry was written: recompute.
+        return None
+
+
 def anonymized(dataset_name: str, method: str, k: int) -> dict:
     """One sweep cell: anonymize ``dataset_name`` with ``method`` at ``k``.
 
     Returns ``{"graph": UncertainGraph | None, "sigma": float,
-    "success": bool, "seconds": float}``; disk-cached.
+    "success": bool, "seconds": float}``; disk-cached.  An entry that
+    does not unpickle counts as a miss and is overwritten.
     """
     path = _cache_path("anon", dataset=dataset_name, method=method, k=k)
-    if path.exists():
-        with path.open("rb") as fh:
-            return pickle.load(fh)
+    cell = _load_cached(path)
+    if cell is not None:
+        return cell
 
     graph = dataset(dataset_name)
     epsilon = EPSILONS[dataset_name]

@@ -65,9 +65,9 @@ def masked_component_labels(
     Canonical means: scanning vertices ``0 .. n-1``, a component receives
     the next consecutive id the first time one of its vertices appears.
     That is exactly what the block-diagonal scipy path produces (global
-    component ids ascend with first appearance, and ``_renumber_rows``
-    maps them to per-row consecutive ids in ascending order), so this
-    fallback simply delegates to it.  Imported lazily --
+    component ids ascend with first appearance, so subtracting each
+    row's first id leaves per-row consecutive ids), so this fallback
+    simply delegates to it.  Imported lazily --
     ``reliability.connectivity`` itself imports the kernel registry.
     """
     from ..reliability.connectivity import _batched_labels_chunked

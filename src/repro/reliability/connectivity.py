@@ -176,26 +176,6 @@ def world_component_labels(
     return labels.astype(np.int32)
 
 
-def _renumber_rows(labels: np.ndarray, n_components: int) -> np.ndarray:
-    """Map global block-diagonal component ids to per-row consecutive ids.
-
-    ``labels`` is ``(N, n_nodes)`` holding globally unique component ids
-    (components never span worlds); each row is relabeled to
-    ``0 .. c_row - 1`` in ascending global-id order, fully vectorized.
-    """
-    n_samples, n_nodes = labels.shape
-    comp_row = np.empty(n_components, dtype=np.int64)
-    comp_row[labels.ravel()] = np.repeat(
-        np.arange(n_samples, dtype=np.int64), n_nodes
-    )
-    per_row = np.bincount(comp_row, minlength=n_samples)
-    order = np.argsort(comp_row, kind="stable")
-    row_starts = np.repeat(np.cumsum(per_row) - per_row, per_row)
-    renumbered = np.empty(n_components, dtype=np.int32)
-    renumbered[order] = (np.arange(n_components) - row_starts).astype(np.int32)
-    return renumbered[labels]
-
-
 def _batched_labels(
     n_nodes: int, src: np.ndarray, dst: np.ndarray, masks: np.ndarray
 ) -> np.ndarray:
@@ -204,24 +184,50 @@ def _batched_labels(
     World ``i``'s vertex ``v`` becomes virtual node ``i * n_nodes + v``;
     stacking every realized edge with that offset yields a single sparse
     graph whose components are exactly the per-world components.
+
+    The CSR is built directly: with the edge universe sorted by ``src``
+    (grown columns arrive unsorted), the realized edges enumerated
+    world-major give globally sorted stacked row ids, so ``indptr`` is a
+    ``bincount`` prefix sum -- no COO sort, no duplicate merge.
+    ``connected_components`` numbers components in first-appearance
+    order over the vertex scan, so each world's ids form one ascending
+    range starting at its vertex 0's id, and subtracting that id yields
+    the canonical labeling.
     """
     n_samples = masks.shape[0]
     if n_samples == 0:
         return np.empty((0, n_nodes), dtype=np.int32)
     if n_nodes == 0:
         return np.empty((n_samples, 0), dtype=np.int32)
-    world_idx, edge_idx = np.nonzero(masks)
-    offsets = world_idx * n_nodes
     total = n_samples * n_nodes
     # csgraph works on int32 indices internally; building the CSR with
     # them up front avoids a 2x index-copy inside connected_components.
     index_dtype = np.int32 if total < np.iinfo(np.int32).max else np.int64
-    rows = (src[edge_idx] + offsets).astype(index_dtype, copy=False)
-    cols = (dst[edge_idx] + offsets).astype(index_dtype, copy=False)
-    data = np.ones(rows.shape[0], dtype=np.int8)
-    adjacency = csr_matrix((data, (rows, cols)), shape=(total, total))
-    n_components, flat = _scipy_cc(adjacency, directed=False)
-    return _renumber_rows(flat.reshape(n_samples, n_nodes), n_components)
+    order = np.argsort(src, kind="stable")
+    # ``take`` keeps the gathered matrix C-contiguous, so the flat scan
+    # below reads it in place; flat indices plus per-world counts are
+    # several times cheaper than the two-array ``np.nonzero`` of 2-D.
+    masks = masks.take(order, axis=1)
+    realized = np.flatnonzero(masks)
+    per_world = np.count_nonzero(masks, axis=1)
+    edge_pos = realized - np.repeat(
+        np.arange(n_samples, dtype=np.int64) * masks.shape[1], per_world
+    )
+    offsets = np.repeat(
+        np.arange(n_samples, dtype=index_dtype) * n_nodes, per_world
+    )
+    rows = src.astype(index_dtype)[order][edge_pos] + offsets
+    cols = dst.astype(index_dtype)[order][edge_pos] + offsets
+    indptr = np.zeros(total + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(rows, minlength=total), out=indptr[1:])
+    # float64 data is csgraph's working dtype, so validation copies nothing.
+    adjacency = csr_matrix(
+        (np.ones(rows.shape[0], dtype=np.float64), cols, indptr),
+        shape=(total, total),
+    )
+    __, flat = _scipy_cc(adjacency, directed=False)
+    flat = flat.reshape(n_samples, n_nodes)
+    return (flat - flat[:, :1]).astype(np.int32, copy=False)
 
 
 def _batched_labels_chunked(

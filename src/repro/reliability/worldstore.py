@@ -19,6 +19,13 @@ variance trick into a *structural* speedup:
   a small fraction of ``N`` for GenObf-sized perturbations.  Only dirty
   worlds are relabeled (with the batched kernel); clean worlds reuse the
   cached base labels.
+* :meth:`WorldStore.rebase` adopts a delta permanently and is
+  **write-back**: it re-thresholds the changed columns at once but only
+  marks the flipped worlds' cached labels stale.  The first read that
+  needs labels (every label reader goes through ``_ensure_labels``; the
+  cached pair counts and pairwise accumulator flush too) relabels each
+  stale world once and patches the label-derived caches, so ``K``
+  rebases between reads cost one relabel of their union.
 
 Sharded storage (the scale-out path)
 ------------------------------------
@@ -370,6 +377,12 @@ class WorldStore:
         self._pair_acc: np.ndarray | None = None
         self._pairwise: np.ndarray | None = None
         self._pair_equal_cache: tuple[tuple, np.ndarray] | None = None
+        #: chunk index -> sorted chunk-local rows whose cached labels (and
+        #: their share of the pair counts / accumulator) predate a rebase.
+        self._stale: dict[int, np.ndarray] = {}
+        #: Bumped by every rebase that changes a column; derived views
+        #: refuse to answer once it moved past the value they captured.
+        self._generation = 0
 
     def _resolve_chunk_size(self, chunk_worlds: int | None) -> int:
         if chunk_worlds is None:
@@ -497,6 +510,8 @@ class WorldStore:
         twin._pair_acc = self._pair_acc
         twin._pairwise = self._pairwise
         twin._pair_equal_cache = self._pair_equal_cache
+        twin._stale = dict(self._stale)
+        twin._generation = self._generation
         return twin
 
     def close(self) -> None:
@@ -632,7 +647,9 @@ class WorldStore:
         self._m_blocks = blocks
 
     def _ensure_labels(self) -> None:
+        """Current base labels: computed on first use, stale rows flushed."""
         if self._l_blocks is not None:
+            self._flush_stale()
             return
         self._ensure_masks()
         n = self._graph.n_nodes
@@ -742,6 +759,7 @@ class WorldStore:
     @property
     def base_pair_counts(self) -> np.ndarray:
         """Connected-pair count per base world (cached, chunk-streamed)."""
+        self._flush_stale()
         if self._pair_counts is None:
             self._ensure_labels()
             parts = [
@@ -755,6 +773,7 @@ class WorldStore:
     @property
     def base_pair_acc(self) -> np.ndarray:
         """Int64 ``n x n`` pairwise equality accumulator (cached)."""
+        self._flush_stale()
         if self._pair_acc is None:
             n = self._graph.n_nodes
             if n > FULL_MATRIX_LIMIT:
@@ -1077,23 +1096,30 @@ class WorldStore:
         discrepancies low-variance; it is deliberately NOT the state a
         fresh ``WorldStore(patched_graph, N, seed)`` would draw), the
         changed columns are re-thresholded chunk by chunk, and only the
-        chunks containing flipped worlds replace their mask/label blocks
-        -- untouched chunks keep sharing blocks with any clones, and the
+        chunks containing flipped worlds replace their mask blocks --
+        untouched chunks keep sharing blocks with any clones, and the
         replaced blocks' file segments are released immediately, so peak
         storage stays within one extra chunk of the existing budget.
 
-        The cached pair counts and the pairwise accumulator are patched
-        with the same exact int64 arithmetic the derived views use, so
-        every post-rebase base query is bit-identical to
-        ``derive(delta)`` evaluated before the rebase -- and hence to a
-        full recompute over the patched masks.
+        Relabeling is **deferred** (write-back): the flipped worlds are
+        only marked stale, and the first label-dependent read relabels
+        each stale world once, patching the cached pair counts and the
+        pairwise accumulator with the same exact int64 arithmetic the
+        derived views use (:meth:`_flush_stale`).  Every post-rebase base
+        query is therefore bit-identical to ``derive(delta)`` evaluated
+        before the rebase -- and hence to a full recompute over the
+        patched masks -- while a stream of rebases nobody reads in
+        between never relabels at all.  Views derived before the rebase
+        become stale and raise :class:`EstimationError` when queried.
 
         ``graph`` optionally supplies the already-materialized patched
         graph (the degree-cache pipeline has it anyway); otherwise it is
         built here with :func:`~repro.ugraph.operations.apply_edge_updates`.
 
         Returns ``{"n_dirty_worlds", "n_changed_columns",
-        "n_new_columns"}``; ``n_dirty_worlds`` is None when the store's
+        "n_new_columns"}``.  ``n_dirty_worlds`` counts the worlds where a
+        changed column flipped -- their relabeling is deferred, and a
+        flip need not change connectivity.  It is None when the store's
         masks were never materialized (nothing to patch -- the lazy
         thresholding against the updated probabilities is already the
         rebased state).
@@ -1135,6 +1161,7 @@ class WorldStore:
         prob[col_arr] = p_arr
         self._prob = prob
         self._graph = graph
+        self._generation += 1
 
         if self._m_blocks is None:
             # Masks were never materialized: the future ``U < p`` pass
@@ -1142,17 +1169,15 @@ class WorldStore:
             stats["n_dirty_worlds"] = None
             return stats
 
-        patch_labels = self._l_blocks is not None
-        patch_counts = patch_labels and self._pair_counts is not None
-        patch_acc = patch_labels and self._pair_acc is not None
-        counts = self._pair_counts.copy() if patch_counts else None
-        acc = self._pair_acc.copy() if patch_acc else None
+        # Without cached labels there is nothing to mark: the first
+        # labeling runs over the current masks anyway.
+        track = self._l_blocks is not None
         m_new = list(self._m_blocks)
-        l_new = list(self._l_blocks) if patch_labels else None
+        stale = dict(self._stale)
         replaced: list[np.ndarray] = []
         total_dirty = 0
-        for ci, ((start, stop), u_block, m_block) in enumerate(
-            zip(self._chunks, self._u_blocks, self._m_blocks)
+        for ci, (u_block, m_block) in enumerate(
+            zip(self._u_blocks, self._m_blocks)
         ):
             nc, d = kernels.rethreshold_masks(
                 u_block[:, :self._u_cols], m_block, col_arr, p_arr
@@ -1165,36 +1190,61 @@ class WorldStore:
             fresh_m[:, col_arr] = nc
             m_new[ci] = fresh_m
             replaced.append(m_block)
-            if patch_labels:
-                old_l = self._l_blocks[ci]
-                dirty_masks = m_block[d]
-                dirty_masks[:, col_arr] = nc[d]
-                labels = component_labels_for_edges(
-                    n, self._src, self._dst, dirty_masks,
-                    backend=self._backend, n_workers=self._n_workers,
-                )
-                fresh_l = self._alloc_block(old_l.shape, old_l.dtype)
-                fresh_l[:] = old_l
-                fresh_l[d] = labels
-                l_new[ci] = fresh_l
-                replaced.append(old_l)
-                if patch_counts:
-                    counts[start + d] = pair_counts_from_labels(labels)
-                if patch_acc:
-                    # Same exact int64 swap DerivedWorlds performs.
-                    acc -= _pairwise_equal_acc(old_l[d], n)
-                    acc += _pairwise_equal_acc(labels, n)
+            if track:
+                stale[ci] = d if ci not in stale else np.union1d(stale[ci], d)
         self._m_blocks = m_new
-        if patch_labels:
-            self._l_blocks = l_new
-        self._pair_counts = counts if patch_counts else None
-        self._pair_acc = acc if patch_acc else None
+        self._stale = stale
         self._pairwise = None
         self._pair_equal_cache = None
         for block in replaced:
             self._release_block(block)
         stats["n_dirty_worlds"] = total_dirty
         return stats
+
+    def _flush_stale(self) -> None:
+        """Relabel every stale world once and patch the label caches.
+
+        Each chunk with stale rows gets one relabeling call over those
+        rows' current masks and a fresh label block (the old one may be
+        shared with clones, so it is replaced, then released).  The
+        cached pair counts and accumulator swap the stale rows' old
+        contribution for the new one in exact int64 -- the same swap
+        :class:`DerivedWorlds` performs -- so the result is bit-identical
+        to labeling the current masks from scratch.
+        """
+        if not self._stale:
+            return
+        n = self._graph.n_nodes
+        counts = acc = None
+        if self._pair_counts is not None:
+            counts = self._pair_counts.copy()
+        if self._pair_acc is not None:
+            acc = self._pair_acc.copy()
+        l_new = list(self._l_blocks)
+        for ci, rows in sorted(self._stale.items()):
+            old_l = self._l_blocks[ci]
+            labels = component_labels_for_edges(
+                n, self._src, self._dst, self._m_blocks[ci][rows],
+                backend=self._backend, n_workers=self._n_workers,
+            )
+            fresh_l = self._alloc_block(old_l.shape, old_l.dtype)
+            fresh_l[:] = old_l
+            fresh_l[rows] = labels
+            l_new[ci] = fresh_l
+            if counts is not None:
+                counts[self._chunks[ci][0] + rows] = (
+                    pair_counts_from_labels(labels)
+                )
+            if acc is not None:
+                acc -= _pairwise_equal_acc(old_l[rows], n)
+                acc += _pairwise_equal_acc(labels, n)
+        replaced = [self._l_blocks[ci] for ci in self._stale]
+        self._l_blocks = l_new
+        self._pair_counts = counts
+        self._pair_acc = acc
+        self._stale = {}
+        for block in replaced:
+            self._release_block(block)
 
     # -- discrepancy ----------------------------------------------------- #
 
@@ -1252,6 +1302,12 @@ class DerivedWorlds:
     Clean worlds alias the store's caches; only the dirty rows (worlds
     where a changed edge flipped) carry fresh labels.  All queries match
     a full recompute over :meth:`materialize` bit for bit.
+
+    A view is tied to the base state it was derived from: once its store
+    is rebased (a column changed), every query raises
+    :class:`EstimationError` instead of mixing the new base with the old
+    dirty rows.  The view's own record (:attr:`n_dirty`,
+    :attr:`dirty_worlds`, :attr:`dirty_labels`) stays readable.
     """
 
     def __init__(
@@ -1267,8 +1323,16 @@ class DerivedWorlds:
         self._new_cols = new_cols
         self._dirty = dirty
         self._dirty_labels = dirty_labels
+        self._generation = store._generation
         self._labels: np.ndarray | None = None
         self._pair_counts: np.ndarray | None = None
+
+    def _require_current(self) -> None:
+        if self._store._generation != self._generation:
+            raise EstimationError(
+                "derived view is stale: its store was rebased after "
+                "derive(); derive the candidate again"
+            )
 
     @property
     def store(self) -> WorldStore:
@@ -1280,12 +1344,16 @@ class DerivedWorlds:
 
     @property
     def n_dirty(self) -> int:
-        """Worlds whose realization changed (and were relabeled)."""
+        """Worlds where a changed column flipped.
+
+        Each was relabeled for this view; a flip need not change the
+        world's connectivity.
+        """
         return int(self._dirty.size)
 
     @property
     def dirty_worlds(self) -> np.ndarray:
-        """Row indices of the relabeled worlds."""
+        """Row indices of the dirty (flipped, relabeled) worlds."""
         return self._dirty
 
     @property
@@ -1301,6 +1369,7 @@ class DerivedWorlds:
         Intended for audits: a fresh labeling of this matrix must agree
         with every incremental answer bit for bit.
         """
+        self._require_current()
         masks = np.array(self._store.base_masks, copy=True)
         if self._cols.size:
             masks[:, self._cols] = self._new_cols
@@ -1309,6 +1378,7 @@ class DerivedWorlds:
     @property
     def labels(self) -> np.ndarray:
         """Int ``(N, n)`` component labels of the candidate's worlds."""
+        self._require_current()
         if self._labels is None:
             base = self._store.base_labels
             if self._dirty.size == 0:
@@ -1322,6 +1392,7 @@ class DerivedWorlds:
     @property
     def pair_counts(self) -> np.ndarray:
         """Connected-pair count per world (int64, dirty rows patched)."""
+        self._require_current()
         if self._pair_counts is None:
             base = self._store.base_pair_counts
             if self._dirty.size == 0:
@@ -1350,6 +1421,7 @@ class DerivedWorlds:
         ``base_counts`` may carry the store's precomputed
         :meth:`WorldStore.base_pair_equal_counts` for the same pairs.
         """
+        self._require_current()
         pairs = _validate_pairs(pairs)
         if base_counts is None:
             base_counts = self._store.base_pair_equal_counts(pairs)
@@ -1389,6 +1461,7 @@ class DerivedWorlds:
         dirty-row candidate contribution`` -- exact integer arithmetic,
         hence bit-identical to a full recompute.
         """
+        self._require_current()
         n = self._store.graph.n_nodes
         if n > FULL_MATRIX_LIMIT:
             raise EstimationError(

@@ -49,9 +49,10 @@ class UpdateOutcome:
     *after* the batch and any adopted repair); ``repaired`` says whether
     a repair delta was folded in, with the full :class:`RepairOutcome`
     under ``repair`` whenever a repair was attempted.
-    ``n_dirty_worlds`` counts sampled worlds whose connectivity changed
-    during the store rebase (``None``: no store attached, or its masks
-    were never materialized).
+    ``n_dirty_worlds`` counts sampled worlds where a changed column
+    flipped during the store rebase; their relabeling is deferred to the
+    store's next label read, and a flip need not change connectivity
+    (``None``: no store attached, or its masks were never materialized).
     """
 
     report: ObfuscationReport

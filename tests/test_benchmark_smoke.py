@@ -71,6 +71,17 @@ def test_incremental_update_comparison_smoke():
     assert result["store_identical"], "rebased store diverged"
     assert len(result["rows"]) == 2
     assert all(row[2] >= 0.0 and row[3] >= 0.0 for row in result["rows"])
+    # rebase + read includes the rebase; the speedup is taken over it.
+    for row in result["rows"]:
+        assert row[2] == 1 and row[4] >= row[3] > 0.0
+        assert row[6] == pytest.approx(row[5] / row[4])
+
+    sparse = bench_upd.run_update_comparison(
+        scale=0.15, n_batches=3, fractions=(0.05,), n_samples=16,
+        read_every=2,
+    )
+    assert sparse["identical"] and sparse["store_identical"]
+    assert [row[2] for row in sparse["rows"]] == [2]
 
 
 @pytest.mark.benchmark_smoke
@@ -163,3 +174,39 @@ def test_canonical_partition_invariant_to_renaming():
     np.testing.assert_array_equal(
         bench.canonical_partition(labels), bench.canonical_partition(renamed)
     )
+
+
+@pytest.mark.benchmark_smoke
+def test_sweep_cache_recomputes_unreadable_entry(tmp_path, monkeypatch):
+    """A corrupt sweep-cache entry is a miss: recomputed and rewritten."""
+    import pickle
+
+    import _harness
+
+    tiny = repro.load_profile("ppi", scale=0.1, seed=3)
+    monkeypatch.setattr(_harness, "_CACHE_DIR", tmp_path)
+    monkeypatch.setattr(_harness, "dataset", lambda name: tiny)
+    monkeypatch.setattr(_harness, "RUN_KWARGS", dict(
+        n_trials=1, relevance_samples=20, sigma_tolerance=0.1,
+        size_multiplier=2.0,
+    ))
+    path = _harness._cache_path("anon", dataset="ppi", method="rs", k=3)
+    path.write_bytes(b"\x04 not a pickle")
+
+    cell = _harness.anonymized("ppi", "rs", 3)
+    assert cell["success"] and cell["graph"].n_nodes == tiny.n_nodes
+    with path.open("rb") as fh:
+        assert pickle.load(fh)["sigma"] == cell["sigma"]
+    assert _harness.anonymized("ppi", "rs", 3)["seconds"] == cell["seconds"]
+
+
+def test_sweep_cache_keyed_by_source_not_version(monkeypatch):
+    import _harness
+
+    key = _harness._cache_path("anon", dataset="dblp", method="rs", k=3)
+    monkeypatch.setattr(repro, "__version__", "0.0.0-other")
+    assert _harness._cache_path("anon", dataset="dblp", method="rs",
+                                k=3) == key
+    monkeypatch.setattr(_harness, "source_digest", lambda: "0" * 64)
+    assert _harness._cache_path("anon", dataset="dblp", method="rs",
+                                k=3) != key

@@ -39,6 +39,34 @@ def numpy_backend():
     kernels.use(previous)
 
 
+def _coo_renumber_labels(n_nodes, src, dst, masks):
+    """The block-diagonal labeling built through COO -> CSR conversion,
+    with global component ids mapped to per-row consecutive ids in
+    ascending order (oracle for the direct CSR kernel)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_samples = masks.shape[0]
+    world_idx, edge_idx = np.nonzero(masks)
+    offsets = world_idx * n_nodes
+    total = n_samples * n_nodes
+    adjacency = coo_matrix(
+        (np.ones(edge_idx.size, dtype=np.int8),
+         (src[edge_idx] + offsets, dst[edge_idx] + offsets)),
+        shape=(total, total),
+    ).tocsr()
+    n_components, flat = connected_components(adjacency, directed=False)
+    labels = flat.reshape(n_samples, n_nodes)
+    comp_row = np.empty(n_components, dtype=np.int64)
+    comp_row[labels.ravel()] = np.repeat(np.arange(n_samples), n_nodes)
+    per_row = np.bincount(comp_row, minlength=n_samples)
+    order = np.argsort(comp_row, kind="stable")
+    row_starts = np.repeat(np.cumsum(per_row) - per_row, per_row)
+    renumbered = np.empty(n_components, dtype=np.int32)
+    renumbered[order] = np.arange(n_components) - row_starts
+    return renumbered[labels]
+
+
 def _brute_force_pmf(p):
     """Poisson-binomial pmf by exhaustive enumeration (n <= 10)."""
     out = np.zeros(len(p) + 1, dtype=np.float64)
@@ -227,6 +255,105 @@ class TestMaskedComponentLabels:
             np.zeros((3, 0), dtype=bool),
         )
         np.testing.assert_array_equal(labels, np.zeros((3, 1)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_nodes=st.integers(min_value=1, max_value=30),
+        n_worlds=st.integers(min_value=1, max_value=8),
+    )
+    def test_matches_coo_renumber_oracle(self, seed, n_nodes, n_worlds):
+        """Bitwise equal to the COO build + per-row renumbering the
+        direct CSR kernel replaced."""
+        rng = np.random.default_rng(seed)
+        n_edges = int(rng.integers(0, 3 * n_nodes + 1))
+        src = rng.integers(0, n_nodes, n_edges)
+        dst = rng.integers(0, n_nodes, n_edges)
+        masks = rng.random((n_worlds, n_edges)) < rng.random()
+        np.testing.assert_array_equal(
+            _batched_labels_chunked(n_nodes, src, dst, masks),
+            _coo_renumber_labels(n_nodes, src, dst, masks),
+        )
+
+    @staticmethod
+    def _assert_canonical(n_nodes, src, dst, masks):
+        labels = kernels.masked_component_labels(n_nodes, src, dst, masks)
+        assert labels.shape == (masks.shape[0], n_nodes)
+        assert labels.dtype == np.int32
+        for w in range(masks.shape[0]):
+            row = masks[w]
+            np.testing.assert_array_equal(
+                labels[w],
+                canonical_component_labels(n_nodes, src[row], dst[row]),
+                err_msg=f"world {w}",
+            )
+
+    def test_appended_unsorted_columns(self, numpy_backend):
+        """A store's grown columns arrive after the sorted base edges and
+        out of ``src`` order; the direct CSR build must sort them in."""
+        rng = np.random.default_rng(3)
+        n_nodes = 15
+        base = sorted(
+            {(int(u), int(v)) for u, v in rng.integers(0, n_nodes, (25, 2))
+             if u < v}
+        )
+        grown = [(11, 14), (0, 9), (7, 8), (2, 13), (0, 3)]
+        src = np.array([u for u, __ in base + grown], dtype=np.int64)
+        dst = np.array([v for __, v in base + grown], dtype=np.int64)
+        masks = rng.random((7, src.size)) < 0.35
+        masks[:, len(base):] = rng.random((7, len(grown))) < 0.8
+        self._assert_canonical(n_nodes, src, dst, masks)
+
+    def test_self_loops_and_duplicate_pairs(self, numpy_backend):
+        src = np.array([3, 0, 0, 2, 4, 4, 1], dtype=np.int64)
+        dst = np.array([3, 1, 1, 2, 0, 0, 1], dtype=np.int64)
+        masks = np.array([
+            [True] * 7,
+            [True, False, True, True, False, True, True],
+            [True, False, False, True, False, False, True],
+        ])
+        self._assert_canonical(5, src, dst, masks)
+
+    def test_zero_worlds(self, numpy_backend):
+        labels = kernels.masked_component_labels(
+            4, np.array([0, 1]), np.array([1, 2]), np.zeros((0, 2), bool)
+        )
+        assert labels.shape == (0, 4)
+
+    def test_single_vertex_with_self_loop(self, numpy_backend):
+        self._assert_canonical(
+            1, np.zeros(2, np.int64), np.zeros(2, np.int64),
+            np.array([[True, True], [False, True], [False, False]]),
+        )
+
+    def test_all_absent_worlds(self, numpy_backend):
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, 9, 20)
+        dst = rng.integers(0, 9, 20)
+        masks = rng.random((6, 20)) < 0.5
+        masks[[0, 3, 5]] = False
+        labels = kernels.masked_component_labels(9, src, dst, masks)
+        for w in (0, 3, 5):
+            np.testing.assert_array_equal(labels[w], np.arange(9))
+        self._assert_canonical(9, src, dst, masks)
+
+    def test_tiny_batch_node_limit(self, numpy_backend, monkeypatch):
+        """Chunked stacking (down to one world per block) is invisible."""
+        from repro.reliability import connectivity
+
+        rng = np.random.default_rng(8)
+        n_nodes, n_edges = 10, 24
+        src = rng.integers(0, n_nodes, n_edges)
+        dst = rng.integers(0, n_nodes, n_edges)
+        masks = rng.random((9, n_edges)) < 0.3
+        whole = kernels.masked_component_labels(n_nodes, src, dst, masks)
+        for limit in (1, 25):
+            monkeypatch.setattr(connectivity, "_BATCH_NODE_LIMIT", limit)
+            np.testing.assert_array_equal(
+                kernels.masked_component_labels(n_nodes, src, dst, masks),
+                whole,
+            )
+            self._assert_canonical(n_nodes, src, dst, masks)
 
     def test_delegates_to_batched_scipy_bitwise(self, numpy_backend):
         rng = np.random.default_rng(11)

@@ -7,16 +7,34 @@ evaluated on a pristine store, which in turn is the full-recompute
 oracle over the patched masks.  Plus the storage story: clones stay
 isolated (COW), replaced blocks' file segments are released eagerly,
 and nothing leaks after ``close``.
+
+Rebasing is write-back: flipped worlds are only marked stale, and the
+first label read relabels each of them once.  A state machine holds the
+write-back store to the eager relabel-and-patch rebase it replaced
+(:class:`EagerWorldStore`, kept here as the oracle), and spies on the
+labeling call count what the deferral saves.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+)
 
+from repro import kernels
 from repro.exceptions import EstimationError
+from repro.reliability import worldstore
+from repro.reliability.connectivity import pair_counts_from_labels
+from repro.reliability.union_find import canonical_component_labels
 from repro.reliability.worldstore import WorldStore
 from repro.ugraph import UncertainGraph
 
@@ -251,3 +269,394 @@ def test_rebase_clone_cow_isolation():
     )
     twin.close()
     store.close()
+
+
+# -- write-back rebase ------------------------------------------------------ #
+
+class EagerWorldStore(WorldStore):
+    """The eager rebase the write-back one replaced: flipped worlds are
+    relabeled and the pair caches patched inside ``rebase`` itself."""
+
+    def clone(self) -> "EagerWorldStore":
+        twin = super().clone()
+        twin.__class__ = EagerWorldStore
+        return twin
+
+    def rebase(self, delta, graph=None) -> dict:
+        from repro.ugraph.operations import apply_edge_updates
+
+        n = self._graph.n_nodes
+        cols, new_ps, changed_pairs, n_new = self._merge_delta(delta)
+        stats = {"n_dirty_worlds": 0, "n_changed_columns": len(cols),
+                 "n_new_columns": n_new}
+        if not cols:
+            if graph is not None:
+                self._graph = graph
+            return stats
+        col_arr = np.asarray(cols, dtype=np.int64)
+        p_arr = np.asarray(new_ps, dtype=np.float64)
+        if graph is None:
+            us = np.array([u for u, __ in changed_pairs], dtype=np.int64)
+            vs = np.array([v for __, v in changed_pairs], dtype=np.int64)
+            graph = apply_edge_updates(self._graph, us, vs, p_arr)
+        prob = self._prob.copy()
+        prob[col_arr] = p_arr
+        self._prob = prob
+        self._graph = graph
+        self._generation += 1
+        if self._m_blocks is None:
+            stats["n_dirty_worlds"] = None
+            return stats
+        patch_labels = self._l_blocks is not None
+        patch_counts = patch_labels and self._pair_counts is not None
+        patch_acc = patch_labels and self._pair_acc is not None
+        counts = self._pair_counts.copy() if patch_counts else None
+        acc = self._pair_acc.copy() if patch_acc else None
+        m_new = list(self._m_blocks)
+        l_new = list(self._l_blocks) if patch_labels else None
+        replaced = []
+        total_dirty = 0
+        for ci, ((start, __), u_block, m_block) in enumerate(
+            zip(self._chunks, self._u_blocks, self._m_blocks)
+        ):
+            nc, d = kernels.rethreshold_masks(
+                u_block[:, :self._u_cols], m_block, col_arr, p_arr
+            )
+            if d.size == 0:
+                continue
+            total_dirty += int(d.size)
+            fresh_m = self._alloc_block(m_block.shape, np.bool_)
+            fresh_m[:] = m_block
+            fresh_m[:, col_arr] = nc
+            m_new[ci] = fresh_m
+            replaced.append(m_block)
+            if patch_labels:
+                old_l = self._l_blocks[ci]
+                dirty_masks = m_block[d]
+                dirty_masks[:, col_arr] = nc[d]
+                labels = worldstore.component_labels_for_edges(
+                    n, self._src, self._dst, dirty_masks
+                )
+                fresh_l = self._alloc_block(old_l.shape, old_l.dtype)
+                fresh_l[:] = old_l
+                fresh_l[d] = labels
+                l_new[ci] = fresh_l
+                replaced.append(old_l)
+                if patch_counts:
+                    counts[start + d] = pair_counts_from_labels(labels)
+                if patch_acc:
+                    acc -= worldstore._pairwise_equal_acc(old_l[d], n)
+                    acc += worldstore._pairwise_equal_acc(labels, n)
+        self._m_blocks = m_new
+        if patch_labels:
+            self._l_blocks = l_new
+        self._pair_counts = counts if patch_counts else None
+        self._pair_acc = acc if patch_acc else None
+        self._pairwise = None
+        self._pair_equal_cache = None
+        for block in replaced:
+            self._release_block(block)
+        stats["n_dirty_worlds"] = total_dirty
+        return stats
+
+
+@pytest.fixture
+def labeling_spy(monkeypatch):
+    """World counts of every labeling call the store makes."""
+    calls: list[int] = []
+    real = worldstore.component_labels_for_edges
+
+    def spy(n_nodes, src, dst, masks, **kwargs):
+        calls.append(int(masks.shape[0]))
+        return real(n_nodes, src, dst, masks, **kwargs)
+
+    monkeypatch.setattr(worldstore, "component_labels_for_edges", spy)
+    return calls
+
+
+def flipped_rows(before: np.ndarray, after: np.ndarray) -> set:
+    """Rows where any column of ``before`` differs in ``after``."""
+    width = before.shape[1]
+    return set(np.flatnonzero(
+        (before != after[:, :width]).any(axis=1)
+        | after[:, width:].any(axis=1)
+    ).tolist())
+
+
+def test_view_derived_before_rebase_raises():
+    """A view taken before an unrelated rebase must not mix the rebased
+    base with its own pre-rebase dirty rows."""
+    graph = make_graph(1)
+    rng = np.random.default_rng(4)
+    store = WorldStore(graph, n_samples=30, seed=9)
+    store.warm()
+    first = make_delta(graph, rng, 4, fresh_pair=False)
+    view = store.derive(first)
+    touched = {(u, v) for u, v, __, __ in first}
+    other = [
+        (u, v, graph.probability(u, v), 1.0 - graph.probability(u, v))
+        for u, v in graph.endpoint_pairs() if (u, v) not in touched
+    ][:6]
+    stats = store.rebase(other)
+    assert stats["n_dirty_worlds"] > 0
+    for query in (
+        view.pairwise_reliability,
+        lambda: view.reliability_of_pairs(query_pairs(graph)),
+        lambda: view.two_terminal(*query_pairs(graph)[0]),
+        lambda: view.labels,
+        lambda: view.pair_counts,
+        view.expected_connected_pairs,
+        view.materialize,
+        lambda: store.discrepancy(view),
+    ):
+        with pytest.raises(EstimationError, match="stale"):
+            query()
+    # The view's own record stays readable; a fresh derive answers.
+    assert view.n_dirty == view.dirty_labels.shape[0]
+    fresh = store.derive(first)
+    assert fresh.pairwise_reliability().shape == (graph.n_nodes,) * 2
+    store.close()
+
+
+def test_noop_rebase_keeps_views_current():
+    graph = make_graph(2)
+    store = WorldStore(graph, n_samples=12, seed=3)
+    view = store.derive(make_delta(graph, np.random.default_rng(1), 3))
+    expected = view.reliability_of_pairs(query_pairs(graph))
+    u, v = next(iter(graph.endpoint_pairs()))
+    store.rebase([(u, v, graph.probability(u, v), graph.probability(u, v))])
+    assert np.array_equal(
+        view.reliability_of_pairs(query_pairs(graph)), expected
+    )
+    store.close()
+
+
+@pytest.mark.parametrize("chunk", [4, 30])
+def test_rebases_defer_and_one_read_labels_each_stale_row_once(
+    labeling_spy, chunk
+):
+    graph = make_graph(3)
+    rng = np.random.default_rng(6)
+    store = WorldStore(graph, n_samples=30, seed=2, chunk_worlds=chunk)
+    store.warm()
+    oracle = EagerWorldStore(graph, n_samples=30, seed=2, chunk_worlds=chunk)
+    oracle.warm()
+    store.base_pair_acc, store.base_pair_counts  # cache both aggregates
+    labeling_spy.clear()
+
+    stale: set = set()
+    for __ in range(4):
+        delta = make_delta(store.graph, rng, 5)
+        before = store.base_masks.copy()
+        expected = oracle.rebase(delta)
+        labeling_spy.clear()
+        assert store.rebase(delta) == expected
+        assert labeling_spy == []  # rebase alone labels nothing
+        stale |= flipped_rows(before, store.base_masks)
+    assert stale
+
+    assert np.array_equal(store.base_pair_acc, oracle.base_pair_acc)
+    assert sum(labeling_spy) == len(stale)
+    touched_chunks = {row // chunk for row in stale}
+    assert len(labeling_spy) == len(touched_chunks)
+    labeling_spy.clear()
+    assert np.array_equal(store.base_labels, oracle.base_labels)
+    assert np.array_equal(store.base_pair_counts, oracle.base_pair_counts)
+    assert labeling_spy == []  # flushed once; later reads are free
+    store.close()
+    oracle.close()
+
+
+def test_rebase_before_first_labeling_marks_nothing(labeling_spy):
+    """Masks without labels: the first labeling covers current masks."""
+    graph = make_graph(4)
+    store = WorldStore(graph, n_samples=16, seed=8)
+    store.base_masks  # materialize masks only
+    store.rebase(make_delta(graph, np.random.default_rng(2), 5))
+    assert labeling_spy == []
+    store.base_labels
+    assert sum(labeling_spy) == 16  # every world once, chunk by chunk
+    np.testing.assert_array_equal(
+        store.base_labels,
+        np.stack([
+            canonical_component_labels(
+                graph.n_nodes, store._src[row], store._dst[row]
+            ) for row in store.base_masks
+        ]),
+    )
+    store.close()
+
+
+def test_memmap_segments_do_not_grow_across_rebases_and_flush(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("REPRO_SEGMENT_DIR", str(tmp_path))
+    graph = make_graph(8)
+    rng = np.random.default_rng(10)
+    store = WorldStore(graph, n_samples=20, seed=4, chunk_worlds=5,
+                       store_backend="memmap")
+    store.warm()
+    store.base_pair_acc
+    count = len(list(tmp_path.iterdir()))
+    assert count == len(store.segment_names()) > 0
+    for __ in range(3):
+        store.rebase(make_delta(store.graph, rng, 6, fresh_pair=False))
+        assert len(list(tmp_path.iterdir())) == count
+    store.base_reliability_of_pairs(query_pairs(graph))  # flush
+    assert not store._stale
+    assert {p.name for p in tmp_path.iterdir()} == set(store.segment_names())
+    assert len(store.segment_names()) == count
+    store.close()
+    assert not list(tmp_path.iterdir())
+
+
+def test_clone_of_stale_store_flushes_independently(labeling_spy):
+    graph = make_graph(5)
+    rng = np.random.default_rng(7)
+    store = WorldStore(graph, n_samples=24, seed=1, chunk_worlds=6)
+    store.warm()
+    oracle = EagerWorldStore(graph, n_samples=24, seed=1, chunk_worlds=6)
+    oracle.warm()
+    delta = make_delta(graph, rng, 6)
+    oracle.rebase(delta)
+    store.rebase(delta)
+    twin = store.clone()
+    labeling_spy.clear()
+    assert np.array_equal(store.base_labels, oracle.base_labels)
+    flushed = sum(labeling_spy)
+    assert flushed > 0
+    assert np.array_equal(twin.base_labels, oracle.base_labels)
+    assert sum(labeling_spy) == 2 * flushed
+    twin.close()
+    store.close()
+    oracle.close()
+
+
+_SM_NODES = 12
+_SM_WORLDS = 18
+_SM_PAIRS = np.array(list(itertools.combinations(range(_SM_NODES), 2)))
+
+
+class WriteBackMachine(RuleBasedStateMachine):
+    """Write-back store vs the eager oracle under rebase / derive / base
+    reads / clone / close: every read must agree bit for bit."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores: list[tuple[WorldStore, EagerWorldStore]] = []
+        self.views: list = []
+
+    @initialize(
+        backend=st.sampled_from(["ram", "memmap"]),
+        chunk=st.sampled_from([3, 9, _SM_WORLDS]),
+        antithetic=st.booleans(),
+        seed=st.integers(0, 10_000),
+        warm=st.booleans(),
+    )
+    def build(self, backend, chunk, antithetic, seed, warm):
+        graph = make_graph(seed, n=_SM_NODES, n_edges=24)
+        kwargs = dict(n_samples=_SM_WORLDS, seed=seed, antithetic=antithetic,
+                      chunk_worlds=chunk, store_backend=backend)
+        pair = (WorldStore(graph, **kwargs), EagerWorldStore(graph, **kwargs))
+        if warm:
+            for store in pair:
+                store.warm()
+        self.stores.append(pair)
+
+    def _pick(self, index):
+        return self.stores[index % len(self.stores)]
+
+    @rule(index=st.integers(0, 7), seed=st.integers(0, 10_000),
+          size=st.integers(1, 6), fresh=st.booleans())
+    def rebase(self, index, seed, size, fresh):
+        lazy, eager = self._pick(index)
+        delta = make_delta(lazy.graph, np.random.default_rng(seed), size,
+                           fresh_pair=fresh)
+        assert lazy.rebase(delta) == eager.rebase(delta)
+
+    @rule(index=st.integers(0, 7), seed=st.integers(0, 10_000),
+          size=st.integers(1, 6), fresh=st.booleans())
+    def derive(self, index, seed, size, fresh):
+        lazy, eager = self._pick(index)
+        delta = make_delta(lazy.graph, np.random.default_rng(seed), size,
+                           fresh_pair=fresh)
+        views = (lazy.derive(delta), eager.derive(delta))
+        assert views[0].n_dirty == views[1].n_dirty
+        self.views.append(views)
+        self.read_view(len(self.views) - 1)
+
+    @precondition(lambda self: self.views)
+    @rule(index=st.integers(0, 63))
+    def read_view(self, index):
+        lazy_view, eager_view = self.views[index % len(self.views)]
+        store = lazy_view.store
+        if store._generation != lazy_view._generation:
+            with pytest.raises(EstimationError, match="stale"):
+                lazy_view.reliability_of_pairs(_SM_PAIRS)
+            return
+        assert np.array_equal(
+            lazy_view.reliability_of_pairs(_SM_PAIRS),
+            eager_view.reliability_of_pairs(_SM_PAIRS),
+        )
+        assert np.array_equal(lazy_view.pair_counts, eager_view.pair_counts)
+        assert np.array_equal(
+            lazy_view.pairwise_reliability(),
+            eager_view.pairwise_reliability(),
+        )
+
+    @rule(index=st.integers(0, 7), kind=st.sampled_from([
+        "labels", "label_rows", "pair_counts", "pair_acc", "pairwise",
+        "pairs", "masks",
+    ]))
+    def base_read(self, index, kind):
+        lazy, eager = self._pick(index)
+        if kind == "labels":
+            labels = lazy.base_labels
+            assert np.array_equal(labels, eager.base_labels)
+            # Independent of both stores' labeling path.
+            for row, mask in zip(labels, lazy.base_masks):
+                assert np.array_equal(row, canonical_component_labels(
+                    _SM_NODES, lazy._src[mask], lazy._dst[mask]
+                ))
+        elif kind == "label_rows":
+            rows = np.arange(_SM_WORLDS)[::-2]
+            assert np.array_equal(lazy.base_label_rows(rows),
+                                  eager.base_label_rows(rows))
+        elif kind == "pair_counts":
+            assert np.array_equal(lazy.base_pair_counts,
+                                  eager.base_pair_counts)
+        elif kind == "pair_acc":
+            assert np.array_equal(lazy.base_pair_acc, eager.base_pair_acc)
+        elif kind == "pairwise":
+            assert np.array_equal(lazy.base_pairwise_reliability(),
+                                  eager.base_pairwise_reliability())
+        elif kind == "pairs":
+            assert np.array_equal(lazy.base_reliability_of_pairs(_SM_PAIRS),
+                                  eager.base_reliability_of_pairs(_SM_PAIRS))
+        else:
+            assert np.array_equal(lazy.base_masks, eager.base_masks)
+
+    @precondition(lambda self: len(self.stores) < 4)
+    @rule(index=st.integers(0, 7))
+    def clone(self, index):
+        lazy, eager = self._pick(index)
+        self.stores.append((lazy.clone(), eager.clone()))
+
+    @precondition(lambda self: len(self.stores) > 1)
+    @rule(index=st.integers(0, 7))
+    def close(self, index):
+        lazy, eager = self.stores.pop(index % len(self.stores))
+        lazy.close()
+        eager.close()
+        self.views = [v for v in self.views if v[0].store is not lazy]
+
+    def teardown(self):
+        for lazy, eager in self.stores:
+            lazy.close()
+            eager.close()
+
+
+TestWriteBackStateful = WriteBackMachine.TestCase
+TestWriteBackStateful.settings = settings(
+    max_examples=30, stateful_step_count=20, deadline=None
+)
