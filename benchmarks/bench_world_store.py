@@ -142,8 +142,10 @@ def _fresh_eval(store, delta, pairs, seed):
         n, store._src, store._dst, masks, backend=WS_BACKEND
     )
     base_counts = _pair_equal_counts(base_labels, pairs)
-    cols = np.array([store._col_index[(u, v)] for u, v, __, ___ in delta])
-    p_new = np.array([entry[3] for entry in delta])
+    rows = np.asarray(delta, dtype=np.float64)
+    cols = store._column_ids(rows[:, 0].astype(np.int64),
+                             rows[:, 1].astype(np.int64))
+    p_new = rows[:, 3]
     masks[:, cols] = uniforms[:, cols] < p_new
     cand_labels = component_labels_for_edges(
         n, store._src, store._dst, masks, backend=WS_BACKEND

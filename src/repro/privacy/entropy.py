@@ -11,6 +11,8 @@ import numpy as np
 __all__ = [
     "shannon_entropy",
     "column_entropies",
+    "entropy_terms",
+    "entropies_from_terms",
     "normal_differential_entropy",
     "effective_anonymity",
 ]
@@ -35,6 +37,45 @@ def shannon_entropy(distribution: np.ndarray, base: float = 2.0) -> float:
     return float(-(nonzero * (np.log(nonzero) / np.log(base))).sum())
 
 
+def entropy_terms(matrix: np.ndarray) -> np.ndarray:
+    """Per-entry ``m ln m`` of a non-negative matrix (``0 ln 0 == 0``).
+
+    The summand of :func:`column_entropies`.  Degree-pmf matrices are
+    mostly zeros, so the log is taken only on the positive entries;
+    scattering the products back yields exactly the array
+    ``np.where(m > 0, m * np.log(m), 0.0)`` builds, at a fraction of
+    the log calls.  Each entry depends on that entry alone, so the terms
+    of a row subset equal the same rows of the whole matrix's terms.
+    """
+    positive = matrix > 0
+    terms = np.zeros_like(matrix, dtype=np.float64)
+    vals = matrix[positive]
+    terms[positive] = vals * np.log(vals)
+    return terms
+
+
+def entropies_from_terms(
+    matrix: np.ndarray, terms: np.ndarray, base: float = 2.0
+) -> np.ndarray:
+    """Column entropies of ``matrix`` given its :func:`entropy_terms`.
+
+    ``H = log(S) - sum(m log m) / S`` per column with mass ``S > 0``,
+    converted to ``base``; zero-mass columns get ``+inf``.  Callers that
+    keep the terms of a matrix they patch row by row (the incremental
+    checker) sum them here instead of taking every log again; the column
+    sums run over the same arrays, so the entropies are bit-identical.
+    """
+    sums = matrix.sum(axis=0)
+    plogp = terms.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        natural = np.where(
+            sums > 0,
+            np.log(sums) - plogp / np.where(sums > 0, sums, 1.0),
+            np.inf,
+        )
+    return natural / np.log(base)
+
+
 def column_entropies(matrix: np.ndarray, base: float = 2.0) -> np.ndarray:
     """Entropy of each *column* of a non-negative matrix after normalization.
 
@@ -50,20 +91,7 @@ def column_entropies(matrix: np.ndarray, base: float = 2.0) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if np.any(m < 0):
         raise ValueError("matrix entries must be non-negative")
-    sums = m.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Degree-pmf matrices are mostly zeros, so take the log only on
-        # the positive entries; scattering the products back yields the
-        # exact array ``np.where(m > 0, m * np.log(m), 0.0)`` builds and
-        # hence the same column sums, at a fraction of the log calls.
-        positive = m > 0
-        mlogm = np.zeros_like(m)
-        vals = m[positive]
-        mlogm[positive] = vals * np.log(vals)
-        plogp = mlogm.sum(axis=0)
-        # H = log(S) - sum(m log m)/S, converted to the requested base.
-        natural = np.where(sums > 0, np.log(sums) - plogp / np.where(sums > 0, sums, 1.0), np.inf)
-    return natural / np.log(base)
+    return entropies_from_terms(m, entropy_terms(m), base)
 
 
 def normal_differential_entropy(variance: np.ndarray | float) -> np.ndarray | float:

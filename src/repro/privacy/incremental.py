@@ -44,8 +44,14 @@ share one array-native engine:
    the base check is this step with nothing to recompute.
 
 The CSR index is immutable: :meth:`~DegreeUncertaintyCache.
-apply_edge_arrays` rebinds a new one, so clones that share it never
-observe each other's updates.
+apply_edge_arrays` rebinds an extended copy (appended edge ids go at
+the end of their endpoints' segments), so clones that share it never
+observe each other's updates.  Beside the matrix the cache keeps its
+per-entry entropy terms ``m ln m``; ``apply_edge_arrays`` recomputes
+the terms of the rows it rewrites and ``check_base`` sums them instead
+of taking a log of every entry.  Checks bypass the terms: a GenObf
+delta touches nearly every row, so patching and rolling back their
+terms would cost more row copies than the logs they save.
 
 Bit-identical guarantee
 -----------------------
@@ -81,7 +87,7 @@ from ..exceptions import ObfuscationError
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.operations import apply_edge_updates
 from .degree_distribution import expected_degree_knowledge
-from .entropy import column_entropies
+from .entropy import column_entropies, entropies_from_terms, entropy_terms
 from .obfuscation import ObfuscationReport, report_from_entropy_profile
 
 __all__ = ["OBFUSCATION_CHECKERS", "DegreeUncertaintyCache"]
@@ -123,12 +129,40 @@ def _incident_index(graph: UncertainGraph) -> tuple[np.ndarray, np.ndarray]:
     # Interleaved endpoints (src0, dst0, src1, dst1, ...): slot s belongs
     # to edge s // 2, so sorting by (vertex, slot) keeps ids ascending.
     # The keys are unique, so the default sort gives that order; it is
-    # about 3x faster than a stable sort, and the stream path rebuilds
-    # the index on every update that adds edges.
+    # about 3x faster than a stable sort.
     ends = np.column_stack([graph.edge_src, graph.edge_dst]).ravel()
     indices = np.argsort(ends * ends.size + np.arange(ends.size)) // 2
     indptr = np.zeros(graph.n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends, minlength=graph.n_nodes), out=indptr[1:])
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return indptr, indices
+
+
+def _extend_incident_index(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    first_id: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR incident index after appending edges ``first_id, ...``.
+
+    Edge ``first_id + j`` joins ``src[j]`` and ``dst[j]``.  Appended ids
+    exceed every stored id, so each goes at the end of its endpoints'
+    segments; a stable sort by vertex keeps the ids of one vertex
+    ascending, which makes the result equal ``_incident_index`` of the
+    grown graph.  O(|E|) copies instead of an O(|E| log |E|) sort.
+    Returns new read-only arrays; the inputs are left untouched.
+    """
+    ends = np.column_stack([src, dst]).ravel()
+    ids = np.repeat(first_id + np.arange(src.size, dtype=np.int64), 2)
+    by_vertex = np.argsort(ends, kind="stable")
+    ends, ids = ends[by_vertex], ids[by_vertex]
+    indices = np.insert(indices, indptr[ends + 1], ids)
+    growth = np.zeros_like(indptr)
+    np.cumsum(np.bincount(ends, minlength=indptr.size - 1), out=growth[1:])
+    indptr = indptr + growth
     indptr.flags.writeable = False
     indices.flags.writeable = False
     return indptr, indices
@@ -272,6 +306,7 @@ class DegreeUncertaintyCache:
             (self._n, int(lengths.max(initial=0)) + 1), dtype=np.float64
         )
         _write_pmf_rows(self._matrix, rows, lengths, values)
+        self._terms = entropy_terms(self._matrix)
 
     def _bind(self, graph: UncertainGraph, knowledge) -> None:
         self._graph = graph
@@ -310,6 +345,7 @@ class DegreeUncertaintyCache:
                 f"({self._n}, width)"
             )
         self._matrix = matrix
+        self._terms = entropy_terms(matrix)
         return self
 
     def clone(self) -> "DegreeUncertaintyCache":
@@ -317,14 +353,15 @@ class DegreeUncertaintyCache:
 
         Checks patch matrix rows in place (and roll them back), so one
         cache instance must never serve two concurrent callers.  A clone
-        copies the pmf matrix, the only state mutated in place; the
-        graph, knowledge and the read-only CSR incident index are shared
-        by reference (:meth:`apply_edge_arrays` rebinds them rather than
-        mutating them, so sharing is safe).
+        copies the pmf matrix and its entropy terms, the only state
+        mutated in place; the graph, knowledge and the read-only CSR
+        incident index are shared by reference (:meth:`apply_edge_arrays`
+        rebinds them rather than mutating them, so sharing is safe).
         """
         clone = type(self).__new__(type(self))
         clone.__dict__.update(self.__dict__)
         clone._matrix = self._matrix.copy()
+        clone._terms = self._terms.copy()
         return clone
 
     @property
@@ -404,14 +441,19 @@ class DegreeUncertaintyCache:
         return lo[changed], hi[changed], ids[changed], p_new[changed]
 
     def _grow_to(self, width: int) -> None:
+        """Widen the pmf matrix and its entropy terms with zero columns."""
         if width > self._matrix.shape[1]:
+            old = self._matrix.shape[1]
             grown = np.zeros((self._n, width), dtype=np.float64)
-            grown[:, : self._matrix.shape[1]] = self._matrix
+            grown[:, :old] = self._matrix
             self._matrix = grown
+            terms = np.zeros((self._n, width), dtype=np.float64)
+            terms[:, :old] = self._terms
+            self._terms = terms
 
-    def _report(self, k, epsilon, knowledge) -> ObfuscationReport:
+    def _report(self, entropies, k, epsilon, knowledge) -> ObfuscationReport:
         return report_from_entropy_profile(
-            column_entropies(self._matrix),
+            entropies,
             self._knowledge if knowledge is None else knowledge,
             k, epsilon, n_nodes=self._n,
         )
@@ -434,7 +476,9 @@ class DegreeUncertaintyCache:
         saved = self._matrix[rows]
         try:
             _write_pmf_rows(self._matrix, rows, lengths, values)
-            return self._report(k, epsilon, knowledge)
+            return self._report(
+                column_entropies(self._matrix), k, epsilon, knowledge
+            )
         finally:
             self._matrix[rows] = saved
 
@@ -483,8 +527,17 @@ class DegreeUncertaintyCache:
     def check_base(
         self, k: int, epsilon: float, knowledge: np.ndarray | None = None
     ) -> ObfuscationReport:
-        """The empty-delta check: the base graph itself."""
-        return self._report(k, epsilon, knowledge)
+        """The empty-delta check: the base graph itself.
+
+        Sums the cached per-entry entropy terms instead of taking a log
+        of every matrix entry again; the column sums run over the same
+        arrays :func:`~repro.privacy.entropy.column_entropies` would
+        build, so the report is bit-identical.
+        """
+        return self._report(
+            entropies_from_terms(self._matrix, self._terms),
+            k, epsilon, knowledge,
+        )
 
     def apply_edge_arrays(
         self,
@@ -498,9 +551,11 @@ class DegreeUncertaintyCache:
 
         The streaming re-certification pipeline accepts an update batch
         as its new published truth, so unlike the checks the touched pmf
-        rows are patched **without rollback** and the cache's base graph
-        is rebound to ``apply_edge_updates(graph, us, vs, p_new)``, with
-        a new CSR incident index holding the fresh pairs.  Returns the
+        rows and their entropy terms are patched **without rollback** and
+        the cache's base graph is rebound to ``apply_edge_updates(graph,
+        us, vs, p_new)``.  Fresh pairs extend the CSR incident index: new
+        read-only arrays with each appended edge id at the end of its
+        endpoints' segments, no re-sort of the whole index.  Returns the
         patched graph.
 
         Bit-identical guarantee: after the apply, every answer equals a
@@ -515,7 +570,10 @@ class DegreeUncertaintyCache:
         n_before = self._graph.n_edges
         patched = apply_edge_updates(self._graph, us, vs, p_new)
         if patched.n_edges > n_before:
-            self._indptr, self._indices = _incident_index(patched)
+            self._indptr, self._indices = _extend_incident_index(
+                self._indptr, self._indices, patched.edge_src[n_before:],
+                patched.edge_dst[n_before:], n_before,
+            )
         self._graph = patched
         rows = np.unique(np.concatenate([lo, hi]))
         lengths, values = _factor_rows(
@@ -523,4 +581,5 @@ class DegreeUncertaintyCache:
         )
         self._grow_to(int(lengths.max(initial=0)) + 1)
         _write_pmf_rows(self._matrix, rows, lengths, values)
+        self._terms[rows] = entropy_terms(self._matrix[rows])
         return patched

@@ -79,7 +79,7 @@ from scipy.sparse import csr_matrix
 from .. import _segments, kernels
 from .._rng import as_generator
 from ..exceptions import EstimationError
-from ..ugraph.graph import UncertainGraph
+from ..ugraph.graph import UncertainGraph, lookup_key_index, merge_key_index
 from .connectivity import component_labels_for_edges, pair_counts_from_labels
 
 __all__ = [
@@ -134,25 +134,25 @@ def graph_delta(
     Returns ``[(u, v, p_old, p_new), ...]`` covering every pair whose
     probability differs between the two graphs (edges absent from a
     graph count as probability 0), i.e. ``overlay(base, deltas)`` and
-    ``other`` agree on every pair probability.
+    ``other`` agree on every pair probability.  Pairs of ``other`` come
+    first in its edge order, then the positive-probability edges of
+    ``base`` that ``other`` lacks, in ``base``'s edge order; two
+    :meth:`~repro.ugraph.graph.UncertainGraph.pair_edge_ids` lookups
+    find both.
     """
     if base.n_nodes != other.n_nodes:
         raise EstimationError("graphs must share the vertex set")
-    delta: list[tuple[int, int, float, float]] = []
     base_p = base.pair_probabilities(other.edge_src, other.edge_dst)
-    for u, v, p_new, p_old in zip(
-        other.edge_src.tolist(), other.edge_dst.tolist(),
-        other.edge_probabilities.tolist(), base_p.tolist(),
-    ):
-        if p_new != p_old:
-            delta.append((u, v, p_old, p_new))
-    for u, v, p_old in zip(
-        base.edge_src.tolist(), base.edge_dst.tolist(),
-        base.edge_probabilities.tolist(),
-    ):
-        if p_old != 0.0 and not other.has_edge(u, v):
-            delta.append((u, v, p_old, 0.0))
-    return delta
+    changed = other.edge_probabilities != base_p
+    gone = (base.edge_probabilities != 0.0) & (
+        other.pair_edge_ids(base.edge_src, base.edge_dst) < 0
+    )
+    return list(zip(
+        other.edge_src[changed].tolist() + base.edge_src[gone].tolist(),
+        other.edge_dst[changed].tolist() + base.edge_dst[gone].tolist(),
+        base_p[changed].tolist() + base.edge_probabilities[gone].tolist(),
+        other.edge_probabilities[changed].tolist() + [0.0] * int(gone.sum()),
+    ))
 
 
 def _pairwise_equal_acc(labels: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -352,10 +352,12 @@ class WorldStore:
         self._src = graph.edge_src.copy()
         self._dst = graph.edge_dst.copy()
         self._prob = graph.edge_probabilities.copy()
-        self._col_index: dict[tuple[int, int], int] = {
-            (int(u), int(v)): i
-            for i, (u, v) in enumerate(zip(self._src, self._dst))
-        }
+        # Sorted ``u * n + v`` keys of the universe and the column of each
+        # key.  Seeded from the graph's pair-key index (base columns are
+        # the graph's dense edge ids, so its sort order is ours), extended
+        # by insertion when columns grow.  Never written in place, so
+        # clones share the arrays by reference.
+        self._col_keys, self._col_ids = graph._pair_key_index()
         self._has_uniforms = True
         # Chunked storage: one row-block per chunk.  Uniform blocks may
         # hold spare column capacity (geometric growth); ``_u_cols`` is
@@ -475,12 +477,13 @@ class WorldStore:
         so subsequent draws consume the same stream.
 
         Chunk blocks are shared **copy-on-write**: every base cache
-        (uniform, mask and label blocks, counts) is shared by reference
-        -- mutations rebind lists or write only spare uniform capacity --
-        and the one in-place path (column growth writing new draws into
-        spare uniform columns) re-allocates the clone's uniform blocks
-        first.  Clones are therefore O(1) in world-state memory until
-        they grow the universe.
+        (uniform, mask and label blocks, counts) and the sorted column-key
+        index are shared by reference -- mutations rebind lists and
+        arrays or write only spare uniform capacity or blocks the store
+        has just allocated for itself -- and column growth, which writes
+        new draws into spare uniform columns, re-allocates the clone's
+        uniform blocks first.  Clones are therefore O(1) in world-state
+        memory until they grow the universe.
         """
         twin = object.__new__(WorldStore)
         twin._graph = self._graph
@@ -496,7 +499,8 @@ class WorldStore:
         twin._src = self._src
         twin._dst = self._dst
         twin._prob = self._prob
-        twin._col_index = dict(self._col_index)
+        twin._col_keys = self._col_keys
+        twin._col_ids = self._col_ids
         twin._has_uniforms = self._has_uniforms
         twin._u_blocks = self._u_blocks
         twin._u_cols = self._u_cols
@@ -713,6 +717,11 @@ class WorldStore:
         return self._n_samples
 
     @property
+    def has_uniforms(self) -> bool:
+        """False for :meth:`from_masks` stores, which cannot :meth:`rebase`."""
+        return self._has_uniforms
+
+    @property
     def n_columns(self) -> int:
         """Current edge-universe width (base edges + grown columns)."""
         return self._prob.shape[0]
@@ -866,23 +875,34 @@ class WorldStore:
 
     # -- column growth -------------------------------------------------- #
 
-    def _ensure_columns(self, pairs: list[tuple[int, int]]) -> None:
-        """Grow the universe by ``pairs`` (canonical, currently absent).
+    def _column_ids(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Column of each canonical pair ``(lo[i], hi[i])``; ``-1`` if absent."""
+        return lookup_key_index(
+            self._col_keys, self._col_ids,
+            lo * np.int64(self._graph.n_nodes) + hi,
+        )
+
+    def _ensure_columns(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Grow the universe by pairs ``(src[i], dst[i])`` (canonical, absent).
 
         New columns carry base probability 0, so the base masks gain
         all-False columns and every cached base aggregate stays valid.
+        Every re-allocated uniform and mask block belongs to this store
+        alone afterwards; the file segments of the blocks they replace
+        are released at once.
         """
-        if not pairs:
+        k = int(src.size)
+        if not k:
             return
-        k = len(pairs)
         old_cols = self._prob.shape[0]
-        src = np.fromiter((u for u, __ in pairs), dtype=np.int64, count=k)
-        dst = np.fromiter((v for __, v in pairs), dtype=np.int64, count=k)
-        for offset, (u, v) in enumerate(pairs):
-            self._col_index[(u, v)] = old_cols + offset
+        self._col_keys, self._col_ids = merge_key_index(
+            self._col_keys, self._col_ids,
+            src * np.int64(self._graph.n_nodes) + dst, old_cols,
+        )
         self._src = np.concatenate([self._src, src])
         self._dst = np.concatenate([self._dst, dst])
         self._prob = np.concatenate([self._prob, np.zeros(k)])
+        replaced: list[np.ndarray] = []
         if self._has_uniforms:
             # Blocks grow geometrically; each growth draw lands in spare
             # capacity.  Grown columns are pair-keyed draws (below), so
@@ -901,11 +921,12 @@ class WorldStore:
                     )
                     fresh[:, :old_cols] = block[:, :old_cols]
                     grown.append(fresh)
+                replaced.extend(self._u_blocks)
                 self._u_blocks = grown
                 self._u_capacity = capacity
                 self._storage_shared = False
             grown = np.empty((self._n_samples, k), dtype=np.float64)
-            for offset, (u, v) in enumerate(pairs):
+            for offset, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
                 grown[:, offset] = self._growth_uniform_column(u, v)
             for (start, stop), block in zip(self._chunks, self._u_blocks):
                 block[:, old_cols:old_cols + k] = grown[start:stop]
@@ -918,88 +939,114 @@ class WorldStore:
                 fresh[:, :old_cols] = block
                 fresh[:, old_cols:] = False
                 padded.append(fresh)
+            replaced.extend(self._m_blocks)
             self._m_blocks = padded  # rebind: shared lists stay untouched
+        for block in replaced:
+            self._release_block(block)
 
     # -- derivation ------------------------------------------------------ #
 
-    def _merge_delta(
-        self, delta
-    ) -> tuple[list[int], list[float], list[tuple[int, int]], int]:
+    def _merge_delta(self, delta) -> tuple[np.ndarray, np.ndarray, int]:
         """Shared delta canonicalization of :meth:`derive` / :meth:`rebase`.
 
-        Merges duplicate pairs (last entry wins), grows the column
-        universe for unseen pairs, validates ``p_old`` against the
-        store's base probability and drops no-ops.  Returns
-        ``(cols, new_ps, pairs, n_new_columns)`` where ``pairs`` lists
-        the canonical endpoints of the changed columns.
+        ``delta`` is ``(m, 4)`` rows ``(u, v, p_old, p_new)``: a list of
+        tuples or an array.  Duplicate pairs merge as a dict would (the
+        first occurrence fixes the order, the last entry supplies the
+        values).  Every entry is validated -- the vertex pair, ``p_old``
+        against the store's base probability, ``p_new`` in ``[0, 1]`` --
+        before anything grows, so a rejected delta leaves the store
+        untouched; the first invalid entry raises.  Only then do unseen
+        pairs grow the column universe, in first-occurrence order, and
+        no-ops are dropped.  Returns ``(cols, p_new, n_new_columns)``:
+        the changed columns and their new probabilities in merged order.
         """
+        rows = np.asarray(delta, dtype=np.float64)
+        if rows.size == 0:
+            rows = rows.reshape(0, 4)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise EstimationError(
+                "delta must be (m, 4) rows of (u, v, p_old, p_new), got "
+                f"shape {rows.shape}"
+            )
         n = self._graph.n_nodes
-        merged: dict[tuple[int, int], tuple[float, float]] = {}
-        for u, v, p_old, p_new in delta:
-            u, v = int(u), int(v)
-            if u == v or not (0 <= u < n and 0 <= v < n):
+        us = rows[:, 0].astype(np.int64)
+        vs = rows[:, 1].astype(np.int64)
+        lo = np.minimum(us, vs)
+        hi = np.maximum(us, vs)
+        invalid = (lo == hi) | (lo < 0) | (hi >= n)
+        if invalid.any():
+            i = int(np.argmax(invalid))
+            raise EstimationError(
+                f"delta pair ({int(us[i])}, {int(vs[i])}) is not a valid "
+                "vertex pair"
+            )
+        p_old = rows[:, 2]
+        p_new = rows[:, 3]
+        if lo.size > 1:
+            keys = lo * n + hi
+            first = np.unique(keys, return_index=True)[1]
+            if first.size < keys.size:
+                last = keys.size - 1 - np.unique(
+                    keys[::-1], return_index=True
+                )[1]
+                take = last[np.argsort(first)]
+                lo, hi = lo[take], hi[take]
+                p_old, p_new = p_old[take], p_new[take]
+
+        cols = self._column_ids(lo, hi)
+        known = cols >= 0
+        stored = np.zeros(cols.size, dtype=np.float64)
+        stored[known] = self._prob[cols[known]]
+        stale = np.abs(p_old - stored) > _P_OLD_TOLERANCE
+        bad = ~np.isfinite(p_new) | (p_new < 0.0) | (p_new > 1.0)
+        failed = stale | bad
+        if failed.any():
+            i = int(np.argmax(failed))
+            pair = (int(lo[i]), int(hi[i]))
+            if stale[i]:
                 raise EstimationError(
-                    f"delta pair ({u}, {v}) is not a valid vertex pair"
+                    f"delta claims p_old={float(p_old[i])!r} for pair "
+                    f"{pair}, but the store's base probability is "
+                    f"{float(stored[i])!r}"
                 )
-            key = (u, v) if u < v else (v, u)
-            merged[key] = (float(p_old), float(p_new))
+            raise EstimationError(
+                f"delta pair {pair} has p_new={float(p_new[i])!r}, "
+                "expected [0, 1]"
+            )
 
         # A no-op on an absent pair (p_new == 0) must not allocate a
         # column: untracked zero-probability pairs are all-False anyway,
         # and a spurious column would shift every later fresh column's
         # uniform draws -- diverging from a store that never saw the
         # no-op (e.g. the full-recompute oracle fed a graph_delta).
-        missing = [
-            key for key, (__, p_new) in merged.items()
-            if key not in self._col_index and p_new != 0.0
-        ]
-        self._ensure_columns(missing)
+        missing = ~known & (p_new != 0.0)
+        n_new = int(missing.sum())
+        if n_new:
+            cols[missing] = self._prob.shape[0] + np.arange(n_new)
+            self._ensure_columns(lo[missing], hi[missing])
+        changed = p_new != stored
+        return cols[changed], p_new[changed], n_new
 
-        cols: list[int] = []
-        new_ps: list[float] = []
-        pairs: list[tuple[int, int]] = []
-        for key, (p_old, p_new) in merged.items():
-            col = self._col_index.get(key)
-            stored = float(self._prob[col]) if col is not None else 0.0
-            if abs(p_old - stored) > _P_OLD_TOLERANCE:
-                raise EstimationError(
-                    f"delta claims p_old={p_old!r} for pair {key}, but the "
-                    f"store's base probability is {stored!r}"
-                )
-            if not np.isfinite(p_new) or p_new < 0.0 or p_new > 1.0:
-                raise EstimationError(
-                    f"delta pair {key} has p_new={p_new!r}, expected [0, 1]"
-                )
-            if p_new == stored:
-                continue
-            cols.append(col)
-            new_ps.append(p_new)
-            pairs.append(key)
-        return cols, new_ps, pairs, len(missing)
-
-    def derive(
-        self, delta: list[tuple[int, int, float, float]]
-    ) -> "DerivedWorlds":
+    def derive(self, delta) -> "DerivedWorlds":
         """A candidate's worlds as a dirty-world view over the base cache.
 
-        ``delta`` lists ``(u, v, p_old, p_new)``; duplicate pairs keep the
-        last entry, ``p_old`` is validated against the store's base
-        probability, no-op entries (``p_new`` equal to the stored value)
-        are dropped.  Changed columns are re-thresholded against the
-        cached uniforms chunk by chunk; worlds where any changed edge
-        flipped are relabeled per chunk, clean worlds reuse the base
-        labels.
+        ``delta`` is ``(u, v, p_old, p_new)`` rows, a list of tuples or an
+        ``(m, 4)`` array; duplicate pairs keep the last entry, ``p_old``
+        is validated against the store's base probability, no-op entries
+        (``p_new`` equal to the stored value) are dropped, and an invalid
+        entry raises before the store changes.  Fresh pairs grow the
+        store's column universe (the one lasting side effect).  Changed
+        columns are re-thresholded against the cached uniforms chunk by
+        chunk; worlds where any changed edge flipped are relabeled per
+        chunk, clean worlds reuse the base labels.
         """
         n = self._graph.n_nodes
-        cols, new_ps, __, __ = self._merge_delta(delta)
+        col_arr, p_arr, __ = self._merge_delta(delta)
 
-        if not cols:
+        if not col_arr.size:
             return DerivedWorlds(self, np.empty(0, dtype=np.int64),
                                  np.empty((self._n_samples, 0), dtype=bool),
                                  np.empty(0, dtype=np.int64), None)
-
-        col_arr = np.asarray(cols, dtype=np.int64)
-        p_arr = np.asarray(new_ps, dtype=np.float64)
         self._ensure_masks()
         new_parts: list[np.ndarray] = []
         local_dirty: list[np.ndarray] = []
@@ -1081,11 +1128,7 @@ class WorldStore:
             return  # already released (e.g. by close)
         _segments.release_segment(segment)
 
-    def rebase(
-        self,
-        delta: list[tuple[int, int, float, float]],
-        graph: UncertainGraph | None = None,
-    ) -> dict:
+    def rebase(self, delta, graph: UncertainGraph | None = None) -> dict:
         """Permanently adopt ``delta`` as the store's new base state.
 
         Where :meth:`derive` answers "what if" with an overlay view,
@@ -1099,7 +1142,10 @@ class WorldStore:
         chunks containing flipped worlds replace their mask blocks --
         untouched chunks keep sharing blocks with any clones, and the
         replaced blocks' file segments are released immediately, so peak
-        storage stays within one extra chunk of the existing budget.
+        storage stays within one extra chunk of the existing budget.  A
+        delta with fresh pairs has just re-allocated every mask block for
+        this store alone while growing the universe, so those blocks are
+        patched in place instead of being copied a second time.
 
         Relabeling is **deferred** (write-back): the flipped worlds are
         only marked stale, and the first label-dependent read relabels
@@ -1112,6 +1158,8 @@ class WorldStore:
         between never relabels at all.  Views derived before the rebase
         become stale and raise :class:`EstimationError` when queried.
 
+        ``delta`` takes the forms :meth:`derive` takes, with the same
+        validation: an invalid entry raises before anything changes.
         ``graph`` optionally supplies the already-materialized patched
         graph (the degree-cache pipeline has it anyway); otherwise it is
         built here with :func:`~repro.ugraph.operations.apply_edge_updates`.
@@ -1133,27 +1181,23 @@ class WorldStore:
             raise EstimationError(
                 f"rebase graph has {graph.n_nodes} vertices, store has {n}"
             )
-        cols, new_ps, changed_pairs, n_new = self._merge_delta(delta)
+        col_arr, p_arr, n_new = self._merge_delta(delta)
         stats = {
             "n_dirty_worlds": 0,
-            "n_changed_columns": len(cols),
+            "n_changed_columns": int(col_arr.size),
             "n_new_columns": n_new,
         }
-        if not cols:
+        if not col_arr.size:
             if graph is not None:
                 self._graph = graph
             return stats
-        col_arr = np.asarray(cols, dtype=np.int64)
-        p_arr = np.asarray(new_ps, dtype=np.float64)
 
         if graph is None:
             from ..ugraph.operations import apply_edge_updates
 
-            us = np.fromiter((u for u, __ in changed_pairs), dtype=np.int64,
-                             count=len(changed_pairs))
-            vs = np.fromiter((v for __, v in changed_pairs), dtype=np.int64,
-                             count=len(changed_pairs))
-            graph = apply_edge_updates(self._graph, us, vs, p_arr)
+            graph = apply_edge_updates(
+                self._graph, self._src[col_arr], self._dst[col_arr], p_arr
+            )
 
         # Clones share ``_prob`` by reference: rebind a patched copy so
         # their p_old validation keeps seeing the pre-update state.
@@ -1185,11 +1229,14 @@ class WorldStore:
             if d.size == 0:
                 continue  # no world flipped here: block values unchanged
             total_dirty += int(d.size)
-            fresh_m = self._alloc_block(m_block.shape, np.bool_)
-            fresh_m[:] = m_block
-            fresh_m[:, col_arr] = nc
-            m_new[ci] = fresh_m
-            replaced.append(m_block)
+            if n_new:
+                m_block[:, col_arr] = nc  # growth's block: ours alone
+            else:
+                fresh_m = self._alloc_block(m_block.shape, np.bool_)
+                fresh_m[:] = m_block
+                fresh_m[:, col_arr] = nc
+                m_new[ci] = fresh_m
+                replaced.append(m_block)
             if track:
                 stale[ci] = d if ci not in stale else np.union1d(stale[ci], d)
         self._m_blocks = m_new
@@ -1458,8 +1505,11 @@ class DerivedWorlds:
         """Full ``n x n`` reliability matrix of the candidate.
 
         Derived as ``base accumulator - dirty-row base contribution +
-        dirty-row candidate contribution`` -- exact integer arithmetic,
-        hence bit-identical to a full recompute.
+        dirty-row candidate contribution``; when more than half the
+        worlds are dirty, as ``clean-row base contribution + dirty-row
+        candidate contribution`` instead, which accumulates fewer worlds.
+        Exact integer arithmetic either way, hence bit-identical to a
+        full recompute.
         """
         self._require_current()
         n = self._store.graph.n_nodes
@@ -1468,14 +1518,24 @@ class DerivedWorlds:
                 f"full reliability matrix limited to {FULL_MATRIX_LIMIT} "
                 f"vertices, graph has {n}; use reliability_of_pairs"
             )
-        acc = self._store.base_pair_acc
-        if self._dirty.size:
-            base_rows = self._store._label_rows(self._dirty)
-            acc = (
-                acc
-                - _pairwise_equal_acc(base_rows, n)
-                + _pairwise_equal_acc(self._dirty_labels, n)
-            )
-        result = acc / self._store.n_samples
+        n_samples = self._store.n_samples
+        if 2 * self._dirty.size > n_samples:
+            acc = _pairwise_equal_acc(self._dirty_labels, n)
+            clean = np.ones(n_samples, dtype=bool)
+            clean[self._dirty] = False
+            if clean.any():
+                acc += _pairwise_equal_acc(
+                    self._store._label_rows(np.flatnonzero(clean)), n
+                )
+        else:
+            acc = self._store.base_pair_acc
+            if self._dirty.size:
+                base_rows = self._store._label_rows(self._dirty)
+                acc = (
+                    acc
+                    - _pairwise_equal_acc(base_rows, n)
+                    + _pairwise_equal_acc(self._dirty_labels, n)
+                )
+        result = acc / n_samples
         np.fill_diagonal(result, 1.0)
         return result

@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import EstimationError
 from ..privacy.incremental import DegreeUncertaintyCache
 from ..privacy.obfuscation import ObfuscationReport
-from ..reliability.worldstore import WorldStore
+from ..reliability.worldstore import WorldStore, graph_delta
 from ..ugraph.graph import UncertainGraph
 from .repair import RepairOutcome, RepairPolicy, repair_violations
 from .updates import UpdateBatch
@@ -73,6 +74,13 @@ class IncrementalRecertifier:
     the original knowledge vector (pass the one derived from the
     original graph when re-certifying an anonymization; default is the
     cache's own, i.e. expected degrees of the published graph).
+
+    An attached ``store`` must be able to rebase (drawn from uniforms,
+    not :meth:`~repro.reliability.worldstore.WorldStore.from_masks`) and
+    must answer for the published graph: same vertex count, same
+    probability on every pair.  Otherwise construction raises
+    :class:`~repro.exceptions.EstimationError`, because the store would
+    only reject the first batch after the degree cache had adopted it.
     """
 
     def __init__(
@@ -99,7 +107,32 @@ class IncrementalRecertifier:
             None if knowledge is None
             else np.asarray(knowledge, dtype=np.int64)
         )
+        if store is not None:
+            self._check_store(store)
         self._store = store
+
+    def _check_store(self, store: WorldStore) -> None:
+        if not store.has_uniforms:
+            raise EstimationError(
+                "world store was built from masks; it cannot rebase "
+                "update batches"
+            )
+        n = self._graph.n_nodes
+        if store.graph.n_nodes != n:
+            raise EstimationError(
+                f"world store answers for a {store.graph.n_nodes}-vertex "
+                f"graph, published graph has {n}"
+            )
+        if store.graph is not self._graph:
+            differ = graph_delta(store.graph, self._graph)
+            if differ:
+                u, v, p_store, p_published = differ[0]
+                raise EstimationError(
+                    f"world store answers for a different graph: "
+                    f"{len(differ)} pair probabilities differ, e.g. "
+                    f"({u}, {v}) has {p_store!r} in the store and "
+                    f"{p_published!r} in the published graph"
+                )
 
     # -- accessors ------------------------------------------------------- #
 
@@ -130,9 +163,7 @@ class IncrementalRecertifier:
         if self._store is None:
             return None
         stats = self._store.rebase(
-            list(zip(us.tolist(), vs.tolist(),
-                     p_old.tolist(), p_new.tolist())),
-            graph=self._graph,
+            np.column_stack((us, vs, p_old, p_new)), graph=self._graph
         )
         return stats["n_dirty_worlds"]
 

@@ -65,6 +65,44 @@ def _canonical(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def lookup_key_index(
+    sorted_keys: np.ndarray, ids: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """``ids[j]`` for each key equal to ``sorted_keys[j]``; ``-1`` if absent.
+
+    ``sorted_keys`` is ascending and unique, ``ids`` parallel to it: the
+    ``u * n + v`` pair-key indexes of graphs and world stores.
+    """
+    out = np.full(keys.shape, -1, dtype=np.int64)
+    if keys.size == 0 or sorted_keys.size == 0:
+        return out
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    hit = sorted_keys[pos] == keys
+    out[hit] = ids[pos[hit]]
+    return out
+
+
+def merge_key_index(
+    sorted_keys: np.ndarray,
+    ids: np.ndarray,
+    new_keys: np.ndarray,
+    first_id: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A key index with ``new_keys`` added under ids ``first_id, ...``.
+
+    ``new_keys`` must be unique and absent from ``sorted_keys``; the
+    merge then equals a fresh sort of all keys, at O(|keys|) copying.
+    Returns new arrays and leaves the inputs untouched, so an index can
+    be shared by every graph or store that has not grown since.
+    """
+    by_key = np.argsort(new_keys)
+    at = np.searchsorted(sorted_keys, new_keys[by_key])
+    return (
+        np.insert(sorted_keys, at, new_keys[by_key]),
+        np.insert(ids, at, first_id + by_key),
+    )
+
+
 class UncertainGraph:
     """An undirected uncertain graph with independent edge probabilities.
 
@@ -215,22 +253,14 @@ class UncertainGraph:
                 f"endpoint arrays must be 1-D and parallel, got shapes "
                 f"{us.shape} / {vs.shape}"
             )
-        out = np.full(us.shape, -1, dtype=np.int64)
         if us.size == 0 or self.n_edges == 0:
-            return out
+            return np.full(us.shape, -1, dtype=np.int64)
         lo = np.minimum(us, vs)
         hi = np.maximum(us, vs)
-        keys = lo * np.int64(self._n) + hi
-        sorted_keys, order = self._pair_key_index()
-        pos = np.searchsorted(sorted_keys, keys)
-        pos = np.minimum(pos, sorted_keys.size - 1)
-        hit = (
-            (sorted_keys[pos] == keys)
-            & (lo >= 0)
-            & (hi < self._n)
-            & (lo != hi)
+        out = lookup_key_index(
+            *self._pair_key_index(), lo * np.int64(self._n) + hi
         )
-        out[hit] = order[pos[hit]]
+        out[(lo < 0) | (hi >= self._n) | (lo == hi)] = -1
         return out
 
     def pair_probabilities(self, us, vs) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..exceptions import GraphConstructionError, InvalidProbabilityError
-from .graph import UncertainGraph
+from .graph import UncertainGraph, merge_key_index
 
 __all__ = [
     "induced_subgraph",
@@ -117,7 +117,10 @@ def apply_edge_updates(
     Duplicate pairs keep the last probability, matching ``overlay``'s
     dict semantics.  This is the materialization half of the GenObf
     trial path; the incremental (k, epsilon) checker consumes the same
-    ``(us, vs, p)`` delta arrays.
+    ``(us, vs, p)`` delta arrays.  A graph with fresh pairs inherits the
+    base's sorted pair-key index with the fresh keys merged in, so the
+    next :meth:`~UncertainGraph.pair_edge_ids` does not sort every key
+    again.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
@@ -169,6 +172,7 @@ def apply_edge_updates(
     new_dst = np.fromiter((v for __, v in fresh), dtype=np.int64, count=k)
     new_prob = np.fromiter(fresh.values(), dtype=np.float64, count=k)
 
+    n_before = base.n_edges
     clone = object.__new__(UncertainGraph)
     clone._n = n
     clone._src = np.concatenate([base.edge_src, new_src])
@@ -176,11 +180,13 @@ def apply_edge_updates(
     clone._prob = np.concatenate([prob, new_prob])
     index = dict(base._index)
     for offset, pair in enumerate(fresh):
-        index[pair] = base.n_edges + offset
+        index[pair] = n_before + offset
     clone._index = index
     clone._labels = base._labels
     clone._adjacency_cache = None
-    clone._pair_key_cache = None
+    clone._pair_key_cache = merge_key_index(
+        *base._pair_key_index(), new_src * np.int64(n) + new_dst, n_before
+    )
     return clone
 
 

@@ -33,7 +33,8 @@ from repro.privacy import (
     expected_degree_knowledge,
     poisson_binomial_pmf,
 )
-from repro.privacy.incremental import _write_pmf_rows
+from repro.privacy.entropy import entropy_terms
+from repro.privacy.incremental import _incident_index, _write_pmf_rows
 from repro.ugraph import UncertainGraph, apply_edge_updates, overlay
 
 
@@ -394,6 +395,108 @@ class TestCacheMechanics:
             assert_reports_identical(
                 fresh.check_base(2, 0.2), cache.check_base(2, 0.2)
             )
+
+
+def chain_delta(draw, graph):
+    """One stream step: drift on stored edges, drops to 0, fresh pairs
+    (some at 0, which still join the edge universe), unique pairs."""
+    n = graph.n_nodes
+    stored = list(graph.endpoint_pairs())
+    fresh = [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if not graph.has_edge(u, v)
+    ]
+    delta = []
+    for u, v in draw(st.lists(st.sampled_from(stored), unique=True,
+                              max_size=6)) if stored else []:
+        kind = draw(st.sampled_from(["drift", "zero"]))
+        p_new = 0.0 if kind == "zero" else draw(st.floats(0.0, 1.0))
+        delta.append((u, v, graph.probability(u, v), p_new))
+    for u, v in draw(st.lists(st.sampled_from(fresh), unique=True,
+                              max_size=4)) if fresh else []:
+        p_new = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        delta.append((u, v, 0.0, p_new))
+    order = draw(st.permutations(range(len(delta))))
+    return [delta[i] for i in order]
+
+
+def as_arrays(delta):
+    columns = zip(*delta) if delta else ((), (), (), ())
+    return tuple(np.asarray(c, dtype=float) for c in columns)
+
+
+def assert_carried_state(cache, k, epsilon):
+    """The carried-forward indexes and terms equal fresh rebuilds, and the
+    base report equals the full checker bit for bit."""
+    graph = cache.graph
+    indptr, indices = _incident_index(graph)
+    np.testing.assert_array_equal(cache._indptr, indptr)
+    np.testing.assert_array_equal(cache._indices, indices)
+    assert not cache._indptr.flags.writeable
+    assert not cache._indices.flags.writeable
+    assert graph._pair_key_cache is not None  # carried, not rebuilt
+    keys = graph.edge_src * graph.n_nodes + graph.edge_dst
+    order = np.argsort(keys, kind="stable")
+    sorted_keys, ids = graph._pair_key_cache
+    np.testing.assert_array_equal(sorted_keys, keys[order])
+    np.testing.assert_array_equal(ids, order)
+    assert cache._terms.tobytes() == (
+        entropy_terms(cache.base_matrix).tobytes()
+    )
+    assert_reports_identical(
+        check_obfuscation(graph, k, epsilon, knowledge=cache.knowledge),
+        cache.check_base(k, epsilon),
+    )
+
+
+class TestCarriedForwardState:
+    """Chains of ``apply_edge_arrays`` carry the pair-key index, the CSR
+    incident index and the entropy terms forward; after every step each
+    equals what a fresh build of the patched graph would hold."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_apply_chains_match_fresh_state(self, data):
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        graph = random_graph(rng, n_nodes=data.draw(st.integers(3, 10)),
+                             density=data.draw(st.sampled_from([0.1, 0.4])))
+        k = data.draw(st.integers(1, 4), label="k")
+        cache = DegreeUncertaintyCache(graph)
+        cache.graph._pair_key_index()  # built by the first lookup in use
+        assert_carried_state(cache, k, 0.2)
+        for __ in range(data.draw(st.integers(1, 5), label="steps")):
+            cache.apply_edge_arrays(*as_arrays(chain_delta(data.draw,
+                                                           cache.graph)))
+            assert_carried_state(cache, k, 0.2)
+            # A check in between patches and rolls back rows only.
+            us, vs, p_old, p_new = as_arrays(chain_delta(data.draw,
+                                                         cache.graph))
+            candidate = apply_edge_updates(cache.graph, us, vs, p_new)
+            assert_reports_identical(
+                check_obfuscation(candidate, k, 0.2,
+                                  knowledge=cache.knowledge),
+                cache.check_edge_arrays(us, vs, p_old, p_new, k, 0.2),
+            )
+            assert_carried_state(cache, k, 0.2)
+
+    def test_clone_copies_terms(self, bridge_graph):
+        parent = DegreeUncertaintyCache(bridge_graph)
+        terms = parent._terms.copy()
+        clone = parent.clone()
+        clone.apply_edge_arrays(*as_arrays([(2, 3, 0.5, 0.9),
+                                            (0, 5, 0.0, 0.4)]))
+        assert parent._terms.tobytes() == terms.tobytes()
+        assert_carried_state(clone, 2, 0.1)
+
+    def test_from_base_matrix_builds_terms(self, small_profile_graph):
+        cache = DegreeUncertaintyCache(small_profile_graph)
+        twin = DegreeUncertaintyCache.from_base_matrix(
+            small_profile_graph, cache.base_matrix
+        )
+        assert twin._terms.tobytes() == cache._terms.tobytes()
+        assert_reports_identical(cache.check_base(3, 0.1),
+                                 twin.check_base(3, 0.1))
 
 
 class TestDeltaValidation:

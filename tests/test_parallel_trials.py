@@ -499,6 +499,11 @@ class TestDeltaPath:
         np.testing.assert_array_equal(
             got.edge_probabilities, expected.edge_probabilities
         )
+        # The pair-key index carried over from the base equals a fresh sort.
+        assert got._pair_key_cache is not None
+        for carried, rebuilt in zip(got._pair_key_cache,
+                                    expected._pair_key_index()):
+            np.testing.assert_array_equal(carried, rebuilt)
 
     def test_check_edge_arrays_equals_check_delta(self, small_profile_graph):
         graph = small_profile_graph

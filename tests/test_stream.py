@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import GraphFormatError, ObfuscationError
+from repro.exceptions import EstimationError, GraphFormatError, ObfuscationError
 from repro.privacy import check_obfuscation
 from repro.privacy.incremental import DegreeUncertaintyCache
 from repro.reliability.worldstore import WorldStore, graph_delta
@@ -304,6 +304,48 @@ def test_stale_batch_raises(triangle):
     stale = UpdateBatch.from_deltas([(0, 1, 0.4, 0.6)])  # p_old is 0.5
     with pytest.raises(ObfuscationError):
         recertifier.apply(stale)
+
+
+def test_store_that_cannot_rebase_is_rejected_up_front():
+    """A masks-only store would reject the first batch only after the
+    degree cache had adopted it, leaving the recertifier half-applied."""
+    graph = random_graph(3)
+    sampled = WorldStore(graph, n_samples=8, seed=1)
+    store = WorldStore.from_masks(graph, sampled.base_masks)
+    with pytest.raises(EstimationError, match="built from masks"):
+        IncrementalRecertifier(graph, 2, 0.5, store=store)
+    sampled.close()
+
+
+def test_store_of_another_graph_is_rejected_up_front():
+    graph = random_graph(4)
+    probs = graph.edge_probabilities.copy()
+    probs[7] = 0.99
+    store = WorldStore(graph.with_probabilities(probs), n_samples=8, seed=1)
+    with pytest.raises(EstimationError, match="different graph"):
+        IncrementalRecertifier(graph, 2, 0.5, store=store)
+    smaller = WorldStore(random_graph(4, n=30), n_samples=8, seed=1)
+    with pytest.raises(EstimationError, match="30-vertex"):
+        IncrementalRecertifier(graph, 2, 0.5, store=smaller)
+    store.close()
+    smaller.close()
+
+
+def test_store_of_an_equal_graph_is_accepted():
+    """Equal probabilities on every pair pass, whatever the graph object
+    and however the store's universe grew (a pair at 0 is absent)."""
+    graph = random_graph(5)
+    store = WorldStore(graph, n_samples=8, seed=1)
+    u, v = next(
+        (u, v) for u in range(graph.n_nodes)
+        for v in range(u + 1, graph.n_nodes) if not graph.has_edge(u, v)
+    )
+    store.derive([(u, v, 0.0, 0.5)])  # grows a column at p = 0
+    copy = UncertainGraph(graph.n_nodes, [e.as_tuple() for e in graph.edges()])
+    recertifier = IncrementalRecertifier(copy, 2, 0.5, store=store)
+    outcome = recertifier.apply(random_batch(copy, np.random.default_rng(2), 6))
+    assert outcome.n_dirty_worlds is not None
+    store.close()
 
 
 # -- CLI + served update ------------------------------------------------ #

@@ -21,7 +21,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import _shm
@@ -210,9 +210,27 @@ class TestBaseReproduction:
             WorldStore(triangle, n_samples=5, antithetic=True)
 
 
+def mostly_dirty_case(n_dirty: int, n_samples: int = 24, seed: int = 5):
+    """Two paths and a fresh pair joining them whose ``p_new`` flips
+    exactly ``n_dirty`` of the ``n_samples`` worlds a store seeded with
+    ``seed`` draws (every flip merges two components)."""
+    graph = UncertainGraph(
+        6, [(0, 1, 0.5), (1, 2, 0.4), (3, 4, 0.6), (4, 5, 0.3)]
+    )
+    uniforms = np.sort(WorldStore(graph, n_samples=n_samples, seed=seed)
+                       ._growth_uniform_column(2, 3))
+    p_new = 1.0 if n_dirty == n_samples else float(
+        uniforms[n_dirty - 1:n_dirty + 1].mean()
+    )
+    assert int((uniforms < p_new).sum()) == n_dirty
+    return graph, [(2, 3, 0.0, p_new), (0, 1, 0.5, 0.5)]
+
+
 class TestDeriveBitIdentity:
     @settings(max_examples=40, deadline=None)
     @given(case=graphs_and_deltas(), seed=st.integers(0, 2**31 - 1))
+    @example(case=mostly_dirty_case(13), seed=5)  # just above N / 2
+    @example(case=mostly_dirty_case(24), seed=5)  # every world dirty
     def test_derived_queries_match_full_relabel(self, case, seed):
         graph, delta = case
         store = WorldStore(
@@ -306,6 +324,108 @@ class TestDeriveValidation:
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def dict_merge_oracle(store: WorldStore, delta) -> tuple | str:
+    """The dict-based canonicalization ``_merge_delta`` replaced: the
+    ``(cols, p_new, n_new)`` it returned, or the message it raised."""
+    n = store.graph.n_nodes
+    index = {
+        (int(u), int(v)): i
+        for i, (u, v) in enumerate(zip(store._src, store._dst))
+    }
+    merged: dict[tuple[int, int], tuple[float, float]] = {}
+    for u, v, p_old, p_new in delta:
+        u, v = int(u), int(v)
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            return f"delta pair ({u}, {v}) is not a valid vertex pair"
+        key = (u, v) if u < v else (v, u)
+        merged[key] = (float(p_old), float(p_new))
+    missing = [
+        key for key, (__, p_new) in merged.items()
+        if key not in index and p_new != 0.0
+    ]
+    for offset, key in enumerate(missing):
+        index[key] = store.n_columns + offset
+    cols, ps = [], []
+    for key, (p_old, p_new) in merged.items():
+        col = index.get(key)
+        stored = (
+            float(store._prob[col])
+            if col is not None and col < store.n_columns else 0.0
+        )
+        if abs(p_old - stored) > 1e-9:
+            return (f"delta claims p_old={p_old!r} for pair {key}, but the "
+                    f"store's base probability is {stored!r}")
+        if not np.isfinite(p_new) or p_new < 0.0 or p_new > 1.0:
+            return f"delta pair {key} has p_new={p_new!r}, expected [0, 1]"
+        if p_new != stored:
+            cols.append(col)
+            ps.append(p_new)
+    return cols, ps, len(missing)
+
+
+@st.composite
+def messy_deltas(draw):
+    """``graphs_and_deltas`` plus reversed duplicates, no-ops on absent
+    pairs and, sometimes, one invalid entry at a random position."""
+    graph, delta = draw(graphs_and_deltas())
+    n = graph.n_nodes
+    for u, v, p_old, __ in draw(st.lists(st.sampled_from(delta), max_size=3)
+                                if delta else st.just([])):
+        delta.append((v, u, p_old, draw(st.floats(0.0, 1.0))))
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+              if not graph.has_edge(u, v)]
+    if absent and draw(st.booleans()):
+        u, v = draw(st.sampled_from(absent))
+        delta.append((u, v, 0.0, 0.0))
+    bad = draw(st.sampled_from(
+        [None, "loop", "range", "stale", "p_new_nan", "p_new_big"]
+    ))
+    if bad is not None:
+        u, v = draw(st.sampled_from(
+            [(0, 1), (1, 2), (0, n - 1)] + [(d[0], d[1]) for d in delta]
+        ))
+        p_old = graph.probability(u, v)
+        entry = {
+            "loop": (u, u, 0.0, 0.5),
+            "range": (u, n + 2, 0.0, 0.5),
+            "stale": (u, v, p_old + 0.25, 0.5),
+            "p_new_nan": (u, v, p_old, float("nan")),
+            "p_new_big": (u, v, p_old, 1.5),
+        }[bad]
+        delta.insert(draw(st.integers(0, len(delta))), entry)
+    order = draw(st.permutations(range(len(delta))))
+    return graph, [delta[i] for i in order]
+
+
+class TestMergeDelta:
+    """The array-native ``_merge_delta`` returns what the dict-based one
+    it replaced returned, raises its first message, and grows nothing
+    when it raises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=messy_deltas(), as_array=st.booleans())
+    def test_matches_dict_oracle(self, case, as_array):
+        graph, delta = case
+        store = WorldStore(graph, n_samples=4, seed=1)
+        expected = dict_merge_oracle(store, delta)
+        rows = np.array(delta, dtype=float).reshape(-1, 4) if as_array \
+            else delta
+        if isinstance(expected, str):
+            with pytest.raises(EstimationError) as info:
+                store._merge_delta(rows)
+            assert str(info.value) == expected
+            assert store.n_columns == graph.n_edges
+            return
+        cols, ps, n_new = store._merge_delta(rows)
+        assert cols.tolist() == expected[0]
+        assert ps.tolist() == expected[1]
+        assert n_new == expected[2]
+        assert store.n_columns == graph.n_edges + n_new
+        keys = store._src * graph.n_nodes + store._dst
+        np.testing.assert_array_equal(store._col_keys, np.sort(keys))
+        np.testing.assert_array_equal(store._col_ids, np.argsort(keys))
+
+
 class TestMasksOnlyStore:
     def test_forced_absent_matches_overlay(self, bridge_graph):
         masks = sample_edge_masks(bridge_graph, 32, seed=21)
@@ -333,6 +453,25 @@ class TestMasksOnlyStore:
             __ = store.uniforms
 
 
+def loop_graph_delta(base: UncertainGraph, other: UncertainGraph) -> list:
+    """The per-edge loops ``graph_delta`` replaced."""
+    delta = []
+    base_p = base.pair_probabilities(other.edge_src, other.edge_dst)
+    for u, v, p_new, p_old in zip(
+        other.edge_src.tolist(), other.edge_dst.tolist(),
+        other.edge_probabilities.tolist(), base_p.tolist(),
+    ):
+        if p_new != p_old:
+            delta.append((u, v, p_old, p_new))
+    for u, v, p_old in zip(
+        base.edge_src.tolist(), base.edge_dst.tolist(),
+        base.edge_probabilities.tolist(),
+    ):
+        if p_old != 0.0 and not other.has_edge(u, v):
+            delta.append((u, v, p_old, 0.0))
+    return delta
+
+
 class TestGraphDelta:
     def test_round_trip(self, bridge_graph):
         probs = bridge_graph.edge_probabilities.copy()
@@ -349,6 +488,17 @@ class TestGraphDelta:
     def test_vertex_set_mismatch(self, triangle, path4):
         with pytest.raises(EstimationError, match="vertex set"):
             graph_delta(triangle, path4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=graphs_and_deltas())
+    def test_matches_edge_loop_oracle(self, case):
+        """The array lookups return the list the per-edge loops built."""
+        base, delta = case
+        other = overlay(base, [(u, v, p) for u, v, __, p in delta])
+        for a, b in ((base, other), (other, base)):
+            got = graph_delta(a, b)
+            assert got == loop_graph_delta(a, b)
+            assert all(type(x) is int for row in got for x in row[:2])
 
 
 class TestDiscrepancyEngines:

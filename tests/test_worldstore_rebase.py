@@ -246,29 +246,33 @@ def test_rebase_releases_replaced_segments(tmp_path, monkeypatch):
 
 def test_rebase_clone_cow_isolation():
     """A rebase on one store never disturbs its clone, and both remain
-    independently rebasable."""
+    independently rebasable -- whether the rebase patches the blocks
+    its own growth allocated or copies shared ones."""
     graph = make_graph(10)
     rng = np.random.default_rng(12)
-    store = WorldStore(graph, n_samples=16, seed=5)
-    store.warm()
-    twin = store.clone()
     qpairs = query_pairs(graph)
-    before = store.base_reliability_of_pairs(qpairs)
+    for fresh_pair in (True, False):
+        store = WorldStore(graph, n_samples=16, seed=5)
+        store.warm()
+        twin = store.clone()
+        before = store.base_reliability_of_pairs(qpairs)
+        masks_before = twin.base_masks.copy()
 
-    delta = make_delta(graph, rng, 4)
-    expected = store.derive(delta).reliability_of_pairs(qpairs)
-    store.rebase(delta)
-    assert np.array_equal(
-        store.base_reliability_of_pairs(qpairs), expected
-    )
-    # Twin: untouched, still answers for the original graph, and can
-    # itself derive the same delta to the same answers.
-    assert np.array_equal(twin.base_reliability_of_pairs(qpairs), before)
-    assert np.array_equal(
-        twin.derive(delta).reliability_of_pairs(qpairs), expected
-    )
-    twin.close()
-    store.close()
+        delta = make_delta(graph, rng, 4, fresh_pair=fresh_pair)
+        expected = store.derive(delta).reliability_of_pairs(qpairs)
+        store.rebase(delta)
+        assert np.array_equal(
+            store.base_reliability_of_pairs(qpairs), expected
+        )
+        # Twin: untouched, still answers for the original graph, and can
+        # itself derive the same delta to the same answers.
+        assert np.array_equal(twin.base_masks, masks_before)
+        assert np.array_equal(twin.base_reliability_of_pairs(qpairs), before)
+        assert np.array_equal(
+            twin.derive(delta).reliability_of_pairs(qpairs), expected
+        )
+        twin.close()
+        store.close()
 
 
 # -- write-back rebase ------------------------------------------------------ #
@@ -286,19 +290,17 @@ class EagerWorldStore(WorldStore):
         from repro.ugraph.operations import apply_edge_updates
 
         n = self._graph.n_nodes
-        cols, new_ps, changed_pairs, n_new = self._merge_delta(delta)
-        stats = {"n_dirty_worlds": 0, "n_changed_columns": len(cols),
+        col_arr, p_arr, n_new = self._merge_delta(delta)
+        stats = {"n_dirty_worlds": 0, "n_changed_columns": int(col_arr.size),
                  "n_new_columns": n_new}
-        if not cols:
+        if not col_arr.size:
             if graph is not None:
                 self._graph = graph
             return stats
-        col_arr = np.asarray(cols, dtype=np.int64)
-        p_arr = np.asarray(new_ps, dtype=np.float64)
         if graph is None:
-            us = np.array([u for u, __ in changed_pairs], dtype=np.int64)
-            vs = np.array([v for __, v in changed_pairs], dtype=np.int64)
-            graph = apply_edge_updates(self._graph, us, vs, p_arr)
+            graph = apply_edge_updates(
+                self._graph, self._src[col_arr], self._dst[col_arr], p_arr
+            )
         prob = self._prob.copy()
         prob[col_arr] = p_arr
         self._prob = prob
@@ -508,6 +510,113 @@ def test_memmap_segments_do_not_grow_across_rebases_and_flush(
     assert len(store.segment_names()) == count
     store.close()
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("backend", ["ram", "memmap"])
+def test_column_growth_releases_replaced_blocks(tmp_path, monkeypatch,
+                                                backend):
+    """Growth re-allocates every mask block (and, past capacity, every
+    uniform block) and releases the blocks it replaced: growing rebases
+    and growing derives leave the segment count at its warmed value."""
+    monkeypatch.setenv("REPRO_SEGMENT_DIR", str(tmp_path))
+    graph = make_graph(8)
+    rng = np.random.default_rng(11)
+    store = WorldStore(graph, n_samples=20, seed=4, chunk_worlds=10,
+                       store_backend=backend)
+    store.warm()
+    warmed = len(store.segment_names())
+    assert warmed == (6 if backend == "memmap" else 0)
+    for __ in range(6):
+        stats = store.rebase(make_delta(store.graph, rng, 2))
+        assert stats["n_new_columns"] == 1
+        assert len(store.segment_names()) == warmed
+    for __ in range(6):
+        store.derive(make_delta(store.graph, rng, 2))
+        assert len(store.segment_names()) == warmed
+    store.base_reliability_of_pairs(query_pairs(graph))  # flush
+    assert {p.name for p in tmp_path.iterdir()} == set(store.segment_names())
+    assert len(store.segment_names()) == warmed
+    store.close()
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("backend", ["ram", "memmap"])
+@pytest.mark.parametrize("operation", ["derive", "rebase"])
+def test_rejected_delta_leaves_store_unchanged(tmp_path, monkeypatch,
+                                               backend, operation):
+    """Every entry is validated before the universe grows: a fresh pair
+    followed by a stale ``p_old`` grows nothing and changes no answer."""
+    monkeypatch.setenv("REPRO_SEGMENT_DIR", str(tmp_path))
+    graph = UncertainGraph(4, [(0, 1, 0.5), (1, 2, 0.8), (0, 2, 0.3)])
+    store = WorldStore(graph, n_samples=12, seed=2, chunk_worlds=6,
+                       store_backend=backend)
+    store.warm()
+    pairs = np.array(list(itertools.combinations(range(4), 2)))
+    before = (store.n_columns, store.segment_names(),
+              store.uniforms.copy(), store.base_masks.copy(),
+              store.base_labels.copy(), store.base_pair_acc.copy(),
+              store.base_reliability_of_pairs(pairs))
+    bad = [(0, 3, 0.0, 0.6), (0, 1, 0.4, 0.7)]
+    with pytest.raises(EstimationError, match="p_old=0.4"):
+        getattr(store, operation)(bad)
+    after = (store.n_columns, store.segment_names(), store.uniforms,
+             store.base_masks, store.base_labels, store.base_pair_acc,
+             store.base_reliability_of_pairs(pairs))
+    assert after[:2] == before[:2]
+    assert store.n_columns == 3
+    for was, now in zip(before[2:], after[2:]):
+        assert np.array_equal(was, now)
+    store.close()
+
+
+def test_array_and_tuple_deltas_agree():
+    """A list of tuples and the same rows as an ``(m, 4)`` array give
+    identical views and rebases, duplicate pairs included."""
+    graph = make_graph(6)
+    rng = np.random.default_rng(3)
+    delta = make_delta(graph, rng, 6)
+    u, v, p_old, __ = delta[0]
+    delta.append((v, u, p_old, 0.25))  # duplicate, reversed: last wins
+    rows = np.array(delta, dtype=np.float64)
+    qpairs = query_pairs(graph)
+
+    by_list = WorldStore(graph, n_samples=16, seed=8, chunk_worlds=5)
+    by_array = WorldStore(graph, n_samples=16, seed=8, chunk_worlds=5)
+    for store in (by_list, by_array):
+        store.warm()
+    views = by_list.derive(delta), by_array.derive(rows)
+    assert np.array_equal(views[0].dirty_worlds, views[1].dirty_worlds)
+    assert np.array_equal(views[0].materialize(), views[1].materialize())
+    assert np.array_equal(views[0].labels, views[1].labels)
+    assert np.array_equal(views[0].pairwise_reliability(),
+                          views[1].pairwise_reliability())
+    assert by_list.rebase(delta) == by_array.rebase(rows)
+    assert np.array_equal(by_list._col_keys, by_array._col_keys)
+    assert np.array_equal(by_list._col_ids, by_array._col_ids)
+    assert np.array_equal(by_list.base_reliability_of_pairs(qpairs),
+                          by_array.base_reliability_of_pairs(qpairs))
+    assert np.array_equal(by_list.base_labels, by_array.base_labels)
+    with pytest.raises(EstimationError, match="rows"):
+        by_array.derive(rows[:, :3])
+    by_list.close()
+    by_array.close()
+
+
+def test_clone_shares_column_keys():
+    """Clones share the sorted column keys by reference; growth rebinds
+    them, so a growing clone never disturbs its parent."""
+    graph = make_graph(9)
+    store = WorldStore(graph, n_samples=10, seed=3)
+    store.warm()
+    keys, ids = store._col_keys, store._col_ids
+    twin = store.clone()
+    assert twin._col_keys is keys and twin._col_ids is ids
+    twin.rebase(make_delta(graph, np.random.default_rng(2), 3))
+    assert twin.n_columns == store.n_columns + 1
+    assert store._col_keys is keys and store._col_ids is ids
+    assert keys.size == ids.size == graph.n_edges
+    twin.close()
+    store.close()
 
 
 def test_clone_of_stale_store_flushes_independently(labeling_spy):
