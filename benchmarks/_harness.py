@@ -66,21 +66,18 @@ def environment_block() -> str:
     """One-line-per-fact execution environment footer for results files.
 
     Derived from :func:`repro.core.execution_environment` so every
-    archived benchmark records which kernel backend (compiled numba vs
-    pure NumPy), CPU budget and library versions produced its numbers.
+    archived benchmark records which CPU budget and library versions
+    produced its numbers.
     """
     from repro.core import execution_environment
 
     env = execution_environment()
-    kernels = env["kernels"]
     lines = [
         "environment:",
         f"  python {env['python']} / numpy {env['numpy']} / "
         f"scipy {env['scipy']}",
-        f"  kernel backend: {kernels['backend']} "
-        f"(numba available: {kernels['numba_available']}, "
-        f"version: {kernels['numba_version']})",
-        f"  usable cpus: {kernels['usable_cpus']}",
+        f"  usable cpus: {env['cpus']['usable']} "
+        f"(of {env['cpus']['total']})",
     ]
     peak = env["memory"]["peak_rss_bytes"]
     if peak is not None:
@@ -89,52 +86,6 @@ def environment_block() -> str:
         knobs = ", ".join(f"{k}={v}" for k, v in sorted(env["env"].items()))
         lines.append(f"  repro env: {knobs}")
     return "\n".join(lines)
-
-
-def kernel_comparison(work_fn, repeats: int = 1):
-    """Time ``work_fn`` under every available kernel backend.
-
-    Returns ``(rows, note, outputs)``: table rows
-    ``[backend, seconds, speedup-vs-numpy]``, a note for the results
-    file, and ``{backend: last work_fn() return}`` so callers can audit
-    bit-equality between backends.  Each backend gets one untimed
-    warm-up call (JIT compilation on numba).  When numba is not
-    installed, only the numpy fallback is timed and the note honestly
-    records why no compiled speedup is reported -- the results file
-    never pretends a measurement happened.
-    """
-    from repro import kernels
-
-    backends = ["numpy"] + (["numba"] if kernels.numba_available() else [])
-    timings, outputs = {}, {}
-    for backend in backends:
-        previous = kernels.use(backend)
-        try:
-            work_fn()  # warm-up: allocator, and JIT compile under numba
-            started = time.perf_counter()
-            for __ in range(repeats):
-                outputs[backend] = work_fn()
-            timings[backend] = (time.perf_counter() - started) / repeats
-        finally:
-            kernels.use(previous)
-    rows = [
-        [backend, timings[backend], timings["numpy"] / timings[backend]]
-        for backend in backends
-    ]
-    if kernels.numba_available():
-        note = (
-            f"compiled-kernel speedup vs numpy fallback: "
-            f"x{timings['numpy'] / timings['numba']:.2f} "
-            f"(single-core, same inputs, bit-identical outputs)"
-        )
-    else:
-        note = (
-            "compiled-kernel speedup NOT measured: numba is not installed "
-            "in this environment, so only the pure-NumPy fallback ran. "
-            "Install the 'fast' extra (pip install repro[fast]) and rerun "
-            "to record the numba column."
-        )
-    return rows, note, outputs
 
 
 def emit(bench_name: str, text: str, data: dict | None = None) -> None:

@@ -1,8 +1,8 @@
 """Obfuscation-checker benchmark: full rebuild vs incremental delta cache.
 
 Times the (k, epsilon)-obfuscation check of many candidate graphs, each
-described as a delta against one base graph, under both selectable
-checkers:
+described as a delta against one base graph, under the production
+checker and the full recompute it is tested against:
 
 * ``full``        -- materialize the candidate
                      (:func:`repro.ugraph.apply_edge_updates`) and rebuild
@@ -24,13 +24,6 @@ Two delta shapes are timed:
 
 Every timed delta is also cross-checked for bit-identical reports, so the
 benchmark doubles as an end-to-end equivalence audit at realistic scale.
-
-A second table isolates the kernel layer: the Poisson-binomial per-row
-DP behind the full checker's matrix build
-(:func:`repro.privacy.degree_uncertainty_matrix`), timed under each
-available ``repro.kernels`` backend (compiled numba vs pure-NumPy
-fallback), with a bit-equality audit between them.  When numba is absent
-the results file says so instead of recording a fictitious speedup.
 
 Scaling knobs (environment variables):
 
@@ -58,11 +51,7 @@ from repro.core.noise import perturb_probabilities
 from repro.core.parallel import _edge_noise_scales
 from repro.core.selection import select_candidate_edges
 from repro.datasets import load_profile
-from repro.privacy import (
-    DegreeUncertaintyCache,
-    check_obfuscation,
-    degree_uncertainty_matrix,
-)
+from repro.privacy import DegreeUncertaintyCache, check_obfuscation
 from repro.ugraph import apply_edge_updates
 
 OBF_SCALE = float(os.environ.get("REPRO_BENCH_OBF_SCALE", "2.0"))
@@ -233,26 +222,6 @@ def run_check_comparison(
     }
 
 
-def run_kernel_comparison(scale: float = OBF_SCALE, seed: int = OBF_SEED):
-    """Per-row degree-pmf DP (the full checker's core) per kernel backend.
-
-    Rebuilds the degree-uncertainty matrix -- one Poisson-binomial DP per
-    vertex through :mod:`repro.kernels` -- under each available backend
-    and audits the matrices for bit-equality.
-    """
-    import _harness
-
-    graph = load_profile("brightkite", scale=scale, seed=seed)
-    rows, note, outputs = _harness.kernel_comparison(
-        lambda: degree_uncertainty_matrix(graph)
-    )
-    matrices = list(outputs.values())
-    identical = all(
-        np.array_equal(matrices[0], matrix) for matrix in matrices[1:]
-    )
-    return rows, note, identical
-
-
 def test_bench_obfuscation_check():
     """Full-scale checker comparison (the recorded benchmark)."""
     import _harness
@@ -267,34 +236,21 @@ def test_bench_obfuscation_check():
         "rows = distinct endpoints of changed entries (mean per check)\n"
         f"reports bit-identical: {result['identical']}\n"
     )
-    kernel_rows, kernel_note, kernel_identical = run_kernel_comparison()
-    kernel_table = _harness.format_table(
-        ["kernel backend", "seconds/build", "speedup"], kernel_rows,
-    )
     _harness.emit(
         "bench_obfuscation_check",
-        header + table
-        + "\n\nper-row degree-pmf DP (full checker's matrix build) per "
-        "kernel backend:\n"
-        + kernel_table
-        + f"\nbackends bit-identical: {kernel_identical}\n" + kernel_note,
+        header + table,
         data={
             "graph": {"n_nodes": n_nodes, "n_edges": n_edges},
             "n_deltas": result["n_deltas"],
             "delta_edges": result["delta_edges"],
             "k": OBF_K,
             "epsilon": OBF_EPSILON,
-            "identical": bool(result["identical"] and kernel_identical),
+            "identical": bool(result["identical"]),
             "speedup": result["speedup"],
             **_harness.table_data(HEADERS, result["rows"]),
-            "kernel": _harness.table_data(
-                ["kernel backend", "seconds/build", "speedup"],
-                kernel_rows,
-            ),
         },
     )
     assert result["identical"], "incremental and full reports diverged"
-    assert kernel_identical, "kernel backends diverged on the base matrix"
     for name, floor in ((f"{OBF_EDGES}-entry", 5.0), ("genobf", 3.0)):
         speedup = result["speedup"][name]
         assert speedup >= floor, (

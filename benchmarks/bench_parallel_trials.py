@@ -2,19 +2,13 @@
 
 Times the complete ``anonymize`` call -- selection context, sigma
 search, winner materialization -- under the serial trial engine and the
-thread and process engines at several worker counts, on the
+process engine at several worker counts, on the
 ``brightkite`` stand-in at scale 2.0 (n = 1200, |E| ~ 4200).  Every
 parallel run is audited for *bit-equality* against the serial reference:
 the anonymized graph, the (sigma, epsilon) history, the GenObf call
 count and the achieved epsilon must match exactly, because per-trial
 randomness is a pure function of ``(entropy, probe index, trial index)``
 (see :mod:`repro.core.parallel`).
-
-The thread engine's scaling depends on the kernel backend: under
-compiled (numba) kernels the hot loops release the GIL and threads
-overlap; under the pure-NumPy fallback overlap is limited to numpy's
-internal GIL releases.  The recorded environment footer says which was
-active.
 
 The recorded table includes the host's usable CPU count: on a single-CPU
 host the process backend cannot beat serial (pool + pickling overhead
@@ -104,20 +98,19 @@ def run_trial_backend_comparison(
     ]]
 
     identical = True
-    for backend in ("thread", "process"):
-        for workers in worker_counts:
-            started = time.perf_counter()
-            result = anonymize(
-                graph, method="rsme", trial_backend=backend,
-                n_workers=workers, **kwargs,
-            )
-            seconds = time.perf_counter() - started
-            same = _audit(reference, result)
-            identical = identical and same
-            rows.append([
-                backend, workers, seconds, result.search_seconds,
-                result.sigma, result.n_genobf_calls, same,
-            ])
+    for workers in worker_counts:
+        started = time.perf_counter()
+        result = anonymize(
+            graph, method="rsme", trial_backend="process",
+            n_workers=workers, **kwargs,
+        )
+        seconds = time.perf_counter() - started
+        same = _audit(reference, result)
+        identical = identical and same
+        rows.append([
+            "process", workers, seconds, result.search_seconds,
+            result.sigma, result.n_genobf_calls, same,
+        ])
 
     return {
         "graph_nodes": graph.n_nodes,
@@ -156,8 +149,8 @@ def main() -> None:
     )
     if result["host_cpus"] < 2:
         notes += (
-            "\nNOTE: this host exposes a single usable CPU; the thread "
-            "and process backends pay dispatch/IPC overhead with no "
+            "\nNOTE: this host exposes a single usable CPU; the process "
+            "backend pays dispatch/IPC overhead with no "
             "parallel capacity, so no speedup is achievable here.  The "
             ">= 2x @ 4 workers target requires a multi-core host."
         )

@@ -36,12 +36,6 @@ label matrix: equal-size components of ``ceil(n / 8) - 1`` vertices,
 the largest that still take the sparse path.  Both must agree bit for
 bit.
 
-A fourth table isolates the kernel layer: the derive hot path --
-changed-column re-threshold + dirty-world union-find relabeling -- timed
-under each available ``repro.kernels`` backend with a bit-equality audit
-between them.  When numba is absent the results file says so instead of
-recording a fictitious speedup.
-
 Scaling knobs (environment variables):
 
 * ``REPRO_BENCH_WS_SCALE``   -- profile size multiplier (default 2.0,
@@ -354,43 +348,6 @@ def run_pairwise_comparison(
     }
 
 
-def run_kernel_comparison(
-    scale: float = WS_SCALE,
-    n_samples: int = WS_SAMPLES,
-    n_deltas: int = WS_DELTAS,
-    delta_edges: int = WS_EDGES,
-    seed: int = WS_SEED,
-):
-    """Derive hot path (re-threshold + relabel) per kernel backend.
-
-    Replays the same candidate-delta stream through
-    :meth:`WorldStore.derive` under each available backend and audits
-    the derived labels for bit-equality.
-    """
-    import _harness
-
-    graph = load_profile("brightkite", scale=scale, seed=seed)
-    rng = np.random.default_rng(seed)
-    sigmas = np.geomspace(SIGMA_HI, SIGMA_LO, num=n_deltas)
-    deltas = [
-        _sample_sigma_delta(graph, delta_edges, sigma, rng)
-        for sigma in sigmas
-    ]
-    store = WorldStore(graph, n_samples=n_samples, seed=seed,
-                       backend=WS_BACKEND)
-
-    def derive_stream():
-        return [store.derive(delta).labels for delta in deltas]
-
-    rows, note, outputs = _harness.kernel_comparison(derive_stream)
-    label_runs = list(outputs.values())
-    identical = all(
-        all(np.array_equal(a, b) for a, b in zip(label_runs[0], run))
-        for run in label_runs[1:]
-    )
-    return rows, note, identical
-
-
 def test_bench_world_store():
     """Full-scale store comparison (the recorded benchmark)."""
     import _harness
@@ -417,10 +374,6 @@ def test_bench_world_store():
     pairwise = run_pairwise_comparison()
     pairwise_headers = ["case", "kernel", "seconds", "speedup", "identical"]
     pairwise_table = _harness.format_table(pairwise_headers, pairwise["rows"])
-    kernel_rows, kernel_note, kernel_identical = run_kernel_comparison()
-    kernel_table = _harness.format_table(
-        ["kernel backend", "seconds/stream", "speedup"], kernel_rows,
-    )
     _harness.emit(
         "bench_world_store",
         header + table
@@ -431,20 +384,13 @@ def test_bench_world_store():
           f"broadcast compare over {pairwise['n_deltas']} profile "
           "discrepancies, then one accumulator over equal-size "
           f"components of {pairwise['component_size']} vertices\n"
-        + pairwise_table
-        + "\n\nderive hot path (re-threshold + relabel) per kernel "
-          "backend:\n"
-        + kernel_table
-        + f"\nbackends bit-identical: {kernel_identical}\n" + kernel_note,
+        + pairwise_table,
         data={
             "graph": {"n_nodes": n_nodes, "n_edges": n_edges},
             "n_samples": result["n_samples"],
             "n_deltas": result["n_deltas"],
             "delta_edges": result["delta_edges"],
-            "identical": bool(
-                result["identical"] and pairwise["identical"]
-                and kernel_identical
-            ),
+            "identical": bool(result["identical"] and pairwise["identical"]),
             "speedup": result["speedup"],
             "dirty_fraction": result["dirty_fraction"],
             **_harness.table_data(
@@ -458,10 +404,6 @@ def test_bench_world_store():
             "pairwise": _harness.table_data(
                 pairwise_headers, pairwise["rows"]
             ),
-            "kernel": _harness.table_data(
-                ["kernel backend", "seconds/stream", "speedup"],
-                kernel_rows,
-            ),
         },
     )
     assert result["identical"], "store and fresh-oracle queries diverged"
@@ -469,7 +411,6 @@ def test_bench_world_store():
     assert all(row[3] >= 1.0 for row in pairwise["rows"]), (
         "accumulator slower than the broadcast compare"
     )
-    assert kernel_identical, "kernel backends diverged on derived labels"
     assert result["speedup"] >= 3.0, (
         f"expected >= 3x speedup, got {result['speedup']:.2f}x"
     )

@@ -29,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro._shm import SEGMENT_PREFIX  # noqa: E402
+from repro._segments import SEGMENT_PREFIX  # noqa: E402
 from repro.cli import _dispatch, build_parser, CommandRuntime  # noqa: E402
 from repro.server.client import ServiceClient  # noqa: E402
 

@@ -33,8 +33,7 @@ makes that impossible to do silently, for **both** kinds:
 
 The registry deliberately lives below both :mod:`repro.core` and
 :mod:`repro.reliability` so either layer can use it without an import
-cycle.  :mod:`repro._shm` re-exports this module's API under its
-historical name.
+cycle.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ Subcommands
 ``evaluate``   compare an anonymized graph against the original
 ``discrepancy``  reliability discrepancy via one CRN world store
 ``summary``    print Table-I style dataset characteristics
-``capabilities``  report the execution environment (kernel backend,
-               numba availability, usable CPUs, REPRO_* knobs)
+``capabilities``  report the execution environment (library versions,
+               usable CPUs, REPRO_* knobs)
 ``serve``      run the warm anonymization service (see ``repro.server``)
 ``submit`` / ``status`` / ``result`` / ``cancel`` / ``stats`` /
 ``shutdown``   talk to a running service
@@ -70,11 +70,7 @@ EXIT_INTERNAL = 4
 #: Exit code when stdout's consumer vanished mid-write (128 + SIGPIPE).
 EXIT_SIGPIPE = 128 + int(getattr(signal, "SIGPIPE", 13))
 from .metrics import compare_graphs
-from .privacy import (
-    OBFUSCATION_CHECKERS,
-    check_obfuscation,
-    expected_degree_knowledge,
-)
+from .privacy import check_obfuscation, expected_degree_knowledge
 from .reliability.connectivity import CONNECTIVITY_BACKENDS
 from .ugraph import read_edge_list, summarize, write_edge_list
 
@@ -216,19 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     anon.add_argument("--trials", type=int, default=5)
     anon.add_argument("--seed", type=int, default=None)
     anon.add_argument(
-        "--checker", default="incremental", choices=OBFUSCATION_CHECKERS,
-        help="(k, epsilon) checker for the GenObf trial loop "
-             "(incremental: delta-based degree-pmf cache; "
-             "full: per-trial matrix rebuild, the correctness oracle)",
-    )
-    anon.add_argument(
         "--trial-backend", default="serial",
         choices=("auto", *TRIAL_BACKENDS),
-        help="GenObf trial executor (serial: in-process; thread: "
-             "persistent thread pool over shared-by-reference state, "
-             "GIL-free under the compiled kernel backend; process: "
+        help="GenObf trial executor (serial: in-process; process: "
              "persistent worker pool over shared-memory base state -- "
-             "bit-identical results in all cases; auto: resolve from "
+             "bit-identical results in both cases; auto: resolve from "
              "the host's capability report; --workers sets the pool "
              "size)",
     )
@@ -246,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     anon.add_argument(
         "--max-retries", type=int, default=2,
         help="probe re-executions per backend before the supervisor "
-             "degrades process -> thread -> serial (default: 2)",
+             "degrades process -> serial (default: 2)",
     )
     anon.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -390,19 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--trial-backend", default="serial",
         choices=("auto", *TRIAL_BACKENDS),
         help="GenObf trial executor, amortized across every k "
-             "(bit-identical results for serial / thread / process; "
+             "(bit-identical results for serial / process; "
              "auto: resolve from the host's capability report)",
     )
     sweep.add_argument(
         "--workers", type=_worker_count, default=None,
-        help="trial-pool size for --trial-backend thread/process "
+        help="trial-pool size for --trial-backend process "
              "(default: REPRO_NUM_WORKERS or the CPU count)",
     )
 
     sub.add_parser(
         "capabilities",
-        help="report the execution environment (kernel backend, numba "
-             "availability, usable CPUs, REPRO_* knobs) as JSON",
+        help="report the execution environment (library versions, "
+             "usable CPUs, REPRO_* knobs) as JSON",
     )
 
     serve = sub.add_parser(
@@ -490,18 +478,13 @@ def _cmd_anonymize(args, out, err, runtime) -> int:
             # so a service job and a one-shot run pick the same engine
             # (the choice is echoed in the result summary).
             trial_backend = recommended_trial_backend()
-        cache = (
-            runtime.degree_cache(graph)
-            if args.checker == "incremental" else None
-        )
         result = anonymize(graph, args.k, epsilon, method=args.method,
                            seed=args.seed, n_trials=args.trials,
-                           degree_cache=cache,
+                           degree_cache=runtime.degree_cache(graph),
                            observer=runtime.probe_observer,
                            connectivity_backend=args.backend,
                            n_workers=args.workers,
                            trial_backend=trial_backend,
-                           obfuscation_checker=args.checker,
                            utility_samples=args.utility_samples,
                            world_memory_budget=args.world_memory_budget,
                            trial_timeout=args.trial_timeout,

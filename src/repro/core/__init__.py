@@ -4,9 +4,9 @@
   the RSME / RS / ME variant presets (Table II).
 * :func:`anonymize` / :class:`Chameleon` -- Algorithm 1 (noise search).
 * :func:`gen_obf` -- Algorithm 3 (randomized obfuscation attempt).
-* :mod:`repro.core.parallel` -- deterministic serial / thread / process
+* :mod:`repro.core.parallel` -- deterministic serial / process
   execution of the GenObf trials (shared-memory base state for the
-  process pool, shared-by-reference invariants for the thread pool).
+  process pool).
 * :mod:`repro.core.noise` -- truncated-normal noise and the max-entropy
   perturbation rule (Section V-F).
 * :mod:`repro.core.selection` -- uncertainty-aware edge selection.
@@ -41,7 +41,6 @@ from .parallel import (
     TRIAL_BACKENDS,
     ProcessTrialEngine,
     SerialTrialEngine,
-    ThreadTrialEngine,
     TrialResult,
     create_trial_engine,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "TRIAL_BACKENDS",
     "TrialResult",
     "SerialTrialEngine",
-    "ThreadTrialEngine",
     "ProcessTrialEngine",
     "create_trial_engine",
     "FaultAction",

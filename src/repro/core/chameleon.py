@@ -93,13 +93,12 @@ class Chameleon:
         seed:
             Overrides ``config.seed`` for this run.
         degree_cache:
-            Pre-built :class:`DegreeUncertaintyCache` for ``graph`` (only
-            consulted when ``config.obfuscation_checker`` is
-            ``"incremental"``).  Building the cache is the O(n * d^2)
-            dynamic program a warm service wants to pay once per dataset;
-            the cache's output is bit-identical to an internally built
-            one, so reuse cannot change results.  It must describe this
-            exact graph and knowledge vector -- anything else raises.
+            Pre-built :class:`DegreeUncertaintyCache` for ``graph``.
+            Building the cache is the O(n * d^2) dynamic program a warm
+            service wants to pay once per dataset; the cache's output is
+            bit-identical to an internally built one, so reuse cannot
+            change results.  It must describe this exact graph and
+            knowledge vector -- anything else raises.
         observer:
             Optional callable receiving a progress event dict after every
             sigma probe (``{"type": "probe", "probe": i, "sigma": ...,
@@ -126,21 +125,17 @@ class Chameleon:
         trial_entropy = int(rng.integers(0, 2**63 - 1))
         # One degree-pmf cache serves every GenObf trial of every sigma
         # probe: all candidates are deltas against the same base graph.
-        cache: DegreeUncertaintyCache | None = None
-        if config.obfuscation_checker == "incremental":
-            if degree_cache is not None:
-                if degree_cache.graph is not graph or not np.array_equal(
-                    degree_cache.knowledge, context.knowledge
-                ):
-                    raise ObfuscationError(
-                        "degree_cache was built for a different graph or "
-                        "knowledge vector than this run's"
-                    )
-                cache = degree_cache
-            else:
-                cache = DegreeUncertaintyCache(
-                    graph, knowledge=context.knowledge
+        if degree_cache is not None:
+            if degree_cache.graph is not graph or not np.array_equal(
+                degree_cache.knowledge, context.knowledge
+            ):
+                raise ObfuscationError(
+                    "degree_cache was built for a different graph or "
+                    "knowledge vector than this run's"
                 )
+            cache = degree_cache
+        else:
+            cache = DegreeUncertaintyCache(graph, knowledge=context.knowledge)
         history: list[tuple[float, float]] = []
         calls = 0
 
@@ -245,7 +240,7 @@ class Chameleon:
         # timeouts, injected faults) rebuild the engine from this factory
         # and re-run the probe -- bit-identically, since trials are pure
         # functions of their coordinates -- degrading the backend
-        # process -> thread -> serial when retries are exhausted.
+        # process -> serial when retries are exhausted.
         fault_plan = FaultPlan.from_config(config)
         policy = RetryPolicy.from_config(config)
         journal = (

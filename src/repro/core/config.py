@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..exceptions import ConfigurationError
-from ..privacy.incremental import OBFUSCATION_CHECKERS
 from ..reliability.connectivity import CONNECTIVITY_BACKENDS
 from .faults import FaultPlan
 from .parallel import TRIAL_BACKENDS
@@ -80,23 +79,15 @@ class ChameleonConfig:
         (``ram`` vs ``memmap``) directly.
     n_workers:
         Worker count for the ``"process"`` connectivity backend and the
-        pooled trial backends; ``None`` defers to ``REPRO_NUM_WORKERS``
-        / CPU count.
+        ``"process"`` trial backend; ``None`` defers to
+        ``REPRO_NUM_WORKERS`` / CPU count.
     trial_backend:
         Execution backend for the GenObf trials of the sigma search (one
         of :data:`repro.core.parallel.TRIAL_BACKENDS`).  ``"serial"``
-        (default) runs trials in-process; ``"thread"`` runs them on a
-        persistent thread pool sharing run state by reference (GIL-free
-        under the compiled :mod:`repro.kernels` backend); ``"process"``
-        runs them on a persistent per-run worker pool over shared-memory
-        base state.  Results are bit-identical in every case (per-trial
+        (default) runs trials in-process; ``"process"`` runs them on a
+        persistent per-run worker pool over shared-memory base state.
+        Results are bit-identical in both cases (per-trial
         ``SeedSequence`` streams keyed by probe and trial index).
-    obfuscation_checker:
-        ``"incremental"`` (default) runs the GenObf trial loop on a
-        :class:`repro.privacy.DegreeUncertaintyCache`, recomputing degree
-        pmfs only for the endpoints of perturbed candidate edges;
-        ``"full"`` rebuilds the whole degree-uncertainty matrix per trial
-        (the correctness oracle -- both produce bit-identical reports).
     selection_mode:
         ``"reliability-sensitive"`` folds (1 - normalized VRR) into the
         vertex sampling weights; ``"uniqueness-only"`` uses uniqueness
@@ -123,7 +114,7 @@ class ChameleonConfig:
         deadline.
     max_retries:
         Probe re-executions the supervisor attempts *per backend* before
-        walking the degradation ladder (``process -> thread -> serial``).
+        walking the degradation ladder (``process -> serial``).
     retry_backoff:
         Base of the exponential backoff (seconds) slept before a retry
         rebuilds a crashed worker pool; attempt ``i`` sleeps
@@ -155,7 +146,6 @@ class ChameleonConfig:
     utility_samples: int = 0
     world_memory_budget: int | None = None
     trial_backend: str = "serial"
-    obfuscation_checker: str = "incremental"
     selection_mode: str = "reliability-sensitive"
     perturbation_mode: str = "max-entropy"
     sigma_initial: float = 1.0
@@ -216,11 +206,6 @@ class ChameleonConfig:
             raise ConfigurationError(
                 f"trial_backend must be one of {TRIAL_BACKENDS}, "
                 f"got {self.trial_backend!r}"
-            )
-        if self.obfuscation_checker not in OBFUSCATION_CHECKERS:
-            raise ConfigurationError(
-                "obfuscation_checker must be one of "
-                f"{OBFUSCATION_CHECKERS}, got {self.obfuscation_checker!r}"
             )
         if self.selection_mode not in _SELECTION_MODES:
             raise ConfigurationError(

@@ -20,8 +20,7 @@ multiplier) relaxes it by raising potential degrees, which the report
 quantifies through the ``candidate_multiplier`` parameter.
 
 :func:`execution_environment` answers the complementary operational
-question -- *what will actually run*: which kernel backend is active
-(compiled numba vs pure NumPy), which kernels it covers, how many CPUs
+question -- *what will actually run*: library versions, how many CPUs
 the process may use, and which ``REPRO_*`` knobs are set.  Benchmark
 results embed it so numbers are never read without their environment.
 """
@@ -34,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import _shm, kernels
+from .. import _segments
 from ..exceptions import ObfuscationError
+from ..kernels import usable_cpu_count
 from ..privacy.degree_distribution import expected_degree_knowledge
 from ..ugraph.graph import UncertainGraph
 
@@ -49,7 +49,6 @@ __all__ = [
 
 #: Environment variables that change repro's execution behavior.
 _REPRO_ENV_VARS = (
-    "REPRO_KERNELS",
     "REPRO_NUM_WORKERS",
     "REPRO_FAULTS",
     "REPRO_WORLD_BACKEND",
@@ -78,16 +77,13 @@ def peak_rss_bytes() -> int | None:
 def execution_environment() -> dict:
     """Capability report of the running interpreter.
 
-    Combines the kernel registry's capability view
-    (:func:`repro.kernels.kernel_capabilities`: active backend, numba
-    availability, per-kernel implementation, usable CPU count) with
-    library versions and the ``REPRO_*`` environment knobs in effect.
-    JSON-serializable by construction; surfaced by the
-    ``chameleon capabilities`` subcommand and embedded in every
-    benchmark results file.
+    Combines library versions, the usable and total CPU counts and the
+    ``REPRO_*`` environment knobs in effect.  JSON-serializable by
+    construction; surfaced by the ``chameleon capabilities`` subcommand
+    and embedded in every benchmark results file.
 
     Calling this also runs the shared-memory janitor
-    (:func:`repro._shm.reap_orphan_segments`): ``repro-<pid>-...``
+    (:func:`repro._segments.reap_orphan_segments`): ``repro-<pid>-...``
     segments whose owning process died without cleanup are unlinked, and
     the report's ``shm`` section records what was found.
     """
@@ -96,20 +92,23 @@ def execution_environment() -> dict:
         scipy_version = scipy.__version__
     except ImportError:  # pragma: no cover - scipy is a hard dependency
         scipy_version = None
-    reaped = _shm.reap_orphan_segments()
+    reaped = _segments.reap_orphan_segments()
     return {
         "python": sys.version.split()[0],
         "platform": sys.platform,
         "numpy": np.__version__,
         "scipy": scipy_version,
-        "kernels": kernels.kernel_capabilities(),
+        "cpus": {
+            "usable": usable_cpu_count(),
+            "total": os.cpu_count() or 1,
+        },
         "env": {
             name: os.environ[name]
             for name in _REPRO_ENV_VARS
             if name in os.environ
         },
         "shm": {
-            "active_segments": list(_shm.active_segments()),
+            "active_segments": list(_segments.active_segments()),
             "orphans_found": reaped["found"],
             "orphans_reaped": reaped["reaped"],
             "orphans_failed": reaped["failed"],
@@ -129,17 +128,11 @@ def recommended_trial_backend(environment: dict | None = None) -> str:
     chosen backend is echoed in result summaries).
 
     * one usable CPU: ``serial`` (pools only add overhead);
-    * compiled (numba) kernels: ``thread`` -- trials release the GIL in
-      the kernels, and threads skip process start-up and shared-memory
-      publication;
-    * otherwise: ``process`` (pure-NumPy trials need real parallelism).
+    * otherwise: ``process``.
     """
     env = environment if environment is not None else execution_environment()
-    caps = env.get("kernels", {})
-    if int(caps.get("usable_cpus", 1)) <= 1:
+    if int(env.get("cpus", {}).get("usable", 1)) <= 1:
         return "serial"
-    if caps.get("backend") == "numba":
-        return "thread"
     return "process"
 
 

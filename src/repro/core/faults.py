@@ -7,7 +7,7 @@ failure classes a long anonymization run actually meets:
 
 * ``crash`` -- the worker executing a given trial dies.  In a process
   pool the worker calls ``os._exit``, producing a genuine
-  ``BrokenProcessPool`` in the parent; in the thread / serial engines it
+  ``BrokenProcessPool`` in the parent; in the serial engine it
   raises :class:`~repro.exceptions.InjectedFault` from the same code
   path a real worker exception would take.
 * ``delay`` -- the trial sleeps for a configured number of seconds
@@ -200,7 +200,7 @@ def execute_fault(action: FaultAction | None) -> None:
     the current *worker process* with ``os._exit`` when running inside a
     pool child -- the parent observes ``BrokenProcessPool``, the real
     failure signature -- and raises :class:`InjectedFault` when running
-    in-process (serial / thread engines), where a worker exception is
+    in-process (the serial engine), where a worker exception is
     the real failure signature.
     """
     if action is None:

@@ -21,8 +21,8 @@ probability:
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
-from .. import kernels
 from .._rng import as_generator
 from ..exceptions import ConfigurationError
 
@@ -43,11 +43,11 @@ def truncated_normal_noise(
     ``sigma`` may be a scalar or a per-draw array; zero scales yield zero
     noise exactly.
 
-    Sampling is inverse-CDF through the kernel layer
-    (:func:`repro.kernels.truncated_normal_draws`: one uniform block,
-    then the shared deterministic transform), replacing the historical
-    ``scipy.stats.truncnorm.rvs`` dispatch -- same distribution, one
-    generator-consumption contract for every execution backend.
+    Sampling is inverse-CDF: one ``rng.random`` block for the positive
+    scales, then ``x = s * Phi^-1(1/2 + u * (Phi(1 / s) - 1/2))``, since
+    ``R_s`` has CDF ``(Phi(x / s) - 1/2) / (Phi(1 / s) - 1/2)`` on
+    ``[0, 1]``.  The clip only matters when ``u`` rounds to 1 and
+    ``ndtri`` saturates to ``inf``.
     """
     rng = as_generator(seed)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -59,7 +59,10 @@ def truncated_normal_noise(
     out = np.zeros(size, dtype=np.float64)
     positive = sigma > 0
     if positive.any():
-        out[positive] = kernels.truncated_normal_draws(rng, sigma[positive])
+        scale = sigma[positive]
+        u = rng.random(scale.shape[0])
+        span = ndtr(1.0 / scale) - 0.5
+        out[positive] = np.clip(scale * ndtri(0.5 + u * span), 0.0, 1.0)
     return out
 
 

@@ -14,14 +14,6 @@ too.  This module supplies the engine:
   :class:`TrialResult`: the candidate's delta arrays plus the check
   report's arrays, never a materialized graph.
 * :class:`SerialTrialEngine` -- the in-process reference executor.
-* :class:`ThreadTrialEngine` -- a persistent
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  Run invariants are
-  shared *by reference* -- no shared-memory segment, no pickling,
-  near-zero dispatch cost -- and the hot kernels (:mod:`repro.kernels`)
-  release the GIL under the compiled backend, so workers genuinely
-  overlap.  The one mutable structure, the incremental checker's pmf
-  cache, is cloned per worker thread
-  (:meth:`~repro.privacy.DegreeUncertaintyCache.clone`).
 * :class:`ProcessTrialEngine` -- a persistent per-run worker pool.  The
   run's read-only invariants (the graph's edge arrays, the
   ``SelectionContext`` arrays, the incremental checker's base pmf
@@ -46,7 +38,7 @@ depends only on its coordinates -- not on which worker runs it, in what
 order, or how many workers exist -- and :func:`reduce_probe` folds
 results with the sequential loop's exact ``(epsilon, trial index)``
 tie-break.  ``anonymize`` output is bit-identical across
-``trial_backend in {"serial", "thread", "process"}`` and every worker
+``trial_backend in {"serial", "process"}`` and every worker
 count (asserted by ``tests/test_parallel_trials.py`` and audited by
 ``benchmarks/bench_parallel_trials.py``).
 """
@@ -54,18 +46,18 @@ count (asserted by ``tests/test_parallel_trials.py`` and audited by
 from __future__ import annotations
 
 import logging
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
+from multiprocessing.connection import wait as _wait_sentinels
 
 import numpy as np
 
-from .. import _segments, _shm
+from .. import _segments
 from ..exceptions import ConfigurationError, InjectedFault, TrialTimeoutError
 from ..privacy.incremental import DegreeUncertaintyCache
-from ..privacy.obfuscation import ObfuscationReport, check_obfuscation
+from ..privacy.obfuscation import ObfuscationReport
 from ..reliability.connectivity import resolve_worker_count
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.operations import apply_edge_updates
@@ -82,13 +74,12 @@ __all__ = [
     "reduce_probe",
     "TrialEngine",
     "SerialTrialEngine",
-    "ThreadTrialEngine",
     "ProcessTrialEngine",
     "create_trial_engine",
 ]
 
 #: Selectable trial-execution backends for ``ChameleonConfig``.
-TRIAL_BACKENDS = ("serial", "thread", "process")
+TRIAL_BACKENDS = ("serial", "process")
 
 #: Default deadline for pool shutdown before workers are killed.
 DEFAULT_SHUTDOWN_TIMEOUT = 2.0
@@ -165,7 +156,7 @@ def run_trial(
     probe_index: int,
     trial_index: int,
     entropy: int,
-    cache: DegreeUncertaintyCache | None,
+    cache: DegreeUncertaintyCache,
 ) -> TrialResult:
     """One GenObf trial on its own deterministic stream.
 
@@ -174,7 +165,9 @@ def run_trial(
     described by delta arrays shared between the incremental checker
     (:meth:`DegreeUncertaintyCache.check_edge_arrays`) and the eventual
     materialization (:func:`~repro.ugraph.operations.apply_edge_updates`
-    in :func:`reduce_probe`).
+    in :func:`reduce_probe`).  The checker's report equals
+    :func:`~repro.privacy.check_obfuscation` of the materialized
+    candidate bit for bit (``tests/test_genobf.py``).
     """
     rng = trial_generator(entropy, probe_index, trial_index)
     failure = TrialResult(
@@ -196,16 +189,10 @@ def run_trial(
         white_noise=config.white_noise,
         seed=rng,
     )
-    if config.obfuscation_checker == "incremental":
-        report = cache.check_edge_arrays(
-            us, vs, current, perturbed, config.k, config.epsilon,
-            knowledge=context.knowledge,
-        )
-    else:
-        candidate = apply_edge_updates(graph, us, vs, perturbed)
-        report = check_obfuscation(
-            candidate, config.k, config.epsilon, knowledge=context.knowledge
-        )
+    report = cache.check_edge_arrays(
+        us, vs, current, perturbed, config.k, config.epsilon,
+        knowledge=context.knowledge,
+    )
     satisfied = bool(report.satisfied)
     return TrialResult(
         probe_index,
@@ -271,8 +258,8 @@ class TrialEngine:
         The run's base graph, configuration and sigma-independent
         selection invariants.
     cache:
-        The run's :class:`DegreeUncertaintyCache`; built here when the
-        incremental checker is configured and none is passed.
+        The run's :class:`DegreeUncertaintyCache`; built here when none
+        is passed.
     entropy:
         Per-run root entropy of the trial streams (see
         :func:`trial_generator`).
@@ -281,9 +268,9 @@ class TrialEngine:
         consumed) at dispatch time for every trial, in deterministic
         submission order.  ``None`` disables injection.
     task_timeout:
-        Per-trial deadline in seconds.  Pooled engines enforce it on the
-        future wait (:class:`~repro.exceptions.TrialTimeoutError`); the
-        serial engine can only check it *after* each trial completes.
+        Per-trial deadline in seconds.  The process engine enforces it on
+        the future wait (:class:`~repro.exceptions.TrialTimeoutError`);
+        the serial engine can only check it *after* each trial completes.
         ``None`` (default) waits forever.
     """
 
@@ -297,7 +284,7 @@ class TrialEngine:
         self._graph = graph
         self._config = config
         self._context = context
-        if config.obfuscation_checker == "incremental" and cache is None:
+        if cache is None:
             cache = DegreeUncertaintyCache(graph, knowledge=context.knowledge)
         self._cache = cache
         self._entropy = int(entropy)
@@ -411,18 +398,227 @@ class SerialTrialEngine(TrialEngine):
         return reduce_probe(self._graph, self._config, sigma, results)
 
 
-class _PooledTrialEngine(TrialEngine):
-    """Shared wave dispatch for executor-backed engines.
+# --------------------------------------------------------------------- #
+# Shared-memory publication
+# --------------------------------------------------------------------- #
 
-    Subclasses provide :meth:`_submit_probe` (returning one future per
-    trial, in trial-index order); probe reduction and the speculative
-    ladder wave -- submit every predetermined probe up front, cancel
-    outstanding trials once one succeeds -- are identical for thread and
-    process pools.
+def _pack_arrays(arrays: dict[str, np.ndarray]):
+    """Copy named arrays into ONE shared segment; return (shm, manifest).
+
+    The manifest -- ``(name, dtype, shape, offset)`` tuples -- is the
+    only thing pickled to workers; the array payload crosses the process
+    boundary through the named segment.  The segment comes from the
+    :mod:`repro._segments` registry, so an interpreter death between
+    here and :meth:`ProcessTrialEngine.close` is swept at exit instead of
+    leaking.
+    """
+    contiguous = {
+        name: np.ascontiguousarray(arr) for name, arr in arrays.items()
+    }
+    total = sum(arr.nbytes for arr in contiguous.values())
+    shm = _segments.create_segment(total, kind=_segments.publish_kind())
+    manifest: list[tuple[str, str, tuple, int]] = []
+    offset = 0
+    for name, arr in contiguous.items():
+        if arr.nbytes:
+            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf,
+                              offset=offset)
+            view[:] = arr
+            del view
+        manifest.append((name, arr.dtype.str, arr.shape, offset))
+        offset += arr.nbytes
+    return shm, manifest
+
+
+def _unpack_arrays(shm_name: str, manifest) -> dict[str, np.ndarray]:
+    """Attach to the published segment and copy every array out.
+
+    Copying lets the worker detach immediately, so the parent's
+    ``close()``/``unlink()`` never races a live view.
+    """
+    shm = _segments.attach_segment(shm_name)
+    try:
+        out: dict[str, np.ndarray] = {}
+        for name, dtype, shape, offset in manifest:
+            dtype = np.dtype(dtype)
+            if int(np.prod(shape)) == 0:
+                out[name] = np.empty(shape, dtype=dtype)
+                continue
+            view = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
+                              offset=offset)
+            out[name] = np.array(view, copy=True)
+            del view
+    finally:
+        shm.close()
+    return out
+
+
+def _graph_from_arrays(
+    n_nodes: int, src: np.ndarray, dst: np.ndarray, prob: np.ndarray
+) -> UncertainGraph:
+    """Rebuild a validated parent graph from its published edge arrays.
+
+    The arrays already passed the parent's constructor checks, so the
+    per-edge validation loop is replaced by one dict comprehension.
+    """
+    graph = object.__new__(UncertainGraph)
+    graph._n = int(n_nodes)
+    graph._src = src
+    graph._dst = dst
+    graph._prob = prob
+    graph._index = {
+        pair: i for i, pair in enumerate(zip(src.tolist(), dst.tolist()))
+    }
+    graph._labels = None
+    graph._adjacency_cache = None
+    graph._pair_key_cache = None
+    return graph
+
+
+#: Per-worker state installed by :func:`_init_trial_worker`.
+_WORKER_STATE: dict | None = None
+
+
+def _init_trial_worker(
+    shm_name: str, manifest, n_nodes: int, config, entropy: int,
+    poison_attach: bool = False,
+) -> None:
+    """Pool initializer: attach, rebuild the run invariants, detach.
+
+    Runs once per worker process.  The published base pmf matrix skips
+    the per-vertex DP via :meth:`DegreeUncertaintyCache.from_base_matrix`.
+    ``poison_attach`` is the fault-injection hook: the initializer dies
+    before touching the segment, so the parent's first dispatched wave
+    observes a ``BrokenProcessPool`` -- the signature of a bad shm
+    attach.
+    """
+    global _WORKER_STATE
+    from .genobf import SelectionContext
+
+    if poison_attach:
+        raise InjectedFault(
+            "injected shm-attach poisoning (fault plan): worker refused "
+            f"to attach segment {shm_name}"
+        )
+    arrays = _unpack_arrays(shm_name, manifest)
+    graph = _graph_from_arrays(
+        n_nodes, arrays["edge_src"], arrays["edge_dst"], arrays["edge_prob"]
+    )
+    context = SelectionContext(
+        uniqueness=arrays["uniqueness"],
+        vertex_relevance=arrays["vertex_relevance"],
+        excluded=arrays["excluded"],
+        weights=arrays["weights"],
+        knowledge=arrays["knowledge"],
+    )
+    _WORKER_STATE = {
+        "graph": graph,
+        "config": config,
+        "context": context,
+        "cache": DegreeUncertaintyCache.from_base_matrix(
+            graph, arrays["base_pmf"], knowledge=arrays["knowledge"]
+        ),
+        "entropy": int(entropy),
+        "configs": {},
+    }
+
+
+def _trial_task(payload) -> TrialResult:
+    """Module-level (picklable) task: one trial against the worker state.
+
+    ``overrides`` is ``None`` on the single-run path (the worker-state
+    defaults apply) or an ``(entropy, k, epsilon)`` tuple when a sweep
+    retargeted the engine after pool start-up; retargeted configs are
+    memoized per worker so each (k, epsilon) pays ``with_privacy``'s
+    validation once.  An optional fifth element carries an injected
+    :class:`~repro.core.faults.FaultAction` (decided parent-side).
+    """
+    probe_index, trial_index, sigma, overrides, *rest = payload
+    execute_fault(rest[0] if rest else None)
+    state = _WORKER_STATE
+    config = state["config"]
+    entropy = state["entropy"]
+    if overrides is not None:
+        entropy, k, epsilon = overrides
+        config = state["configs"].get((k, epsilon))
+        if config is None:
+            config = state["config"].with_privacy(k, epsilon)
+            state["configs"][(k, epsilon)] = config
+    return run_trial(
+        state["graph"], config, state["context"], sigma,
+        probe_index, trial_index, entropy, state["cache"],
+    )
+
+
+class ProcessTrialEngine(TrialEngine):
+    """Persistent per-run worker pool over shared-memory base state.
+
+    The pool and the published segment live for the whole anonymization
+    run (every sigma probe reuses them); :meth:`close` -- called by
+    ``Chameleon.anonymize``'s ``finally`` even when a worker crashes --
+    shuts the pool down and unlinks the segment.  :meth:`run_ladder`
+    dispatches the whole bracketing ladder as one speculative task wave.
     """
 
-    def _submit_probe(self, probe_index: int, sigma: float) -> list:
-        raise NotImplementedError
+    backend = "process"
+
+    def __init__(
+        self, graph, config, context, cache=None, entropy=0,
+        n_workers: int | None = None, fault_plan=None, task_timeout=None,
+    ):
+        super().__init__(graph, config, context, cache=cache, entropy=entropy,
+                         fault_plan=fault_plan, task_timeout=task_timeout)
+        self._n_workers = resolve_worker_count(
+            n_workers if n_workers is not None else config.n_workers
+        )
+        self._shm = None
+        self._pool: ProcessPoolExecutor | None = None
+        arrays = {
+            "edge_src": graph.edge_src,
+            "edge_dst": graph.edge_dst,
+            "edge_prob": graph.edge_probabilities,
+            "uniqueness": context.uniqueness,
+            "vertex_relevance": context.vertex_relevance,
+            "excluded": context.excluded,
+            "weights": context.weights,
+            "knowledge": context.knowledge,
+            "base_pmf": self._cache.base_matrix,
+        }
+        self._shm, manifest = _pack_arrays(arrays)
+        # None until set_privacy/set_entropy retargets the run; then the
+        # (entropy, k, epsilon) triple rides along in every task payload,
+        # overriding the worker-state defaults baked in at pool start-up.
+        self._overrides: tuple[int, int, float] | None = None
+        poison = fault_plan.take_shm_poison() if fault_plan else False
+        try:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._n_workers,
+                initializer=_init_trial_worker,
+                initargs=(self._shm.name, manifest, graph.n_nodes, config,
+                          self._entropy, poison),
+            )
+        except BaseException:
+            self.close()
+            raise
+
+    @property
+    def n_workers(self) -> int:
+        return self._n_workers
+
+    def _on_mutation(self) -> None:
+        self._overrides = (self._entropy, self._config.k,
+                           self._config.epsilon)
+
+    def _submit_probe(self, probe_index: int, sigma: float):
+        overrides = self._overrides
+        return [
+            self._pool.submit(
+                _trial_task,
+                (probe_index, t, sigma, overrides,
+                 self._draw_fault(probe_index, t)),
+            )
+            for t in range(self._config.n_trials)
+        ]
 
     def _await(self, future, probe_index: int, trial_index: int):
         """One future's result under the per-task deadline."""
@@ -485,358 +681,42 @@ class _PooledTrialEngine(TrialEngine):
             )
         return outcomes
 
-
-class ThreadTrialEngine(_PooledTrialEngine):
-    """Persistent thread pool sharing run invariants by reference.
-
-    No shared-memory segment, no pickling: worker threads read the same
-    graph / context / config objects the caller holds, so dispatch cost
-    per trial is a queue hop.  True overlap comes from the
-    :mod:`repro.kernels` layer -- its compiled kernels run
-    ``nogil`` -- while the pure-NumPy fallback still overlaps inside
-    numpy's own GIL-releasing primitives.
-
-    Thread safety: :func:`run_trial` mutates nothing shared except the
-    incremental checker's cache (row patch + rollback), so each worker
-    thread lazily clones the engine's base cache
-    (:meth:`DegreeUncertaintyCache.clone` -- matrix copied, read-only
-    structure shared).  The graph's lazily built caches are pre-warmed
-    once here, making every subsequent access read-only.
-    """
-
-    backend = "thread"
-
-    def __init__(
-        self, graph, config, context, cache=None, entropy=0,
-        n_workers: int | None = None, fault_plan=None, task_timeout=None,
-    ):
-        super().__init__(graph, config, context, cache=cache, entropy=entropy,
-                         fault_plan=fault_plan, task_timeout=task_timeout)
-        self._n_workers = resolve_worker_count(
-            n_workers if n_workers is not None else config.n_workers
-        )
-        # Pre-warm the graph's lazy caches (pair-key index, adjacency) on
-        # the calling thread; worker threads then only ever read them.
-        graph._pair_key_index()
-        graph.adjacency
-        self._local = threading.local()
-        self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
-            max_workers=self._n_workers, thread_name_prefix="repro-trial"
-        )
-
-    @property
-    def n_workers(self) -> int:
-        return self._n_workers
-
-    def _worker_cache(self) -> DegreeUncertaintyCache | None:
-        """This thread's private cache clone (lazily created)."""
-        if self._cache is None:
-            return None
-        cache = getattr(self._local, "cache", None)
-        if cache is None:
-            cache = self._cache.clone()
-            self._local.cache = cache
-        return cache
-
-    def _run_one(self, probe_index, trial_index, sigma, config, entropy,
-                 fault=None):
-        execute_fault(fault)
-        return run_trial(
-            self._graph, config, self._context, sigma,
-            probe_index, trial_index, entropy, self._worker_cache(),
-        )
-
-    def _submit_probe(self, probe_index: int, sigma: float) -> list:
-        # Bind config/entropy (and any injected fault) at submission time
-        # so a later set_privacy / set_entropy cannot retroactively change
-        # queued trials, and fault decisions stay deterministic.
-        config, entropy = self._config, self._entropy
-        return [
-            self._pool.submit(
-                self._run_one, probe_index, t, sigma, config, entropy,
-                self._draw_fault(probe_index, t),
-            )
-            for t in range(config.n_trials)
-        ]
-
-    def close(self) -> None:
-        """Shut the pool down without blocking interpreter exit.
-
-        Worker threads cannot be killed; outstanding futures are
-        cancelled, live workers are joined for at most
-        ``shutdown_timeout`` seconds, and any thread still wedged past
-        the deadline is logged (it will die with the process).
-        """
-        if self._pool is None:
-            return
-        pool, self._pool = self._pool, None
-        workers = list(getattr(pool, "_threads", ()))
-        pool.shutdown(wait=False, cancel_futures=True)
-        deadline = time.monotonic() + self.shutdown_timeout
-        for worker in workers:
-            worker.join(timeout=max(0.0, deadline - time.monotonic()))
-        wedged = [w.name for w in workers if w.is_alive()]
-        if wedged:
-            logger.warning(
-                "thread pool shutdown deadline (%.1fs) expired with %d "
-                "worker(s) still running: %s", self.shutdown_timeout,
-                len(wedged), wedged,
-            )
-
-
-# --------------------------------------------------------------------- #
-# Shared-memory publication
-# --------------------------------------------------------------------- #
-
-def _pack_arrays(arrays: dict[str, np.ndarray]):
-    """Copy named arrays into ONE shared segment; return (shm, manifest).
-
-    The manifest -- ``(name, dtype, shape, offset)`` tuples -- is the
-    only thing pickled to workers; the array payload crosses the process
-    boundary through the named segment.  The segment comes from the
-    :mod:`repro._shm` registry, so an interpreter death between here and
-    :meth:`ProcessTrialEngine.close` is swept at exit instead of leaking.
-    """
-    contiguous = {
-        name: np.ascontiguousarray(arr) for name, arr in arrays.items()
-    }
-    total = sum(arr.nbytes for arr in contiguous.values())
-    shm = _segments.create_segment(total, kind=_segments.publish_kind())
-    manifest: list[tuple[str, str, tuple, int]] = []
-    offset = 0
-    for name, arr in contiguous.items():
-        if arr.nbytes:
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf,
-                              offset=offset)
-            view[:] = arr
-            del view
-        manifest.append((name, arr.dtype.str, arr.shape, offset))
-        offset += arr.nbytes
-    return shm, manifest
-
-
-def _unpack_arrays(shm_name: str, manifest) -> dict[str, np.ndarray]:
-    """Attach to the published segment and copy every array out.
-
-    Copying lets the worker detach immediately, so the parent's
-    ``close()``/``unlink()`` never races a live view.
-    """
-    shm = _shm.attach_segment(shm_name)
-    try:
-        out: dict[str, np.ndarray] = {}
-        for name, dtype, shape, offset in manifest:
-            dtype = np.dtype(dtype)
-            if int(np.prod(shape)) == 0:
-                out[name] = np.empty(shape, dtype=dtype)
-                continue
-            view = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
-                              offset=offset)
-            out[name] = np.array(view, copy=True)
-            del view
-    finally:
-        shm.close()
-    return out
-
-
-def _graph_from_arrays(
-    n_nodes: int, src: np.ndarray, dst: np.ndarray, prob: np.ndarray
-) -> UncertainGraph:
-    """Rebuild a validated parent graph from its published edge arrays.
-
-    The arrays already passed the parent's constructor checks, so the
-    per-edge validation loop is replaced by one dict comprehension.
-    """
-    graph = object.__new__(UncertainGraph)
-    graph._n = int(n_nodes)
-    graph._src = src
-    graph._dst = dst
-    graph._prob = prob
-    graph._index = {
-        pair: i for i, pair in enumerate(zip(src.tolist(), dst.tolist()))
-    }
-    graph._labels = None
-    graph._adjacency_cache = None
-    graph._pair_key_cache = None
-    return graph
-
-
-#: Per-worker state installed by :func:`_init_trial_worker`.
-_WORKER_STATE: dict | None = None
-
-
-def _init_trial_worker(
-    shm_name: str, manifest, n_nodes: int, config, entropy: int,
-    has_matrix: bool, poison_attach: bool = False,
-) -> None:
-    """Pool initializer: attach, rebuild the run invariants, detach.
-
-    Runs once per worker process.  The base pmf matrix (when the
-    incremental checker is configured) skips the per-vertex DP via
-    :meth:`DegreeUncertaintyCache.from_base_matrix`.  ``poison_attach``
-    is the fault-injection hook: the initializer dies before touching
-    the segment, so the parent's first dispatched wave observes a
-    ``BrokenProcessPool`` -- the signature of a bad shm attach.
-    """
-    global _WORKER_STATE
-    from .genobf import SelectionContext
-
-    if poison_attach:
-        raise InjectedFault(
-            "injected shm-attach poisoning (fault plan): worker refused "
-            f"to attach segment {shm_name}"
-        )
-    arrays = _unpack_arrays(shm_name, manifest)
-    graph = _graph_from_arrays(
-        n_nodes, arrays["edge_src"], arrays["edge_dst"], arrays["edge_prob"]
-    )
-    context = SelectionContext(
-        uniqueness=arrays["uniqueness"],
-        vertex_relevance=arrays["vertex_relevance"],
-        excluded=arrays["excluded"],
-        weights=arrays["weights"],
-        knowledge=arrays["knowledge"],
-    )
-    cache = None
-    if has_matrix:
-        cache = DegreeUncertaintyCache.from_base_matrix(
-            graph, arrays["base_pmf"], knowledge=arrays["knowledge"]
-        )
-    _WORKER_STATE = {
-        "graph": graph,
-        "config": config,
-        "context": context,
-        "cache": cache,
-        "entropy": int(entropy),
-        "configs": {},
-    }
-
-
-def _trial_task(payload) -> TrialResult:
-    """Module-level (picklable) task: one trial against the worker state.
-
-    ``overrides`` is ``None`` on the single-run path (the worker-state
-    defaults apply) or an ``(entropy, k, epsilon)`` tuple when a sweep
-    retargeted the engine after pool start-up; retargeted configs are
-    memoized per worker so each (k, epsilon) pays ``with_privacy``'s
-    validation once.  An optional fifth element carries an injected
-    :class:`~repro.core.faults.FaultAction` (decided parent-side).
-    """
-    probe_index, trial_index, sigma, overrides, *rest = payload
-    execute_fault(rest[0] if rest else None)
-    state = _WORKER_STATE
-    config = state["config"]
-    entropy = state["entropy"]
-    if overrides is not None:
-        entropy, k, epsilon = overrides
-        config = state["configs"].get((k, epsilon))
-        if config is None:
-            config = state["config"].with_privacy(k, epsilon)
-            state["configs"][(k, epsilon)] = config
-    return run_trial(
-        state["graph"], config, state["context"], sigma,
-        probe_index, trial_index, entropy, state["cache"],
-    )
-
-
-class ProcessTrialEngine(_PooledTrialEngine):
-    """Persistent per-run worker pool over shared-memory base state.
-
-    The pool and the published segment live for the whole anonymization
-    run (every sigma probe reuses them); :meth:`close` -- called by
-    ``Chameleon.anonymize``'s ``finally`` even when a worker crashes --
-    shuts the pool down and unlinks the segment.
-    """
-
-    backend = "process"
-
-    def __init__(
-        self, graph, config, context, cache=None, entropy=0,
-        n_workers: int | None = None, fault_plan=None, task_timeout=None,
-    ):
-        super().__init__(graph, config, context, cache=cache, entropy=entropy,
-                         fault_plan=fault_plan, task_timeout=task_timeout)
-        self._n_workers = resolve_worker_count(
-            n_workers if n_workers is not None else config.n_workers
-        )
-        self._shm = None
-        self._pool: ProcessPoolExecutor | None = None
-        arrays = {
-            "edge_src": graph.edge_src,
-            "edge_dst": graph.edge_dst,
-            "edge_prob": graph.edge_probabilities,
-            "uniqueness": context.uniqueness,
-            "vertex_relevance": context.vertex_relevance,
-            "excluded": context.excluded,
-            "weights": context.weights,
-            "knowledge": context.knowledge,
-        }
-        has_matrix = self._cache is not None
-        if has_matrix:
-            arrays["base_pmf"] = self._cache.base_matrix
-        self._shm, manifest = _pack_arrays(arrays)
-        # None until set_privacy/set_entropy retargets the run; then the
-        # (entropy, k, epsilon) triple rides along in every task payload,
-        # overriding the worker-state defaults baked in at pool start-up.
-        self._overrides: tuple[int, int, float] | None = None
-        poison = fault_plan.take_shm_poison() if fault_plan else False
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._n_workers,
-                initializer=_init_trial_worker,
-                initargs=(self._shm.name, manifest, graph.n_nodes, config,
-                          self._entropy, has_matrix, poison),
-            )
-        except BaseException:
-            self.close()
-            raise
-
-    @property
-    def n_workers(self) -> int:
-        return self._n_workers
-
-    def _on_mutation(self) -> None:
-        self._overrides = (self._entropy, self._config.k,
-                           self._config.epsilon)
-
-    def _submit_probe(self, probe_index: int, sigma: float):
-        overrides = self._overrides
-        return [
-            self._pool.submit(
-                _trial_task,
-                (probe_index, t, sigma, overrides,
-                 self._draw_fault(probe_index, t)),
-            )
-            for t in range(self._config.n_trials)
-        ]
-
     def close(self) -> None:
         """Shut down the pool (bounded) and unlink the published segment.
 
-        A wedged or fault-delayed worker must not be able to hang
-        interpreter exit: live workers get ``shutdown_timeout`` seconds
-        to drain, then are killed outright and reaped.
+        The executor's manager thread is the one reaper of the workers.
+        Joining them here as well would race its ``waitpid``: a worker
+        it had already reaped would then look alive and be killed by a
+        pid the kernel may have reused.  So ``close`` gives that thread
+        ``shutdown_timeout`` seconds, and only if it is still running at
+        the deadline -- a wedged or fault-delayed trial must not hang
+        interpreter exit -- kills the workers that have not exited and
+        lets the manager reap them.
         """
         if self._pool is not None:
             pool, self._pool = self._pool, None
+            manager = getattr(pool, "_executor_manager_thread", None)
             workers = list((getattr(pool, "_processes", None) or {}).values())
             pool.shutdown(wait=False, cancel_futures=True)
-            deadline = time.monotonic() + self.shutdown_timeout
-            for worker in workers:
-                worker.join(max(0.0, deadline - time.monotonic()))
-            survivors = [w for w in workers if w.is_alive()]
-            for worker in survivors:
-                worker.kill()
-            if survivors:
-                logger.warning(
-                    "pool shutdown deadline (%.1fs) expired; killed %d "
-                    "worker process(es): %s", self.shutdown_timeout,
-                    len(survivors), [w.pid for w in survivors],
-                )
+            if manager is not None:
+                manager.join(self.shutdown_timeout)
+            if manager is not None and manager.is_alive():
+                # A worker whose sentinel is not ready has not exited,
+                # so nobody has reaped it and its pid is still its own.
+                exited = set(_wait_sentinels([w.sentinel for w in workers], 0))
+                survivors = [w for w in workers if w.sentinel not in exited]
                 for worker in survivors:
-                    worker.join(1.0)  # reap the corpse, avoid zombies
+                    worker.kill()
+                if survivors:
+                    logger.warning(
+                        "pool shutdown deadline (%.1fs) expired; killed %d "
+                        "worker process(es): %s", self.shutdown_timeout,
+                        len(survivors), [w.pid for w in survivors],
+                    )
+                manager.join(1.0)  # it reaps the corpses, no zombies
         if self._shm is not None:
             shm, self._shm = self._shm, None
-            _shm.release_segment(shm)
+            _segments.release_segment(shm)
 
     def __del__(self):  # best-effort backstop; close() is the contract
         try:
@@ -862,12 +742,6 @@ def create_trial_engine(
         )
     if backend == "process":
         return ProcessTrialEngine(
-            graph, config, context, cache=cache, entropy=entropy,
-            n_workers=n_workers, fault_plan=fault_plan,
-            task_timeout=task_timeout,
-        )
-    if backend == "thread":
-        return ThreadTrialEngine(
             graph, config, context, cache=cache, entropy=entropy,
             n_workers=n_workers, fault_plan=fault_plan,
             task_timeout=task_timeout,

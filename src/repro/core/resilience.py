@@ -1,6 +1,6 @@
 """Supervised trial execution: retry, degradation and checkpoint/resume.
 
-The pooled trial engines (:mod:`repro.core.parallel`) made the sigma
+The trial engines (:mod:`repro.core.parallel`) made the sigma
 search fast; this module makes it *survivable*.  Long anonymization runs
 meet three failure classes -- a worker process dies
 (``BrokenProcessPool``), a trial wedges past any reasonable deadline,
@@ -19,7 +19,7 @@ a failed probe on any backend reproduces it bit for bit.
   probe coordinates.  Because trial streams are keyed by coordinates,
   the retried probe's outcome is identical to the one the crash ate.
 * **A degradation ladder** -- when a backend exhausts its retries the
-  supervisor steps down ``process -> thread -> serial``, recording a
+  supervisor steps down ``process -> serial``, recording a
   structured :class:`~repro.core.result.DegradationEvent` per rung.
   The serial rung has no pool to break; only when *it* also exhausts
   its retries does :class:`~repro.exceptions.ResilienceError` escape.
@@ -67,8 +67,7 @@ logger = logging.getLogger("repro.core.resilience")
 
 #: Next rung per backend; ``None`` means no further fallback exists.
 DEGRADATION_LADDER: dict[str, str | None] = {
-    "process": "thread",
-    "thread": "serial",
+    "process": "serial",
     "serial": None,
 }
 
@@ -85,7 +84,7 @@ _JOURNAL_VERSION = 1
 #: must NOT invalidate a checkpoint).
 _FINGERPRINT_CONFIG_FIELDS = (
     "k", "epsilon", "size_multiplier", "white_noise", "n_trials",
-    "relevance_samples", "relevance_method", "obfuscation_checker",
+    "relevance_samples", "relevance_method",
     "selection_mode", "perturbation_mode", "sigma_initial", "sigma_max",
     "sigma_tolerance", "uniqueness_bandwidth", "name",
 )
@@ -485,7 +484,7 @@ class SupervisedTrialEngine:
             )
         # Checkpointing walks the ladder probe by probe: each completed
         # probe becomes durable (and replayable) immediately, at the
-        # cost of the pooled engines' speculative cross-probe overlap.
+        # cost of the process engine's speculative cross-probe overlap.
         outcomes: list[GenObfOutcome] = []
         for i, sigma in enumerate(sigmas):
             outcome = self.run_probe(first_probe_index + i, sigma)

@@ -18,8 +18,8 @@ class DegradationEvent:
     """One rung of the supervised degradation ladder, as it fired.
 
     Recorded by :class:`repro.core.resilience.SupervisedTrialEngine`
-    whenever it abandons a backend (``process -> thread`` or
-    ``thread -> serial``) after exhausting that backend's retries.
+    whenever it abandons a backend (``process -> serial``) after
+    exhausting that backend's retries.
     Defined here (not in :mod:`repro.core.resilience`) so result types
     never import the supervision machinery.
     """
@@ -90,8 +90,8 @@ class AnonymizationResult:
     elapsed_seconds:
         Wall-clock time of the run.
     trial_backend:
-        Trial-execution backend of the sigma search (``"serial"``,
-        ``"thread"`` or ``"process"``; see
+        Trial-execution backend of the sigma search (``"serial"`` or
+        ``"process"``; see
         :data:`repro.core.parallel.TRIAL_BACKENDS`).
     trial_workers:
         Worker count the trial engine ran with (1 for serial).

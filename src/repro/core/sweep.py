@@ -126,8 +126,8 @@ def sweep_anonymize(
     Returns ``{k: AnonymizationResult}`` in the order given.  Uniqueness
     and reliability relevance are computed once; note the exclusion set
     depends only on ``epsilon``, so sharing is exact (not approximate).
-    The trial engine named by ``trial_backend`` (serial / thread /
-    process, via ``config_overrides``) is also built once and retargeted
+    The trial engine named by ``trial_backend`` (serial / process, via
+    ``config_overrides``) is also built once and retargeted
     per k, so a process pool's start-up and shared-memory publication
     are paid once per sweep rather than once per run.
     """

@@ -57,7 +57,7 @@ class ResilienceError(ReproError):
 
     The :class:`repro.core.resilience.SupervisedTrialEngine` retries a
     failed probe on its current backend and then walks the degradation
-    ladder (``process -> thread -> serial``); only when the *last* rung
+    ladder (``process -> serial``); only when the *last* rung
     has also exhausted its retries does this error escape.  It also
     covers checkpoint-journal mismatches on ``--resume`` (the journal
     belongs to a different graph / config / entropy, so replaying it

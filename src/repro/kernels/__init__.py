@@ -1,122 +1,41 @@
-"""Compiled-kernel registry with bit-compatible pure-NumPy fallbacks.
+"""The world store's mask re-threshold kernel and the host CPU probe.
 
-The GenObf hot loops funnel through three scalar-heavy kernels -- the
-Poisson-binomial degree-pmf DP, dirty-world mask re-threshold +
-union-find relabeling, and truncated-normal noise sampling.  This
-package hosts them behind one registry:
+:func:`rethreshold_masks` is the one array kernel still called through
+this module (``kernels.rethreshold_masks``) rather than defined beside
+its caller: the pipeline benchmark's tracer patches it here as the
+``kernels`` layer.  The other hot kernels live next to their one
+caller -- the Poisson-binomial DP in
+:func:`repro.privacy.degree_distribution.poisson_binomial_pmf`, the
+truncated-normal transform in
+:func:`repro.core.noise.truncated_normal_noise` and the batched
+component labeling in :mod:`repro.reliability.connectivity`.
 
-* the **numba** backend (``repro.kernels._numba``) compiles them with
-  ``@njit(nogil=True, cache=True)`` -- GIL-free, so the thread-backed
-  trial engine's workers genuinely overlap;
-* the **numpy** backend (``repro.kernels._numpy``) is the
-  always-available fallback, **bit-compatible** with the compiled path
-  (asserted by ``tests/test_kernels.py``): switching backends never
-  changes a single output bit anywhere in the library.
-
-Selection happens at import: numba when importable, numpy otherwise,
-overridable with ``REPRO_KERNELS=numba|numpy`` (requesting numba
-without the dependency installed raises -- an explicit ask is never
-silently downgraded).  :func:`use` switches at runtime for benchmarks
-and tests; :func:`kernel_capabilities` reports what is active (surfaced
-by ``repro.core.diagnostics.execution_environment`` and the
-``chameleon capabilities`` CLI).
-
-Logic whose float ordering must not drift between backends --
-tail-mass folding, the truncated-normal inverse-CDF transform and its
-draw ordering -- lives once in :mod:`repro.kernels._shared` and is
-shared by both implementations.
+Every kernel is plain NumPy; :func:`active_backend` and
+:func:`numba_available` report that constant for benchmark metadata.
 """
 
 from __future__ import annotations
 
 import os
 
-from ..exceptions import ConfigurationError
-from ._shared import fold_pmf_tail, truncated_normal_draws
+import numpy as np
 
 __all__ = [
-    "KERNEL_BACKENDS",
-    "KERNELS_ENV",
-    "use",
     "active_backend",
     "numba_available",
-    "kernel_capabilities",
     "usable_cpu_count",
-    "poisson_binomial_pmf",
     "rethreshold_masks",
-    "masked_component_labels",
-    "truncnorm_transform",
-    "fold_pmf_tail",
-    "truncated_normal_draws",
 ]
-
-#: Selectable kernel backends, preferred first.
-KERNEL_BACKENDS = ("numba", "numpy")
-
-#: Environment variable overriding the import-time backend choice.
-KERNELS_ENV = "REPRO_KERNELS"
-
-#: Registered kernel names (the registry's dispatch table keys).
-KERNEL_NAMES = (
-    "poisson_binomial_pmf",
-    "rethreshold_masks",
-    "masked_component_labels",
-    "truncnorm_transform",
-)
-
-from . import _numpy  # noqa: E402  (fallback is always importable)
-
-try:
-    from . import _numba
-    _NUMBA_IMPORT_ERROR: Exception | None = None
-except ImportError as exc:  # numba not installed -- fallback only
-    _numba = None
-    _NUMBA_IMPORT_ERROR = exc
-
-_IMPLEMENTATIONS = {"numpy": _numpy}
-if _numba is not None:
-    _IMPLEMENTATIONS["numba"] = _numba
-
-#: Active dispatch table, mutated only by :func:`use`.
-_ACTIVE: dict[str, object] = {}
-_BACKEND = ""
-
-
-def numba_available() -> bool:
-    """True when the compiled backend's dependency imported cleanly."""
-    return _numba is not None
-
-
-def use(backend: str) -> str:
-    """Activate a kernel backend; returns the previously active one.
-
-    Benchmarks use this to time both implementations in one process;
-    tests use it to pin the fallback.  Requesting ``"numba"`` without
-    numba installed raises :class:`ConfigurationError`.
-    """
-    global _BACKEND
-    if backend not in KERNEL_BACKENDS:
-        raise ConfigurationError(
-            f"unknown kernel backend {backend!r}; expected one of "
-            f"{KERNEL_BACKENDS}"
-        )
-    module = _IMPLEMENTATIONS.get(backend)
-    if module is None:
-        raise ConfigurationError(
-            f"kernel backend {backend!r} is unavailable: numba failed to "
-            f"import ({_NUMBA_IMPORT_ERROR}); install the 'fast' extra "
-            "(pip install repro[fast]) or use REPRO_KERNELS=numpy"
-        )
-    previous = _BACKEND
-    for name in KERNEL_NAMES:
-        _ACTIVE[name] = getattr(module, name)
-    _BACKEND = backend
-    return previous
 
 
 def active_backend() -> str:
-    """Name of the backend currently serving the registry."""
-    return _BACKEND
+    """Name of the kernel implementation: always ``"numpy"``."""
+    return "numpy"
+
+
+def numba_available() -> bool:
+    """False: no compiled kernel backend exists."""
+    return False
 
 
 def usable_cpu_count() -> int:
@@ -127,59 +46,19 @@ def usable_cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def kernel_capabilities() -> dict:
-    """Machine-readable report of the kernel execution environment.
+def rethreshold_masks(
+    uniforms: np.ndarray,
+    base_masks: np.ndarray,
+    cols: np.ndarray,
+    new_p: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re-threshold changed columns and find the dirty worlds.
 
-    Records which backend is active, whether (and which) numba is
-    present, the per-kernel implementation actually dispatched (the
-    truncated-normal transform is shared -- reported as ``"shared"`` --
-    regardless of backend), and the usable CPU count.
+    Returns ``(new_cols, dirty)``: the ``(N, len(cols))`` boolean
+    realization of the changed columns under their new probabilities,
+    and the int64 row indices where any changed edge flipped relative to
+    ``base_masks``.
     """
-    kernels = {}
-    for name in KERNEL_NAMES:
-        if name == "truncnorm_transform":
-            kernels[name] = "shared"
-        else:
-            kernels[name] = _BACKEND
-    numba_version = None
-    if _numba is not None:
-        import numba
-        numba_version = numba.__version__
-    return {
-        "backend": _BACKEND,
-        "numba_available": numba_available(),
-        "numba_version": numba_version,
-        "kernels": kernels,
-        "usable_cpus": usable_cpu_count(),
-        "cpu_count": os.cpu_count() or 1,
-    }
-
-
-def _initial_backend() -> str:
-    requested = os.environ.get(KERNELS_ENV, "").strip().lower()
-    if requested:
-        return requested  # use() validates and raises on a bad request
-    return "numba" if numba_available() else "numpy"
-
-
-use(_initial_backend())
-
-
-def poisson_binomial_pmf(p):
-    """Dispatch: exact Poisson-binomial pmf (no validation -- hot path)."""
-    return _ACTIVE["poisson_binomial_pmf"](p)
-
-
-def rethreshold_masks(uniforms, base_masks, cols, new_p):
-    """Dispatch: changed-column realizations + dirty-world indices."""
-    return _ACTIVE["rethreshold_masks"](uniforms, base_masks, cols, new_p)
-
-
-def masked_component_labels(n_nodes, src, dst, masks):
-    """Dispatch: canonical per-world component labels for a mask batch."""
-    return _ACTIVE["masked_component_labels"](n_nodes, src, dst, masks)
-
-
-def truncnorm_transform(u, sigma):
-    """Dispatch: inverse-CDF truncated-normal transform (shared impl)."""
-    return _ACTIVE["truncnorm_transform"](u, sigma)
+    new_cols = uniforms[:, cols] < new_p
+    flipped = new_cols != base_masks[:, cols]
+    return new_cols, np.flatnonzero(flipped.any(axis=1))

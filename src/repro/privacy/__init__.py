@@ -31,7 +31,7 @@ from .entropy import (
     normal_differential_entropy,
     shannon_entropy,
 )
-from .incremental import OBFUSCATION_CHECKERS, DegreeUncertaintyCache
+from .incremental import DegreeUncertaintyCache
 from .obfuscation import (
     ObfuscationReport,
     check_obfuscation,
@@ -78,7 +78,6 @@ __all__ = [
     "check_obfuscation",
     "column_entropy_profile",
     "report_from_entropy_profile",
-    "OBFUSCATION_CHECKERS",
     "DegreeUncertaintyCache",
     "commonness_scores",
     "uniqueness_scores",

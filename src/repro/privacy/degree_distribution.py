@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import kernels
 from ..ugraph.graph import UncertainGraph
 from .entropy import shannon_entropy
 
@@ -37,16 +36,17 @@ def poisson_binomial_pmf(probabilities: np.ndarray) -> np.ndarray:
     Returns an array of length ``len(probabilities) + 1``; entry ``d`` is
     ``Pr[sum == d]``.  An empty input yields the point mass at 0.
 
-    The DP itself runs on the active :mod:`repro.kernels` backend
-    (compiled when numba is installed); validation stays here so both
-    backends execute the same unguarded hot loop.
+    Each DP step convolves with the two-tap kernel ``[1 - p_i, p_i]``.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError(f"probabilities must be 1-D, got shape {p.shape}")
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    return kernels.poisson_binomial_pmf(p)
+    pmf = np.ones(1, dtype=np.float64)
+    for pi in p:
+        pmf = np.convolve(pmf, (1.0 - pi, pi))
+    return pmf
 
 
 def poisson_binomial_moments(probabilities: np.ndarray) -> tuple[float, float]:
@@ -85,9 +85,8 @@ def degree_uncertainty_matrix(
     support exceeds an explicit ``max_degree`` fold the tail mass
     ``Pr[deg(u) >= max_degree]`` into the last bucket, so every row stays
     a distribution (sums to 1) no matter how tight the cap -- callers cap
-    the matrix *width*, never the probability mass.  Folding goes through
-    the backend-shared :func:`repro.kernels.fold_pmf_tail`, the single
-    source of truth for the tail summation order.
+    the matrix *width*, never the probability mass.  The tail is summed
+    with ``np.sum``'s pairwise order.
     """
     incident = incident_probability_lists(graph)
     widest = max((len(b) for b in incident), default=0)
@@ -96,7 +95,8 @@ def degree_uncertainty_matrix(
     for u, probabilities in enumerate(incident):
         pmf = poisson_binomial_pmf(probabilities)
         if pmf.shape[0] > width:
-            matrix[u] = kernels.fold_pmf_tail(pmf, width)
+            matrix[u, : width - 1] = pmf[: width - 1]
+            matrix[u, width - 1] = pmf[width - 1:].sum()
         else:
             matrix[u, : pmf.shape[0]] = pmf
     return matrix

@@ -75,8 +75,8 @@ Property tests in ``tests/test_incremental.py`` assert report equality
 (entropies, mask, epsilon-hat, bitwise) against the full checker on
 random and GenObf-shaped deltas, and pin the batched DP to
 :func:`~repro.privacy.degree_distribution.poisson_binomial_pmf` row by
-row.  The full recompute stays available as the correctness oracle
-behind ``ChameleonConfig.obfuscation_checker``.
+row.  The full recompute, :func:`~repro.privacy.check_obfuscation`,
+is the correctness oracle those tests compare against.
 """
 
 from __future__ import annotations
@@ -90,10 +90,7 @@ from .degree_distribution import expected_degree_knowledge
 from .entropy import column_entropies, entropies_from_terms, entropy_terms
 from .obfuscation import ObfuscationReport, report_from_entropy_profile
 
-__all__ = ["OBFUSCATION_CHECKERS", "DegreeUncertaintyCache"]
-
-#: Selectable checker implementations for ``ChameleonConfig``.
-OBFUSCATION_CHECKERS = ("incremental", "full")
+__all__ = ["DegreeUncertaintyCache"]
 
 #: Rows per batched-DP block.  Rows run in ascending factor count, so a
 #: block's buffers are only as wide as its own longest row; the cap

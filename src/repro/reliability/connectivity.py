@@ -6,14 +6,11 @@ connected-component labeling and the number of connected vertex pairs.
 They are the inner loop of every reliability estimator, so five backends
 are provided behind one ``backend=`` parameter:
 
-* ``batched-scipy``: the in-process batch engine.  Dispatches through
-  the :mod:`repro.kernels` registry: with the compiled backend active a
-  ``nogil`` union-find kernel labels every world directly; the fallback
-  stacks all ``N`` worlds into ONE block-diagonal sparse adjacency
-  (node ids offset by ``world_index * n_nodes``) and labels every world
-  with a single compiled ``connected_components`` call.  Both produce
-  the registry's canonical labeling (per-row consecutive ids in
-  first-appearance order), so the choice is invisible bit for bit.
+* ``batched-scipy``: the in-process batch engine.  It stacks all ``N``
+  worlds into ONE block-diagonal sparse adjacency (node ids offset by
+  ``world_index * n_nodes``) and labels every world with a single
+  compiled ``connected_components`` call, producing the canonical
+  labeling (per-row consecutive ids in first-appearance order).
 * ``process``: chunks the world matrix across a lazily created,
   *persistent* :class:`~concurrent.futures.ProcessPoolExecutor` whose
   worker count comes from an explicit ``n_workers`` argument, the
@@ -51,7 +48,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_cc
 
-from .. import _segments, _shm, kernels
+from .. import _segments
 from ..exceptions import ConfigurationError
 from ..ugraph.graph import UncertainGraph
 from .union_find import component_labels as _uf_labels
@@ -278,7 +275,7 @@ def _create_shared_masks(masks: np.ndarray) -> "_segments.Segment":
     The kind follows ``REPRO_SEGMENT_KIND``: POSIX shared memory by
     default, file-backed memmap segments where ``/dev/shm`` is scarce.
 
-    The segment comes from the :mod:`repro._shm` registry, so an
+    The segment comes from the :mod:`repro._segments` registry, so an
     interpreter killed between creation and the ``finally`` unlink in
     :func:`_process_labels` is swept at exit instead of leaking.
     """
@@ -324,14 +321,14 @@ def _labels_shm_worker(payload) -> np.ndarray:
     the segment as soon as every worker has read its slice.
     """
     n_nodes, src, dst, shm_name, shape, start, stop = payload
-    shm = _shm.attach_segment(shm_name)
+    shm = _segments.attach_segment(shm_name)
     try:
         view = np.ndarray(shape, dtype=np.bool_, buffer=shm.buf)
         chunk = np.array(view[start:stop], copy=True)
         del view
     finally:
         shm.close()
-    return kernels.masked_component_labels(n_nodes, src, dst, chunk)
+    return _batched_labels_chunked(n_nodes, src, dst, chunk)
 
 
 def _process_labels(
@@ -350,7 +347,7 @@ def _process_labels(
     n_samples = masks.shape[0]
     n_workers = min(n_workers, max(1, n_samples))
     if n_workers <= 1:
-        return kernels.masked_component_labels(n_nodes, src, dst, masks)
+        return _batched_labels_chunked(n_nodes, src, dst, masks)
     masks = np.ascontiguousarray(masks)
     shm = _create_shared_masks(masks)
     try:
@@ -366,7 +363,7 @@ def _process_labels(
             raise
         return np.concatenate(parts, axis=0)
     finally:
-        _shm.release_segment(shm)
+        _segments.release_segment(shm)
 
 
 def component_labels_for_edges(
@@ -394,10 +391,7 @@ def component_labels_for_edges(
         masks = masks.astype(bool)
     backend = resolve_backend(backend, masks.shape[0] * max(1, masks.shape[1]))
     if backend == "batched-scipy":
-        # In-process batch engine; the kernel registry picks the actual
-        # implementation (compiled union-find vs block-diagonal scipy --
-        # bit-identical canonical labels either way).
-        return kernels.masked_component_labels(n_nodes, src, dst, masks)
+        return _batched_labels_chunked(n_nodes, src, dst, masks)
     if backend == "process":
         return _process_labels(
             n_nodes, src, dst, masks, resolve_worker_count(n_workers)

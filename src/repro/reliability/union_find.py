@@ -93,11 +93,11 @@ def canonical_component_labels(
 
     Scanning vertices ``0 .. n-1``, a component receives the next
     consecutive id the first time one of its vertices appears.  This is
-    the labeling contract of :func:`repro.kernels.masked_component_labels`
-    (and of the block-diagonal scipy batch path, whose global ids
-    shifted by each row's first id are exactly these); this
-    dependency-free implementation is the oracle the kernel property
-    tests compare against bit for bit.
+    the labeling contract of the block-diagonal scipy batch path in
+    :mod:`repro.reliability.connectivity` (whose global ids shifted by
+    each row's first id are exactly these); this dependency-free
+    implementation is the oracle the labeling property tests compare
+    against bit for bit.
     """
     raw = component_labels(n_nodes, src, dst)
     out = np.empty(n_nodes, dtype=np.int32)

@@ -283,7 +283,7 @@ class TestTrialBackendIdentity:
     def _run(self, graph, **overrides):
         return anonymize(graph, 4, 0.3, **{**self.FAST, **overrides})
 
-    @pytest.mark.parametrize("trial_backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("trial_backend", ["serial", "process"])
     def test_backends_identical_under_chunked_memmap_store(
             self, small_profile_graph, monkeypatch, tmp_path, trial_backend):
         graph = small_profile_graph

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.ugraph import read_edge_list
+from tests.checker_oracle import use_full_checker
 
 
 def test_parser_subcommands():
@@ -181,23 +182,35 @@ def test_backend_flags_parse():
 
 
 def test_checker_flag_parses_and_rejects_unknown(capsys):
+    """``--checker`` is gone (the full checker is a test oracle now):
+    every value, the former ``full`` included, is a usage error."""
     parser = build_parser()
     args = parser.parse_args(["anonymize", "a.pel", "b.pel", "--k", "3"])
-    assert args.checker == "incremental"
-    args = parser.parse_args(
-        ["anonymize", "a.pel", "b.pel", "--k", "3", "--checker", "full"]
-    )
-    assert args.checker == "full"
-    with pytest.raises(SystemExit):
-        parser.parse_args(
-            ["anonymize", "a.pel", "b.pel", "--k", "3", "--checker", "magic"]
-        )
+    assert not hasattr(args, "checker")
+    for value in ("full", "incremental", "magic"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(
+                ["anonymize", "a.pel", "b.pel", "--k", "3", "--checker", value]
+            )
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
-def test_anonymize_with_full_checker(tmp_path, capsys):
-    """--checker full must produce the same output as the default
-    incremental checker (both consume the rng identically)."""
+def test_thread_trial_backend_exits_2(capsys):
+    """The thread trial engine is gone from both commands that took it."""
+    parser = build_parser()
+    for command in (["anonymize", "a.pel", "b.pel", "--k", "3"],
+                    ["sweep", "ppi", "--k", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command + ["--trial-backend", "thread"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_anonymize_with_full_checker(tmp_path, capsys, monkeypatch):
+    """A run whose trial checks go through the full oracle writes the
+    same bytes as the default incremental checker (the check draws
+    nothing from the rng)."""
     source = tmp_path / "orig.pel"
     a = tmp_path / "anon-incremental.pel"
     b = tmp_path / "anon-full.pel"
@@ -206,11 +219,11 @@ def test_anonymize_with_full_checker(tmp_path, capsys):
     common = ["--method", "me", "--k", "4", "--epsilon", "0.08",
               "--trials", "2", "--seed", "7"]
     assert main(["anonymize", str(source), str(a)] + common) == 0
-    capsys.readouterr()
-    assert main(["anonymize", str(source), str(b),
-                 "--checker", "full"] + common) == 0
-    capsys.readouterr()
-    assert a.read_text() == b.read_text()
+    incremental_out = capsys.readouterr().out
+    use_full_checker(monkeypatch)
+    assert main(["anonymize", str(source), str(b)] + common) == 0
+    assert capsys.readouterr().out == incremental_out
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_backend_flag_rejects_unknown(capsys):
@@ -299,7 +312,7 @@ def test_exhausted_supervision_exit_3(tmp_path, capsys):
     code = main([
         "anonymize", str(source), str(target),
         "--method", "me", "--k", "4", "--epsilon", "0.08",
-        "--trials", "2", "--seed", "33", "--trial-backend", "thread",
+        "--trials", "2", "--seed", "33", "--trial-backend", "serial",
         "--faults", "crash@*.*x100000", "--max-retries", "0",
     ])
     err = capsys.readouterr().err
@@ -315,7 +328,7 @@ def test_fault_recovery_matches_clean_run(tmp_path, capsys):
     main(["generate", "ppi", str(source), "--scale", "0.2", "--seed", "34"])
     capsys.readouterr()
     common = ["--method", "me", "--k", "4", "--epsilon", "0.08",
-              "--trials", "2", "--seed", "35", "--trial-backend", "thread"]
+              "--trials", "2", "--seed", "35", "--trial-backend", "serial"]
     assert main(["anonymize", str(source), str(clean)] + common) == 0
     capsys.readouterr()
     assert main(["anonymize", str(source), str(faulted),

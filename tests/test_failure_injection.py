@@ -138,7 +138,7 @@ class TestRuntimeFaultInjection:
         reference = repro.anonymize(small_profile_graph, seed=3, **self.FAST)
         monkeypatch.setenv("REPRO_FAULTS", "crash@0.0")
         result = repro.anonymize(
-            small_profile_graph, seed=3, trial_backend="thread",
+            small_profile_graph, seed=3, trial_backend="serial",
             retry_backoff=0.0, **self.FAST
         )
         assert result.trial_retries >= 1
@@ -152,7 +152,7 @@ class TestRuntimeFaultInjection:
         # an explicit (empty = disabled) plan.
         monkeypatch.setenv("REPRO_FAULTS", "crash@0.0")
         result = repro.anonymize(
-            small_profile_graph, seed=3, trial_backend="thread",
+            small_profile_graph, seed=3, trial_backend="serial",
             fault_plan="", **self.FAST
         )
         assert result.trial_retries == 0
@@ -164,7 +164,7 @@ class TestRuntimeFaultInjection:
         monkeypatch.setenv("REPRO_FAULTS", "explode@everywhere")
         with pytest.raises(ConfigurationError):
             repro.anonymize(
-                small_profile_graph, seed=3, trial_backend="thread",
+                small_profile_graph, seed=3, trial_backend="serial",
                 **self.FAST
             )
 
@@ -176,7 +176,7 @@ class TestRuntimeFaultInjection:
         """A poisoned shared-memory attach breaks the first process pool;
         the respawned pool attaches cleanly and the run stays on the
         process rung."""
-        from repro import _shm
+        from repro import _segments
 
         result = repro.anonymize(
             small_profile_graph, seed=3, trial_backend="process",
@@ -184,7 +184,7 @@ class TestRuntimeFaultInjection:
         )
         assert result.trial_retries >= 1
         assert result.degradations == ()
-        assert _shm.active_segments() == ()
+        assert _segments.active_segments() == ()
 
 
 class TestAdversarialParameters:

@@ -7,6 +7,11 @@ from repro.core import ChameleonConfig, build_selection_context, gen_obf
 from repro.core.genobf import _edge_noise_scales
 from repro.privacy import check_obfuscation, expected_degree_knowledge
 from repro.ugraph import UncertainGraph
+from tests.checker_oracle import (
+    assert_reports_identical,
+    record_checks,
+    use_full_checker,
+)
 
 
 @pytest.fixture
@@ -158,20 +163,27 @@ class TestGenObf:
 
 class TestCheckerEquivalence:
     """The incremental cache must be observationally identical to the
-    full per-trial matrix rebuild: both consume the rng the same way
-    (selection + perturbation draws only), so a shared seed yields the
-    same trial stream and must yield bit-identical outcomes."""
+    full per-trial matrix rebuild (the oracle in
+    ``tests/checker_oracle.py``): every trial's report equals
+    ``check_obfuscation`` of its materialized candidate, and since the
+    check draws nothing from the rng, a shared seed yields bit-identical
+    GenObf outcomes under either checker."""
 
     @pytest.mark.parametrize("sigma", [1e-9, 0.1, 0.5])
-    def test_seeded_gen_obf_outcomes_match(self, graph, context, sigma):
-        from dataclasses import replace
-
-        incremental = ChameleonConfig(
+    def test_seeded_gen_obf_outcomes_match(
+        self, graph, context, sigma, monkeypatch
+    ):
+        config = ChameleonConfig(
             k=5, epsilon=0.05, n_trials=3, relevance_samples=150, seed=0
         )
-        full = replace(incremental, obfuscation_checker="full")
-        a = gen_obf(graph, incremental, sigma=sigma, context=context, seed=11)
-        b = gen_obf(graph, full, sigma=sigma, context=context, seed=11)
+        checks = record_checks(monkeypatch)
+        a = gen_obf(graph, config, sigma=sigma, context=context, seed=11)
+        assert 0 < len(checks) <= config.n_trials
+        for incremental, full in checks:
+            assert_reports_identical(incremental, full)
+        monkeypatch.undo()
+        use_full_checker(monkeypatch)
+        b = gen_obf(graph, config, sigma=sigma, context=context, seed=11)
         assert a.epsilon_achieved == b.epsilon_achieved
         assert a.success == b.success
         if a.success:

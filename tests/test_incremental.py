@@ -25,8 +25,8 @@ from repro.core.parallel import _edge_noise_scales
 from repro.core.selection import select_candidate_edges
 from repro.datasets import load_profile
 from repro.exceptions import ObfuscationError
+import repro.privacy
 from repro.privacy import (
-    OBFUSCATION_CHECKERS,
     DegreeUncertaintyCache,
     check_obfuscation,
     degree_uncertainty_matrix,
@@ -317,7 +317,10 @@ class TestCacheMechanics:
         assert cache.graph is triangle
 
     def test_checker_registry(self):
-        assert OBFUSCATION_CHECKERS == ("incremental", "full")
+        """The incremental cache is the only production checker; the
+        full recompute is a test oracle, not a configuration knob."""
+        assert not hasattr(repro.privacy, "OBFUSCATION_CHECKERS")
+        assert not hasattr(ChameleonConfig(), "obfuscation_checker")
 
     def test_apply_on_clone_leaves_parent_untouched(self):
         """A clone's apply rebinds its own incident index: the parent and

@@ -1,13 +1,14 @@
-"""Kernel registry: bit-compatibility contract across backends.
+"""The hot array kernels, each tested where it lives.
 
-The registry's promise is absolute: switching ``REPRO_KERNELS`` between
-``numba`` and ``numpy`` never changes a single output bit anywhere in
-the library.  These tests pin the pure-NumPy fallback against
-independent references (brute-force enumeration, the dependency-free
-union-find oracle), exercise the edge cases where drift would hide
-(empty edge sets, p in {0, 1}, single-vertex graphs, tail folding at
-the last bucket), and -- when numba is installed -- assert bitwise
-equality of the compiled kernels against the fallback.
+The Poisson-binomial DP and the degree-matrix tail fold
+(:mod:`repro.privacy.degree_distribution`), the truncated-normal
+transform (:func:`repro.core.noise.truncated_normal_noise`), the world
+store's mask re-threshold (:func:`repro.kernels.rethreshold_masks`) and
+the batched component labeling (:mod:`repro.reliability.connectivity`)
+are pinned against independent references (brute-force enumeration,
+closed forms, the dependency-free union-find oracle), on the edge cases
+where drift would hide (empty edge sets, p in {0, 1}, single-vertex
+graphs, tail folding at the last bucket).
 """
 
 import itertools
@@ -16,27 +17,51 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from repro import kernels
-from repro.exceptions import ConfigurationError
-from repro.kernels import (
-    KERNEL_BACKENDS,
-    KERNEL_NAMES,
-    fold_pmf_tail,
-    truncated_normal_draws,
+from repro.core.noise import truncated_normal_noise
+from repro.privacy.degree_distribution import (
+    degree_uncertainty_matrix,
+    poisson_binomial_pmf,
 )
-from repro.reliability.connectivity import _batched_labels_chunked
+from repro.reliability.connectivity import (
+    _batched_labels_chunked,
+    component_labels_for_edges,
+)
 from repro.reliability.union_find import canonical_component_labels
+from repro.ugraph import UncertainGraph
 
 probabilities = st.floats(min_value=0.0, max_value=1.0)
 
 
-@pytest.fixture
-def numpy_backend():
-    """Pin the numpy fallback for the duration of one test."""
-    previous = kernels.use("numpy")
-    yield
-    kernels.use(previous)
+def _star_row(p, width):
+    """Row 0 of the width-capped degree matrix of a star whose centre's
+    incident probabilities are ``p``, with the pmf it folds."""
+    graph = UncertainGraph(
+        len(p) + 1, [(0, i + 1, pi) for i, pi in enumerate(p)]
+    )
+    matrix = degree_uncertainty_matrix(graph, max_degree=width - 1)
+    positive = np.asarray([pi for pi in p if pi > 0.0], dtype=np.float64)
+    return matrix[0], poisson_binomial_pmf(positive)
+
+
+class _FixedUniforms(np.random.Generator):
+    """A generator whose ``random`` returns preset uniforms."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self._u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size=None):
+        return self._u[:size].copy()
+
+
+def _closed_form(u, sigma):
+    """``R_sigma``'s inverse CDF, written out independently."""
+    return np.clip(
+        sigma * ndtri(0.5 + u * (ndtr(1.0 / sigma) - 0.5)), 0.0, 1.0
+    )
 
 
 def _coo_renumber_labels(n_nodes, src, dst, masks):
@@ -79,14 +104,12 @@ def _brute_force_pmf(p):
 
 
 class TestPoissonBinomialPmf:
-    def test_empty(self, numpy_backend):
-        np.testing.assert_array_equal(
-            kernels.poisson_binomial_pmf(np.zeros(0)), [1.0]
-        )
+    def test_empty(self):
+        np.testing.assert_array_equal(poisson_binomial_pmf(np.zeros(0)), [1.0])
 
     @pytest.mark.parametrize("value,index", [(0.0, 0), (1.0, 4)])
-    def test_degenerate_probabilities(self, numpy_backend, value, index):
-        pmf = kernels.poisson_binomial_pmf(np.full(4, value))
+    def test_degenerate_probabilities(self, value, index):
+        pmf = poisson_binomial_pmf(np.full(4, value))
         expected = np.zeros(5)
         expected[index] = 1.0
         np.testing.assert_array_equal(pmf, expected)
@@ -94,22 +117,14 @@ class TestPoissonBinomialPmf:
     @settings(max_examples=50, deadline=None)
     @given(p=st.lists(probabilities, min_size=0, max_size=8))
     def test_close_to_brute_force(self, p):
-        previous = kernels.use("numpy")
-        try:
-            pmf = kernels.poisson_binomial_pmf(np.asarray(p))
-        finally:
-            kernels.use(previous)
+        pmf = poisson_binomial_pmf(np.asarray(p))
         assert pmf.shape == (len(p) + 1,)
         np.testing.assert_allclose(pmf, _brute_force_pmf(p), atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(p=st.lists(probabilities, min_size=0, max_size=32))
     def test_matches_convolution_reference_bitwise(self, p):
-        previous = kernels.use("numpy")
-        try:
-            pmf = kernels.poisson_binomial_pmf(np.asarray(p))
-        finally:
-            kernels.use(previous)
+        pmf = poisson_binomial_pmf(np.asarray(p))
         reference = np.ones(1, dtype=np.float64)
         for pi in p:
             reference = np.convolve(reference, (1.0 - pi, pi))
@@ -117,14 +132,15 @@ class TestPoissonBinomialPmf:
 
 
 class TestFoldPmfTail:
+    """The tail fold of ``degree_uncertainty_matrix(max_degree=...)``."""
+
     @settings(max_examples=50, deadline=None)
     @given(
         p=st.lists(probabilities, min_size=0, max_size=16),
         width=st.integers(min_value=1, max_value=20),
     )
     def test_reference_semantics(self, p, width):
-        pmf = kernels.poisson_binomial_pmf(np.asarray(p))
-        out = fold_pmf_tail(pmf, width)
+        out, pmf = _star_row(p, width)
         assert out.shape == (width,)
         if pmf.shape[0] > width:
             # Head copied verbatim; tail folded with np.sum's pairwise
@@ -136,44 +152,42 @@ class TestFoldPmfTail:
             assert not out[pmf.shape[0]:].any()
 
     def test_fold_at_last_bucket(self):
-        pmf = np.array([0.1, 0.2, 0.3, 0.4])
-        out = fold_pmf_tail(pmf, 2)
+        out, pmf = _star_row([0.5, 0.5, 0.5], 2)
+        np.testing.assert_array_equal(pmf, [0.125, 0.375, 0.375, 0.125])
         np.testing.assert_array_equal(
-            out, [0.1, np.array([0.2, 0.3, 0.4]).sum()]
+            out, [0.125, np.array([0.375, 0.375, 0.125]).sum()]
         )
 
     def test_width_one_folds_everything(self):
-        pmf = np.array([0.25, 0.5, 0.25])
-        np.testing.assert_array_equal(fold_pmf_tail(pmf, 1), [pmf.sum()])
+        out, pmf = _star_row([0.5, 0.5], 1)
+        np.testing.assert_array_equal(pmf, [0.25, 0.5, 0.25])
+        np.testing.assert_array_equal(out, [pmf.sum()])
 
 
 class TestTruncatedNormal:
     def test_transform_bounds_and_monotonicity(self):
         u = np.linspace(0.0, 1.0, 101)
         sigma = np.full_like(u, 0.3)
-        x = kernels.truncnorm_transform(u, sigma)
+        x = truncated_normal_noise(sigma, seed=_FixedUniforms(u))
         assert x[0] == 0.0
         assert np.all((x >= 0.0) & (x <= 1.0))
         assert np.all(np.diff(x) >= 0.0)
         assert np.isfinite(x).all()  # u -> 1 saturation clipped, not inf
 
     def test_draw_ordering_contract(self):
-        """One uniform block, then the transform -- on every backend."""
+        """One ``rng.random`` block, then the closed-form transform."""
         sigma = np.array([0.1, 0.5, 1.0, 2.0])
-        draws = truncated_normal_draws(np.random.default_rng(5), sigma)
+        draws = truncated_normal_noise(sigma, seed=np.random.default_rng(5))
         u = np.random.default_rng(5).random(4)
-        np.testing.assert_array_equal(
-            draws, kernels.truncnorm_transform(u, sigma)
-        )
+        np.testing.assert_array_equal(draws, _closed_form(u, sigma))
 
     def test_noise_module_consumes_shared_draws(self):
-        from repro.core.noise import truncated_normal_noise
-
+        """Zero scales give zero noise and consume no uniforms."""
         sigma = np.array([0.2, 0.0, 0.7])
         got = truncated_normal_noise(sigma, seed=9)
-        rng = np.random.default_rng(9)
+        u = np.random.default_rng(9).random(2)
         expected = np.zeros(3)
-        expected[[0, 2]] = truncated_normal_draws(rng, sigma[[0, 2]])
+        expected[[0, 2]] = _closed_form(u, sigma[[0, 2]])
         np.testing.assert_array_equal(got, expected)
 
 
@@ -193,19 +207,15 @@ class TestRethresholdMasks:
         cols = rng.choice(n_edges, size=n_changed, replace=False)
         new_p = rng.random(n_changed)
 
-        previous = kernels.use("numpy")
-        try:
-            new_cols, dirty = kernels.rethreshold_masks(
-                uniforms, base_masks, cols, new_p
-            )
-        finally:
-            kernels.use(previous)
+        new_cols, dirty = kernels.rethreshold_masks(
+            uniforms, base_masks, cols, new_p
+        )
         expected_cols = uniforms[:, cols] < new_p
         np.testing.assert_array_equal(new_cols, expected_cols)
         flipped = expected_cols != base_masks[:, cols]
         np.testing.assert_array_equal(dirty, np.flatnonzero(flipped.any(axis=1)))
 
-    def test_boundary_probabilities(self, numpy_backend):
+    def test_boundary_probabilities(self):
         uniforms = np.array([[0.0, 0.5], [0.9, 0.2]])
         base_masks = uniforms < np.array([0.5, 0.5])
         cols = np.array([0, 1])
@@ -222,6 +232,8 @@ class TestRethresholdMasks:
 
 
 class TestMaskedComponentLabels:
+    """The batched-scipy labeling kernel, ``_batched_labels_chunked``."""
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -235,11 +247,7 @@ class TestMaskedComponentLabels:
         dst = rng.integers(0, n_nodes, n_edges)
         masks = rng.random((n_worlds, n_edges)) < 0.5
 
-        previous = kernels.use("numpy")
-        try:
-            labels = kernels.masked_component_labels(n_nodes, src, dst, masks)
-        finally:
-            kernels.use(previous)
+        labels = _batched_labels_chunked(n_nodes, src, dst, masks)
         assert labels.shape == (n_worlds, n_nodes)
         for w in range(n_worlds):
             row = masks[w]
@@ -249,8 +257,8 @@ class TestMaskedComponentLabels:
                 err_msg=f"world {w}",
             )
 
-    def test_single_vertex_and_empty_edges(self, numpy_backend):
-        labels = kernels.masked_component_labels(
+    def test_single_vertex_and_empty_edges(self):
+        labels = _batched_labels_chunked(
             1, np.zeros(0, np.int64), np.zeros(0, np.int64),
             np.zeros((3, 0), dtype=bool),
         )
@@ -277,7 +285,7 @@ class TestMaskedComponentLabels:
 
     @staticmethod
     def _assert_canonical(n_nodes, src, dst, masks):
-        labels = kernels.masked_component_labels(n_nodes, src, dst, masks)
+        labels = _batched_labels_chunked(n_nodes, src, dst, masks)
         assert labels.shape == (masks.shape[0], n_nodes)
         assert labels.dtype == np.int32
         for w in range(masks.shape[0]):
@@ -288,7 +296,7 @@ class TestMaskedComponentLabels:
                 err_msg=f"world {w}",
             )
 
-    def test_appended_unsorted_columns(self, numpy_backend):
+    def test_appended_unsorted_columns(self):
         """A store's grown columns arrive after the sorted base edges and
         out of ``src`` order; the direct CSR build must sort them in."""
         rng = np.random.default_rng(3)
@@ -304,7 +312,7 @@ class TestMaskedComponentLabels:
         masks[:, len(base):] = rng.random((7, len(grown))) < 0.8
         self._assert_canonical(n_nodes, src, dst, masks)
 
-    def test_self_loops_and_duplicate_pairs(self, numpy_backend):
+    def test_self_loops_and_duplicate_pairs(self):
         src = np.array([3, 0, 0, 2, 4, 4, 1], dtype=np.int64)
         dst = np.array([3, 1, 1, 2, 0, 0, 1], dtype=np.int64)
         masks = np.array([
@@ -314,30 +322,30 @@ class TestMaskedComponentLabels:
         ])
         self._assert_canonical(5, src, dst, masks)
 
-    def test_zero_worlds(self, numpy_backend):
-        labels = kernels.masked_component_labels(
+    def test_zero_worlds(self):
+        labels = _batched_labels_chunked(
             4, np.array([0, 1]), np.array([1, 2]), np.zeros((0, 2), bool)
         )
         assert labels.shape == (0, 4)
 
-    def test_single_vertex_with_self_loop(self, numpy_backend):
+    def test_single_vertex_with_self_loop(self):
         self._assert_canonical(
             1, np.zeros(2, np.int64), np.zeros(2, np.int64),
             np.array([[True, True], [False, True], [False, False]]),
         )
 
-    def test_all_absent_worlds(self, numpy_backend):
+    def test_all_absent_worlds(self):
         rng = np.random.default_rng(5)
         src = rng.integers(0, 9, 20)
         dst = rng.integers(0, 9, 20)
         masks = rng.random((6, 20)) < 0.5
         masks[[0, 3, 5]] = False
-        labels = kernels.masked_component_labels(9, src, dst, masks)
+        labels = _batched_labels_chunked(9, src, dst, masks)
         for w in (0, 3, 5):
             np.testing.assert_array_equal(labels[w], np.arange(9))
         self._assert_canonical(9, src, dst, masks)
 
-    def test_tiny_batch_node_limit(self, numpy_backend, monkeypatch):
+    def test_tiny_batch_node_limit(self, monkeypatch):
         """Chunked stacking (down to one world per block) is invisible."""
         from repro.reliability import connectivity
 
@@ -346,58 +354,44 @@ class TestMaskedComponentLabels:
         src = rng.integers(0, n_nodes, n_edges)
         dst = rng.integers(0, n_nodes, n_edges)
         masks = rng.random((9, n_edges)) < 0.3
-        whole = kernels.masked_component_labels(n_nodes, src, dst, masks)
+        whole = _batched_labels_chunked(n_nodes, src, dst, masks)
         for limit in (1, 25):
             monkeypatch.setattr(connectivity, "_BATCH_NODE_LIMIT", limit)
             np.testing.assert_array_equal(
-                kernels.masked_component_labels(n_nodes, src, dst, masks),
-                whole,
+                _batched_labels_chunked(n_nodes, src, dst, masks), whole
             )
             self._assert_canonical(n_nodes, src, dst, masks)
 
-    def test_delegates_to_batched_scipy_bitwise(self, numpy_backend):
+    def test_delegates_to_batched_scipy_bitwise(self):
+        """The public ``batched-scipy`` entry point is this kernel."""
         rng = np.random.default_rng(11)
         n_nodes, n_edges, n_worlds = 20, 40, 8
         src = rng.integers(0, n_nodes, n_edges)
         dst = rng.integers(0, n_nodes, n_edges)
         masks = rng.random((n_worlds, n_edges)) < 0.4
         np.testing.assert_array_equal(
-            kernels.masked_component_labels(n_nodes, src, dst, masks),
+            component_labels_for_edges(
+                n_nodes, src, dst, masks, backend="batched-scipy"
+            ),
             _batched_labels_chunked(n_nodes, src, dst, masks),
         )
 
 
 class TestRegistry:
+    """What is left of the kernel registry: the constant backend report
+    benchmark metadata reads, and the CPU counts diagnostics report."""
+
     def test_backend_listing(self):
-        assert KERNEL_BACKENDS == ("numba", "numpy")
-        assert kernels.active_backend() in KERNEL_BACKENDS
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="kernel backend"):
-            kernels.use("cuda")
-
-    @pytest.mark.skipif(kernels.numba_available(),
-                        reason="numba installed; unavailability path moot")
-    def test_explicit_numba_request_raises_without_numba(self):
-        with pytest.raises(ConfigurationError, match="unavailable"):
-            kernels.use("numba")
-
-    def test_use_returns_previous_and_round_trips(self):
-        previous = kernels.use("numpy")
-        try:
-            assert kernels.active_backend() == "numpy"
-        finally:
-            assert kernels.use(previous) == "numpy"
-        assert kernels.active_backend() == previous
+        assert kernels.active_backend() == "numpy"
+        assert kernels.numba_available() is False
 
     def test_capabilities_shape(self):
-        caps = kernels.kernel_capabilities()
-        assert caps["backend"] == kernels.active_backend()
-        assert caps["numba_available"] == kernels.numba_available()
-        assert set(caps["kernels"]) == set(KERNEL_NAMES)
-        assert caps["kernels"]["truncnorm_transform"] == "shared"
-        assert caps["usable_cpus"] >= 1
-        assert caps["cpu_count"] >= 1
+        from repro.core import execution_environment
+
+        env = execution_environment()
+        assert "kernels" not in env
+        assert env["cpus"]["usable"] == kernels.usable_cpu_count() >= 1
+        assert env["cpus"]["total"] >= 1
 
     def test_execution_environment_is_json_serializable(self):
         import json
@@ -406,59 +400,4 @@ class TestRegistry:
 
         env = execution_environment()
         decoded = json.loads(json.dumps(env))
-        assert decoded["kernels"]["backend"] == kernels.active_backend()
-
-
-@pytest.mark.skipif(not kernels.numba_available(),
-                    reason="numba not installed; compiled leg runs in CI")
-class TestNumbaBitEquality:
-    """With numba installed: the compiled kernels must equal the
-    fallback bit for bit, on the same adversarial inputs."""
-
-    def _both(self, name, *args):
-        previous = kernels.use("numpy")
-        try:
-            expected = getattr(kernels, name)(*args)
-            kernels.use("numba")
-            got = getattr(kernels, name)(*args)
-        finally:
-            kernels.use(previous)
-        return got, expected
-
-    @settings(max_examples=50, deadline=None)
-    @given(p=st.lists(probabilities, min_size=0, max_size=64))
-    def test_poisson_binomial_pmf(self, p):
-        got, expected = self._both("poisson_binomial_pmf", np.asarray(p))
-        np.testing.assert_array_equal(got, expected)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_rethreshold_masks(self, seed):
-        rng = np.random.default_rng(seed)
-        n_worlds, n_edges = int(rng.integers(1, 16)), int(rng.integers(1, 12))
-        uniforms = rng.random((n_worlds, n_edges))
-        base_p = rng.random(n_edges)
-        cols = rng.choice(n_edges, size=int(rng.integers(1, n_edges + 1)),
-                          replace=False)
-        new_p = rng.random(cols.size)
-        args = (uniforms, uniforms < base_p, cols, new_p)
-        (cols_a, dirty_a), (cols_b, dirty_b) = self._both(
-            "rethreshold_masks", *args
-        )
-        np.testing.assert_array_equal(cols_a, cols_b)
-        np.testing.assert_array_equal(dirty_a, dirty_b)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_masked_component_labels(self, seed):
-        rng = np.random.default_rng(seed)
-        n_nodes = int(rng.integers(1, 24))
-        n_edges = int(rng.integers(0, n_nodes * 2 + 1))
-        src = rng.integers(0, n_nodes, n_edges)
-        dst = rng.integers(0, n_nodes, n_edges)
-        masks = rng.random((int(rng.integers(1, 8)), n_edges)) < 0.5
-        got, expected = self._both(
-            "masked_component_labels", n_nodes, src, dst, masks
-        )
-        assert got.dtype == expected.dtype
-        np.testing.assert_array_equal(got, expected)
+        assert decoded["cpus"] == env["cpus"]

@@ -23,12 +23,11 @@ from repro.core import (
     gen_obf,
     variant_config,
 )
-from repro import _shm
+from repro import _segments
 from repro.core import parallel
 from repro.core.parallel import (
     ProcessTrialEngine,
     SerialTrialEngine,
-    ThreadTrialEngine,
     TRIAL_BACKENDS,
     _graph_from_arrays,
     _init_trial_worker,
@@ -44,6 +43,11 @@ from repro.exceptions import ConfigurationError
 from repro.privacy import expected_degree_knowledge
 from repro.privacy.incremental import DegreeUncertaintyCache
 from repro.ugraph import UncertainGraph, apply_edge_updates, overlay
+from tests.checker_oracle import (
+    assert_reports_identical,
+    record_checks,
+    use_full_checker,
+)
 
 #: Small-but-nontrivial search configuration shared by the suite.
 FAST = dict(
@@ -58,11 +62,7 @@ FAST = dict(
 def _context_and_cache(graph, config, seed=11):
     knowledge = expected_degree_knowledge(graph)
     context = build_selection_context(graph, config, knowledge, seed=seed)
-    cache = (
-        DegreeUncertaintyCache(graph, knowledge=context.knowledge)
-        if config.obfuscation_checker == "incremental"
-        else None
-    )
+    cache = DegreeUncertaintyCache(graph, knowledge=context.knowledge)
     return context, cache
 
 
@@ -91,7 +91,7 @@ class TestSharedMemoryBundle:
         try:
             out = _unpack_arrays(shm.name, manifest)
         finally:
-            _shm.release_segment(shm)
+            _segments.release_segment(shm)
         assert set(out) == set(arrays)
         for name, arr in arrays.items():
             assert out[name].dtype == arr.dtype
@@ -107,7 +107,7 @@ class TestSharedMemoryBundle:
                 assert isinstance(dtype, str)
                 assert not any(isinstance(x, np.ndarray) for x in entry)
         finally:
-            _shm.release_segment(shm)
+            _segments.release_segment(shm)
 
     def test_graph_reconstruction_matches(self, small_profile_graph):
         g = small_profile_graph
@@ -152,11 +152,11 @@ class TestWorkerPathEqualsParentPath:
         monkeypatch.setattr(parallel, "_WORKER_STATE", None)
         try:
             _init_trial_worker(
-                shm.name, manifest, graph.n_nodes, config, entropy, True
+                shm.name, manifest, graph.n_nodes, config, entropy
             )
             worker_result = _trial_task((3, 1, 0.5, None))
         finally:
-            _shm.release_segment(shm)
+            _segments.release_segment(shm)
         parent_result = run_trial(
             graph, config, context, 0.5, 3, 1, entropy, cache
         )
@@ -215,17 +215,24 @@ class TestGenObfOnEngine:
         if a.graph is not None:
             assert a.graph == b.graph
 
-    def test_checkers_bit_identical(self, small_profile_graph):
-        ctx_inc, cache = _context_and_cache(
-            small_profile_graph, ChameleonConfig(**FAST)
-        )
-        full_config = ChameleonConfig(**FAST, obfuscation_checker="full")
-        a = gen_obf(small_profile_graph, ChameleonConfig(**FAST), 0.5,
-                    ctx_inc, seed=5, cache=cache)
-        b = gen_obf(small_profile_graph, full_config, 0.5, ctx_inc, seed=5)
+    def test_checkers_bit_identical(self, small_profile_graph, monkeypatch):
+        """Each trial's incremental report equals the full oracle's, and
+        a probe checked by the oracle alone picks the same winner."""
+        config = ChameleonConfig(**FAST)
+        ctx_inc, cache = _context_and_cache(small_profile_graph, config)
+        checks = record_checks(monkeypatch)
+        a = gen_obf(small_profile_graph, config, 0.5, ctx_inc, seed=5,
+                    cache=cache)
+        assert len(checks) == config.n_trials
+        for incremental, full in checks:
+            assert_reports_identical(incremental, full)
+        monkeypatch.undo()
+        use_full_checker(monkeypatch)
+        b = gen_obf(small_profile_graph, config, 0.5, ctx_inc, seed=5)
         assert a.epsilon_achieved == b.epsilon_achieved
         if a.graph is not None:
             assert a.graph == b.graph
+            assert_reports_identical(a.report, b.report)
 
 
 class TestCrossBackendBitIdentity:
@@ -241,7 +248,7 @@ class TestCrossBackendBitIdentity:
             utility_samples=16, **FAST,
         )
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_pooled_equals_serial(
         self, small_profile_graph, serial_result, backend, n_workers
@@ -267,8 +274,7 @@ class TestCrossBackendBitIdentity:
 
 
 class TestLadderWave:
-    @pytest.mark.parametrize("engine_cls",
-                             [ThreadTrialEngine, ProcessTrialEngine])
+    @pytest.mark.parametrize("engine_cls", [ProcessTrialEngine])
     def test_pooled_ladder_matches_serial_walk(
         self, small_profile_graph, engine_cls
     ):
@@ -303,7 +309,7 @@ class TestEngineRetargeting:
     """set_privacy / set_entropy retarget a live engine without rebuild;
     a retargeted pooled engine must equal a freshly built serial one."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_retargeted_engine_matches_fresh(
         self, small_profile_graph, backend
     ):
@@ -351,13 +357,13 @@ class TestShmLifecycle:
         )
         assert len(names) == 1
         # Alive while the engine is open ...
-        seg = _shm.attach_segment(names[0])
+        seg = _segments.attach_segment(names[0])
         seg.close()
         engine.close()
         # ... unlinked after close (idempotent).
         engine.close()
         with pytest.raises(FileNotFoundError):
-            _shm.attach_segment(names[0])
+            _segments.attach_segment(names[0])
 
     def test_segment_unlinked_when_pool_breaks(
         self, small_profile_graph, monkeypatch
@@ -393,12 +399,12 @@ class TestShmLifecycle:
             engine.close()
         assert len(names) == 1
         with pytest.raises(FileNotFoundError):
-            _shm.attach_segment(names[0])
+            _segments.attach_segment(names[0])
 
     def test_anonymize_survives_worker_crash_and_unlinks_shm(
         self, small_profile_graph, monkeypatch
     ):
-        """A dead process pool degrades to the thread backend and every
+        """A dead process pool degrades to the serial backend and every
         discarded engine's shm segment is unlinked along the way."""
         names = []
         original = parallel._pack_arrays
@@ -425,13 +431,13 @@ class TestShmLifecycle:
         assert len(names) == 2
         for name in names:
             with pytest.raises(FileNotFoundError):
-                _shm.attach_segment(name)
+                _segments.attach_segment(name)
         assert result.success == reference.success
         assert result.sigma == reference.sigma
         assert [
             (d.backend_from, d.backend_to) for d in result.degradations
-        ] == [("process", "thread")]
-        assert result.trial_backend == "thread"
+        ] == [("process", "serial")]
+        assert result.trial_backend == "serial"
         assert result.trial_retries >= 1
         if reference.success:
             np.testing.assert_array_equal(
@@ -442,7 +448,7 @@ class TestShmLifecycle:
 
 class TestConfigurationSurface:
     def test_backends_registry(self):
-        assert TRIAL_BACKENDS == ("serial", "thread", "process")
+        assert TRIAL_BACKENDS == ("serial", "process")
         assert ChameleonConfig().trial_backend == "serial"
 
     def test_unknown_backend_rejected(self):
@@ -451,6 +457,11 @@ class TestConfigurationSurface:
         with pytest.raises(ConfigurationError, match="trial backend"):
             create_trial_engine(None, ChameleonConfig(), None,
                                 backend="threads")
+
+    def test_thread_backend_rejected(self):
+        """The thread trial engine is gone; naming it is a config error."""
+        with pytest.raises(ConfigurationError, match="trial_backend"):
+            ChameleonConfig(trial_backend="thread")
 
     def test_cli_exposes_trial_backend(self):
         from repro.cli import build_parser

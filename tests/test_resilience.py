@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import _shm
+from repro import _segments
 from repro.core import (
     ChameleonConfig,
     Chameleon,
@@ -48,6 +48,10 @@ FAST = dict(
     relevance_samples=50,
     sigma_tolerance=0.1,
 )
+
+
+#: Open/probe/close cycles of the close-race test.
+CLOSE_CYCLES = 40
 
 
 def _context(graph, config, seed=11):
@@ -145,9 +149,7 @@ class TestFaultPlanParsing:
 
 class TestSupervision:
     def test_ladder_registry(self):
-        assert DEGRADATION_LADDER == {
-            "process": "thread", "thread": "serial", "serial": None,
-        }
+        assert DEGRADATION_LADDER == {"process": "serial", "serial": None}
 
     def test_unknown_rung_rejected(self):
         with pytest.raises(ResilienceError, match="rung"):
@@ -178,12 +180,12 @@ class TestSupervision:
             )
 
     def test_full_ladder_fires_in_order(self, small_profile_graph):
-        """Exact crash budget: process wave, then thread wave, serial clean."""
+        """Exact crash budget: process wave crashes, serial runs clean."""
         config = ChameleonConfig(**FAST)
         context = _context(small_profile_graph, config)
-        # One probe of n_trials=2 per rung: process consumes 2 draws at
-        # dispatch, thread consumes 2 more, serial draws nothing.
-        plan = FaultPlan.parse("crash@0.*x4")
+        # One probe of n_trials=2: process consumes both draws at
+        # dispatch, serial draws nothing.
+        plan = FaultPlan.parse("crash@0.*x2")
         engine = _supervised(small_profile_graph, config, context, plan,
                              max_retries=0)
         try:
@@ -193,7 +195,7 @@ class TestSupervision:
             engine.close()
         assert [
             (d.backend_from, d.backend_to) for d in engine.degradations
-        ] == [("process", "thread"), ("thread", "serial")]
+        ] == [("process", "serial")]
         assert all(d.reason for d in engine.degradations)
         reference = create_trial_engine(
             small_profile_graph, config, context, entropy=123,
@@ -204,16 +206,20 @@ class TestSupervision:
     def test_exhausted_ladder_raises_resilience_error(
         self, small_profile_graph
     ):
+        """Both rungs crash: process degrades to serial, serial exhausts."""
         config = ChameleonConfig(**FAST)
         context = _context(small_profile_graph, config)
         plan = FaultPlan.parse("crash@*.*x1000")
         engine = _supervised(small_profile_graph, config, context, plan,
-                             max_retries=0, backend="thread")
+                             max_retries=0, backend="process")
         with pytest.raises(ResilienceError, match="every recovery option"):
             try:
                 engine.run_probe(0, 1.0)
             finally:
                 engine.close()
+        assert [
+            (d.backend_from, d.backend_to) for d in engine.degradations
+        ] == [("process", "serial")]
 
     def test_pooled_timeout_recovers(self, small_profile_graph):
         """A delayed trial overruns its deadline and the retry succeeds."""
@@ -221,7 +227,7 @@ class TestSupervision:
         context = _context(small_profile_graph, config)
         plan = FaultPlan.parse("delay@0.0:1.5")
         engine = _supervised(small_profile_graph, config, context, plan,
-                             backend="thread", max_retries=1,
+                             backend="process", max_retries=1,
                              task_timeout=0.2)
         try:
             outcome = engine.run_probe(0, 1.0)
@@ -271,7 +277,7 @@ class TestSupervision:
         context = _context(small_profile_graph, config)
         plan = FaultPlan.parse("crash@0.0")
         engine = _supervised(small_profile_graph, config, context, plan,
-                             backend="thread", max_retries=1)
+                             backend="serial", max_retries=1)
         try:
             engine.set_entropy(777)
             outcome = engine.run_probe(0, 1.0)
@@ -343,27 +349,27 @@ class TestAnonymizeUnderFaults:
             np.testing.assert_array_equal(
                 result.graph.edge_probabilities,
                 reference.graph.edge_probabilities)
-        assert _shm.active_segments() == ()
+        assert _segments.active_segments() == ()
 
     def test_degradation_recorded_in_result(self, small_profile_graph):
-        """Retries exhausted on the pooled rungs: the run still succeeds
-        serially and reports the full degradation path."""
+        """Retries exhausted on the process rung: the run still succeeds
+        serially and reports the degradation path."""
         reference = anonymize(small_profile_graph, seed=7, **FAST)
-        # Bounded budget: the thread ladder wave consumes the single
+        # Bounded budget: the process ladder wave consumes the single
         # crash draw at dispatch, max_retries=0 forces an immediate
         # degradation, and the serial walk then runs fault-free.
         result = anonymize(
-            small_profile_graph, seed=7, trial_backend="thread",
-            fault_plan="crash@*.*x1", max_retries=0,
+            small_profile_graph, seed=7, trial_backend="process",
+            n_workers=2, fault_plan="crash@*.*x1", max_retries=0,
             retry_backoff=0.0, **FAST
         )
         assert [
             (d.backend_from, d.backend_to) for d in result.degradations
-        ] == [("thread", "serial")]
+        ] == [("process", "serial")]
         assert result.trial_backend == "serial"
         assert result.sigma == reference.sigma
         summary = result.summary()
-        assert summary["degradations"][0]["from"] == "thread"
+        assert summary["degradations"][0]["from"] == "process"
         assert summary["trial_retries"] == result.trial_retries
 
     def test_no_segments_survive_fault_runs(self, small_profile_graph):
@@ -372,7 +378,7 @@ class TestAnonymizeUnderFaults:
             n_workers=2, fault_plan="crash@0.0;shm", retry_backoff=0.0,
             **FAST
         )
-        assert _shm.active_segments() == ()
+        assert _segments.active_segments() == ()
 
 
 # --------------------------------------------------------------------- #
@@ -508,11 +514,11 @@ class TestFingerprintFieldDrift:
     ALTERNATES = {
         "k": 6, "epsilon": 0.25, "size_multiplier": 1.5,
         "white_noise": 0.2, "n_trials": 3, "relevance_samples": 60,
-        "relevance_method": "grouped", "obfuscation_checker": "full",
+        "relevance_method": "grouped",
         "selection_mode": "uniqueness-only", "perturbation_mode": "naive",
         "sigma_initial": 2.0, "sigma_max": 32.0, "sigma_tolerance": 0.05,
         "uniqueness_bandwidth": 0.7, "name": "variant",
-        "trial_backend": "thread", "n_workers": 3,
+        "trial_backend": "process", "n_workers": 3,
         "connectivity_backend": "python", "utility_samples": 8,
         "world_memory_budget": 1 << 20, "trial_timeout": 5.0,
         "max_retries": 7, "retry_backoff": 0.3,
@@ -588,7 +594,7 @@ class TestFingerprintFieldDrift:
                             checkpoint_path=str(path), resume=True, **FAST)
         assert resumed.resumed_probes == resumed.n_genobf_calls
         assert resumed.sigma == reference.sigma
-        assert _shm.active_segments() == ()
+        assert _segments.active_segments() == ()
 
     def test_journal_records_are_json(self, small_profile_graph, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -609,20 +615,20 @@ class TestFingerprintFieldDrift:
 
 class TestShmHygiene:
     def test_registry_tracks_and_releases(self):
-        shm = _shm.create_segment(128)
-        assert shm.name in _shm.active_segments()
-        _shm.release_segment(shm)
-        assert shm.name not in _shm.active_segments()
+        shm = _segments.create_segment(128)
+        assert shm.name in _segments.active_segments()
+        _segments.release_segment(shm)
+        assert shm.name not in _segments.active_segments()
 
     def test_release_is_idempotent(self):
-        shm = _shm.create_segment(64)
-        _shm.release_segment(shm)
-        _shm.release_segment(shm)  # must not raise
+        shm = _segments.create_segment(64)
+        _segments.release_segment(shm)
+        _segments.release_segment(shm)  # must not raise
 
     def test_sweep_releases_owned_segments(self):
-        shm = _shm.create_segment(64)
-        assert _shm.sweep_segments("test") >= 1
-        assert shm.name not in _shm.active_segments()
+        shm = _segments.create_segment(64)
+        assert _segments.sweep_segments("test") >= 1
+        assert shm.name not in _segments.active_segments()
 
     def test_orphan_reaper_ignores_live_and_foreign(self, tmp_path):
         # A segment "owned" by a dead pid is reaped; one owned by this
@@ -633,7 +639,7 @@ class TestShmHygiene:
         foreign = tmp_path / "psm_someothersegment"
         for f in (dead, live, foreign):
             f.write_bytes(b"x")
-        report = _shm.reap_orphan_segments(str(tmp_path))
+        report = _segments.reap_orphan_segments(str(tmp_path))
         assert report["reaped"] == [dead.name]
         assert not dead.exists()
         assert live.exists()
@@ -671,26 +677,45 @@ class TestBoundedClose:
         engine.close()
         assert _time.monotonic() - started < 10.0
         del futures
-        assert _shm.active_segments() == ()
+        assert _segments.active_segments() == ()
 
-    def test_thread_close_logs_wedged_worker_and_returns(
-        self, small_profile_graph, caplog
+    def test_close_never_kills_a_reaped_worker(
+        self, small_profile_graph, monkeypatch, caplog
     ):
+        """The executor's manager thread is the one reaper of the pool's
+        workers.  A close that joined them as well raced its ``waitpid``:
+        a worker the manager had already reaped then looked alive, and
+        close logged an expired deadline and killed its stale pid."""
         import logging as _logging
-        import time as _time
+        from multiprocessing.process import BaseProcess
 
+        from repro.privacy import DegreeUncertaintyCache
+
+        killed = []
+        kill = BaseProcess.kill
+
+        def recording_kill(process):
+            killed.append(process.pid)
+            kill(process)
+
+        monkeypatch.setattr(BaseProcess, "kill", recording_kill)
         config = ChameleonConfig(**FAST)
         context = _context(small_profile_graph, config)
-        plan = FaultPlan.parse("delay@0.0:3")
-        engine = create_trial_engine(
-            small_profile_graph, config, context, entropy=123,
-            backend="thread", n_workers=2, fault_plan=plan,
+        cache = DegreeUncertaintyCache(
+            small_profile_graph, knowledge=context.knowledge
         )
-        engine.shutdown_timeout = 0.2
-        engine._submit_probe(0, 1.0)
-        _time.sleep(0.2)
         with caplog.at_level(_logging.WARNING, logger="repro.core.parallel"):
-            started = _time.monotonic()
-            engine.close()
-        assert _time.monotonic() - started < 2.5
-        assert any("shutdown deadline" in r.message for r in caplog.records)
+            for cycle in range(CLOSE_CYCLES):
+                engine = create_trial_engine(
+                    small_profile_graph, config, context, cache=cache,
+                    entropy=cycle, backend="process", n_workers=2,
+                )
+                try:
+                    engine.run_probe(0, 1.0)
+                finally:
+                    engine.close()
+        assert killed == []
+        assert not any(
+            "shutdown deadline" in r.message for r in caplog.records
+        )
+        assert _segments.active_segments() == ()

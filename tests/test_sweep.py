@@ -49,7 +49,7 @@ def test_failures_reported_per_k(graph):
     assert results[3].epsilon_achieved <= 0.0 or not results[3].success
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_sweep_backends_bit_identical(graph, backend):
     """One amortized pooled engine reproduces the serial sweep exactly."""
     serial = sweep_anonymize(graph, [3, 5], 0.05, seed=4, **FAST)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import _shm
+from repro import _segments
 from repro.core import ChameleonConfig, anonymize
 from repro.exceptions import EstimationError
 from repro.metrics import compare_graphs
@@ -648,7 +648,7 @@ class TestSharedMemoryProcessBackend:
                  shm.name, masks.shape, 2, 7)
             )
         finally:
-            _shm.release_segment(shm)
+            _segments.release_segment(shm)
         expected = connectivity._batched_labels_chunked(
             small_profile_graph.n_nodes,
             small_profile_graph.edge_src,
