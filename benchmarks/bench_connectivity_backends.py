@@ -1,9 +1,14 @@
-"""Connectivity-backend benchmark: wall time + partition equivalence.
+"""Connectivity benchmark: the batched kernel against a per-world loop.
 
-Times :func:`repro.reliability.batch_component_labels` under every
-selectable backend on the Brightkite-like profile and verifies that all
-backends produce identical component *partitions* (labels may differ up
-to per-world renaming; the partition is what every estimator consumes).
+Times :func:`repro.reliability.batch_component_labels` -- every world of
+the batch stacked into one block-diagonal adjacency and labeled by one
+``connected_components`` call -- against the straightforward reference
+it replaced: one sparse adjacency and one ``connected_components`` call
+per world, the loop the tests use as their oracle
+(``tests/connectivity_oracle.py``).  Both run on the same
+Brightkite-like world batch, and the bench verifies they produce
+identical component *partitions* and connected-pair counts (the
+partition is what every estimator consumes).
 
 Scaling knobs (environment variables):
 
@@ -23,12 +28,9 @@ import time
 import numpy as np
 
 from repro.datasets import load_profile
-from repro.reliability import (
-    CONNECTIVITY_BACKENDS,
-    batch_component_labels,
-    pair_counts_from_labels,
-)
+from repro.reliability import batch_component_labels, pair_counts_from_labels
 from repro.ugraph import sample_edge_masks
+from tests.connectivity_oracle import oracle_component_labels
 
 CONN_SCALE = float(os.environ.get("REPRO_BENCH_CONN_SCALE", "1.0"))
 CONN_SAMPLES = int(os.environ.get("REPRO_BENCH_CONN_SAMPLES", "1000"))
@@ -40,7 +42,7 @@ def canonical_partition(labels: np.ndarray) -> np.ndarray:
 
     Two labelings describe the same per-world partitions iff their
     canonical forms are identical, regardless of which concrete label
-    each backend assigned to a component.
+    each labeler assigned to a component.
     """
     out = np.empty_like(labels)
     for i, row in enumerate(labels):
@@ -55,57 +57,64 @@ def canonical_partition(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def per_world_labels(graph, masks: np.ndarray) -> np.ndarray:
+    """Reference labeling: one adjacency and one scipy call per world."""
+    return oracle_component_labels(
+        graph.n_nodes, graph.edge_src, graph.edge_dst, masks
+    )
+
+
+#: The timed labelers, reference first.
+LABELERS = (
+    ("per-world", per_world_labels),
+    ("batched", batch_component_labels),
+)
+
+
 def run_backend_comparison(
     n_samples: int = CONN_SAMPLES,
     scale: float = CONN_SCALE,
     seed: int = CONN_SEED,
-    backends: tuple[str, ...] = CONNECTIVITY_BACKENDS,
     repeats: int = 3,
-    n_workers: int | None = None,
 ) -> dict:
-    """Time every backend on one shared world batch; verify partitions.
+    """Time both labelers on one shared world batch; verify partitions.
 
-    Returns ``{"rows": [[backend, seconds, speedup_vs_scipy, n_components,
-    partitions_match], ...], "graph": (n_nodes, n_edges),
+    Returns ``{"rows": [[labeler, seconds, speedup_vs_per_world,
+    n_components, partitions_match], ...], "graph": (n_nodes, n_edges),
     "n_samples": N}``.  ``seconds`` is the best of ``repeats`` timed runs
-    after one untimed warm-up call per backend.
+    after one untimed warm-up call per labeler.
     """
     graph = load_profile("brightkite", scale=scale, seed=seed)
     masks = sample_edge_masks(graph, n_samples, seed=seed)
 
     timings: dict[str, float] = {}
     labelings: dict[str, np.ndarray] = {}
-    for backend in backends:
-        kwargs = {"n_workers": n_workers} if backend == "process" else {}
-        batch_component_labels(
-            graph, masks[: min(16, n_samples)], backend=backend, **kwargs
-        )  # warm-up: imports, allocator, worker pool fork costs
+    for name, label in LABELERS:
+        label(graph, masks[: min(16, n_samples)])  # warm-up: allocator
         best = float("inf")
         for __ in range(repeats):
             started = time.perf_counter()
-            labels = batch_component_labels(
-                graph, masks, backend=backend, **kwargs
-            )
+            labels = label(graph, masks)
             best = min(best, time.perf_counter() - started)
-        timings[backend] = best
-        labelings[backend] = labels
+        timings[name] = best
+        labelings[name] = labels
 
-    reference_backend = backends[0]
-    reference = canonical_partition(labelings[reference_backend])
-    reference_counts = pair_counts_from_labels(labelings[reference_backend])
+    reference_name = LABELERS[0][0]
+    reference = canonical_partition(labelings[reference_name])
+    reference_counts = pair_counts_from_labels(labelings[reference_name])
     rows = []
-    for backend in backends:
+    for name, __ in LABELERS:
         matches = bool(
-            np.array_equal(reference, canonical_partition(labelings[backend]))
+            np.array_equal(reference, canonical_partition(labelings[name]))
             and np.array_equal(
-                reference_counts, pair_counts_from_labels(labelings[backend])
+                reference_counts, pair_counts_from_labels(labelings[name])
             )
         )
         rows.append([
-            backend,
-            timings[backend],
-            timings[reference_backend] / timings[backend],
-            int(labelings[backend].max(initial=-1) + 1),
+            name,
+            timings[name],
+            timings[reference_name] / timings[name],
+            int(labelings[name].max(initial=-1) + 1),
             matches,
         ])
     return {
@@ -116,13 +125,14 @@ def run_backend_comparison(
 
 
 def test_bench_connectivity_backends():
-    """Full-scale backend comparison (the recorded benchmark)."""
+    """Full-scale labeling comparison (the recorded benchmark)."""
     import _harness
 
     result = run_backend_comparison()
     n_nodes, n_edges = result["graph"]
     table = _harness.format_table(
-        ["backend", "seconds", "speedup", "max components/world", "partition ok"],
+        ["labeler", "seconds", "speedup", "max components/world",
+         "partition ok"],
         result["rows"],
     )
     header = (
@@ -130,4 +140,4 @@ def test_bench_connectivity_backends():
         f"N={result['n_samples']} worlds\n"
     )
     _harness.emit("bench_connectivity_backends", header + table)
-    assert all(row[4] for row in result["rows"]), "backend partitions diverged"
+    assert all(row[4] for row in result["rows"]), "labeler partitions diverged"

@@ -73,7 +73,6 @@ WS_DELTAS = int(os.environ.get("REPRO_BENCH_WS_DELTAS", "30"))
 WS_EDGES = int(os.environ.get("REPRO_BENCH_WS_EDGES", "40"))
 WS_SEED = 2018
 WS_PAIRS = 20_000
-WS_BACKEND = "batched-scipy"
 
 #: Per-candidate noise scales, log-spaced over the band a converging
 #: sigma bisection actually probes (early coarse sigmas down to the
@@ -133,7 +132,7 @@ def _fresh_eval(store, delta, pairs, seed):
     masks[:, :n_base] = drawn < store._prob[:n_base]
     masks[:, n_base:] = uniforms[:, n_base:] < store._prob[n_base:]
     base_labels = component_labels_for_edges(
-        n, store._src, store._dst, masks, backend=WS_BACKEND
+        n, store._src, store._dst, masks
     )
     base_counts = _pair_equal_counts(base_labels, pairs)
     rows = np.asarray(delta, dtype=np.float64)
@@ -142,7 +141,7 @@ def _fresh_eval(store, delta, pairs, seed):
     p_new = rows[:, 3]
     masks[:, cols] = uniforms[:, cols] < p_new
     cand_labels = component_labels_for_edges(
-        n, store._src, store._dst, masks, backend=WS_BACKEND
+        n, store._src, store._dst, masks
     )
     cand_counts = _pair_equal_counts(cand_labels, pairs)
     base_r = base_counts / n_samples
@@ -176,14 +175,12 @@ def run_store_comparison(
     pairs = sample_vertex_pairs(graph.n_nodes, n_pairs, seed=seed)
 
     # Warm-up store (allocator, imports); discarded before timing.
-    warm = WorldStore(graph, n_samples=min(n_samples, 32), seed=seed,
-                      backend=WS_BACKEND)
+    warm = WorldStore(graph, n_samples=min(n_samples, 32), seed=seed)
     warm.derive(deltas[0]).pair_counts
 
     # --- store path: one persistent store, construction included ----- #
     started = time.perf_counter()
-    store = WorldStore(graph, n_samples=n_samples, seed=seed,
-                       backend=WS_BACKEND)
+    store = WorldStore(graph, n_samples=n_samples, seed=seed)
     base_counts = store.base_pair_equal_counts(pairs)
     views = []
     store_discs = []
@@ -252,13 +249,13 @@ def run_engine_comparison(
     for engine in ("fresh", "store"):
         reliability_discrepancy(
             graph, candidate, n_samples=min(n_samples, 32), seed=seed,
-            n_pairs=n_pairs, backend=WS_BACKEND, engine=engine,
+            n_pairs=n_pairs, engine=engine,
         )
         started = time.perf_counter()
         for __ in range(repeats):
             values[engine] = reliability_discrepancy(
                 graph, candidate, n_samples=n_samples, seed=seed,
-                n_pairs=n_pairs, backend=WS_BACKEND, engine=engine,
+                n_pairs=n_pairs, engine=engine,
             )
         timings[engine] = (time.perf_counter() - started) / repeats
     rows = [
@@ -297,8 +294,7 @@ def run_pairwise_comparison(
         _sample_sigma_delta(graph, delta_edges, sigma, rng)
         for sigma in sigmas
     ]
-    store = WorldStore(graph, n_samples=n_samples, seed=seed,
-                       backend=WS_BACKEND)
+    store = WorldStore(graph, n_samples=n_samples, seed=seed)
     views = [store.derive(delta) for delta in deltas]
     production = worldstore._pairwise_equal_acc
 

@@ -1,10 +1,9 @@
 """Unified segment hygiene: shared-memory *and* file-backed registry.
 
-Three engines publish NumPy arrays through named out-of-heap segments:
-the connectivity ``process`` backend and the ``ProcessTrialEngine`` ship
-run-invariant arrays to workers, and the sharded
-:class:`repro.reliability.WorldStore` parks world-chunks (uniforms,
-masks, labels) on disk when a memory budget demands it.  A segment
+Two engines publish NumPy arrays through named out-of-heap segments:
+the ``ProcessTrialEngine`` ships run-invariant arrays to workers, and
+the sharded :class:`repro.reliability.WorldStore` parks world-chunks
+(uniforms, masks, labels) on disk when a memory budget demands it.  A segment
 outlives the Python objects that reference it -- it is a file under
 ``/dev/shm`` or the segment directory -- so a crash between ``create``
 and ``release`` leaks kernel memory or disk until reboot.  This module

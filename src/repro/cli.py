@@ -71,7 +71,6 @@ EXIT_INTERNAL = 4
 EXIT_SIGPIPE = 128 + int(getattr(signal, "SIGPIPE", 13))
 from .metrics import compare_graphs
 from .privacy import check_obfuscation, expected_degree_knowledge
-from .reliability.connectivity import CONNECTIVITY_BACKENDS
 from .ugraph import read_edge_list, summarize, write_edge_list
 
 __all__ = ["main", "build_parser", "CommandRuntime"]
@@ -112,14 +111,12 @@ class CommandRuntime:
         """
         return None
 
-    def world_store(self, graph, n_samples, seed, backend="auto",
-                    n_workers=None, memory_budget=None):
+    def world_store(self, graph, n_samples, seed, memory_budget=None):
         """A pristine CRN world store for ``(graph, n_samples, seed)``."""
         from .reliability.worldstore import WorldStore
 
         return WorldStore(
-            graph, n_samples, seed=seed, backend=backend,
-            n_workers=n_workers, memory_budget=memory_budget,
+            graph, n_samples, seed=seed, memory_budget=memory_budget
         )
 
 
@@ -148,20 +145,8 @@ def _byte_budget(text: str) -> int:
     return value
 
 
-def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
-    """Connectivity-engine flags shared by the Monte-Carlo subcommands."""
-    subparser.add_argument(
-        "--backend", default="auto", choices=CONNECTIVITY_BACKENDS,
-        help="connected-components engine for Monte-Carlo sampling "
-             "(auto: pick batched-scipy or process from the workload "
-             "size; batched-scipy: one block-diagonal labeling pass; "
-             "process: shared-memory multiprocess chunks)",
-    )
-    subparser.add_argument(
-        "--workers", type=_worker_count, default=None,
-        help="worker count for --backend process "
-             "(default: REPRO_NUM_WORKERS or the CPU count)",
-    )
+def _add_memory_budget_argument(subparser: argparse.ArgumentParser) -> None:
+    """World-state budget flag shared by the Monte-Carlo subcommands."""
     subparser.add_argument(
         "--world-memory-budget", type=_byte_budget, default=None,
         help="byte cap on the Monte-Carlo world state materialized at "
@@ -252,7 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
              "supervision layer, e.g. 'crash@0.0;delay@*.1:0.5;shm' "
              "(default: the REPRO_FAULTS environment variable)",
     )
-    _add_backend_arguments(anon)
+    anon.add_argument(
+        "--workers", type=_worker_count, default=None,
+        help="trial-pool size for --trial-backend process "
+             "(default: REPRO_NUM_WORKERS or the CPU count)",
+    )
+    _add_memory_budget_argument(anon)
 
     check = sub.add_parser("check", help="evaluate (k, epsilon)-obfuscation")
     check.add_argument("published", help="edge-list file or profile name")
@@ -260,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--epsilon", type=float, default=0.05)
     check.add_argument("--original", default=None,
                        help="graph whose degrees the adversary knows")
-    _add_backend_arguments(check)
+    _add_memory_budget_argument(check)
 
     upd = sub.add_parser(
         "update",
@@ -304,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
              "reliability discrepancy against the pre-update graph "
              "(0 disables)",
     )
-    _add_backend_arguments(upd)
+    _add_memory_budget_argument(upd)
 
     ev = sub.add_parser("evaluate", help="utility comparison of two graphs")
     ev.add_argument("original", help="edge-list file or profile name")
@@ -322,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="antithetic world pairing for the reliability group "
              "(requires an even --samples)",
     )
-    _add_backend_arguments(ev)
+    _add_memory_budget_argument(ev)
 
     disc = sub.add_parser(
         "discrepancy",
@@ -338,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
              "so the store is a pure function of (graph, samples, seed) "
              "and a warm service can serve it from cache (default: 0)",
     )
-    _add_backend_arguments(disc)
+    _add_memory_budget_argument(disc)
 
     summ = sub.add_parser("summary", help="dataset characteristics (Table I)")
     summ.add_argument("input", help="edge-list file or profile name")
@@ -468,7 +458,7 @@ def _cmd_anonymize(args, out, err, runtime) -> int:
         epsilon = dataset_tolerance(args.input)
     if args.method == "rep-an":
         # Rep-An's obfuscation phase is degree-based and never samples
-        # worlds, so the connectivity/resilience flags do not apply to it.
+        # worlds, so the trial/resilience flags do not apply to it.
         result = rep_an(graph, args.k, epsilon, seed=args.seed,
                         n_trials=args.trials)
     else:
@@ -482,7 +472,6 @@ def _cmd_anonymize(args, out, err, runtime) -> int:
                            seed=args.seed, n_trials=args.trials,
                            degree_cache=runtime.degree_cache(graph),
                            observer=runtime.probe_observer,
-                           connectivity_backend=args.backend,
                            n_workers=args.workers,
                            trial_backend=trial_backend,
                            utility_samples=args.utility_samples,
@@ -511,7 +500,7 @@ def _cmd_anonymize(args, out, err, runtime) -> int:
 
 def _cmd_check(args, out, err, runtime) -> int:
     # The (k, epsilon) check itself is degree-based and never samples
-    # worlds; --backend/--workers are accepted (and argparse-validated)
+    # worlds; --world-memory-budget is accepted (and argparse-validated)
     # so scripted anonymize -> check -> evaluate pipelines can pass one
     # uniform flag set without failing on the degree-only stage.
     published = runtime.load(args.published)
@@ -550,7 +539,6 @@ def _cmd_update(args, out, err, runtime) -> int:
     if args.samples > 0:
         pristine = runtime.world_store(
             published, args.samples, args.seed,
-            backend=args.backend, n_workers=args.workers,
             memory_budget=args.world_memory_budget,
         )
         # The recertifier rebases a COW clone; the pristine store keeps
@@ -615,7 +603,6 @@ def _cmd_evaluate(args, out, err, runtime) -> int:
     anonymized = read_edge_list(args.anonymized)
     comparison = compare_graphs(
         original, anonymized, n_samples=args.samples, seed=args.seed,
-        backend=args.backend, n_workers=args.workers,
         reliability_engine=args.engine, antithetic=args.antithetic,
         memory_budget=args.world_memory_budget,
     )
@@ -642,7 +629,6 @@ def _cmd_discrepancy(args, out, err, runtime) -> int:
     # cache and clone per request without changing a single bit.
     store = runtime.world_store(
         original, args.samples, args.seed,
-        backend=args.backend, n_workers=args.workers,
         memory_budget=args.world_memory_budget,
     )
     view = store.derive(graph_delta(original, anonymized))

@@ -152,8 +152,6 @@ class Chameleon:
             store = WorldStore(
                 graph, config.utility_samples,
                 seed=int(rng.integers(0, 2**63 - 1)),
-                backend=config.connectivity_backend,
-                n_workers=config.n_workers,
                 memory_budget=config.world_memory_budget,
             )
             if graph.n_nodes > FULL_MATRIX_LIMIT:
@@ -255,7 +253,7 @@ class Chameleon:
         def engine_factory(backend: str):
             return create_trial_engine(
                 graph, config, context, cache=cache, entropy=trial_entropy,
-                backend=backend, fault_plan=fault_plan,
+                trial_backend=backend, fault_plan=fault_plan,
                 task_timeout=config.trial_timeout,
             )
 
@@ -328,7 +326,7 @@ class Chameleon:
         assert best is not None and best.graph is not None
         logger.info(
             "anonymize ok: method=%s k=%d sigma=%.5g eps_hat=%.4g "
-            "(%d GenObf calls, %.2fs search %.2fs, backend=%s x%d)",
+            "(%d GenObf calls, %.2fs search %.2fs, trial backend %s x%d)",
             config.name, config.k, best.sigma, best.epsilon_achieved,
             calls, elapsed, search_seconds, engine.backend, trial_workers,
         )

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..exceptions import ConfigurationError
-from ..reliability.connectivity import CONNECTIVITY_BACKENDS
 from .faults import FaultPlan
 from .parallel import TRIAL_BACKENDS
 
@@ -53,12 +52,6 @@ class ChameleonConfig:
         Possible worlds used to estimate reliability relevance.
     relevance_method:
         ``"merge-gain"`` (default) or ``"grouped"`` (Algorithm 2 verbatim).
-    connectivity_backend:
-        Connected-components engine of the Monte-Carlo machinery (one of
-        :data:`repro.reliability.connectivity.CONNECTIVITY_BACKENDS`).
-        The default ``"auto"`` resolves per workload: large full-batch
-        labelings go multiprocess, small batches (dirty-world relabels)
-        stay on the in-process batched kernel.
     utility_samples:
         Possible worlds for utility verification during the sigma
         search.  When positive, the anonymizer keeps one persistent
@@ -78,9 +71,8 @@ class ChameleonConfig:
         ``REPRO_WORLD_BACKEND`` override chunk size and block storage
         (``ram`` vs ``memmap``) directly.
     n_workers:
-        Worker count for the ``"process"`` connectivity backend and the
-        ``"process"`` trial backend; ``None`` defers to
-        ``REPRO_NUM_WORKERS`` / CPU count.
+        Worker count for the ``"process"`` trial backend; ``None`` defers
+        to ``REPRO_NUM_WORKERS`` / CPU count.
     trial_backend:
         Execution backend for the GenObf trials of the sigma search (one
         of :data:`repro.core.parallel.TRIAL_BACKENDS`).  ``"serial"``
@@ -141,7 +133,6 @@ class ChameleonConfig:
     n_trials: int = 5
     relevance_samples: int = 400
     relevance_method: str = "merge-gain"
-    connectivity_backend: str = "auto"
     n_workers: int | None = None
     utility_samples: int = 0
     world_memory_budget: int | None = None
@@ -182,11 +173,6 @@ class ChameleonConfig:
         if self.relevance_samples < 1:
             raise ConfigurationError(
                 f"relevance_samples must be >= 1, got {self.relevance_samples}"
-            )
-        if self.connectivity_backend not in CONNECTIVITY_BACKENDS:
-            raise ConfigurationError(
-                "connectivity_backend must be one of "
-                f"{CONNECTIVITY_BACKENDS}, got {self.connectivity_backend!r}"
             )
         if self.utility_samples < 0:
             raise ConfigurationError(

@@ -90,8 +90,6 @@ def build_selection_context(
             n_samples=config.relevance_samples,
             seed=rng,
             method=config.relevance_method,
-            backend=config.connectivity_backend,
-            n_workers=config.n_workers,
         )
         vrr = relevance.vertex_relevance
     else:

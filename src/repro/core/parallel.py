@@ -46,6 +46,7 @@ count (asserted by ``tests/test_parallel_trials.py`` and audited by
 from __future__ import annotations
 
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
@@ -58,7 +59,6 @@ from .. import _segments
 from ..exceptions import ConfigurationError, InjectedFault, TrialTimeoutError
 from ..privacy.incremental import DegreeUncertaintyCache
 from ..privacy.obfuscation import ObfuscationReport
-from ..reliability.connectivity import resolve_worker_count
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.operations import apply_edge_updates
 from .faults import execute_fault
@@ -68,6 +68,8 @@ from .selection import select_candidate_edges
 
 __all__ = [
     "TRIAL_BACKENDS",
+    "NUM_WORKERS_ENV",
+    "resolve_worker_count",
     "TrialResult",
     "trial_generator",
     "run_trial",
@@ -81,10 +83,36 @@ __all__ = [
 #: Selectable trial-execution backends for ``ChameleonConfig``.
 TRIAL_BACKENDS = ("serial", "process")
 
+#: Environment variable that sets the ``process`` engine's worker count.
+NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
+
 #: Default deadline for pool shutdown before workers are killed.
 DEFAULT_SHUTDOWN_TIMEOUT = 2.0
 
 logger = logging.getLogger("repro.core.parallel")
+
+
+def resolve_worker_count(n_workers: int | None = None) -> int:
+    """Worker count for the ``process`` trial engine.
+
+    Resolution order: explicit ``n_workers`` argument, then the
+    ``REPRO_NUM_WORKERS`` environment variable, then ``os.cpu_count()``.
+    """
+    if n_workers is None:
+        env = os.environ.get(NUM_WORKERS_ENV)
+        if env is not None and env.strip():
+            try:
+                n_workers = int(env)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{NUM_WORKERS_ENV} must be an integer, got {env!r}"
+                ) from None
+        else:
+            n_workers = os.cpu_count() or 1
+    n_workers = int(n_workers)
+    if n_workers < 1:
+        raise ConfigurationError(f"worker count must be >= 1, got {n_workers}")
+    return n_workers
 
 
 def trial_generator(
@@ -730,17 +758,18 @@ class ProcessTrialEngine(TrialEngine):
 
 def create_trial_engine(
     graph, config, context, cache=None, entropy=0,
-    backend: str | None = None, n_workers: int | None = None,
+    trial_backend: str | None = None, n_workers: int | None = None,
     fault_plan=None, task_timeout=None,
 ) -> TrialEngine:
-    """Build the engine ``config.trial_backend`` (or ``backend``) names."""
-    backend = config.trial_backend if backend is None else backend
-    if backend not in TRIAL_BACKENDS:
+    """Build the engine ``trial_backend`` (default: the config's) names."""
+    if trial_backend is None:
+        trial_backend = config.trial_backend
+    if trial_backend not in TRIAL_BACKENDS:
         raise ConfigurationError(
-            f"unknown trial backend {backend!r}; expected one of "
+            f"unknown trial backend {trial_backend!r}; expected one of "
             f"{TRIAL_BACKENDS}"
         )
-    if backend == "process":
+    if trial_backend == "process":
         return ProcessTrialEngine(
             graph, config, context, cache=cache, entropy=entropy,
             n_workers=n_workers, fault_plan=fault_plan,

@@ -152,7 +152,7 @@ def sweep_anonymize(
 
     def engine_factory(backend: str):
         return create_trial_engine(
-            graph, base_config, context, backend=backend,
+            graph, base_config, context, trial_backend=backend,
             fault_plan=fault_plan, task_timeout=base_config.trial_timeout,
         )
 

@@ -25,8 +25,6 @@ def average_reliability_discrepancy(
     n_samples: int = 500,
     n_pairs: int | None = None,
     seed=None,
-    backend: str = "scipy",
-    n_workers: int | None = None,
     engine: str = "store",
     antithetic: bool = False,
 ) -> float:
@@ -44,8 +42,6 @@ def average_reliability_discrepancy(
         n_pairs=n_pairs,
         seed=seed,
         per_pair=True,
-        backend=backend,
-        n_workers=n_workers,
         engine=engine,
         antithetic=antithetic,
     )
@@ -53,12 +49,10 @@ def average_reliability_discrepancy(
 
 def expected_reliability(
     graph: UncertainGraph, n_samples: int = 500, seed=None,
-    backend: str = "scipy", n_workers: int | None = None,
     antithetic: bool = False,
 ) -> float:
     """Average all-pairs reliability of one graph (connectivity level)."""
     estimator = ReliabilityEstimator(
-        graph, n_samples=n_samples, seed=seed,
-        backend=backend, n_workers=n_workers, antithetic=antithetic,
+        graph, n_samples=n_samples, seed=seed, antithetic=antithetic
     )
     return estimator.average_all_pairs_reliability()

@@ -75,8 +75,6 @@ def compare_graphs(
     n_samples: int = 200,
     distance_method: str = "anf",
     seed=None,
-    backend: str = "scipy",
-    n_workers: int | None = None,
     reliability_engine: str = "store",
     antithetic: bool = False,
     memory_budget: int | None = None,
@@ -91,9 +89,6 @@ def compare_graphs(
         Monte-Carlo worlds per sampled metric.
     distance_method:
         ``"anf"`` or ``"bfs"`` for the node-separation group.
-    backend, n_workers:
-        Connectivity engine for the reliability metric group (see
-        :mod:`repro.reliability.connectivity`).
     reliability_engine:
         ``"store"`` (default) serves the whole reliability group from one
         :class:`repro.reliability.WorldStore` of the original -- the
@@ -181,8 +176,7 @@ def compare_graphs(
             # the paired comparison -- Delta(G, G) is structurally 0.
             store = WorldStore(
                 original, n_samples=n_samples, seed=rng,
-                backend=backend, n_workers=n_workers, antithetic=antithetic,
-                memory_budget=memory_budget,
+                antithetic=antithetic, memory_budget=memory_budget,
             )
             view = store.derive(graph_delta(original, anonymized))
             results["reliability"] = MetricComparison(
@@ -195,17 +189,15 @@ def compare_graphs(
             from ..reliability.estimator import ReliabilityEstimator
 
             est_a = ReliabilityEstimator(
-                original, n_samples=n_samples, seed=rng,
-                backend=backend, n_workers=n_workers, antithetic=antithetic,
+                original, n_samples=n_samples, seed=rng, antithetic=antithetic
             )
             est_b = ReliabilityEstimator(
                 anonymized, n_samples=n_samples, seed=rng,
-                backend=backend, n_workers=n_workers, antithetic=antithetic,
+                antithetic=antithetic,
             )
             discrepancy = average_reliability_discrepancy(
                 original, anonymized, n_samples=n_samples, seed=rng,
-                backend=backend, n_workers=n_workers, engine="fresh",
-                antithetic=antithetic,
+                engine="fresh", antithetic=antithetic,
             )
             results["reliability"] = MetricComparison(
                 "reliability",

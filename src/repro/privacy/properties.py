@@ -32,6 +32,7 @@ import numpy as np
 
 from .._rng import as_generator
 from ..exceptions import ObfuscationError
+from ..reliability.connectivity import component_labels_for_edges
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.worlds import sample_edge_masks
 from .entropy import column_entropies
@@ -143,9 +144,11 @@ class ComponentSizeProperty(_SampledProperty):
     name = "component-size"
 
     def _per_world_values(self, graph, src, dst) -> np.ndarray:
-        from ..reliability.connectivity import world_component_labels
-
-        labels = world_component_labels(graph.n_nodes, src, dst)
+        # The batched kernel, fed this one world as a one-row batch.
+        realized = np.ones((1, src.shape[0]), dtype=bool)
+        labels = component_labels_for_edges(
+            graph.n_nodes, src, dst, realized
+        )[0]
         sizes = np.bincount(labels)
         return sizes[labels].astype(np.int64)
 

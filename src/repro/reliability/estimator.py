@@ -70,23 +70,19 @@ class ReliabilityEstimator:
         sweet spot (citing Potamias et al.).
     seed:
         Reproducibility seed / generator.
-    backend:
-        Connected-components backend (one of
-        :data:`repro.reliability.connectivity.CONNECTIVITY_BACKENDS`:
-        ``"scipy"``, ``"python"``, ``"batched-scipy"``, ``"process"``,
-        ``"auto"``).
-    n_workers:
-        Worker count for the ``"process"`` backend; ``None`` defers to
-        the ``REPRO_NUM_WORKERS`` environment variable / CPU count.
     antithetic:
         Sample worlds in antithetic (negatively correlated) pairs --
         unbiased, lower variance for monotone statistics; requires an
         even ``n_samples``.
+    memory_budget:
+        Byte cap on the world state materialized at once (see
+        :class:`WorldStore`); results are unchanged, only peak memory.
 
-    Sampling and labeling happen lazily on first query and are then
-    reused by every method.  The backing :class:`WorldStore` is exposed
-    via :attr:`store`, and :meth:`derive` evaluates candidate graphs
-    incrementally as probability deltas.
+    Sampling and labeling (one batched connected-components pass over
+    every world, :mod:`repro.reliability.connectivity`) happen lazily on
+    first query and are then reused by every method.  The backing
+    :class:`WorldStore` is exposed via :attr:`store`, and :meth:`derive`
+    evaluates candidate graphs incrementally as probability deltas.
     """
 
     def __init__(
@@ -94,9 +90,7 @@ class ReliabilityEstimator:
         graph: UncertainGraph,
         n_samples: int = DEFAULT_SAMPLES,
         seed=None,
-        backend: str = "scipy",
         antithetic: bool = False,
-        n_workers: int | None = None,
         memory_budget: int | None = None,
     ):
         if n_samples <= 0:
@@ -108,8 +102,7 @@ class ReliabilityEstimator:
         self._graph = graph
         self._n_samples = int(n_samples)
         self._store = WorldStore(
-            graph, n_samples, seed=seed, backend=backend,
-            n_workers=n_workers, antithetic=antithetic,
+            graph, n_samples, seed=seed, antithetic=antithetic,
             memory_budget=memory_budget,
         )
 
@@ -202,8 +195,6 @@ def reliability_discrepancy(
     n_pairs: int | None = None,
     seed=None,
     per_pair: bool = True,
-    backend: str = "scipy",
-    n_workers: int | None = None,
     engine: str = "store",
     antithetic: bool = False,
     memory_budget: int | None = None,
@@ -224,8 +215,6 @@ def reliability_discrepancy(
         If True (default) return the *average* discrepancy per evaluated
         pair -- the scale-free quantity the paper's figures report.  If
         False, return the (estimated) total sum over all pairs.
-    backend, n_workers:
-        Connectivity engine selection.
     engine:
         ``"store"`` (default) samples one :class:`WorldStore` from the
         original and derives the anonymized graph as a delta -- the
@@ -260,8 +249,7 @@ def reliability_discrepancy(
 
     if engine == "store":
         store = WorldStore(
-            original, n_samples, seed=shared_seed, backend=backend,
-            n_workers=n_workers, antithetic=antithetic,
+            original, n_samples, seed=shared_seed, antithetic=antithetic,
             memory_budget=memory_budget,
         )
         view = store.derive(graph_delta(original, anonymized))
@@ -270,13 +258,11 @@ def reliability_discrepancy(
         )
 
     est_a = ReliabilityEstimator(
-        original, n_samples, seed=shared_seed,
-        backend=backend, n_workers=n_workers, antithetic=antithetic,
+        original, n_samples, seed=shared_seed, antithetic=antithetic,
         memory_budget=memory_budget,
     )
     est_b = ReliabilityEstimator(
-        anonymized, n_samples, seed=shared_seed,
-        backend=backend, n_workers=n_workers, antithetic=antithetic,
+        anonymized, n_samples, seed=shared_seed, antithetic=antithetic,
         memory_budget=memory_budget,
     )
 

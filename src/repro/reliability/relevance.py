@@ -208,8 +208,6 @@ def edge_reliability_relevance(
     n_samples: int = 1000,
     seed=None,
     method: str = "merge-gain",
-    backend: str = "scipy",
-    n_workers: int | None = None,
 ) -> np.ndarray:
     """Estimate ``ERR(e)`` for every edge with shared sampled worlds.
 
@@ -218,9 +216,6 @@ def edge_reliability_relevance(
     method:
         ``"grouped"`` (Algorithm 2 as published) or ``"merge-gain"``
         (lower-variance default; see module docstring).
-    backend, n_workers:
-        Connectivity engine selection (see
-        :mod:`repro.reliability.connectivity`).
 
     Returns the ``(|E|,)`` non-negative relevance vector aligned with the
     graph's dense edge indexing.
@@ -231,9 +226,7 @@ def edge_reliability_relevance(
         raise EstimationError(f"unknown relevance method {method!r}")
     rng = as_generator(seed)
     masks = sample_edge_masks(graph, n_samples, seed=rng)
-    labels = batch_component_labels(
-        graph, masks, backend=backend, n_workers=n_workers
-    )
+    labels = batch_component_labels(graph, masks)
 
     present_counts = masks.sum(axis=0)
     absent_counts = n_samples - present_counts
@@ -255,9 +248,7 @@ def edge_reliability_relevance(
 
     degenerate_ids = np.flatnonzero(degenerate)
     if degenerate_ids.size:
-        store = WorldStore.from_masks(
-            graph, masks, backend=backend, n_workers=n_workers, labels=labels
-        )
+        store = WorldStore.from_masks(graph, masks, labels=labels)
         err[degenerate_ids] = _forced_absent_err_batch(
             graph, degenerate_ids, store
         )
@@ -288,13 +279,10 @@ def compute_relevance(
     n_samples: int = 1000,
     seed=None,
     method: str = "merge-gain",
-    backend: str = "scipy",
-    n_workers: int | None = None,
 ) -> RelevanceResult:
     """One-call edge + vertex relevance computation."""
     err = edge_reliability_relevance(
-        graph, n_samples=n_samples, seed=seed, method=method,
-        backend=backend, n_workers=n_workers,
+        graph, n_samples=n_samples, seed=seed, method=method
     )
     vrr = vertex_reliability_relevance(graph, err)
     return RelevanceResult(

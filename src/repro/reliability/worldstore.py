@@ -270,12 +270,6 @@ class WorldStore:
         Seed / generator.  With the same seed, the store's base masks are
         bitwise equal to ``sample_edge_masks(graph, n_samples, seed)`` --
         uniforms are drawn with identical generator consumption.
-    backend:
-        Connectivity backend for labeling; ``"auto"`` (default) resolves
-        per workload, so full-batch labeling may go multiprocess while a
-        small dirty set stays on the in-process kernel.
-    n_workers:
-        Worker count for the ``process`` backend.
     antithetic:
         Draw uniforms in antithetic pairs (row ``2i+1`` uses ``1 - U`` of
         row ``2i``), matching ``sample_edge_masks(..., antithetic=True)``
@@ -307,8 +301,6 @@ class WorldStore:
         graph: UncertainGraph,
         n_samples: int = 1000,
         seed=None,
-        backend: str = "auto",
-        n_workers: int | None = None,
         antithetic: bool = False,
         chunk_worlds: int | None = None,
         store_backend: str | None = None,
@@ -335,8 +327,6 @@ class WorldStore:
         self._growth_entropy = int(
             copy.deepcopy(self._rng).integers(0, 2**63)
         )
-        self._backend = backend
-        self._n_workers = n_workers
         self._antithetic = bool(antithetic)
         self._memory_budget = (
             None if memory_budget is None else int(memory_budget)
@@ -422,8 +412,6 @@ class WorldStore:
         cls,
         graph: UncertainGraph,
         masks: np.ndarray,
-        backend: str = "auto",
-        n_workers: int | None = None,
         labels: np.ndarray | None = None,
         memory_budget: int | None = None,
     ) -> "WorldStore":
@@ -441,8 +429,7 @@ class WorldStore:
                 f"mask matrix must be (N, {graph.n_edges}), got {masks.shape}"
             )
         store = cls(
-            graph, n_samples=masks.shape[0], backend=backend,
-            n_workers=n_workers, memory_budget=memory_budget,
+            graph, n_samples=masks.shape[0], memory_budget=memory_budget
         )
         store._has_uniforms = False
         masks = masks.astype(bool, copy=False)
@@ -490,8 +477,6 @@ class WorldStore:
         twin._n_samples = self._n_samples
         twin._rng = copy.deepcopy(self._rng)
         twin._growth_entropy = self._growth_entropy
-        twin._backend = self._backend
-        twin._n_workers = self._n_workers
         twin._antithetic = self._antithetic
         twin._memory_budget = self._memory_budget
         twin._store_backend = self._store_backend
@@ -660,8 +645,7 @@ class WorldStore:
         blocks = []
         for (start, stop), m_block in zip(self._chunks, self._m_blocks):
             labels = component_labels_for_edges(
-                n, self._src, self._dst, m_block,
-                backend=self._backend, n_workers=self._n_workers,
+                n, self._src, self._dst, m_block
             )
             if self._store_backend == "memmap":
                 block = self._alloc_block(labels.shape, labels.dtype)
@@ -1100,8 +1084,7 @@ class WorldStore:
                 dirty_masks = m_block[d]
                 dirty_masks[:, col_arr] = nc[d]
                 label_parts.append(component_labels_for_edges(
-                    n, self._src, self._dst, dirty_masks,
-                    backend=self._backend, n_workers=self._n_workers,
+                    n, self._src, self._dst, dirty_masks
                 ))
             dirty_labels = (
                 label_parts[0] if len(label_parts) == 1
@@ -1271,8 +1254,7 @@ class WorldStore:
         for ci, rows in sorted(self._stale.items()):
             old_l = self._l_blocks[ci]
             labels = component_labels_for_edges(
-                n, self._src, self._dst, self._m_blocks[ci][rows],
-                backend=self._backend, n_workers=self._n_workers,
+                n, self._src, self._dst, self._m_blocks[ci][rows]
             )
             fresh_l = self._alloc_block(old_l.shape, old_l.dtype)
             fresh_l[:] = old_l

@@ -145,8 +145,8 @@ class DatasetRegistry:
                 logger.info("warmed degree cache for %s", entry.key)
             return entry.degree_cache.clone()
 
-    def world_store(self, graph, n_samples, seed, backend="auto",
-                    n_workers=None, memory_budget=None) -> WorldStore:
+    def world_store(self, graph, n_samples, seed,
+                    memory_budget=None) -> WorldStore:
         """A per-job clone of the pristine world store for these params.
 
         The pristine store is never derived against -- derivation grows
@@ -159,16 +159,14 @@ class DatasetRegistry:
         entry = self._entry_for(graph)
         if entry is None:
             return WorldStore(
-                graph, n_samples, seed=seed, backend=backend,
-                n_workers=n_workers, memory_budget=memory_budget,
+                graph, n_samples, seed=seed, memory_budget=memory_budget
             )
-        key = (int(n_samples), seed, backend, n_workers, memory_budget)
+        key = (int(n_samples), seed, memory_budget)
         with entry.lock:
             store = entry.world_stores.get(key)
             if store is None:
                 store = WorldStore(
-                    graph, n_samples, seed=seed, backend=backend,
-                    n_workers=n_workers, memory_budget=memory_budget,
+                    graph, n_samples, seed=seed, memory_budget=memory_budget
                 )
                 # Force the expensive base state now so every clone
                 # shares it (lazy caches computed on a clone would stay

@@ -11,9 +11,11 @@ local TCP connection (default bind 127.0.0.1).  Operations::
     {"op": "shutdown"}
 
 Every reply carries ``"ok"``; failures carry ``"error"`` instead of
-crashing the connection.  The event loop never computes: jobs are
-offloaded to a thread pool, and each job executes the *same* command
-function a one-shot CLI run would, with three substitutions wired
+crashing the connection.  A request line longer than ``FRAME_LIMIT``
+bytes gets one protocol error, after which that connection is closed.
+The event loop never computes: jobs are offloaded to a thread pool,
+and each job executes the *same* command function a one-shot CLI run
+would, with three substitutions wired
 through the :class:`repro.cli.CommandRuntime` boundary:
 
 * ``out``/``err`` are per-job string buffers instead of process stdio;
@@ -66,6 +68,9 @@ logger = logging.getLogger("repro.server")
 #: but never cached (it reports ambient state).
 SERVABLE_COMMANDS = frozenset(CACHEABLE_COMMANDS) | {"capabilities"}
 
+#: Longest request line, in bytes (asyncio's default stream limit).
+FRAME_LIMIT = 64 * 1024
+
 
 def _make_runtime(registry: DatasetRegistry, job: Job):
     """Per-job :class:`repro.cli.CommandRuntime` backed by the registry.
@@ -91,11 +96,9 @@ def _make_runtime(registry: DatasetRegistry, job: Job):
         def degree_cache(self, graph):
             return registry.degree_cache(graph)
 
-        def world_store(self, graph, n_samples, seed, backend="auto",
-                        n_workers=None, memory_budget=None):
+        def world_store(self, graph, n_samples, seed, memory_budget=None):
             return registry.world_store(
-                graph, n_samples, seed, backend=backend,
-                n_workers=n_workers, memory_budget=memory_budget,
+                graph, n_samples, seed, memory_budget=memory_budget
             )
 
     return Runtime()
@@ -302,7 +305,18 @@ class ChameleonService:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # asyncio raises a frame past the stream limit as
+                    # ValueError, and the frame's end can no longer be
+                    # found reliably: answer once and close.
+                    writer.write(json.dumps({
+                        "ok": False,
+                        "error": f"request frame exceeds {FRAME_LIMIT} bytes",
+                    }).encode() + b"\n")
+                    await writer.drain()
+                    return
                 if not line:
                     return
                 try:
@@ -344,7 +358,8 @@ class ChameleonService:
             ):
                 self._loop.add_signal_handler(signum, self._stop.set)
         server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+            self._handle_connection, self._host, self._port,
+            limit=FRAME_LIMIT,
         )
         port = server.sockets[0].getsockname()[1]
         if self._port_file:

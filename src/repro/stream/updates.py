@@ -168,28 +168,28 @@ def read_update_file(path: str | Path) -> UpdateBatch:
     path = Path(path)
     deltas: list[tuple[int, int, float, float]] = []
     try:
-        handle = path.open("r", encoding="utf-8")
+        with path.open("r", encoding="utf-8") as handle:
+            lines = handle.readlines()
     except OSError as exc:
         raise GraphFormatError(f"cannot read update file: {exc}") from None
-    with handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 4:
-                raise GraphFormatError(
-                    f"{path}:{line_number}: expected 'u v p_old p_new', "
-                    f"got {line.rstrip()!r}"
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                old, new = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{line_number}: {exc}"
-                ) from None
-            deltas.append((u, v, old, new))
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    for line_number, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        parts = text.split()
+        if len(parts) != 4:
+            raise GraphFormatError(
+                f"{path}:{line_number}: expected 'u v p_old p_new', "
+                f"got {line.rstrip()!r}"
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            old, new = float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}:{line_number}: {exc}") from None
+        deltas.append((u, v, old, new))
     try:
         return UpdateBatch.from_deltas(deltas)
     except ObfuscationError as exc:

@@ -77,9 +77,13 @@ def dumps_edge_list(graph: UncertainGraph, precision: int = 6) -> str:
 
 def read_edge_list(path, default_probability: float = 1.0) -> UncertainGraph:
     """Load an uncertain graph from an edge-list file."""
-    return loads_edge_list(
-        Path(path).read_text(), default_probability=default_probability
-    )
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(
+            f"{path}: not a text edge list ({exc})"
+        ) from None
+    return loads_edge_list(text, default_probability=default_probability)
 
 
 def write_edge_list(graph: UncertainGraph, path, precision: int = 6) -> None:

@@ -3,10 +3,9 @@
 Executes the comparison routines of
 ``benchmarks/bench_connectivity_backends.py`` and
 ``benchmarks/bench_obfuscation_check.py`` at sizes where timing is
-meaningless but every backend / checker code path -- including the
-multiprocess pool and the incremental delta cache -- is exercised on
-each test run.  Marked ``benchmark_smoke`` so they can be selected or
-skipped with ``-m``.
+meaningless but every labeler / checker code path -- including the
+incremental delta cache -- is exercised on each test run.  Marked
+``benchmark_smoke`` so they can be selected or skipped with ``-m``.
 """
 
 import sys
@@ -32,13 +31,11 @@ import bench_world_store as bench_ws  # noqa: E402
 
 @pytest.mark.benchmark_smoke
 def test_backend_comparison_smoke():
-    result = bench.run_backend_comparison(
-        n_samples=12, scale=0.15, repeats=1, n_workers=2
-    )
+    result = bench.run_backend_comparison(n_samples=12, scale=0.15, repeats=1)
     assert result["n_samples"] == 12
-    backends = [row[0] for row in result["rows"]]
-    assert set(backends) == {"scipy", "python", "batched-scipy", "process", "auto"}
-    assert all(row[4] for row in result["rows"]), "backend partitions diverged"
+    labelers = [row[0] for row in result["rows"]]
+    assert labelers == ["per-world", "batched"]
+    assert all(row[4] for row in result["rows"]), "labeler partitions diverged"
     assert all(row[1] >= 0.0 for row in result["rows"])
 
 

@@ -7,6 +7,16 @@ import pytest
 from repro.cli import build_parser, main
 from repro.ugraph import read_edge_list
 from tests.checker_oracle import use_full_checker
+from tests.connectivity_oracle import use_oracle_labeler
+
+#: The five world-sampling subcommands, with their required arguments.
+MONTE_CARLO_COMMANDS = (
+    ["anonymize", "a.pel", "b.pel", "--k", "3"],
+    ["check", "a.pel", "--k", "3"],
+    ["update", "a.pel", "u.txt", "b.pel", "--k", "3"],
+    ["evaluate", "a.pel", "b.pel"],
+    ["discrepancy", "a.pel", "b.pel"],
+)
 
 
 def test_parser_subcommands():
@@ -167,18 +177,27 @@ def test_diagnose_subcommand(tmp_path, capsys):
     assert code == 1
 
 
-def test_backend_flags_parse():
+def test_backend_flags_parse(capsys):
+    """The execution flags left: ``--workers`` sizes the trial pool of
+    ``anonymize`` and ``sweep`` only, and every world-sampling
+    subcommand keeps ``--world-memory-budget``."""
     parser = build_parser()
-    for command_tail in (
-        ["anonymize", "a.pel", "b.pel", "--k", "3"],
-        ["check", "a.pel", "--k", "3"],
-        ["evaluate", "a.pel", "b.pel"],
-    ):
-        args = parser.parse_args(
-            command_tail + ["--backend", "batched-scipy", "--workers", "2"]
-        )
-        assert args.backend == "batched-scipy"
+    for command_tail in (MONTE_CARLO_COMMANDS[0],
+                         ["sweep", "a.pel", "--k", "3"]):
+        args = parser.parse_args(command_tail + ["--workers", "2"])
         assert args.workers == 2
+    for command_tail in MONTE_CARLO_COMMANDS:
+        args = parser.parse_args(
+            command_tail + ["--world-memory-budget", "64m"]
+        )
+        assert args.world_memory_budget == 64 * 1024**2
+        assert not hasattr(args, "backend")
+        if command_tail[0] == "anonymize":
+            continue
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command_tail + ["--workers", "2"])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_checker_flag_parses_and_rejects_unknown(capsys):
@@ -227,16 +246,22 @@ def test_anonymize_with_full_checker(tmp_path, capsys, monkeypatch):
 
 
 def test_backend_flag_rejects_unknown(capsys):
-    parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["evaluate", "a.pel", "b.pel", "--backend", "gpu"])
+    """There is one connectivity labeler: ``--backend`` of any value,
+    every former engine name included, is a usage error."""
+    for command_tail in MONTE_CARLO_COMMANDS:
+        for value in ("auto", "batched-scipy", "process", "scipy",
+                      "python", "gpu"):
+            with pytest.raises(SystemExit) as exc:
+                main(command_tail + ["--backend", value])
+            assert exc.value.code == 2
     capsys.readouterr()
 
 
 def test_workers_flag_rejects_non_positive(capsys):
     parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["evaluate", "a.pel", "b.pel", "--workers", "0"])
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(MONTE_CARLO_COMMANDS[0] + ["--workers", "0"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -249,19 +274,19 @@ def test_pipeline_with_batched_backend(tmp_path, capsys):
     code = main([
         "anonymize", str(source), str(target),
         "--method", "rsme", "--k", "3", "--epsilon", "0.1",
-        "--trials", "2", "--seed", "22", "--backend", "batched-scipy",
+        "--trials", "2", "--seed", "22",
     ])
     summary = json.loads(capsys.readouterr().out)
     assert code == 0
     assert summary["success"] is True
 
     code = main(["check", str(target), "--k", "3", "--epsilon", "0.1",
-                 "--original", str(source), "--backend", "batched-scipy"])
+                 "--original", str(source)])
     capsys.readouterr()
     assert code == 0
 
     code = main(["evaluate", str(source), str(target), "--samples", "40",
-                 "--seed", "23", "--backend", "batched-scipy"])
+                 "--seed", "23"])
     rows = json.loads(capsys.readouterr().out)
     assert code == 0
     assert "reliability" in rows
@@ -358,8 +383,9 @@ def test_checkpoint_resume_roundtrip(tmp_path, capsys):
     assert first.read_text() == resumed.read_text()
 
 
-def test_evaluate_backend_equivalence(tmp_path, capsys):
-    """Backend choice must not change seeded evaluate output."""
+def test_evaluate_backend_equivalence(tmp_path, capsys, monkeypatch):
+    """Seeded evaluate output is byte-identical whether worlds are
+    labeled by the batched kernel or by the per-world oracle."""
     source = tmp_path / "orig.pel"
     target = tmp_path / "anon.pel"
     main(["generate", "ppi", str(source), "--scale", "0.2", "--seed", "24"])
@@ -367,13 +393,36 @@ def test_evaluate_backend_equivalence(tmp_path, capsys):
           "--k", "3", "--epsilon", "0.1", "--trials", "2", "--seed", "25"])
     capsys.readouterr()
 
-    outputs = []
-    for backend in ("scipy", "batched-scipy"):
-        code = main(["evaluate", str(source), str(target), "--samples", "40",
-                     "--seed", "26", "--backend", backend])
-        assert code == 0
-        outputs.append(json.loads(capsys.readouterr().out))
-    assert outputs[0] == outputs[1]
+    argv = ["evaluate", str(source), str(target), "--samples", "40",
+            "--seed", "26"]
+    assert main(argv) == 0
+    batched = capsys.readouterr().out
+    use_oracle_labeler(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == batched
+
+
+@pytest.mark.parametrize("command", ["check", "anonymize", "update"])
+def test_undecodable_input_exits_2(tmp_path, capsys, command):
+    """A file that is not UTF-8 text is bad input: exit 2 with one
+    ``error:`` line naming the file, never an internal-error traceback."""
+    published = tmp_path / "published.pel"
+    published.write_text("0 1 0.5\n1 2 0.5\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe0 1 0.5 0.6\n")
+    argv = {
+        "check": ["check", str(bad), "--k", "2"],
+        "anonymize": ["anonymize", str(bad), str(tmp_path / "out.pel"),
+                      "--k", "2", "--seed", "1"],
+        "update": ["update", str(published), str(bad),
+                   str(tmp_path / "out.pel"), "--k", "2"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(bad) in lines[0]
 
 
 def test_broken_pipe_exits_141(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """ChameleonConfig and variant presets."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import VARIANTS, ChameleonConfig, variant_config
@@ -34,7 +36,7 @@ class TestValidation:
             {"relevance_samples": 0},
             {"selection_mode": "psychic"},
             {"perturbation_mode": "psychic"},
-            {"connectivity_backend": "gpu"},
+            {"trial_backend": "gpu"},
             {"n_workers": 0},
             {"n_workers": -2},
             {"sigma_initial": 0.0},
@@ -73,14 +75,17 @@ class TestVariants:
         assert cfg.selection_mode == "uniqueness-only"
 
     def test_connectivity_backend_override(self):
-        cfg = variant_config("rsme", connectivity_backend="batched-scipy",
-                             n_workers=4)
-        assert cfg.connectivity_backend == "batched-scipy"
+        """There is one connectivity labeler, so no variant can pick
+        another; ``n_workers`` (the trial pool) still overrides."""
+        cfg = variant_config("rsme", n_workers=4)
         assert cfg.n_workers == 4
+        with pytest.raises(TypeError, match="connectivity_backend"):
+            variant_config("rsme", connectivity_backend="batched-scipy")
 
     def test_connectivity_defaults(self):
         cfg = ChameleonConfig()
-        assert cfg.connectivity_backend == "auto"
+        assert "connectivity_backend" not in {f.name for f in fields(cfg)}
+        assert len(fields(cfg)) == 25
         assert cfg.n_workers is None
         assert cfg.utility_samples == 0
 

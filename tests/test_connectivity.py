@@ -6,27 +6,38 @@ import pytest
 from repro.reliability import (
     batch_component_labels,
     batch_pair_counts,
+    component_labels_for_edges,
     pair_counts_from_labels,
+)
+from repro.reliability.union_find import canonical_component_labels
+from repro.ugraph import UncertainGraph, sample_edge_masks
+from tests.connectivity_oracle import (
+    oracle_component_labels,
     world_component_labels,
 )
-from repro.ugraph import UncertainGraph, sample_edge_masks
+
+
+def one_world_labels(n_nodes, src, dst) -> np.ndarray:
+    """The batched kernel on a one-row batch that realizes every edge."""
+    realized = np.ones((1, src.shape[0]), dtype=bool)
+    return component_labels_for_edges(n_nodes, src, dst, realized)[0]
 
 
 def test_world_labels_empty_edge_set():
-    labels = world_component_labels(4, np.array([], dtype=np.int64),
-                                    np.array([], dtype=np.int64))
-    assert sorted(labels.tolist()) == [0, 1, 2, 3]
+    labels = one_world_labels(4, np.array([], dtype=np.int64),
+                              np.array([], dtype=np.int64))
+    assert labels.tolist() == [0, 1, 2, 3]
 
 
 def test_world_labels_path():
     src = np.array([0, 1])
     dst = np.array([1, 2])
-    labels = world_component_labels(4, src, dst)
-    assert labels[0] == labels[1] == labels[2]
-    assert labels[3] != labels[0]
+    labels = one_world_labels(4, src, dst)
+    assert labels.tolist() == [0, 0, 0, 1]
 
 
 def test_backends_agree():
+    """The kernel labels one world exactly as both per-world oracles do."""
     rng = np.random.default_rng(5)
     n = 30
     src, dst = [], []
@@ -37,17 +48,20 @@ def test_backends_agree():
                 dst.append(v)
     src = np.array(src)
     dst = np.array(dst)
-    a = world_component_labels(n, src, dst, backend="scipy")
-    b = world_component_labels(n, src, dst, backend="python")
-    # Labelings must induce the same partition.
-    for i in range(n):
-        for j in range(i + 1, n):
-            assert (a[i] == a[j]) == (b[i] == b[j])
+    labels = one_world_labels(n, src, dst)
+    np.testing.assert_array_equal(labels, world_component_labels(n, src, dst))
+    np.testing.assert_array_equal(
+        labels, canonical_component_labels(n, src, dst)
+    )
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        world_component_labels(2, np.array([0]), np.array([1]), backend="gpu")
+def test_unknown_backend_rejected(triangle):
+    """One labeler and no ``backend=`` keyword: any value, a former
+    engine name included, is a TypeError."""
+    masks = sample_edge_masks(triangle, 2, seed=0)
+    for backend in ("gpu", "scipy", "process"):
+        with pytest.raises(TypeError, match="backend"):
+            batch_component_labels(triangle, masks, backend=backend)
 
 
 def test_batch_labels_shape(triangle):
@@ -77,13 +91,10 @@ def test_batch_labels_shape_mismatch_rejected(triangle):
 
 def test_batched_backend_matches_loop(triangle):
     masks = sample_edge_masks(triangle, 25, seed=9)
-    loop = batch_component_labels(triangle, masks, backend="scipy")
-    batched = batch_component_labels(triangle, masks, backend="batched-scipy")
-    for i in range(masks.shape[0]):
-        a, b = loop[i], batched[i]
-        np.testing.assert_array_equal(
-            a[:, None] == a[None, :], b[:, None] == b[None, :]
-        )
+    loop = oracle_component_labels(
+        triangle.n_nodes, triangle.edge_src, triangle.edge_dst, masks
+    )
+    np.testing.assert_array_equal(batch_component_labels(triangle, masks), loop)
 
 
 def test_pair_counts_vectorized_matches_per_world_bincount():

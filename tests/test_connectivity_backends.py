@@ -1,8 +1,12 @@
-"""Cross-backend tests for the batched connectivity engine.
+"""The batched connectivity kernel against its per-world oracles.
 
-The contract under test: every backend in ``CONNECTIVITY_BACKENDS``
-produces the same component *partitions* (concrete labels may differ up
-to per-world renaming), and therefore backend choice never changes any
+The contract under test: the one labeling kernel
+(:func:`repro.reliability.batch_component_labels`) gives, world for
+world, exactly the canonical labels of the per-world oracles -- one
+scipy ``connected_components`` call per world
+(``tests/connectivity_oracle.py``) and the union-find
+:func:`~repro.reliability.union_find.canonical_component_labels` -- and
+routing the whole Monte-Carlo stack through the oracle changes no
 seeded estimator result.
 """
 
@@ -11,24 +15,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.parallel import NUM_WORKERS_ENV, resolve_worker_count
 from repro.exceptions import ConfigurationError
 from repro.reliability import (
-    CONNECTIVITY_BACKENDS,
-    NUM_WORKERS_ENV,
     ReliabilityEstimator,
     batch_component_labels,
     batch_pair_counts,
+    connected_pair_count,
     pair_counts_from_labels,
     reliability_discrepancy,
-    resolve_worker_count,
     sample_vertex_pairs,
 )
+from repro.reliability.union_find import canonical_component_labels
 from repro.ugraph import UncertainGraph, sample_edge_masks
+from tests.connectivity_oracle import (
+    oracle_component_labels,
+    use_oracle_labeler,
+)
 
 
 def equality_matrices(labels: np.ndarray) -> np.ndarray:
     """Label-invariant partition encoding: per-world co-membership."""
     return labels[:, :, None] == labels[:, None, :]
+
+
+def union_find_labels(graph: UncertainGraph, masks: np.ndarray) -> np.ndarray:
+    """Per-world canonical labels from the union-find oracle."""
+    return np.stack([
+        canonical_component_labels(
+            graph.n_nodes, graph.edge_src[keep], graph.edge_dst[keep]
+        )
+        for keep in masks
+    ])
 
 
 @st.composite
@@ -54,89 +72,86 @@ class TestCrossBackendPartitions:
     @given(graph=uncertain_graphs(), seed=st.integers(0, 2**31 - 1))
     def test_all_backends_identical_partitions(self, graph, seed):
         masks = sample_edge_masks(graph, 12, seed=seed)
-        reference = None
-        for backend in CONNECTIVITY_BACKENDS:
-            labels = batch_component_labels(
-                graph, masks, backend=backend, n_workers=1
-            )
-            assert labels.shape == (12, graph.n_nodes)
-            # Each row must use consecutive ids starting at 0.
-            for row in labels:
-                assert sorted(set(row.tolist())) == list(range(row.max() + 1))
-            encoded = equality_matrices(labels)
-            if reference is None:
-                reference = encoded
-            else:
-                np.testing.assert_array_equal(reference, encoded)
+        labels = batch_component_labels(graph, masks)
+        assert labels.shape == (12, graph.n_nodes)
+        # Canonical labels: the oracles agree bit for bit, not just up
+        # to per-world renaming.
+        np.testing.assert_array_equal(
+            labels,
+            oracle_component_labels(
+                graph.n_nodes, graph.edge_src, graph.edge_dst, masks
+            ),
+        )
+        np.testing.assert_array_equal(labels, union_find_labels(graph, masks))
 
     @settings(max_examples=25, deadline=None)
     @given(graph=uncertain_graphs(), seed=st.integers(0, 2**31 - 1))
     def test_pair_counts_agree_across_backends(self, graph, seed):
         masks = sample_edge_masks(graph, 8, seed=seed)
-        counts = [
-            batch_pair_counts(graph, masks, backend=backend, n_workers=1)
-            for backend in CONNECTIVITY_BACKENDS
+        expected = [
+            float(connected_pair_count(row))
+            for row in union_find_labels(graph, masks)
         ]
-        for other in counts[1:]:
-            np.testing.assert_array_equal(counts[0], other)
+        np.testing.assert_array_equal(batch_pair_counts(graph, masks), expected)
 
 
 class TestEstimatorDeterminism:
-    @pytest.mark.parametrize("backend", CONNECTIVITY_BACKENDS)
+    @pytest.mark.parametrize("labeler", ["batched", "oracle"])
     def test_backend_does_not_change_seeded_results(
-        self, small_profile_graph, backend
+        self, small_profile_graph, labeler, monkeypatch
     ):
         reference = ReliabilityEstimator(
-            small_profile_graph, n_samples=60, seed=11, backend="scipy"
-        )
-        estimator = ReliabilityEstimator(
-            small_profile_graph, n_samples=60, seed=11,
-            backend=backend, n_workers=1,
+            small_profile_graph, n_samples=60, seed=11
         )
         pairs = sample_vertex_pairs(small_profile_graph.n_nodes, 50, seed=5)
-        assert estimator.two_terminal(0, 1) == reference.two_terminal(0, 1)
-        assert (
-            estimator.expected_connected_pairs()
-            == reference.expected_connected_pairs()
-        )
-        np.testing.assert_array_equal(
-            estimator.reliability_of_pairs(pairs),
+        expected = (
+            reference.two_terminal(0, 1),
+            reference.expected_connected_pairs(),
             reference.reliability_of_pairs(pairs),
-        )
-        np.testing.assert_array_equal(
-            estimator.pairwise_reliability(),
             reference.pairwise_reliability(),
         )
+        if labeler == "oracle":
+            use_oracle_labeler(monkeypatch)
+        estimator = ReliabilityEstimator(
+            small_profile_graph, n_samples=60, seed=11
+        )
+        assert estimator.two_terminal(0, 1) == expected[0]
+        assert estimator.expected_connected_pairs() == expected[1]
+        np.testing.assert_array_equal(
+            estimator.reliability_of_pairs(pairs), expected[2]
+        )
+        np.testing.assert_array_equal(
+            estimator.pairwise_reliability(), expected[3]
+        )
 
-    @pytest.mark.parametrize("backend", CONNECTIVITY_BACKENDS)
+    @pytest.mark.parametrize("labeler", ["batched", "oracle"])
     def test_discrepancy_deterministic_across_backends(
-        self, bridge_graph, backend
+        self, bridge_graph, labeler, monkeypatch
     ):
         perturbed = bridge_graph.with_probabilities(
             np.clip(bridge_graph.edge_probabilities - 0.2, 0.0, 1.0)
         )
         reference = reliability_discrepancy(
-            bridge_graph, perturbed, n_samples=80, seed=3, backend="scipy"
+            bridge_graph, perturbed, n_samples=80, seed=3
         )
-        value = reliability_discrepancy(
-            bridge_graph, perturbed, n_samples=80, seed=3,
-            backend=backend, n_workers=1,
-        )
-        assert value == reference
+        if labeler == "oracle":
+            use_oracle_labeler(monkeypatch)
+        for engine in ("store", "fresh"):
+            value = reliability_discrepancy(
+                bridge_graph, perturbed, n_samples=80, seed=3, engine=engine
+            )
+            assert value == reference
 
 
 class TestBatchedEdgeCases:
     def test_empty_world_batch(self, triangle):
         masks = np.zeros((0, triangle.n_edges), dtype=bool)
-        for backend in CONNECTIVITY_BACKENDS:
-            labels = batch_component_labels(
-                triangle, masks, backend=backend, n_workers=1
-            )
-            assert labels.shape == (0, 3)
+        labels = batch_component_labels(triangle, masks)
+        assert labels.shape == (0, 3)
 
     def test_all_edges_absent_worlds(self, triangle):
         masks = np.zeros((5, triangle.n_edges), dtype=bool)
-        labels = batch_component_labels(triangle, masks, backend="batched-scipy")
+        labels = batch_component_labels(triangle, masks)
         # Every vertex isolated: partitions are all-singletons.
         for row in labels:
             assert len(set(row.tolist())) == 3
@@ -144,15 +159,13 @@ class TestBatchedEdgeCases:
     def test_edgeless_graph(self):
         graph = UncertainGraph(4, [])
         masks = np.zeros((3, 0), dtype=bool)
-        for backend in CONNECTIVITY_BACKENDS:
-            labels = batch_component_labels(
-                graph, masks, backend=backend, n_workers=1
-            )
-            assert labels.shape == (3, 4)
+        labels = batch_component_labels(graph, masks)
+        assert labels.shape == (3, 4)
+        assert labels.tolist() == [[0, 1, 2, 3]] * 3
 
     def test_integer_masks_accepted(self, triangle):
         masks = sample_edge_masks(triangle, 6, seed=0).astype(np.int8)
-        a = batch_component_labels(triangle, masks, backend="batched-scipy")
+        a = batch_component_labels(triangle, masks)
         b = batch_component_labels(triangle, masks.astype(bool))
         np.testing.assert_array_equal(
             equality_matrices(a), equality_matrices(b)
@@ -172,9 +185,11 @@ class TestValidation:
             )
 
     def test_unknown_backend_rejected(self, triangle):
-        masks = sample_edge_masks(triangle, 2, seed=0)
-        with pytest.raises(ValueError, match="unknown backend"):
-            batch_component_labels(triangle, masks, backend="gpu")
+        """The estimator has no ``backend=`` knob left to forward: any
+        value, the former default ``"scipy"`` included, is a TypeError."""
+        for backend in ("gpu", "scipy", "auto"):
+            with pytest.raises(TypeError, match="backend"):
+                ReliabilityEstimator(triangle, 4, seed=0, backend=backend)
 
     def test_pair_counts_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
@@ -182,6 +197,8 @@ class TestValidation:
 
 
 class TestWorkerResolution:
+    """``resolve_worker_count`` sizes the ``process`` trial engine."""
+
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv(NUM_WORKERS_ENV, "7")
         assert resolve_worker_count(3) == 3
@@ -202,19 +219,3 @@ class TestWorkerResolution:
     def test_rejects_non_positive(self):
         with pytest.raises(ConfigurationError):
             resolve_worker_count(0)
-
-    def test_process_backend_reads_env(self, triangle, monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "1")
-        masks = sample_edge_masks(triangle, 4, seed=2)
-        labels = batch_component_labels(triangle, masks, backend="process")
-        assert labels.shape == (4, 3)
-
-    def test_process_backend_multiworker(self, triangle):
-        masks = sample_edge_masks(triangle, 9, seed=4)
-        a = batch_component_labels(
-            triangle, masks, backend="process", n_workers=2
-        )
-        b = batch_component_labels(triangle, masks, backend="scipy")
-        np.testing.assert_array_equal(
-            equality_matrices(a), equality_matrices(b)
-        )

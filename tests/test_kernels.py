@@ -232,7 +232,7 @@ class TestRethresholdMasks:
 
 
 class TestMaskedComponentLabels:
-    """The batched-scipy labeling kernel, ``_batched_labels_chunked``."""
+    """The batched labeling kernel, ``_batched_labels_chunked``."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -363,16 +363,14 @@ class TestMaskedComponentLabels:
             self._assert_canonical(n_nodes, src, dst, masks)
 
     def test_delegates_to_batched_scipy_bitwise(self):
-        """The public ``batched-scipy`` entry point is this kernel."""
+        """The public entry point is this kernel."""
         rng = np.random.default_rng(11)
         n_nodes, n_edges, n_worlds = 20, 40, 8
         src = rng.integers(0, n_nodes, n_edges)
         dst = rng.integers(0, n_nodes, n_edges)
         masks = rng.random((n_worlds, n_edges)) < 0.4
         np.testing.assert_array_equal(
-            component_labels_for_edges(
-                n_nodes, src, dst, masks, backend="batched-scipy"
-            ),
+            component_labels_for_edges(n_nodes, src, dst, masks),
             _batched_labels_chunked(n_nodes, src, dst, masks),
         )
 

@@ -4,10 +4,9 @@ The load-bearing guarantee is *bit-identity*: ``anonymize(seed=s)`` must
 produce exactly the same result for every ``trial_backend`` and every
 worker count, because the per-trial randomness is a pure function of
 ``(entropy, probe_index, trial_index)`` and the reduction replays the
-sequential tie-break.  The shared-memory publication mirrors the
-connectivity backend's contract (tests modeled on
-``test_worldstore.py``): descriptors -- not arrays -- cross the pool
-boundary, and the segment is unlinked even when the pool dies.
+sequential tie-break.  The shared-memory publication contract:
+descriptors -- not arrays -- cross the pool boundary, and the segment is
+unlinked even when the pool dies.
 """
 
 from concurrent.futures.process import BrokenProcessPool
@@ -323,7 +322,7 @@ class TestEngineRetargeting:
         expected = fresh.run_probe(0, 0.5)
         with create_trial_engine(
             small_profile_graph, config, context, cache=cache, entropy=99,
-            backend=backend, n_workers=2,
+            trial_backend=backend, n_workers=2,
         ) as engine:
             engine.run_probe(0, 0.5)  # consume the pre-retarget state
             engine.set_privacy(3, 0.35)
@@ -456,7 +455,7 @@ class TestConfigurationSurface:
             ChameleonConfig(trial_backend="threads")
         with pytest.raises(ConfigurationError, match="trial backend"):
             create_trial_engine(None, ChameleonConfig(), None,
-                                backend="threads")
+                                trial_backend="threads")
 
     def test_thread_backend_rejected(self):
         """The thread trial engine is gone; naming it is a config error."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import EstimationError
 from repro.reliability import (
@@ -47,6 +49,41 @@ class TestEstimatorAgainstOracle:
             a, b, n_samples=20_000, seed=3, per_pair=False
         )
         assert estimated == pytest.approx(exact_total, rel=0.1, abs=0.05)
+
+
+@st.composite
+def small_uncertain_graphs(draw) -> UncertainGraph:
+    """2-7 vertices, at most 10 edges, probabilities in [0.05, 0.95]."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+    probs = draw(st.lists(
+        st.floats(min_value=0.05, max_value=0.95),
+        min_size=len(chosen), max_size=len(chosen),
+    ))
+    return UncertainGraph(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+
+
+class TestEstimatorAgainstEnumeration:
+    """The sampled estimates land within five standard errors of exact
+    world enumeration -- ground truth, not agreement between engines."""
+
+    N = 4000
+
+    @settings(derandomize=True, deadline=None)
+    @given(graph=small_uncertain_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_estimates_within_five_standard_errors(self, graph, seed):
+        est = ReliabilityEstimator(graph, n_samples=self.N, seed=seed)
+        exact = exact_pairwise_reliability(graph)
+        bound = 5.0 * np.sqrt(exact * (1.0 - exact) / self.N) + 1e-9
+        assert np.all(np.abs(est.pairwise_reliability() - exact) <= bound)
+
+        counts = est.pair_counts
+        standard_error = counts.std(ddof=1) / np.sqrt(self.N)
+        assert abs(
+            est.expected_connected_pairs()
+            - exact_expected_connected_pairs(graph)
+        ) <= 5.0 * standard_error + 1e-9
 
 
 class TestEstimatorBehavior:

@@ -63,7 +63,7 @@ def _supervised(graph, config, context, plan=None, backend="process",
                 max_retries=0, task_timeout=None, n_workers=2, entropy=123):
     def factory(name):
         return create_trial_engine(
-            graph, config, context, entropy=entropy, backend=name,
+            graph, config, context, entropy=entropy, trial_backend=name,
             n_workers=n_workers, fault_plan=plan, task_timeout=task_timeout,
         )
 
@@ -161,7 +161,7 @@ class TestSupervision:
         context = _context(small_profile_graph, config)
         reference = create_trial_engine(
             small_profile_graph, config, context, entropy=123,
-            backend="serial",
+            trial_backend="serial",
         ).run_probe(0, 1.0)
         plan = FaultPlan.parse("crash@0.0")
         engine = _supervised(small_profile_graph, config, context, plan,
@@ -199,7 +199,7 @@ class TestSupervision:
         assert all(d.reason for d in engine.degradations)
         reference = create_trial_engine(
             small_profile_graph, config, context, entropy=123,
-            backend="serial",
+            trial_backend="serial",
         ).run_probe(0, 1.0)
         assert outcome.epsilon_achieved == reference.epsilon_achieved
 
@@ -236,7 +236,7 @@ class TestSupervision:
         assert engine.retry_count == 1
         reference = create_trial_engine(
             small_profile_graph, config, context, entropy=123,
-            backend="serial",
+            trial_backend="serial",
         ).run_probe(0, 1.0)
         assert outcome.epsilon_achieved == reference.epsilon_achieved
 
@@ -246,7 +246,7 @@ class TestSupervision:
         plan = FaultPlan.parse("delay@0.0:0.4")
         engine = create_trial_engine(
             small_profile_graph, config, context, entropy=123,
-            backend="serial", fault_plan=plan, task_timeout=0.1,
+            trial_backend="serial", fault_plan=plan, task_timeout=0.1,
         )
         with pytest.raises(TrialTimeoutError):
             engine.run_probe(0, 1.0)
@@ -267,7 +267,7 @@ class TestSupervision:
         assert engine.backend == "process"  # recovered without degrading
         reference = create_trial_engine(
             small_profile_graph, config, context, entropy=123,
-            backend="serial",
+            trial_backend="serial",
         ).run_probe(0, 1.0)
         assert outcome.epsilon_achieved == reference.epsilon_achieved
 
@@ -286,7 +286,7 @@ class TestSupervision:
         assert engine.retry_count == 1
         reference = create_trial_engine(
             small_profile_graph, config, context, entropy=777,
-            backend="serial",
+            trial_backend="serial",
         ).run_probe(0, 1.0)
         assert outcome.epsilon_achieved == reference.epsilon_achieved
 
@@ -504,7 +504,7 @@ class TestFingerprintFieldDrift:
     #: drawn from the pipeline RNG *after* the selection context and the
     #: trial entropy, so toggling it cannot perturb any probe.
     EXECUTION_ONLY = frozenset({
-        "trial_backend", "n_workers", "connectivity_backend",
+        "trial_backend", "n_workers",
         "utility_samples", "world_memory_budget", "trial_timeout",
         "max_retries", "retry_backoff", "fault_plan",
         "checkpoint_path", "resume", "seed",
@@ -518,8 +518,7 @@ class TestFingerprintFieldDrift:
         "selection_mode": "uniqueness-only", "perturbation_mode": "naive",
         "sigma_initial": 2.0, "sigma_max": 32.0, "sigma_tolerance": 0.05,
         "uniqueness_bandwidth": 0.7, "name": "variant",
-        "trial_backend": "process", "n_workers": 3,
-        "connectivity_backend": "python", "utility_samples": 8,
+        "trial_backend": "process", "n_workers": 3, "utility_samples": 8,
         "world_memory_budget": 1 << 20, "trial_timeout": 5.0,
         "max_retries": 7, "retry_backoff": 0.3,
         "fault_plan": "delay@0.5:0.01", "checkpoint_path": "probes.jsonl",
@@ -668,7 +667,7 @@ class TestBoundedClose:
         plan = FaultPlan.parse("delay@0.0:30")
         engine = create_trial_engine(
             small_profile_graph, config, context, entropy=123,
-            backend="process", n_workers=2, fault_plan=plan,
+            trial_backend="process", n_workers=2, fault_plan=plan,
         )
         engine.shutdown_timeout = 0.3
         futures = engine._submit_probe(0, 1.0)
@@ -708,7 +707,7 @@ class TestBoundedClose:
             for cycle in range(CLOSE_CYCLES):
                 engine = create_trial_engine(
                     small_profile_graph, config, context, cache=cache,
-                    entropy=cycle, backend="process", n_workers=2,
+                    entropy=cycle, trial_backend="process", n_workers=2,
                 )
                 try:
                     engine.run_probe(0, 1.0)

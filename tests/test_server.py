@@ -410,3 +410,26 @@ def test_tcp_concurrent_submissions(live_service, toy_graph):
         assert result["state"] == "done", (argv, result["error"])
         assert result["exit"] == code
         assert result["stdout"] == stdout
+
+
+def test_oversize_frame_gets_protocol_error(live_service, caplog):
+    """A request line past the 64 KiB stream limit gets one protocol
+    error instead of a reset connection and a logged traceback, and the
+    service keeps answering new connections."""
+    import json
+    import logging
+    import socket
+
+    endpoint = (live_service._host, live_service._port)
+    frame = b'{"op": "stats", "pad": "' + b"x" * (70 * 1024) + b'"}\n'
+    with caplog.at_level(logging.ERROR):
+        with socket.create_connection(endpoint, timeout=30) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(frame)
+            stream.flush()
+            reply = json.loads(stream.readline())
+        assert reply == {
+            "ok": False, "error": "request frame exceeds 65536 bytes",
+        }
+        assert live_service.request({"op": "stats"})["ok"]
+    assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []

@@ -1,30 +1,22 @@
 """Property tests for the persistent CRN world store (PR 4).
 
-Two contracts are under test:
-
-1. **Bit-identity** -- every query answered by a delta-derived
-   :class:`DerivedWorlds` view (labels, pair counts, pair reliabilities,
-   the pairwise matrix) equals a fresh full relabeling of the view's
-   materialized masks bit for bit, across edge tweaks, p -> 0 removals,
-   brand-new edge insertions, and the empty delta.  When the candidate
-   shares the base graph's edge universe, the store path is additionally
-   bit-identical to a fresh ``ReliabilityEstimator`` built with the same
-   CRN seed.
-2. **Shared-memory process backend** -- mask matrices reach workers as
-   ``(name, shape, slice)`` descriptors, never as pickled arrays, and
-   the parent unlinks the segment even when a worker raises.
+The contract under test is **bit-identity**: every query answered by a
+delta-derived :class:`DerivedWorlds` view (labels, pair counts, pair
+reliabilities, the pairwise matrix) equals a fresh per-world relabeling
+of the view's materialized masks bit for bit, across edge tweaks,
+p -> 0 removals, brand-new edge insertions, and the empty delta.  When
+the candidate shares the base graph's edge universe, the store path is
+additionally bit-identical to a fresh ``ReliabilityEstimator`` built
+with the same CRN seed.
 """
 
 from __future__ import annotations
-
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import _segments
 from repro.core import ChameleonConfig, anonymize
 from repro.exceptions import EstimationError
 from repro.metrics import compare_graphs
@@ -32,22 +24,20 @@ from repro.reliability import (
     DerivedWorlds,
     ReliabilityEstimator,
     WorldStore,
-    component_labels_for_edges,
     graph_delta,
     pair_counts_from_labels,
     reliability_discrepancy,
-    resolve_backend,
     sample_vertex_pairs,
 )
-from repro.reliability import connectivity, worldstore
+from repro.reliability import worldstore
 from repro.ugraph import UncertainGraph, WorldSampler, overlay, sample_edge_masks
+from tests.connectivity_oracle import oracle_component_labels
 
 
 def oracle_labels(store: WorldStore, view: DerivedWorlds) -> np.ndarray:
-    """Fresh full relabeling of the view's materialized mask matrix."""
-    return component_labels_for_edges(
-        store.graph.n_nodes, store._src, store._dst, view.materialize(),
-        backend="batched-scipy",
+    """Fresh per-world relabeling of the view's materialized mask matrix."""
+    return oracle_component_labels(
+        store.graph.n_nodes, store._src, store._dst, view.materialize()
     )
 
 
@@ -199,7 +189,7 @@ class TestBaseReproduction:
 
     def test_estimator_is_store_backed(self, small_profile_graph):
         est = ReliabilityEstimator(
-            small_profile_graph, n_samples=48, seed=5, backend="batched-scipy"
+            small_profile_graph, n_samples=48, seed=5
         )
         assert est.store.n_samples == 48
         np.testing.assert_array_equal(est.masks, est.store.base_masks)
@@ -233,9 +223,7 @@ class TestDeriveBitIdentity:
     @example(case=mostly_dirty_case(24), seed=5)  # every world dirty
     def test_derived_queries_match_full_relabel(self, case, seed):
         graph, delta = case
-        store = WorldStore(
-            graph, n_samples=24, seed=seed, backend="batched-scipy"
-        )
+        store = WorldStore(graph, n_samples=24, seed=seed)
         view = store.derive(delta)
         ora = oracle_labels(store, view)
         np.testing.assert_array_equal(view.labels, ora)
@@ -260,13 +248,9 @@ class TestDeriveBitIdentity:
         graph, delta = case
         delta = [d for d in delta if graph.has_edge(d[0], d[1])]
         overlaid = overlay(graph, [(u, v, p_new) for u, v, __, p_new in delta])
-        store = WorldStore(
-            graph, n_samples=24, seed=seed, backend="batched-scipy"
-        )
+        store = WorldStore(graph, n_samples=24, seed=seed)
         view = store.derive(delta)
-        est = ReliabilityEstimator(
-            overlaid, n_samples=24, seed=seed, backend="batched-scipy"
-        )
+        est = ReliabilityEstimator(overlaid, n_samples=24, seed=seed)
         np.testing.assert_array_equal(view.labels, est.labels)
         np.testing.assert_array_equal(view.pair_counts, est.pair_counts)
         np.testing.assert_array_equal(
@@ -281,9 +265,7 @@ class TestDeriveBitIdentity:
         assert store.discrepancy(view) == 0.0
 
     def test_removal_to_zero(self, bridge_graph):
-        store = WorldStore(
-            bridge_graph, n_samples=40, seed=9, backend="batched-scipy"
-        )
+        store = WorldStore(bridge_graph, n_samples=40, seed=9)
         view = store.derive([(2, 3, 0.5, 0.0)])
         ora = oracle_labels(store, view)
         np.testing.assert_array_equal(view.labels, ora)
@@ -429,9 +411,7 @@ class TestMergeDelta:
 class TestMasksOnlyStore:
     def test_forced_absent_matches_overlay(self, bridge_graph):
         masks = sample_edge_masks(bridge_graph, 32, seed=21)
-        store = WorldStore.from_masks(
-            bridge_graph, masks, backend="batched-scipy"
-        )
+        store = WorldStore.from_masks(bridge_graph, masks)
         view = store.derive([(2, 3, 0.5, 0.0)])
         ora = oracle_labels(store, view)
         np.testing.assert_array_equal(view.labels, ora)
@@ -509,12 +489,10 @@ class TestDiscrepancyEngines:
         other = g.with_probabilities(probs)
         for kwargs in ({}, {"n_pairs": 300}, {"per_pair": False}):
             a = reliability_discrepancy(
-                g, other, n_samples=40, seed=17, backend="batched-scipy",
-                engine="store", **kwargs,
+                g, other, n_samples=40, seed=17, engine="store", **kwargs,
             )
             b = reliability_discrepancy(
-                g, other, n_samples=40, seed=17, backend="batched-scipy",
-                engine="fresh", **kwargs,
+                g, other, n_samples=40, seed=17, engine="fresh", **kwargs,
             )
             assert a == b
 
@@ -592,155 +570,3 @@ class TestSuiteAndSigmaSearchWiring:
 
         with pytest.raises(ConfigurationError, match="utility_samples"):
             ChameleonConfig(utility_samples=-1)
-
-
-class TestAutoBackend:
-    def test_resolution_thresholds(self):
-        assert resolve_backend("auto", 1_000) == "batched-scipy"
-        assert (
-            resolve_backend("auto", connectivity.AUTO_PROCESS_CELLS)
-            == "process"
-        )
-        assert resolve_backend("batched-scipy", 10**12) == "batched-scipy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu", 10)
-
-    def test_auto_default_in_config(self):
-        assert ChameleonConfig().connectivity_backend == "auto"
-
-
-class TestSharedMemoryProcessBackend:
-    def test_payloads_are_descriptors_not_arrays(self, small_profile_graph):
-        masks = sample_edge_masks(small_profile_graph, 16, seed=6)
-        payloads = connectivity._shared_mask_payloads(
-            small_profile_graph.n_nodes,
-            small_profile_graph.edge_src,
-            small_profile_graph.edge_dst,
-            "shm-test-name", masks.shape, 4,
-        )
-        assert payloads, "expected at least one worker payload"
-        covered = []
-        for n_nodes, src, dst, name, shape, start, stop in payloads:
-            assert isinstance(name, str) and name == "shm-test-name"
-            assert shape == masks.shape
-            assert isinstance(start, int) and isinstance(stop, int)
-            # The world matrix itself must NOT cross the pool boundary:
-            # the only ndarrays in a payload are the 1-D endpoint arrays.
-            for item in (n_nodes, src, dst, name, shape, start, stop):
-                if isinstance(item, np.ndarray):
-                    assert item.ndim == 1
-                    assert item.shape[0] == small_profile_graph.n_edges
-            covered.append((start, stop))
-        assert covered[0][0] == 0 and covered[-1][1] == masks.shape[0]
-        for (__, prev_stop), (next_start, __) in zip(covered, covered[1:]):
-            assert prev_stop == next_start
-
-    def test_worker_reads_shared_segment(self, small_profile_graph):
-        masks = sample_edge_masks(small_profile_graph, 10, seed=8)
-        shm = connectivity._create_shared_masks(masks)
-        try:
-            labels = connectivity._labels_shm_worker(
-                (small_profile_graph.n_nodes,
-                 small_profile_graph.edge_src,
-                 small_profile_graph.edge_dst,
-                 shm.name, masks.shape, 2, 7)
-            )
-        finally:
-            _segments.release_segment(shm)
-        expected = connectivity._batched_labels_chunked(
-            small_profile_graph.n_nodes,
-            small_profile_graph.edge_src,
-            small_profile_graph.edge_dst,
-            masks[2:7],
-        )
-        np.testing.assert_array_equal(labels, expected)
-
-    def test_segment_unlinked_after_success(self, small_profile_graph,
-                                            monkeypatch):
-        names = []
-        original = connectivity._create_shared_masks
-
-        def recording(masks):
-            shm = original(masks)
-            names.append(shm.name)
-            return shm
-
-        monkeypatch.setattr(connectivity, "_create_shared_masks", recording)
-        masks = sample_edge_masks(small_profile_graph, 12, seed=3)
-        labels = connectivity._process_labels(
-            small_profile_graph.n_nodes,
-            small_profile_graph.edge_src,
-            small_profile_graph.edge_dst,
-            masks, n_workers=2,
-        )
-        assert labels.shape == (12, small_profile_graph.n_nodes)
-        assert len(names) == 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=names[0])
-
-    def test_segment_unlinked_when_worker_raises(self, small_profile_graph,
-                                                 monkeypatch):
-        names = []
-        original = connectivity._create_shared_masks
-
-        def recording(masks):
-            shm = original(masks)
-            names.append(shm.name)
-            return shm
-
-        class ExplodingPool:
-            def map(self, *args, **kwargs):
-                raise RuntimeError("worker crashed")
-
-        monkeypatch.setattr(connectivity, "_create_shared_masks", recording)
-        monkeypatch.setattr(
-            connectivity, "_get_pool", lambda n: ExplodingPool()
-        )
-        masks = sample_edge_masks(small_profile_graph, 12, seed=3)
-        with pytest.raises(RuntimeError, match="worker crashed"):
-            connectivity._process_labels(
-                small_profile_graph.n_nodes,
-                small_profile_graph.edge_src,
-                small_profile_graph.edge_dst,
-                masks, n_workers=2,
-            )
-        assert len(names) == 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=names[0])
-
-    def test_broken_pool_discarded(self, small_profile_graph, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
-        class BrokenPool:
-            def map(self, *args, **kwargs):
-                raise BrokenProcessPool("simulated death")
-
-        sentinel = BrokenPool()
-        monkeypatch.setitem(connectivity._WORKER_POOLS, 2, sentinel)
-        masks = sample_edge_masks(small_profile_graph, 12, seed=3)
-        with pytest.raises(BrokenProcessPool):
-            connectivity._process_labels(
-                small_profile_graph.n_nodes,
-                small_profile_graph.edge_src,
-                small_profile_graph.edge_dst,
-                masks, n_workers=2,
-            )
-        assert 2 not in connectivity._WORKER_POOLS
-
-    def test_pool_is_reused_across_calls(self, small_profile_graph):
-        connectivity.shutdown_worker_pools()
-        masks = sample_edge_masks(small_profile_graph, 8, seed=1)
-        args = (
-            small_profile_graph.n_nodes,
-            small_profile_graph.edge_src,
-            small_profile_graph.edge_dst,
-        )
-        connectivity._process_labels(*args, masks, n_workers=2)
-        pool = connectivity._WORKER_POOLS.get(2)
-        assert pool is not None
-        connectivity._process_labels(*args, masks, n_workers=2)
-        assert connectivity._WORKER_POOLS.get(2) is pool
-        connectivity.shutdown_worker_pools()
-        assert not connectivity._WORKER_POOLS
