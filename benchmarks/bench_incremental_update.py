@@ -131,8 +131,7 @@ def run_update_comparison(
         batch_edges = max(1, int(round(fraction * published.n_edges)))
         rng = np.random.default_rng(seed + int(fraction * 1_000_000))
 
-        store = None
-        pristine = None
+        store = pristine = None
         if with_store:
             store = WorldStore(published, n_samples=n_samples, seed=seed)
             store.warm()
@@ -148,60 +147,53 @@ def run_update_comparison(
         inc_seconds = 0.0
         read_seconds = 0.0
         full_seconds = 0.0
-        try:
-            for i in range(n_batches):
-                batch = _sample_batch(recertifier.graph, batch_edges, rng)
+        for i in range(n_batches):
+            batch = _sample_batch(recertifier.graph, batch_edges, rng)
 
+            started = time.perf_counter()
+            outcome = recertifier.apply(batch)
+            inc_seconds += time.perf_counter() - started
+            read = with_store and (
+                (i + 1) % read_every == 0 or i == n_batches - 1
+            )
+            if read:
+                qpairs = list(outcome.graph.endpoint_pairs())[:50]
                 started = time.perf_counter()
-                outcome = recertifier.apply(batch)
-                inc_seconds += time.perf_counter() - started
-                read = with_store and (
-                    (i + 1) % read_every == 0 or i == n_batches - 1
-                )
-                if read:
-                    qpairs = list(outcome.graph.endpoint_pairs())[:50]
-                    started = time.perf_counter()
-                    rebased = store.base_reliability_of_pairs(qpairs)
-                    read_seconds += time.perf_counter() - started
+                rebased = store.base_reliability_of_pairs(qpairs)
+                read_seconds += time.perf_counter() - started
 
-                started = time.perf_counter()
-                fresh_cache = DegreeUncertaintyCache(
-                    outcome.graph, knowledge=recertifier.cache.knowledge
+            started = time.perf_counter()
+            fresh_cache = DegreeUncertaintyCache(
+                outcome.graph, knowledge=recertifier.cache.knowledge
+            )
+            full_report = fresh_cache.check_base(
+                k, epsilon, knowledge=recertifier.cache.knowledge
+            )
+            if with_store:
+                fresh_store = WorldStore(
+                    outcome.graph, n_samples=n_samples, seed=seed
                 )
-                full_report = fresh_cache.check_base(
-                    k, epsilon, knowledge=recertifier.cache.knowledge
-                )
-                if with_store:
-                    fresh_store = WorldStore(
-                        outcome.graph, n_samples=n_samples, seed=seed
-                    )
-                    fresh_store.warm()
-                    fresh_store.close()
-                full_seconds += time.perf_counter() - started
+                fresh_store.warm()
+            full_seconds += time.perf_counter() - started
 
-                identical = identical and (
-                    outcome.report.satisfied == full_report.satisfied
-                    and outcome.report.epsilon_achieved
-                    == full_report.epsilon_achieved
-                    and np.array_equal(
-                        outcome.report.entropies, full_report.entropies
-                    )
-                    and np.array_equal(
-                        outcome.report.obfuscated, full_report.obfuscated
-                    )
+            identical = identical and (
+                outcome.report.satisfied == full_report.satisfied
+                and outcome.report.epsilon_achieved
+                == full_report.epsilon_achieved
+                and np.array_equal(
+                    outcome.report.entropies, full_report.entropies
                 )
-                if read:
-                    view = pristine.derive(
-                        graph_delta(published, outcome.graph)
-                    )
-                    store_identical = store_identical and np.array_equal(
-                        rebased, view.reliability_of_pairs(qpairs),
-                    )
-        finally:
-            if store is not None:
-                store.close()
-            if pristine is not None:
-                pristine.close()
+                and np.array_equal(
+                    outcome.report.obfuscated, full_report.obfuscated
+                )
+            )
+            if read:
+                view = pristine.derive(
+                    graph_delta(published, outcome.graph)
+                )
+                store_identical = store_identical and np.array_equal(
+                    rebased, view.reliability_of_pairs(qpairs),
+                )
 
         inc_ms = 1000.0 * inc_seconds / n_batches
         full_ms = 1000.0 * full_seconds / n_batches

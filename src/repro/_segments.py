@@ -1,13 +1,13 @@
 """Unified segment hygiene: shared-memory *and* file-backed registry.
 
-Two engines publish NumPy arrays through named out-of-heap segments:
-the ``ProcessTrialEngine`` ships run-invariant arrays to workers, and
-the sharded :class:`repro.reliability.WorldStore` parks world-chunks
-(uniforms, masks, labels) on disk when a memory budget demands it.  A segment
-outlives the Python objects that reference it -- it is a file under
-``/dev/shm`` or the segment directory -- so a crash between ``create``
-and ``release`` leaks kernel memory or disk until reboot.  This module
-makes that impossible to do silently, for **both** kinds:
+The ``ProcessTrialEngine`` ships run-invariant NumPy arrays to its
+workers through named out-of-heap segments: POSIX shared memory by
+default, or memmapped temp files (``REPRO_SEGMENT_KIND=file``) where
+``/dev/shm`` is too small for them.  A segment outlives the Python
+objects that reference it -- it is a file under ``/dev/shm`` or the
+segment directory -- so a crash between ``create`` and ``release``
+leaks kernel memory or disk until reboot.  This module makes that
+impossible to do silently, for **both** kinds:
 
 * :func:`create_segment` hands out segments with a recognizable
   ``repro-<pid>-<counter>-<token>`` name (file-backed segments add a
@@ -16,9 +16,9 @@ makes that impossible to do silently, for **both** kinds:
   registry.
 * :func:`release_segment` is the one true cleanup path: close + unlink +
   deregister, with failures *logged* rather than swallowed.  Unlinking a
-  mapped file is safe on POSIX -- live ``np.ndarray`` views (e.g. a
-  clone sharing a released store's chunks) keep reading the anonymous
-  mapping; the space is reclaimed on the last unmap.
+  mapped file is safe on POSIX -- live ``np.ndarray`` views keep
+  reading the anonymous mapping; the space is reclaimed on the last
+  unmap.
 * A sweep runs at interpreter exit (``atexit``) and on ``SIGTERM`` /
   ``SIGINT`` (chaining any previously installed handler), releasing
   every segment this process still owns.  Forked children inherit the
@@ -30,9 +30,8 @@ makes that impossible to do silently, for **both** kinds:
   :func:`repro.core.execution_environment` runs so long-lived services
   recover memory and disk leaked by killed runs.
 
-The registry deliberately lives below both :mod:`repro.core` and
-:mod:`repro.reliability` so either layer can use it without an import
-cycle.
+The registry lives at the package root, below :mod:`repro.core` and
+:mod:`repro.server`, which both use it.
 """
 
 from __future__ import annotations
@@ -124,14 +123,12 @@ class Segment:
     file-backed attachments.
     """
 
-    __slots__ = ("kind", "name", "nbytes", "pinned",
-                 "_shm", "_mmap", "_view", "_path")
+    __slots__ = ("kind", "name", "nbytes", "_shm", "_mmap", "_view", "_path")
 
     def __init__(self, kind, name, nbytes, shm=None, mm=None, path=None):
         self.kind = kind
         self.name = name
         self.nbytes = nbytes
-        self.pinned = False
         self._shm = shm
         self._mmap = mm
         self._view = memoryview(mm) if mm is not None else None
@@ -178,15 +175,8 @@ def _segment_name(kind: str) -> str:
     )
 
 
-def create_segment(nbytes: int, kind: str = "shm",
-                   pinned: bool = False) -> Segment:
-    """Create and register a named segment of at least ``nbytes`` bytes.
-
-    ``pinned`` marks segments owned by a long-lived object that releases
-    them itself (e.g. a warm world store): leak accounting and
-    in-process sweeps can skip them, while the exit/signal sweep and the
-    orphan reaper still cover them.
-    """
+def create_segment(nbytes: int, kind: str = "shm") -> Segment:
+    """Create and register a named segment of at least ``nbytes`` bytes."""
     if kind not in SEGMENT_KINDS:
         raise ValueError(f"segment kind must be one of {SEGMENT_KINDS}, "
                          f"got {kind!r}")
@@ -202,7 +192,6 @@ def create_segment(nbytes: int, kind: str = "shm",
         with open(path, "r+b") as fh:
             mm = mmap.mmap(fh.fileno(), nbytes, access=mmap.ACCESS_WRITE)
         segment = Segment("file", name, nbytes, mm=mm, path=str(path))
-    segment.pinned = bool(pinned)
     with _lock:
         _REGISTRY[segment.name] = (segment, os.getpid())
     _install_exit_hooks()
@@ -237,9 +226,9 @@ def release_segment(segment, unlink: bool = True) -> None:
     try:
         segment.close()
     except BufferError:
-        # Live ndarray views (e.g. a world-store clone sharing chunks)
-        # still export the buffer; the unlink below reclaims the name
-        # and the mapping evaporates with the last view.
+        # Live ndarray views still export the buffer; the unlink below
+        # reclaims the name and the mapping evaporates with the last
+        # view.
         logger.debug("segment %s still has live views; deferring unmap",
                      segment.name)
     except (OSError, ValueError) as exc:
@@ -254,37 +243,24 @@ def release_segment(segment, unlink: bool = True) -> None:
         logger.warning("unlinking segment %s failed: %s", segment.name, exc)
 
 
-def active_segments(include_pinned: bool = True) -> tuple[str, ...]:
-    """Names of registered segments created by *this* process.
-
-    ``include_pinned=False`` filters out segments whose owner is a live
-    long-lived object (warm world stores) -- the view leak detectors
-    want, since those segments are accounted for, not leaked.
-    """
+def active_segments() -> tuple[str, ...]:
+    """Names of registered segments created by *this* process."""
     pid = os.getpid()
     with _lock:
         return tuple(
-            name for name, (seg, owner) in _REGISTRY.items()
-            if owner == pid and (include_pinned or not seg.pinned)
+            name for name, (__, owner) in _REGISTRY.items() if owner == pid
         )
 
 
-def sweep_segments(reason: str = "atexit",
-                   include_pinned: bool = True) -> int:
+def sweep_segments(reason: str = "atexit") -> int:
     """Release every segment this process still owns; returns the count.
 
     Runs from ``atexit`` and the signal handlers; safe to call directly
-    (e.g. from tests or a server's shutdown path).  In-process callers
-    that only want to mop up *unaccounted* segments pass
-    ``include_pinned=False`` so live stores elsewhere in the process
-    keep their chunks.
+    (e.g. from tests or a server's shutdown path).
     """
     pid = os.getpid()
     with _lock:
-        owned = [
-            seg for seg, owner in _REGISTRY.values()
-            if owner == pid and (include_pinned or not seg.pinned)
-        ]
+        owned = [seg for seg, owner in _REGISTRY.values() if owner == pid]
     if owned:
         logger.warning(
             "sweeping %d leaked segment(s) at %s: %s",

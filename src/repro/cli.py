@@ -149,10 +149,10 @@ def _add_memory_budget_argument(subparser: argparse.ArgumentParser) -> None:
     """World-state budget flag shared by the Monte-Carlo subcommands."""
     subparser.add_argument(
         "--world-memory-budget", type=_byte_budget, default=None,
-        help="byte cap on the Monte-Carlo world state materialized at "
-             "once (suffixes k/m/g accepted); the world store chunks "
-             "its matrices to fit -- results are bit-identical, only "
-             "peak memory changes (default: unbounded)",
+        help="byte cap on the world store's per-chunk temporaries and "
+             "pair-equality cache (suffixes k/m/g accepted); the store "
+             "chunks its matrices to fit -- results are bit-identical "
+             "(default: unbounded)",
     )
 
 
@@ -534,8 +534,7 @@ def _cmd_update(args, out, err, runtime) -> int:
     # here, which is what makes a served update skip the O(n * d^2)
     # pmf construction entirely.
     cache = runtime.degree_cache(published)
-    pristine = None
-    work = None
+    pristine = work = None
     if args.samples > 0:
         pristine = runtime.world_store(
             published, args.samples, args.seed,
@@ -545,55 +544,49 @@ def _cmd_update(args, out, err, runtime) -> int:
         # answering for the pre-update graph so the discrepancy below
         # compares against what was actually published.
         work = pristine.clone()
-    try:
-        recertifier = IncrementalRecertifier(
-            published, args.k, args.epsilon,
-            knowledge=knowledge, cache=cache, store=work,
+    recertifier = IncrementalRecertifier(
+        published, args.k, args.epsilon,
+        knowledge=knowledge, cache=cache, store=work,
+    )
+    policy = None
+    if not args.no_repair:
+        policy = RepairPolicy(
+            n_trials=args.trials,
+            sigma_initial=args.sigma,
+            sigma_max=args.sigma_max,
+            size_multiplier=args.multiplier,
+            entropy=args.seed,
         )
-        policy = None
-        if not args.no_repair:
-            policy = RepairPolicy(
-                n_trials=args.trials,
-                sigma_initial=args.sigma,
-                sigma_max=args.sigma_max,
-                size_multiplier=args.multiplier,
-                entropy=args.seed,
-            )
-        outcome = recertifier.apply(batch, repair=policy)
-        write_edge_list(outcome.graph.dropping_zero_edges(), args.output)
-        report = outcome.report
-        payload = {
-            "k": report.k,
-            "epsilon": report.epsilon,
-            "epsilon_achieved": report.epsilon_achieved,
-            "satisfied": report.satisfied,
-            "n_obfuscated": report.n_obfuscated,
-            "n_nodes": int(report.obfuscated.shape[0]),
-            "n_updates": outcome.n_updates,
-            "n_touched": int(outcome.touched.shape[0]),
-            "repaired": outcome.repaired,
-        }
-        if outcome.repair is not None:
-            payload["repair_sigma"] = outcome.repair.sigma
-            payload["repair_trials"] = outcome.repair.n_trials_run
-        if pristine is not None:
-            view = pristine.derive(graph_delta(published, outcome.graph))
-            payload["samples"] = args.samples
-            # Count dirty worlds from the pristine store's view of the
-            # *total* published -> re-certified delta, not the rebase
-            # stats: a warm store rebases batch and repair separately
-            # (double-counting worlds both flip) and a lazy cold store
-            # defers thresholding entirely, so only the view's count is
-            # identical across every runtime.
-            payload["n_dirty_worlds"] = int(view.n_dirty)
-            payload["update_discrepancy"] = pristine.discrepancy(
-                view, seed=args.seed
-            )
-    finally:
-        if work is not None:
-            work.close()
-        if pristine is not None:
-            pristine.close()
+    outcome = recertifier.apply(batch, repair=policy)
+    write_edge_list(outcome.graph.dropping_zero_edges(), args.output)
+    report = outcome.report
+    payload = {
+        "k": report.k,
+        "epsilon": report.epsilon,
+        "epsilon_achieved": report.epsilon_achieved,
+        "satisfied": report.satisfied,
+        "n_obfuscated": report.n_obfuscated,
+        "n_nodes": int(report.obfuscated.shape[0]),
+        "n_updates": outcome.n_updates,
+        "n_touched": int(outcome.touched.shape[0]),
+        "repaired": outcome.repaired,
+    }
+    if outcome.repair is not None:
+        payload["repair_sigma"] = outcome.repair.sigma
+        payload["repair_trials"] = outcome.repair.n_trials_run
+    if pristine is not None:
+        view = pristine.derive(graph_delta(published, outcome.graph))
+        payload["samples"] = args.samples
+        # Count dirty worlds from the pristine store's view of the
+        # *total* published -> re-certified delta, not the rebase
+        # stats: a warm store rebases batch and repair separately
+        # (double-counting worlds both flip) and a lazy cold store
+        # defers thresholding entirely, so only the view's count is
+        # identical across every runtime.
+        payload["n_dirty_worlds"] = int(view.n_dirty)
+        payload["update_discrepancy"] = pristine.discrepancy(
+            view, seed=args.seed
+        )
     print(json.dumps(payload, indent=2), file=out)
     return 0 if report.satisfied else EXIT_UNSATISFIED
 

@@ -54,6 +54,28 @@ _SIGMA_FLOOR = 1e-4
 logger = logging.getLogger("repro.core.chameleon")
 
 
+def _sigma_ladder(config: ChameleonConfig) -> list[float]:
+    """Bracketing probe levels, shared by ``anonymize`` and the sweeps.
+
+    ``sigma_initial``, then alternating ``2^i`` and ``2^-i`` multiples
+    of it within ``[_SIGMA_FLOOR, sigma_max]``.  The last probe is the
+    *smallest* downward one, so a search that exhausts the ladder
+    reports ``max(probes)``, the noise range it actually tried.
+    """
+    probes = [config.sigma_initial]
+    factor = 2.0
+    while (
+        config.sigma_initial * factor <= config.sigma_max
+        or config.sigma_initial / factor >= _SIGMA_FLOOR
+    ):
+        if config.sigma_initial * factor <= config.sigma_max:
+            probes.append(config.sigma_initial * factor)
+        if config.sigma_initial / factor >= _SIGMA_FLOOR:
+            probes.append(config.sigma_initial / factor)
+        factor *= 2.0
+    return probes
+
+
 class Chameleon:
     """Reusable anonymizer bound to one :class:`ChameleonConfig`.
 
@@ -222,17 +244,7 @@ class Chameleon:
         best: GenObfOutcome | None = None
         best_probe = -1
         sigma_high = config.sigma_initial
-        probes = [config.sigma_initial]
-        factor = 2.0
-        while (
-            config.sigma_initial * factor <= config.sigma_max
-            or config.sigma_initial / factor >= _SIGMA_FLOOR
-        ):
-            if config.sigma_initial * factor <= config.sigma_max:
-                probes.append(config.sigma_initial * factor)
-            if config.sigma_initial / factor >= _SIGMA_FLOOR:
-                probes.append(config.sigma_initial / factor)
-            factor *= 2.0
+        probes = _sigma_ladder(config)
 
         # Supervised execution: retryable failures (worker death, trial
         # timeouts, injected faults) rebuild the engine from this factory
@@ -283,9 +295,6 @@ class Chameleon:
                     method=config.name,
                     k=config.k,
                     epsilon=config.epsilon,
-                    # Bracketing probed alternating 2^i / 2^-i multiples, so
-                    # probes[-1] is the *smallest* downward probe; the noise
-                    # range actually exhausted is the largest sigma tried.
                     sigma=float(max(probes)),
                     epsilon_achieved=1.0,
                     report=None,

@@ -61,15 +61,16 @@ class ChameleonConfig:
         ``AnonymizationResult.utility_discrepancy`` reports the accepted
         solution's score.  0 (default) skips utility verification.
     world_memory_budget:
-        Soft cap, in bytes, on the Monte-Carlo world state any single
-        :class:`repro.reliability.WorldStore` materializes at once.
-        When set, stores partition their uniform/mask/label matrices
-        into world-chunks sized to the budget (and skip caches that
-        would exceed it); results are bit-identical at every chunk
-        size, only peak memory changes.  ``None`` (default) keeps the
-        single-chunk layout.  ``REPRO_WORLD_CHUNK`` /
-        ``REPRO_WORLD_BACKEND`` override chunk size and block storage
-        (``ram`` vs ``memmap``) directly.
+        Soft cap, in bytes, on the per-chunk temporaries and the
+        ``(N, M)`` pair-equality cache of any single
+        :class:`repro.reliability.WorldStore` -- not on the process:
+        the store's blocks all stay resident on the heap.  When set,
+        stores partition their uniform/mask/label matrices into
+        world-chunks sized to the budget and skip the pair-equality
+        cache when it alone would exceed it; results are bit-identical
+        at every chunk size.  ``None`` (default) keeps the single-chunk
+        layout.  ``REPRO_WORLD_CHUNK`` overrides the chunk size
+        directly.
     n_workers:
         Worker count for the ``"process"`` trial backend; ``None`` defers
         to ``REPRO_NUM_WORKERS`` / CPU count.

@@ -51,7 +51,6 @@ __all__ = [
 _REPRO_ENV_VARS = (
     "REPRO_NUM_WORKERS",
     "REPRO_FAULTS",
-    "REPRO_WORLD_BACKEND",
     "REPRO_WORLD_CHUNK",
     "REPRO_SEGMENT_DIR",
     "REPRO_SEGMENT_KIND",

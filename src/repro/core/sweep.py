@@ -29,7 +29,7 @@ from ..exceptions import ConfigurationError
 from ..privacy.degree_distribution import expected_degree_knowledge
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.validation import validate_graph, validate_privacy_parameters
-from .chameleon import _SIGMA_FLOOR
+from .chameleon import _sigma_ladder
 from .config import variant_config
 from .faults import FaultPlan
 from .genobf import build_selection_context
@@ -59,20 +59,8 @@ def _search_sigma(engine, config, rng):
         history.append((outcome.sigma, outcome.epsilon_achieved))
         return outcome
 
-    probes = [config.sigma_initial]
-    factor = 2.0
-    while (
-        config.sigma_initial * factor <= config.sigma_max
-        or config.sigma_initial / factor >= _SIGMA_FLOOR
-    ):
-        if config.sigma_initial * factor <= config.sigma_max:
-            probes.append(config.sigma_initial * factor)
-        if config.sigma_initial / factor >= _SIGMA_FLOOR:
-            probes.append(config.sigma_initial / factor)
-        factor *= 2.0
-
+    probes = _sigma_ladder(config)
     best = None
-    sigma_high = probes[-1]
     for sigma in probes:
         outcome = run(sigma)
         if outcome.success:
@@ -80,7 +68,7 @@ def _search_sigma(engine, config, rng):
             sigma_high = sigma
             break
     if best is None:
-        return None, sigma_high, history, calls
+        return None, max(probes), history, calls
 
     sigma_low = 0.0
     while sigma_high - sigma_low > config.sigma_tolerance:

@@ -100,9 +100,9 @@ def compare_graphs(
         Antithetic world pairing for the reliability group (requires an
         even ``n_samples``).
     memory_budget:
-        Byte cap on the reliability group's world state (see
-        :class:`repro.reliability.WorldStore`); values are unchanged,
-        only peak memory.
+        Byte cap on the reliability group's per-chunk world-store
+        temporaries (see :class:`repro.reliability.WorldStore`); values
+        are unchanged.
 
     Returns a dict keyed by metric name.  The ``"reliability"`` entry is
     special: its *relative_error* is the average per-pair reliability

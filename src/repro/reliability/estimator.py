@@ -75,8 +75,8 @@ class ReliabilityEstimator:
         unbiased, lower variance for monotone statistics; requires an
         even ``n_samples``.
     memory_budget:
-        Byte cap on the world state materialized at once (see
-        :class:`WorldStore`); results are unchanged, only peak memory.
+        Byte cap on the world store's per-chunk temporaries (see
+        :class:`WorldStore`); results are unchanged.
 
     Sampling and labeling (one batched connected-components pass over
     every world, :mod:`repro.reliability.connectivity`) happen lazily on
@@ -227,8 +227,8 @@ def reliability_discrepancy(
     antithetic:
         Sample worlds in antithetic pairs (both engines).
     memory_budget:
-        Byte cap on the world state materialized at once (see
-        :class:`WorldStore`); results are unchanged, only peak memory.
+        Byte cap on the world store's per-chunk temporaries (see
+        :class:`WorldStore`); results are unchanged.
 
     The same sampled pair set is applied to both graphs so the comparison
     is paired, which dramatically reduces estimator variance.

@@ -74,30 +74,6 @@ class RelevanceResult:
         return self.vertex_relevance / top
 
 
-def _merge_gain_accumulate_loop(
-    graph: UncertainGraph, masks: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-world reference for :func:`_merge_gain_accumulate`.
-
-    Kept as the oracle of the equality property test
-    (``tests/test_relevance.py``); the vectorized path must match it
-    bit-for-bit.
-    """
-    n_samples = masks.shape[0]
-    src, dst = graph.edge_src, graph.edge_dst
-    gain_sums = np.zeros(graph.n_edges, dtype=np.float64)
-    absent_counts = np.zeros(graph.n_edges, dtype=np.int64)
-    for i in range(n_samples):
-        row = labels[i]
-        sizes = np.bincount(row)
-        lu, lv = row[src], row[dst]
-        gains = np.where(lu != lv, sizes[lu].astype(np.float64) * sizes[lv], 0.0)
-        absent = ~masks[i]
-        gain_sums[absent] += gains[absent]
-        absent_counts += absent
-    return gain_sums, absent_counts
-
-
 def _merge_gain_accumulate(
     graph: UncertainGraph, masks: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +87,9 @@ def _merge_gain_accumulate(
     pair at once.  Gains are products of component sizes -- integers
     bounded by ``n^2``, with totals far below 2^53 -- so every partial
     sum is exactly representable and the reordered summation is
-    bit-identical to :func:`_merge_gain_accumulate_loop`.  Chunking keeps
-    the ``(worlds, n)`` and ``(worlds, |E|)`` intermediates bounded.
+    bit-identical to the per-world loop (the oracle in
+    ``tests/relevance_oracle.py``).  Chunking keeps the ``(worlds, n)``
+    and ``(worlds, |E|)`` intermediates bounded.
     """
     n_samples = masks.shape[0]
     n = graph.n_nodes

@@ -27,13 +27,11 @@ variance trick into a *structural* speedup:
   stale world once and patches the label-derived caches, so ``K``
   rebases between reads cost one relabel of their union.
 
-Sharded storage (the scale-out path)
-------------------------------------
+Chunked storage
+---------------
 The uniform/mask/label matrices are partitioned into **world-chunks**:
-contiguous row blocks of at most ``chunk_worlds`` worlds, each block
-either an in-RAM array or an ``np.memmap``-style view over a file-backed
-segment from the :mod:`repro._segments` registry (pid-stamped names,
-atexit/signal sweep, orphan reaper).  Chunking is invisible to callers:
+contiguous row blocks of at most ``chunk_worlds`` worlds, each block a
+heap array.  Chunking is invisible to callers:
 
 * uniforms are drawn chunk-by-chunk in row order, which consumes the
   generator's stream exactly as one monolithic ``rng.random((N, C))``
@@ -45,18 +43,17 @@ atexit/signal sweep, orphan reaper).  Chunking is invisible to callers:
   only the dirty worlds within touched chunks;
 * pair counts, pair equality and the pairwise accumulator stream
   per-chunk partial sums through the existing exact int64 reducers, so
-  no query materializes more than one chunk (plus ``memory_budget``-
-  gated caches) at a time.
+  a query's temporaries are bounded by one chunk (plus the
+  ``memory_budget``-gated pair-equality cache).
 
-Resolution of the knobs (first match wins): explicit ``chunk_worlds`` >
-``REPRO_WORLD_CHUNK`` > derived from ``memory_budget`` (bytes per world:
-9 per edge column + 4 per vertex label) > one chunk of all ``N`` worlds.
-Whatever the source, the chunk size is raised until the store fits in at
-most ``_MAX_CHUNKS`` chunks -- each memmap chunk block pins an open file
-descriptor, so an unbounded chunk count would hit ``RLIMIT_NOFILE``.
-Storage backend: explicit ``store_backend`` > ``REPRO_WORLD_BACKEND`` >
-``"ram"``.  The single-chunk RAM configuration is the exact layout of
-the original monolithic store.
+Resolution of the chunk size (first match wins): explicit
+``chunk_worlds`` > ``REPRO_WORLD_CHUNK`` > derived from
+``memory_budget`` (bytes per world: 9 per edge column + 4 per vertex
+label) > one chunk of all ``N`` worlds.  Whatever the source, the chunk
+size is raised until the store fits in at most ``_MAX_CHUNKS`` chunks,
+which bounds the per-chunk loop overhead of a tiny requested chunk.
+The single-chunk configuration is the exact layout of the original
+monolithic store.
 
 Every query answered by a :class:`DerivedWorlds` view is **bit-identical**
 to a fresh full recompute over the same materialized masks: per-row
@@ -76,7 +73,7 @@ import os
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .. import _segments, kernels
+from .. import kernels
 from .._rng import as_generator
 from ..exceptions import EstimationError
 from ..ugraph.graph import UncertainGraph, lookup_key_index, merge_key_index
@@ -87,7 +84,6 @@ __all__ = [
     "DerivedWorlds",
     "graph_delta",
     "sample_vertex_pairs",
-    "WORLD_STORE_BACKENDS",
 ]
 
 #: Largest vertex count for which full ``n x n`` pairwise matrices are
@@ -100,12 +96,9 @@ DEFAULT_PAIR_SAMPLE = 20_000
 #: Tolerance when validating a delta's claimed ``p_old`` against the store.
 _P_OLD_TOLERANCE = 1e-9
 
-#: Storage backends for the world-chunk blocks.
-WORLD_STORE_BACKENDS = ("ram", "memmap")
-
-#: Hard ceiling on world-chunks per store.  Each memmap chunk block keeps
-#: one file descriptor open, so requested chunk sizes are raised until the
-#: store fits in at most this many chunks (<= 3 * _MAX_CHUNKS fds).
+#: Hard ceiling on world-chunks per store.  Every chunked pass pays a
+#: per-chunk Python loop step and kernel call, so requested chunk sizes
+#: are raised until the store fits in at most this many chunks.
 _MAX_CHUNKS = 64
 
 
@@ -246,17 +239,6 @@ def _validate_pairs(pairs) -> np.ndarray:
     return pairs
 
 
-def _resolve_store_backend(store_backend: str | None) -> str:
-    if store_backend is None:
-        store_backend = os.environ.get("REPRO_WORLD_BACKEND") or "ram"
-    if store_backend not in WORLD_STORE_BACKENDS:
-        raise EstimationError(
-            f"store backend must be one of {WORLD_STORE_BACKENDS}, "
-            f"got {store_backend!r}"
-        )
-    return store_backend
-
-
 class WorldStore:
     """Cached CRN worlds of one base graph, derivable to candidate graphs.
 
@@ -280,15 +262,13 @@ class WorldStore:
         chunk); raised as needed so the store never exceeds
         ``_MAX_CHUNKS`` chunks.  Query results are bit-identical at
         every chunk size.
-    store_backend:
-        ``"ram"`` (default) or ``"memmap"`` -- where chunk blocks live
-        (``REPRO_WORLD_BACKEND`` overrides the default).  Memmap blocks
-        are file segments in the :mod:`repro._segments` registry.
     memory_budget:
-        Soft cap, in bytes, on world-state the store materializes at
-        once: it sizes ``chunk_worlds`` when that is not given and
-        disables the ``(N, M)`` pair-equality cache when the cache alone
-        would exceed it.  Values are unchanged either way.
+        Soft cap, in bytes, on the store's per-chunk temporaries and its
+        ``(N, M)`` pair-equality cache -- not on the store or the
+        process: all blocks stay resident on the heap.  It sizes
+        ``chunk_worlds`` when that is not given and disables the
+        pair-equality cache when the cache alone would exceed it.
+        Values are unchanged either way.
 
     Use :meth:`from_masks` to wrap an already-sampled mask matrix; such a
     store has no uniforms and therefore only supports forced-present /
@@ -303,7 +283,6 @@ class WorldStore:
         seed=None,
         antithetic: bool = False,
         chunk_worlds: int | None = None,
-        store_backend: str | None = None,
         memory_budget: int | None = None,
     ):
         if n_samples <= 0:
@@ -331,7 +310,6 @@ class WorldStore:
         self._memory_budget = (
             None if memory_budget is None else int(memory_budget)
         )
-        self._store_backend = _resolve_store_backend(store_backend)
         chunk = self._resolve_chunk_size(chunk_worlds)
         self._chunks: tuple[tuple[int, int], ...] = tuple(
             (start, min(start + chunk, self._n_samples))
@@ -359,11 +337,6 @@ class WorldStore:
         self._u_capacity = 0
         self._m_blocks: list[np.ndarray] | None = None
         self._l_blocks: list[np.ndarray] | None = None
-        self._segments_owned: list[_segments.Segment] = []
-        #: id(block) -> backing segment, for blocks THIS store allocated.
-        #: Lets ``rebase`` release a replaced block's file immediately
-        #: instead of holding it until ``close``.
-        self._block_segments: dict[int, _segments.Segment] = {}
         self._storage_shared = False
         self._pair_counts: np.ndarray | None = None
         self._pair_acc: np.ndarray | None = None
@@ -393,10 +366,8 @@ class WorldStore:
         if chunk_worlds is None:
             chunk_worlds = self._n_samples
         chunk = max(1, min(int(chunk_worlds), self._n_samples))
-        # Every memmap chunk block pins an open file descriptor (CPython's
-        # mmap dups the fd for the mapping's lifetime), so bound the chunk
-        # count: a tiny explicit chunk on a huge store would otherwise
-        # exhaust RLIMIT_NOFILE long before it exhausted memory.
+        # Bound the chunk count: a tiny explicit chunk on a huge store
+        # would otherwise spend its time in per-chunk loop overhead.
         min_chunk = -(-self._n_samples // _MAX_CHUNKS)
         chunk = min(max(chunk, min_chunk), self._n_samples)
         if self._antithetic and chunk % 2 != 0:
@@ -479,7 +450,6 @@ class WorldStore:
         twin._growth_entropy = self._growth_entropy
         twin._antithetic = self._antithetic
         twin._memory_budget = self._memory_budget
-        twin._store_backend = self._store_backend
         twin._chunks = self._chunks
         twin._src = self._src
         twin._dst = self._dst
@@ -492,8 +462,6 @@ class WorldStore:
         twin._u_capacity = self._u_capacity
         twin._m_blocks = self._m_blocks
         twin._l_blocks = self._l_blocks
-        twin._segments_owned = []
-        twin._block_segments = {}
         twin._storage_shared = self._u_blocks is not None
         twin._pair_counts = self._pair_counts
         twin._pair_acc = self._pair_acc
@@ -502,26 +470,6 @@ class WorldStore:
         twin._stale = dict(self._stale)
         twin._generation = self._generation
         return twin
-
-    def close(self) -> None:
-        """Release the store's file segments (memmap backend).
-
-        Live clones sharing the blocks keep working: unlinking a mapped
-        file leaves the mapping readable until the last view dies.
-        Idempotent; the :mod:`repro._segments` exit sweep is the
-        backstop when this is never called.
-        """
-        owned, self._segments_owned = self._segments_owned, []
-        self._block_segments = {}
-        for segment in owned:
-            _segments.release_segment(segment)
-
-    def __del__(self):  # best-effort backstop; close() is the contract
-        try:
-            if getattr(self, "_segments_owned", None):
-                self.close()
-        except (OSError, ValueError, RuntimeError):
-            pass  # interpreter teardown: the atexit sweep covers it
 
     # -- chunked storage -------------------------------------------------- #
 
@@ -536,33 +484,8 @@ class WorldStore:
         return self._chunks
 
     @property
-    def store_backend(self) -> str:
-        """Where chunk blocks live: ``"ram"`` or ``"memmap"``."""
-        return self._store_backend
-
-    @property
     def memory_budget(self) -> int | None:
         return self._memory_budget
-
-    def segment_names(self) -> tuple[str, ...]:
-        """Names of the file segments this store owns (memmap backend)."""
-        return tuple(seg.name for seg in self._segments_owned)
-
-    def _alloc_block(self, shape: tuple, dtype) -> np.ndarray:
-        """One chunk block: plain array, or a view over a file segment."""
-        count = int(np.prod(shape))
-        if self._store_backend != "memmap" or count == 0:
-            return np.empty(shape, dtype=dtype)
-        nbytes = count * np.dtype(dtype).itemsize
-        # Pinned: the store releases its own segments in close()/__del__,
-        # so leak accounting and in-process sweeps must not count them.
-        segment = _segments.create_segment(nbytes, kind="file", pinned=True)
-        self._segments_owned.append(segment)
-        block = np.frombuffer(
-            segment.buf, dtype=dtype, count=count
-        ).reshape(shape)
-        self._block_segments[id(block)] = segment
-        return block
 
     def _draw_uniform_rows(self, rows: int, n_cols: int) -> np.ndarray:
         """Draw ``(rows, n_cols)`` uniforms, mirroring the sampler's stream.
@@ -612,13 +535,11 @@ class WorldStore:
         # masks reproduce sample_edge_masks(graph, N, seed) bitwise;
         # grown columns consume the stream afterwards.
         n_cols = self._graph.n_edges
-        blocks = []
-        for start, stop in self._chunks:
-            block = self._alloc_block((stop - start, n_cols), np.float64)
-            if n_cols:
-                block[:] = self._draw_uniform_rows(stop - start, n_cols)
-            blocks.append(block)
-        self._u_blocks = blocks
+        self._u_blocks = [
+            self._draw_uniform_rows(stop - start, n_cols) if n_cols
+            else np.empty((stop - start, 0))
+            for start, stop in self._chunks
+        ]
         self._u_cols = n_cols
         self._u_capacity = n_cols
         self._storage_shared = False  # freshly drawn: nobody shares these
@@ -628,12 +549,10 @@ class WorldStore:
             return
         self._ensure_uniforms()
         width = self._prob.shape[0]
-        blocks = []
-        for (start, stop), u_block in zip(self._chunks, self._u_blocks):
-            block = self._alloc_block((stop - start, width), np.bool_)
-            np.less(u_block[:, :width], self._prob, out=block)
-            blocks.append(block)
-        self._m_blocks = blocks
+        self._m_blocks = [
+            np.less(u_block[:, :width], self._prob)
+            for u_block in self._u_blocks
+        ]
 
     def _ensure_labels(self) -> None:
         """Current base labels: computed on first use, stale rows flushed."""
@@ -642,17 +561,10 @@ class WorldStore:
             return
         self._ensure_masks()
         n = self._graph.n_nodes
-        blocks = []
-        for (start, stop), m_block in zip(self._chunks, self._m_blocks):
-            labels = component_labels_for_edges(
-                n, self._src, self._dst, m_block
-            )
-            if self._store_backend == "memmap":
-                block = self._alloc_block(labels.shape, labels.dtype)
-                block[:] = labels
-                labels = block
-            blocks.append(labels)
-        self._l_blocks = blocks
+        self._l_blocks = [
+            component_labels_for_edges(n, self._src, self._dst, m_block)
+            for m_block in self._m_blocks
+        ]
 
     def _label_rows(self, rows: np.ndarray) -> np.ndarray:
         """Gather base-label rows across chunks (order-preserving)."""
@@ -872,8 +784,7 @@ class WorldStore:
         New columns carry base probability 0, so the base masks gain
         all-False columns and every cached base aggregate stays valid.
         Every re-allocated uniform and mask block belongs to this store
-        alone afterwards; the file segments of the blocks they replace
-        are released at once.
+        alone afterwards.
         """
         k = int(src.size)
         if not k:
@@ -886,7 +797,6 @@ class WorldStore:
         self._src = np.concatenate([self._src, src])
         self._dst = np.concatenate([self._dst, dst])
         self._prob = np.concatenate([self._prob, np.zeros(k)])
-        replaced: list[np.ndarray] = []
         if self._has_uniforms:
             # Blocks grow geometrically; each growth draw lands in spare
             # capacity.  Grown columns are pair-keyed draws (below), so
@@ -899,13 +809,10 @@ class WorldStore:
                     self._u_capacity, old_cols + k, old_cols + old_cols // 2
                 )
                 grown = []
-                for (start, stop), block in zip(self._chunks, self._u_blocks):
-                    fresh = self._alloc_block(
-                        (stop - start, capacity), np.float64
-                    )
+                for block in self._u_blocks:
+                    fresh = np.empty((block.shape[0], capacity))
                     fresh[:, :old_cols] = block[:, :old_cols]
                     grown.append(fresh)
-                replaced.extend(self._u_blocks)
                 self._u_blocks = grown
                 self._u_capacity = capacity
                 self._storage_shared = False
@@ -917,16 +824,11 @@ class WorldStore:
             self._u_cols = old_cols + k
         if self._m_blocks is not None:
             padded = []
-            for (start, stop), block in zip(self._chunks, self._m_blocks):
-                fresh = self._alloc_block((stop - start, old_cols + k),
-                                          np.bool_)
+            for block in self._m_blocks:
+                fresh = np.zeros((block.shape[0], old_cols + k), dtype=bool)
                 fresh[:, :old_cols] = block
-                fresh[:, old_cols:] = False
                 padded.append(fresh)
-            replaced.extend(self._m_blocks)
             self._m_blocks = padded  # rebind: shared lists stay untouched
-        for block in replaced:
-            self._release_block(block)
 
     # -- derivation ------------------------------------------------------ #
 
@@ -1094,23 +996,6 @@ class WorldStore:
 
     # -- rebasing (permanent adoption of a delta) ------------------------ #
 
-    def _release_block(self, block: np.ndarray) -> None:
-        """Release the file segment behind a block this store allocated.
-
-        Blocks inherited from a parent store (clone sharing) have no
-        entry and are left alone; RAM blocks have no segment at all.
-        Releasing with live views elsewhere is safe: the unlink reclaims
-        the name and the mapping dies with its last view.
-        """
-        segment = self._block_segments.pop(id(block), None)
-        if segment is None:
-            return
-        try:
-            self._segments_owned.remove(segment)
-        except ValueError:
-            return  # already released (e.g. by close)
-        _segments.release_segment(segment)
-
     def rebase(self, delta, graph: UncertainGraph | None = None) -> dict:
         """Permanently adopt ``delta`` as the store's new base state.
 
@@ -1123,9 +1008,7 @@ class WorldStore:
         fresh ``WorldStore(patched_graph, N, seed)`` would draw), the
         changed columns are re-thresholded chunk by chunk, and only the
         chunks containing flipped worlds replace their mask blocks --
-        untouched chunks keep sharing blocks with any clones, and the
-        replaced blocks' file segments are released immediately, so peak
-        storage stays within one extra chunk of the existing budget.  A
+        untouched chunks keep sharing blocks with any clones.  A
         delta with fresh pairs has just re-allocated every mask block for
         this store alone while growing the universe, so those blocks are
         patched in place instead of being copied a second time.
@@ -1201,7 +1084,6 @@ class WorldStore:
         track = self._l_blocks is not None
         m_new = list(self._m_blocks)
         stale = dict(self._stale)
-        replaced: list[np.ndarray] = []
         total_dirty = 0
         for ci, (u_block, m_block) in enumerate(
             zip(self._u_blocks, self._m_blocks)
@@ -1215,19 +1097,15 @@ class WorldStore:
             if n_new:
                 m_block[:, col_arr] = nc  # growth's block: ours alone
             else:
-                fresh_m = self._alloc_block(m_block.shape, np.bool_)
-                fresh_m[:] = m_block
+                fresh_m = m_block.copy()
                 fresh_m[:, col_arr] = nc
                 m_new[ci] = fresh_m
-                replaced.append(m_block)
             if track:
                 stale[ci] = d if ci not in stale else np.union1d(stale[ci], d)
         self._m_blocks = m_new
         self._stale = stale
         self._pairwise = None
         self._pair_equal_cache = None
-        for block in replaced:
-            self._release_block(block)
         stats["n_dirty_worlds"] = total_dirty
         return stats
 
@@ -1236,7 +1114,7 @@ class WorldStore:
 
         Each chunk with stale rows gets one relabeling call over those
         rows' current masks and a fresh label block (the old one may be
-        shared with clones, so it is replaced, then released).  The
+        shared with clones, so it is replaced, never patched).  The
         cached pair counts and accumulator swap the stale rows' old
         contribution for the new one in exact int64 -- the same swap
         :class:`DerivedWorlds` performs -- so the result is bit-identical
@@ -1256,8 +1134,7 @@ class WorldStore:
             labels = component_labels_for_edges(
                 n, self._src, self._dst, self._m_blocks[ci][rows]
             )
-            fresh_l = self._alloc_block(old_l.shape, old_l.dtype)
-            fresh_l[:] = old_l
+            fresh_l = old_l.copy()
             fresh_l[rows] = labels
             l_new[ci] = fresh_l
             if counts is not None:
@@ -1267,13 +1144,10 @@ class WorldStore:
             if acc is not None:
                 acc -= _pairwise_equal_acc(old_l[rows], n)
                 acc += _pairwise_equal_acc(labels, n)
-        replaced = [self._l_blocks[ci] for ci in self._stale]
         self._l_blocks = l_new
         self._pair_counts = counts
         self._pair_acc = acc
         self._stale = {}
-        for block in replaced:
-            self._release_block(block)
 
     # -- discrepancy ----------------------------------------------------- #
 

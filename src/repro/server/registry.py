@@ -52,17 +52,6 @@ class _DatasetEntry:
         self.degree_cache: DegreeUncertaintyCache | None = None
         self.world_stores: dict[tuple, WorldStore] = {}
 
-    def close(self) -> None:
-        """Release store-owned segments (memmap backend).
-
-        Safe with clones still in flight: unlinking a mapped file keeps
-        the mapping readable until the last view dies.
-        """
-        with self.lock:
-            stores, self.world_stores = list(self.world_stores.values()), {}
-            for store in stores:
-                store.close()
-
 
 class DatasetRegistry:
     """Thread-safe LRU of warm datasets (see module docstring)."""
@@ -114,7 +103,6 @@ class DatasetRegistry:
                 __, evicted = self._entries.popitem(last=False)
                 self._by_graph.pop(id(evicted.graph), None)
                 self._evictions += 1
-                evicted.close()
                 logger.info("evicted warm dataset %s", evicted.key)
         logger.info(
             "warmed dataset %s (%d nodes, %d edges)",
@@ -180,15 +168,6 @@ class DatasetRegistry:
                     "warmed world store %s for %s", key, entry.key
                 )
             return store.clone()
-
-    # -- lifecycle -------------------------------------------------------- #
-
-    def close(self) -> None:
-        """Release every warm store's segments (service shutdown)."""
-        with self._lock:
-            entries = list(self._entries.values())
-        for entry in entries:
-            entry.close()
 
     # -- introspection ---------------------------------------------------- #
 

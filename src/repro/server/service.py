@@ -276,12 +276,7 @@ class ChameleonService:
             "queue": self._jobs.stats(),
             "cache": self._cache.stats(),
             "datasets": self._registry.stats(),
-            # Pinned segments belong to live warm world stores (memmap
-            # backend); only segments nobody accounts for are potential
-            # leaks.
-            "shm_segments": list(
-                _segments.active_segments(include_pinned=False)
-            ),
+            "shm_segments": list(_segments.active_segments()),
         }}
 
     async def _handle_request(self, request: dict) -> dict:
@@ -382,13 +377,7 @@ class ChameleonService:
                 if job.state in ("queued", "running"):
                     job.state = "cancelled"
                     job.finished_at = time.time()
-            self._registry.close()
-            # Pinned segments still alive here belong to other live
-            # stores in this process (e.g. another service instance in
-            # the tests); sweep only what nobody accounts for.
-            swept = _segments.sweep_segments(
-                "service shutdown", include_pinned=False
-            )
+            swept = _segments.sweep_segments("service shutdown")
             if swept:
                 logger.warning(
                     "shutdown swept %d leaked shm segment(s)", swept

@@ -13,7 +13,7 @@ anonymization:
 2. the world store, if attached, re-thresholds only the changed columns
    against its existing uniforms
    (:meth:`~repro.reliability.worldstore.WorldStore.rebase` -- a CRN
-   continuation, streamed chunk by chunk on memmap stores);
+   continuation, re-thresholded chunk by chunk);
 3. the ``(k, epsilon)`` check re-reads the patched entropy profile --
    bit-identical to rebuilding every cache from the patched graph;
 4. if vertices fell under-obfuscated, a targeted local repair

@@ -189,6 +189,10 @@ def read_update_file(path: str | Path) -> UpdateBatch:
             old, new = float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise GraphFormatError(f"{path}:{line_number}: {exc}") from None
+        if max(abs(u), abs(v)) >= 2**63:
+            raise GraphFormatError(
+                f"{path}:{line_number}: vertex id outside the int64 range"
+            )
         deltas.append((u, v, old, new))
     try:
         return UpdateBatch.from_deltas(deltas)

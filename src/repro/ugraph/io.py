@@ -79,6 +79,8 @@ def read_edge_list(path, default_probability: float = 1.0) -> UncertainGraph:
     """Load an uncertain graph from an edge-list file."""
     try:
         text = Path(path).read_text()
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read edge list: {exc}") from None
     except UnicodeDecodeError as exc:
         raise GraphFormatError(
             f"{path}: not a text edge list ({exc})"

@@ -402,6 +402,14 @@ def test_evaluate_backend_equivalence(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == batched
 
 
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
 @pytest.mark.parametrize("command", ["check", "anonymize", "update"])
 def test_undecodable_input_exits_2(tmp_path, capsys, command):
     """A file that is not UTF-8 text is bad input: exit 2 with one
@@ -418,11 +426,30 @@ def test_undecodable_input_exits_2(tmp_path, capsys, command):
                    str(tmp_path / "out.pel"), "--k", "2"],
     }[command]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert str(bad) in lines[0]
+    assert str(bad) in _single_error_line(capsys)
+
+
+def test_update_vertex_id_beyond_int64_exits_2(tmp_path, capsys):
+    """An update vertex id no int64 holds is bad input: exit 2 with one
+    ``error:`` line naming the file and line, not an overflow
+    traceback."""
+    published = tmp_path / "published.pel"
+    published.write_text("0 1 0.5\n1 2 0.5\n")
+    updates = tmp_path / "u.txt"
+    updates.write_text("# u v p_old p_new\n0 100000000000000000000000 0 0.5\n")
+    argv = ["update", str(published), str(updates),
+            str(tmp_path / "out.pel"), "--k", "2", "--epsilon", "0.5"]
+    assert main(argv) == 2
+    assert f"{updates}:2:" in _single_error_line(capsys)
+
+
+def test_directory_as_graph_exits_2(tmp_path, capsys):
+    """A directory where an edge-list file belongs is bad input: exit 2
+    with one ``error:`` line naming it."""
+    folder = tmp_path / "graphs"
+    folder.mkdir()
+    assert main(["check", str(folder), "--k", "2"]) == 2
+    assert str(folder) in _single_error_line(capsys)
 
 
 def test_broken_pipe_exits_141(monkeypatch, capsys):

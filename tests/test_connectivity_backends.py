@@ -15,8 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.parallel import NUM_WORKERS_ENV, resolve_worker_count
-from repro.exceptions import ConfigurationError
 from repro.reliability import (
     ReliabilityEstimator,
     batch_component_labels,
@@ -194,28 +192,3 @@ class TestValidation:
     def test_pair_counts_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             pair_counts_from_labels(np.zeros(5, dtype=np.int32))
-
-
-class TestWorkerResolution:
-    """``resolve_worker_count`` sizes the ``process`` trial engine."""
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "7")
-        assert resolve_worker_count(3) == 3
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "5")
-        assert resolve_worker_count() == 5
-
-    def test_defaults_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
-        assert resolve_worker_count() >= 1
-
-    def test_rejects_non_integer_env(self, monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "many")
-        with pytest.raises(ConfigurationError, match=NUM_WORKERS_ENV):
-            resolve_worker_count()
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            resolve_worker_count(0)

@@ -25,6 +25,7 @@ from repro.core import (
 from repro import _segments
 from repro.core import parallel
 from repro.core.parallel import (
+    NUM_WORKERS_ENV,
     ProcessTrialEngine,
     SerialTrialEngine,
     TRIAL_BACKENDS,
@@ -35,6 +36,7 @@ from repro.core.parallel import (
     _unpack_arrays,
     create_trial_engine,
     reduce_probe,
+    resolve_worker_count,
     run_trial,
     trial_generator,
 )
@@ -471,6 +473,31 @@ class TestConfigurationSurface:
         )
         assert args.trial_backend == "process"
         assert args.workers == 2
+
+
+class TestWorkerResolution:
+    """``resolve_worker_count`` sizes the ``process`` trial engine."""
+
+    def test_explicit_argument_wins(self, monkeypatch):
+        monkeypatch.setenv(NUM_WORKERS_ENV, "7")
+        assert resolve_worker_count(3) == 3
+
+    def test_environment_variable(self, monkeypatch):
+        monkeypatch.setenv(NUM_WORKERS_ENV, "5")
+        assert resolve_worker_count() == 5
+
+    def test_defaults_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
+        assert resolve_worker_count() >= 1
+
+    def test_rejects_non_integer_env(self, monkeypatch):
+        monkeypatch.setenv(NUM_WORKERS_ENV, "many")
+        with pytest.raises(ConfigurationError, match=NUM_WORKERS_ENV):
+            resolve_worker_count()
+
+    def test_rejects_non_positive(self):
+        with pytest.raises(ConfigurationError):
+            resolve_worker_count(0)
 
 
 class TestDeltaPath:

@@ -1,12 +1,11 @@
-"""Unified segment registry: file-backed segments, pinning, kill hygiene.
+"""Unified segment registry: file-backed segments and kill hygiene.
 
 :mod:`repro._segments` generalizes the shared-memory manifest into a
 registry covering POSIX shm *and* memmapped temp files behind one name
 scheme (a ``.mm`` suffix encodes the kind).  These tests pin down the
-file-kind lifecycle, the pinned-segment accounting used by warm world
-stores, the ``.mm`` orphan reaper, and the hard-kill regression: a
-worker SIGKILLed mid-run must leave zero files behind once the parent's
-janitor runs.
+file-kind lifecycle, the ``.mm`` orphan reaper, and the hard-kill
+regression: a worker SIGKILLed mid-run must leave zero files behind
+once the parent's janitor runs.
 """
 
 import os
@@ -110,35 +109,6 @@ class TestFileSegments:
 
 
 # --------------------------------------------------------------------- #
-# Pinned-segment accounting
-# --------------------------------------------------------------------- #
-
-class TestPinnedSegments:
-    def test_pinned_excluded_from_leak_accounting(self, segment_dir):
-        pinned = _segments.create_segment(16, kind="file", pinned=True)
-        loose = _segments.create_segment(16, kind="file")
-        try:
-            assert pinned.name in _segments.active_segments()
-            visible = _segments.active_segments(include_pinned=False)
-            assert pinned.name not in visible
-            assert loose.name in visible
-        finally:
-            _segments.release_segment(loose)
-            _segments.release_segment(pinned)
-
-    def test_unpinned_sweep_spares_pinned(self, segment_dir):
-        pinned = _segments.create_segment(16, kind="file", pinned=True)
-        loose = _segments.create_segment(16, kind="file")
-        swept = _segments.sweep_segments("test", include_pinned=False)
-        assert swept == 1
-        assert not Path(loose.path).exists()
-        assert Path(pinned.path).exists()
-        # The exit-time sweep still covers pinned segments.
-        assert _segments.sweep_segments("test") == 1
-        assert not Path(pinned.path).exists()
-
-
-# --------------------------------------------------------------------- #
 # Orphan reaper over .mm files
 # --------------------------------------------------------------------- #
 
@@ -174,7 +144,7 @@ import os, sys
 import numpy as np
 from repro import _segments
 
-seg = _segments.create_segment(1 << 16, kind="file", pinned=True)
+seg = _segments.create_segment(1 << 16, kind="file")
 shm = _segments.create_segment(1 << 12, kind="shm")
 np.frombuffer(seg.buf, dtype=np.uint8)[:] = 1
 print(seg.name, shm.name, flush=True)

@@ -4,7 +4,7 @@ The load-bearing property (the ISSUE's oracle): after any sequence of
 update batches -- and any adopted repair -- the incremental path's
 ``(k, epsilon)`` verdict and per-vertex entropy columns are
 bit-identical to rebuilding every cache from the patched graph, across
-{ram, memmap} x chunked x antithetic world-store configurations.
+chunked x antithetic world-store configurations.
 """
 
 from __future__ import annotations
@@ -126,18 +126,16 @@ def test_update_file_rejects_malformed(tmp_path):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     n_batches=st.integers(min_value=1, max_value=3),
-    backend=st.sampled_from(["ram", "memmap"]),
     chunk=st.sampled_from([4, 16]),
     antithetic=st.booleans(),
 )
 def test_incremental_matches_full_recompute_oracle(
-    seed, n_batches, backend, chunk, antithetic
+    seed, n_batches, chunk, antithetic
 ):
     """Chained batches through the recertifier == rebuilding from the
     patched graph, bit for bit, across every store configuration."""
     monkeypatch = pytest.MonkeyPatch()
     try:
-        monkeypatch.setenv("REPRO_WORLD_BACKEND", backend)
         monkeypatch.setenv("REPRO_WORLD_CHUNK", str(chunk))
         rng = np.random.default_rng(seed)
         graph = random_graph(seed)
@@ -146,61 +144,53 @@ def test_incremental_matches_full_recompute_oracle(
         recertifier = IncrementalRecertifier(
             graph, k=3, epsilon=0.2, store=store
         )
-        try:
-            for __ in range(n_batches):
-                batch = random_batch(recertifier.graph, rng, 3)
-                outcome = recertifier.apply(batch)
+        for __ in range(n_batches):
+            batch = random_batch(recertifier.graph, rng, 3)
+            outcome = recertifier.apply(batch)
 
-                # Oracle 1: verdict + entropy columns vs. a cold rebuild
-                # from the patched graph (same adversary knowledge).
-                oracle = check_obfuscation(
-                    outcome.graph, 3, 0.2,
-                    knowledge=recertifier.cache.knowledge,
-                )
-                assert outcome.report.satisfied == oracle.satisfied
-                assert (
-                    outcome.report.epsilon_achieved
-                    == oracle.epsilon_achieved
-                )
-                assert np.array_equal(
-                    outcome.report.entropies, oracle.entropies
-                )
-                assert np.array_equal(
-                    outcome.report.obfuscated, oracle.obfuscated
-                )
+            # Oracle 1: verdict + entropy columns vs. a cold rebuild
+            # from the patched graph (same adversary knowledge).
+            oracle = check_obfuscation(
+                outcome.graph, 3, 0.2,
+                knowledge=recertifier.cache.knowledge,
+            )
+            assert outcome.report.satisfied == oracle.satisfied
+            assert (
+                outcome.report.epsilon_achieved
+                == oracle.epsilon_achieved
+            )
+            assert np.array_equal(
+                outcome.report.entropies, oracle.entropies
+            )
+            assert np.array_equal(
+                outcome.report.obfuscated, oracle.obfuscated
+            )
 
-                # Oracle 2: the patched pmf matrix vs. a cold cache
-                # (up to trailing all-zero padding columns).
-                fresh = DegreeUncertaintyCache(
-                    outcome.graph, knowledge=recertifier.cache.knowledge
-                )
-                patched = recertifier.cache.base_matrix
-                width = min(patched.shape[1], fresh.base_matrix.shape[1])
-                assert np.array_equal(
-                    patched[:, :width], fresh.base_matrix[:, :width]
-                )
-                assert not patched[:, width:].any()
-                assert not fresh.base_matrix[:, width:].any()
+            # Oracle 2: the patched pmf matrix vs. a cold cache
+            # (up to trailing all-zero padding columns).
+            fresh = DegreeUncertaintyCache(
+                outcome.graph, knowledge=recertifier.cache.knowledge
+            )
+            patched = recertifier.cache.base_matrix
+            width = min(patched.shape[1], fresh.base_matrix.shape[1])
+            assert np.array_equal(
+                patched[:, :width], fresh.base_matrix[:, :width]
+            )
+            assert not patched[:, width:].any()
+            assert not fresh.base_matrix[:, width:].any()
 
-                # Oracle 3: the rebased store vs. a pristine store's
-                # derived view of the same cumulative delta.
-                pristine = WorldStore(
-                    graph, n_samples=24, seed=7, antithetic=antithetic
-                )
-                pristine.warm()
-                try:
-                    view = pristine.derive(
-                        graph_delta(graph, outcome.graph)
-                    )
-                    qpairs = list(outcome.graph.endpoint_pairs())[:15]
-                    assert np.array_equal(
-                        view.reliability_of_pairs(qpairs),
-                        store.base_reliability_of_pairs(qpairs),
-                    )
-                finally:
-                    pristine.close()
-        finally:
-            store.close()
+            # Oracle 3: the rebased store vs. a pristine store's
+            # derived view of the same cumulative delta.
+            pristine = WorldStore(
+                graph, n_samples=24, seed=7, antithetic=antithetic
+            )
+            pristine.warm()
+            view = pristine.derive(graph_delta(graph, outcome.graph))
+            qpairs = list(outcome.graph.endpoint_pairs())[:15]
+            assert np.array_equal(
+                view.reliability_of_pairs(qpairs),
+                store.base_reliability_of_pairs(qpairs),
+            )
     finally:
         monkeypatch.undo()
 
@@ -314,7 +304,6 @@ def test_store_that_cannot_rebase_is_rejected_up_front():
     store = WorldStore.from_masks(graph, sampled.base_masks)
     with pytest.raises(EstimationError, match="built from masks"):
         IncrementalRecertifier(graph, 2, 0.5, store=store)
-    sampled.close()
 
 
 def test_store_of_another_graph_is_rejected_up_front():
@@ -327,8 +316,6 @@ def test_store_of_another_graph_is_rejected_up_front():
     smaller = WorldStore(random_graph(4, n=30), n_samples=8, seed=1)
     with pytest.raises(EstimationError, match="30-vertex"):
         IncrementalRecertifier(graph, 2, 0.5, store=smaller)
-    store.close()
-    smaller.close()
 
 
 def test_store_of_an_equal_graph_is_accepted():
@@ -345,7 +332,6 @@ def test_store_of_an_equal_graph_is_accepted():
     recertifier = IncrementalRecertifier(copy, 2, 0.5, store=store)
     outcome = recertifier.apply(random_batch(copy, np.random.default_rng(2), 6))
     assert outcome.n_dirty_worlds is not None
-    store.close()
 
 
 # -- CLI + served update ------------------------------------------------ #

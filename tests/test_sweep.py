@@ -6,6 +6,7 @@ import repro
 from repro.core import sweep_anonymize
 from repro.exceptions import ConfigurationError, ObfuscationError
 from repro.privacy import check_obfuscation, expected_degree_knowledge
+from repro.ugraph import UncertainGraph
 
 
 FAST = dict(n_trials=2, relevance_samples=100, sigma_tolerance=0.05)
@@ -47,6 +48,22 @@ def test_failures_reported_per_k(graph):
     assert not results[graph.n_nodes - 1].success
     # The easy target's outcome is independent of the hard one.
     assert results[3].epsilon_achieved <= 0.0 or not results[3].success
+
+
+def test_failed_entry_reports_largest_probed_sigma():
+    """A failed sweep entry reports the noise range it exhausted, as
+    ``anonymize`` does -- not the last (smallest downward) probe of the
+    alternating 2^i / 2^-i ladder."""
+    star = UncertainGraph(
+        6, [(0, i, 1.0) for i in range(1, 6)] + [(1, 2, 1.0)]
+    )
+    single = repro.anonymize(star, 5, 0.0, n_trials=1, seed=0)
+    swept = sweep_anonymize(star, [5], 0.0, n_trials=1, seed=0)[5]
+    assert not single.success and not swept.success
+    assert swept.n_genobf_calls == single.n_genobf_calls
+    assert swept.sigma == single.sigma == max(
+        s for s, __ in swept.sigma_history
+    )
 
 
 @pytest.mark.parametrize("backend", ["process"])

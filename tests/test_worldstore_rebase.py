@@ -5,8 +5,7 @@ uniforms are kept, only changed columns re-threshold -- and every base
 query after ``rebase(delta)`` is bit-identical to ``derive(delta)``
 evaluated on a pristine store, which in turn is the full-recompute
 oracle over the patched masks.  Plus the storage story: clones stay
-isolated (COW), replaced blocks' file segments are released eagerly,
-and nothing leaks after ``close``.
+isolated (copy-on-write).
 
 Rebasing is write-back: flipped worlds are only marked stale, and the
 first label read relabels each of them once.  A state machine holds the
@@ -81,17 +80,14 @@ def query_pairs(graph: UncertainGraph, count: int = 12) -> list:
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    backend=st.sampled_from(["ram", "memmap"]),
     chunk=st.sampled_from([3, 9]),
     antithetic=st.booleans(),
 )
-def test_rebase_matches_derive_and_recompute(seed, backend, chunk,
-                                             antithetic):
+def test_rebase_matches_derive_and_recompute(seed, chunk, antithetic):
     """rebased base state == pre-rebase derive view == full recompute
     over the patched masks, for reliabilities, labels and masks."""
     monkeypatch = pytest.MonkeyPatch()
     try:
-        monkeypatch.setenv("REPRO_WORLD_BACKEND", backend)
         monkeypatch.setenv("REPRO_WORLD_CHUNK", str(chunk))
         rng = np.random.default_rng(seed)
         graph = make_graph(seed)
@@ -123,8 +119,6 @@ def test_rebase_matches_derive_and_recompute(seed, backend, chunk,
             pristine.base_reliability_of_pairs(qpairs),
             pristine.derive([]).reliability_of_pairs(qpairs),
         )
-        pristine.close()
-        store.close()
     finally:
         monkeypatch.undo()
 
@@ -158,8 +152,6 @@ def test_chained_rebases_compose():
         store.base_reliability_of_pairs(qpairs),
         view.reliability_of_pairs(qpairs),
     )
-    pristine.close()
-    store.close()
 
 
 def test_rebase_lazy_store_defers_thresholding():
@@ -181,8 +173,6 @@ def test_rebase_lazy_store_defers_thresholding():
         lazy.base_reliability_of_pairs(qpairs),
         view.reliability_of_pairs(qpairs),
     )
-    lazy.close()
-    oracle.close()
 
 
 def test_rebase_validates_inputs():
@@ -194,14 +184,12 @@ def test_rebase_validates_inputs():
         store.rebase([(u, v, good + 0.25, 0.5)])
     with pytest.raises(EstimationError, match="vertices"):
         store.rebase([(u, v, good, 0.5)], graph=make_graph(3, n=29))
-    store.close()
 
     from_masks = WorldStore.from_masks(
         graph, np.zeros((4, graph.n_edges), dtype=bool)
     )
     with pytest.raises(EstimationError, match="uniforms"):
         from_masks.rebase([(u, v, good, 0.5)])
-    from_masks.close()
 
 
 def test_rebase_noop_delta_is_free():
@@ -214,34 +202,6 @@ def test_rebase_noop_delta_is_free():
     assert stats == {
         "n_dirty_worlds": 0, "n_changed_columns": 0, "n_new_columns": 0,
     }
-    store.close()
-
-
-def test_rebase_releases_replaced_segments(tmp_path, monkeypatch):
-    """Memmap rebase frees the replaced blocks' files immediately and
-    close() leaves nothing on disk."""
-    monkeypatch.setenv("REPRO_WORLD_BACKEND", "memmap")
-    monkeypatch.setenv("REPRO_WORLD_CHUNK", "5")
-    monkeypatch.setenv("REPRO_SEGMENT_DIR", str(tmp_path))
-    graph = make_graph(8)
-    rng = np.random.default_rng(9)
-    store = WorldStore(graph, n_samples=20, seed=4)
-    store.warm()
-    files_before = {p.name for p in tmp_path.iterdir()}
-
-    delta = make_delta(graph, rng, 6, fresh_pair=False)
-    stats = store.rebase(delta)
-    assert stats["n_dirty_worlds"] > 0
-
-    # Every replaced block's segment was released as its fresh twin was
-    # allocated: the on-disk population is exactly the owned set and
-    # did not grow -- rebase swaps blocks, it does not accumulate them.
-    files_after = {p.name for p in tmp_path.iterdir()}
-    assert files_after == set(store.segment_names())
-    assert len(files_after) == len(files_before)
-
-    store.close()
-    assert not list(tmp_path.iterdir())
 
 
 def test_rebase_clone_cow_isolation():
@@ -271,8 +231,6 @@ def test_rebase_clone_cow_isolation():
         assert np.array_equal(
             twin.derive(delta).reliability_of_pairs(qpairs), expected
         )
-        twin.close()
-        store.close()
 
 
 # -- write-back rebase ------------------------------------------------------ #
@@ -316,7 +274,6 @@ class EagerWorldStore(WorldStore):
         acc = self._pair_acc.copy() if patch_acc else None
         m_new = list(self._m_blocks)
         l_new = list(self._l_blocks) if patch_labels else None
-        replaced = []
         total_dirty = 0
         for ci, ((start, __), u_block, m_block) in enumerate(
             zip(self._chunks, self._u_blocks, self._m_blocks)
@@ -327,11 +284,9 @@ class EagerWorldStore(WorldStore):
             if d.size == 0:
                 continue
             total_dirty += int(d.size)
-            fresh_m = self._alloc_block(m_block.shape, np.bool_)
-            fresh_m[:] = m_block
+            fresh_m = m_block.copy()
             fresh_m[:, col_arr] = nc
             m_new[ci] = fresh_m
-            replaced.append(m_block)
             if patch_labels:
                 old_l = self._l_blocks[ci]
                 dirty_masks = m_block[d]
@@ -339,11 +294,9 @@ class EagerWorldStore(WorldStore):
                 labels = worldstore.component_labels_for_edges(
                     n, self._src, self._dst, dirty_masks
                 )
-                fresh_l = self._alloc_block(old_l.shape, old_l.dtype)
-                fresh_l[:] = old_l
+                fresh_l = old_l.copy()
                 fresh_l[d] = labels
                 l_new[ci] = fresh_l
-                replaced.append(old_l)
                 if patch_counts:
                     counts[start + d] = pair_counts_from_labels(labels)
                 if patch_acc:
@@ -356,8 +309,6 @@ class EagerWorldStore(WorldStore):
         self._pair_acc = acc if patch_acc else None
         self._pairwise = None
         self._pair_equal_cache = None
-        for block in replaced:
-            self._release_block(block)
         stats["n_dirty_worlds"] = total_dirty
         return stats
 
@@ -417,7 +368,6 @@ def test_view_derived_before_rebase_raises():
     assert view.n_dirty == view.dirty_labels.shape[0]
     fresh = store.derive(first)
     assert fresh.pairwise_reliability().shape == (graph.n_nodes,) * 2
-    store.close()
 
 
 def test_noop_rebase_keeps_views_current():
@@ -430,7 +380,6 @@ def test_noop_rebase_keeps_views_current():
     assert np.array_equal(
         view.reliability_of_pairs(query_pairs(graph)), expected
     )
-    store.close()
 
 
 @pytest.mark.parametrize("chunk", [4, 30])
@@ -465,8 +414,6 @@ def test_rebases_defer_and_one_read_labels_each_stale_row_once(
     assert np.array_equal(store.base_labels, oracle.base_labels)
     assert np.array_equal(store.base_pair_counts, oracle.base_pair_counts)
     assert labeling_spy == []  # flushed once; later reads are free
-    store.close()
-    oracle.close()
 
 
 def test_rebase_before_first_labeling_marks_nothing(labeling_spy):
@@ -486,87 +433,27 @@ def test_rebase_before_first_labeling_marks_nothing(labeling_spy):
             ) for row in store.base_masks
         ]),
     )
-    store.close()
 
 
-def test_memmap_segments_do_not_grow_across_rebases_and_flush(
-    tmp_path, monkeypatch
-):
-    monkeypatch.setenv("REPRO_SEGMENT_DIR", str(tmp_path))
-    graph = make_graph(8)
-    rng = np.random.default_rng(10)
-    store = WorldStore(graph, n_samples=20, seed=4, chunk_worlds=5,
-                       store_backend="memmap")
-    store.warm()
-    store.base_pair_acc
-    count = len(list(tmp_path.iterdir()))
-    assert count == len(store.segment_names()) > 0
-    for __ in range(3):
-        store.rebase(make_delta(store.graph, rng, 6, fresh_pair=False))
-        assert len(list(tmp_path.iterdir())) == count
-    store.base_reliability_of_pairs(query_pairs(graph))  # flush
-    assert not store._stale
-    assert {p.name for p in tmp_path.iterdir()} == set(store.segment_names())
-    assert len(store.segment_names()) == count
-    store.close()
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("backend", ["ram", "memmap"])
-def test_column_growth_releases_replaced_blocks(tmp_path, monkeypatch,
-                                                backend):
-    """Growth re-allocates every mask block (and, past capacity, every
-    uniform block) and releases the blocks it replaced: growing rebases
-    and growing derives leave the segment count at its warmed value."""
-    monkeypatch.setenv("REPRO_SEGMENT_DIR", str(tmp_path))
-    graph = make_graph(8)
-    rng = np.random.default_rng(11)
-    store = WorldStore(graph, n_samples=20, seed=4, chunk_worlds=10,
-                       store_backend=backend)
-    store.warm()
-    warmed = len(store.segment_names())
-    assert warmed == (6 if backend == "memmap" else 0)
-    for __ in range(6):
-        stats = store.rebase(make_delta(store.graph, rng, 2))
-        assert stats["n_new_columns"] == 1
-        assert len(store.segment_names()) == warmed
-    for __ in range(6):
-        store.derive(make_delta(store.graph, rng, 2))
-        assert len(store.segment_names()) == warmed
-    store.base_reliability_of_pairs(query_pairs(graph))  # flush
-    assert {p.name for p in tmp_path.iterdir()} == set(store.segment_names())
-    assert len(store.segment_names()) == warmed
-    store.close()
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("backend", ["ram", "memmap"])
 @pytest.mark.parametrize("operation", ["derive", "rebase"])
-def test_rejected_delta_leaves_store_unchanged(tmp_path, monkeypatch,
-                                               backend, operation):
+def test_rejected_delta_leaves_store_unchanged(operation):
     """Every entry is validated before the universe grows: a fresh pair
     followed by a stale ``p_old`` grows nothing and changes no answer."""
-    monkeypatch.setenv("REPRO_SEGMENT_DIR", str(tmp_path))
     graph = UncertainGraph(4, [(0, 1, 0.5), (1, 2, 0.8), (0, 2, 0.3)])
-    store = WorldStore(graph, n_samples=12, seed=2, chunk_worlds=6,
-                       store_backend=backend)
+    store = WorldStore(graph, n_samples=12, seed=2, chunk_worlds=6)
     store.warm()
     pairs = np.array(list(itertools.combinations(range(4), 2)))
-    before = (store.n_columns, store.segment_names(),
-              store.uniforms.copy(), store.base_masks.copy(),
+    before = (store.uniforms.copy(), store.base_masks.copy(),
               store.base_labels.copy(), store.base_pair_acc.copy(),
               store.base_reliability_of_pairs(pairs))
     bad = [(0, 3, 0.0, 0.6), (0, 1, 0.4, 0.7)]
     with pytest.raises(EstimationError, match="p_old=0.4"):
         getattr(store, operation)(bad)
-    after = (store.n_columns, store.segment_names(), store.uniforms,
-             store.base_masks, store.base_labels, store.base_pair_acc,
-             store.base_reliability_of_pairs(pairs))
-    assert after[:2] == before[:2]
+    after = (store.uniforms, store.base_masks, store.base_labels,
+             store.base_pair_acc, store.base_reliability_of_pairs(pairs))
     assert store.n_columns == 3
-    for was, now in zip(before[2:], after[2:]):
+    for was, now in zip(before, after):
         assert np.array_equal(was, now)
-    store.close()
 
 
 def test_array_and_tuple_deltas_agree():
@@ -598,8 +485,6 @@ def test_array_and_tuple_deltas_agree():
     assert np.array_equal(by_list.base_labels, by_array.base_labels)
     with pytest.raises(EstimationError, match="rows"):
         by_array.derive(rows[:, :3])
-    by_list.close()
-    by_array.close()
 
 
 def test_clone_shares_column_keys():
@@ -615,8 +500,6 @@ def test_clone_shares_column_keys():
     assert twin.n_columns == store.n_columns + 1
     assert store._col_keys is keys and store._col_ids is ids
     assert keys.size == ids.size == graph.n_edges
-    twin.close()
-    store.close()
 
 
 def test_clone_of_stale_store_flushes_independently(labeling_spy):
@@ -636,9 +519,6 @@ def test_clone_of_stale_store_flushes_independently(labeling_spy):
     assert flushed > 0
     assert np.array_equal(twin.base_labels, oracle.base_labels)
     assert sum(labeling_spy) == 2 * flushed
-    twin.close()
-    store.close()
-    oracle.close()
 
 
 _SM_NODES = 12
@@ -648,7 +528,7 @@ _SM_PAIRS = np.array(list(itertools.combinations(range(_SM_NODES), 2)))
 
 class WriteBackMachine(RuleBasedStateMachine):
     """Write-back store vs the eager oracle under rebase / derive / base
-    reads / clone / close: every read must agree bit for bit."""
+    reads / clone: every read must agree bit for bit."""
 
     def __init__(self):
         super().__init__()
@@ -656,16 +536,15 @@ class WriteBackMachine(RuleBasedStateMachine):
         self.views: list = []
 
     @initialize(
-        backend=st.sampled_from(["ram", "memmap"]),
         chunk=st.sampled_from([3, 9, _SM_WORLDS]),
         antithetic=st.booleans(),
         seed=st.integers(0, 10_000),
         warm=st.booleans(),
     )
-    def build(self, backend, chunk, antithetic, seed, warm):
+    def build(self, chunk, antithetic, seed, warm):
         graph = make_graph(seed, n=_SM_NODES, n_edges=24)
         kwargs = dict(n_samples=_SM_WORLDS, seed=seed, antithetic=antithetic,
-                      chunk_worlds=chunk, store_backend=backend)
+                      chunk_worlds=chunk)
         pair = (WorldStore(graph, **kwargs), EagerWorldStore(graph, **kwargs))
         if warm:
             for store in pair:
@@ -750,19 +629,6 @@ class WriteBackMachine(RuleBasedStateMachine):
     def clone(self, index):
         lazy, eager = self._pick(index)
         self.stores.append((lazy.clone(), eager.clone()))
-
-    @precondition(lambda self: len(self.stores) > 1)
-    @rule(index=st.integers(0, 7))
-    def close(self, index):
-        lazy, eager = self.stores.pop(index % len(self.stores))
-        lazy.close()
-        eager.close()
-        self.views = [v for v in self.views if v[0].store is not lazy]
-
-    def teardown(self):
-        for lazy, eager in self.stores:
-            lazy.close()
-            eager.close()
 
 
 TestWriteBackStateful = WriteBackMachine.TestCase
