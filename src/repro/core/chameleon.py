@@ -34,7 +34,7 @@ from ..reliability.worldstore import (
     DEFAULT_PAIR_SAMPLE,
     FULL_MATRIX_LIMIT,
     WorldStore,
-    graph_delta,
+    graph_delta_rows,
     sample_vertex_pairs,
 )
 from ..ugraph.graph import UncertainGraph
@@ -189,7 +189,7 @@ class Chameleon:
                 return
             if utility_pairs is not None and utility_base_counts is None:
                 utility_base_counts = store.base_pair_equal_counts(utility_pairs)
-            view = store.derive(graph_delta(graph, outcome.graph))
+            view = store.derive(graph_delta_rows(graph, outcome.graph))
             value = store.discrepancy(
                 view, pairs=utility_pairs, base_counts=utility_base_counts
             )

@@ -30,7 +30,9 @@ __all__ = [
 ]
 
 _MIN_BANDWIDTH = 1e-6
-_CHUNK = 1024
+#: Element budget of one ``(rows, n)`` kernel temporary (64 MiB of
+#: float64); up to three are live at once.
+_CHUNK_ELEMENTS = 8_000_000
 
 
 def default_bandwidth(values: np.ndarray) -> float:
@@ -46,8 +48,10 @@ def default_bandwidth(values: np.ndarray) -> float:
 def commonness_scores(values: np.ndarray, theta: float | None = None) -> np.ndarray:
     """theta-commonness ``C_theta`` of each vertex's property value.
 
-    Uses the full Gaussian kernel sum, evaluated in chunks so memory stays
-    ``O(chunk * n)`` for large vertex sets.
+    Uses the full Gaussian kernel sum, evaluated in chunks of rows so no
+    ``(rows, n)`` temporary exceeds ``_CHUNK_ELEMENTS`` elements (at
+    least one row).  A row's sum does not depend on how rows are
+    chunked, so the scores are bit-identical at every budget.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -60,8 +64,9 @@ def commonness_scores(values: np.ndarray, theta: float | None = None) -> np.ndar
     norm = 1.0 / (theta * np.sqrt(2.0 * np.pi))
     inv_two_theta_sq = 1.0 / (2.0 * theta * theta)
     out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
+    chunk = max(1, _CHUNK_ELEMENTS // max(n, 1))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
         diff = values[start:stop, None] - values[None, :]
         out[start:stop] = norm * np.exp(-(diff * diff) * inv_two_theta_sq).sum(axis=1)
     return out

@@ -81,13 +81,15 @@ def _merge_gain_accumulate(
 
     Returns ``(gain_sums, absent_counts)`` indexed by edge.
 
-    Vectorized over chunks of worlds: one offset ``bincount`` over the
-    chunk's label block yields the per-world component-size matrix, and
-    ``take_along_axis`` reads the endpoint sizes for every (world, edge)
-    pair at once.  Gains are products of component sizes -- integers
-    bounded by ``n^2``, with totals far below 2^53 -- so every partial
-    sum is exactly representable and the reordered summation is
-    bit-identical to the per-world loop (the oracle in
+    Vectorized over chunks of worlds: offsetting each world's labels by
+    ``world * n`` gives int32 component ids unique within the chunk, one
+    ``bincount`` of them yields every component's size, and 1-D gathers
+    read the endpoint sizes for every (world, edge) pair at once.  A
+    present edge's endpoints share a component, so its gain is already
+    0 and no absence mask is needed.  Gains are products of component
+    sizes -- integers bounded by ``n^2``, with totals far below 2^53 --
+    so every partial sum is exactly representable and the reordered
+    summation is bit-identical to the per-world loop (the oracle in
     ``tests/relevance_oracle.py``).  Chunking keeps the ``(worlds, n)``
     and ``(worlds, |E|)`` intermediates bounded.
     """
@@ -95,24 +97,24 @@ def _merge_gain_accumulate(
     n = graph.n_nodes
     src, dst = graph.edge_src, graph.edge_dst
     gain_sums = np.zeros(graph.n_edges, dtype=np.float64)
-    absent_counts = np.zeros(graph.n_edges, dtype=np.int64)
     if n_samples == 0 or graph.n_edges == 0:
-        return gain_sums, absent_counts
+        return gain_sums, np.zeros(graph.n_edges, dtype=np.int64)
+    # ``chunk * n`` stays below 2_000_000, far inside int32.
     chunk = max(1, 2_000_000 // max(n + 2 * graph.n_edges, 1))
-    offsets = np.arange(chunk, dtype=np.int64)[:, None] * n
+    offsets = np.arange(chunk, dtype=np.int32)[:, None] * np.int32(n)
     for start in range(0, n_samples, chunk):
-        block = labels[start : start + chunk].astype(np.int64, copy=False)
-        m = block.shape[0]
-        flat = (block + offsets[:m]).ravel()
-        sizes = np.bincount(flat, minlength=m * n).reshape(m, n)
-        lu = block[:, src]
-        lv = block[:, dst]
-        size_u = np.take_along_axis(sizes, lu, axis=1)
-        size_v = np.take_along_axis(sizes, lv, axis=1)
-        gains = np.where(lu != lv, size_u.astype(np.float64) * size_v, 0.0)
-        absent = ~masks[start : start + chunk]
-        gain_sums += (gains * absent).sum(axis=0)
-        absent_counts += absent.sum(axis=0)
+        block = labels[start : start + chunk]
+        ids = block.astype(np.int32, copy=False) + offsets[: block.shape[0]]
+        sizes = np.bincount(ids.ravel(), minlength=ids.size)
+        comp_u = ids[:, src]
+        comp_v = ids[:, dst]
+        gains = np.where(
+            comp_u != comp_v,
+            sizes[comp_u].astype(np.float64) * sizes[comp_v],
+            0.0,
+        )
+        gain_sums += gains.sum(axis=0)
+    absent_counts = n_samples - masks.sum(axis=0, dtype=np.int64)
     return gain_sums, absent_counts
 
 

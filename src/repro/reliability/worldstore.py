@@ -7,8 +7,11 @@ realize identically.  :class:`WorldStore` turns that pairing from a
 variance trick into a *structural* speedup:
 
 * the uniform matrix ``U`` of shape ``(N, |edge universe|)`` is drawn
-  once per run (columns grow on demand when candidates introduce new
-  edges) and the base graph's world masks are derived as ``U < p``;
+  once per run and the base graph's world masks are derived as
+  ``U < p``.  Columns grow on demand when candidates introduce new
+  edges; a grown column's uniforms are keyed by its vertex pair (one
+  batched seeding hash per growth call), and blocks keep geometric
+  spare capacity, so growth within it copies nothing;
 * base component labels, per-world connected-pair counts, and the
   pairwise equality accumulator are computed once and cached;
 * a candidate described as a delta ``[(u, v, p_old, p_new), ...]``
@@ -17,8 +20,8 @@ variance trick into a *structural* speedup:
   max(p_old, p_new))`` -- probability ``|p_new - p_old|`` -- so the
   expected **dirty-world** count is ``N * (1 - prod_e (1 - |dp_e|))``,
   a small fraction of ``N`` for GenObf-sized perturbations.  Only dirty
-  worlds are relabeled (with the batched kernel); clean worlds reuse the
-  cached base labels.
+  worlds are relabeled (with the batched kernel, over the candidate's
+  live columns); clean worlds reuse the cached base labels.
 * :meth:`WorldStore.rebase` adopts a delta permanently and is
   **write-back**: it re-thresholds the changed columns at once but only
   marks the flipped worlds' cached labels stale.  The first read that
@@ -71,7 +74,8 @@ import copy
 import os
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 
 from .. import kernels
 from .._rng import as_generator
@@ -83,6 +87,7 @@ __all__ = [
     "WorldStore",
     "DerivedWorlds",
     "graph_delta",
+    "graph_delta_rows",
     "sample_vertex_pairs",
 ]
 
@@ -100,6 +105,139 @@ _P_OLD_TOLERANCE = 1e-9
 #: per-chunk Python loop step and kernel call, so requested chunk sizes
 #: are raised until the store fits in at most this many chunks.
 _MAX_CHUNKS = 64
+
+# NumPy's ``SeedSequence`` constants (``numpy/random/bit_generator.pyx``):
+# a 4-word pool, hash multipliers A (entropy mixing) and B (state output),
+# and the two ``mix`` multipliers.
+_SS_POOL = 4
+_SS_MIX_L = np.uint32(0xCA01F9DD)
+_SS_MIX_R = np.uint32(0x4973F715)
+
+
+def _hash_multipliers(init: int, mult: int, count: int) -> np.ndarray:
+    """``count + 1`` successive values of a ``SeedSequence`` hash multiplier.
+
+    The multiplier evolves the same way whatever the data, so the
+    ``i``-th hash of a stage xors with entry ``i`` and multiplies by
+    entry ``i + 1`` -- for every pair of a batch at once.
+    """
+    values = [init]
+    for __ in range(count):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+#: Entropy mixing hashes each pool word once, then once per ordered pair
+#: of distinct pool words; the state output hashes 2 words per uint64.
+_HASH_A = _hash_multipliers(0x43B0D7E5, 0x931E8875, _SS_POOL * _SS_POOL)
+_HASH_B = _hash_multipliers(0x8B51F9DD, 0x58F38DED, 2 * _SS_POOL)
+
+
+#: Pool rows each row mixes into, and the pool row behind each of the
+#: eight output words.
+_MIX_TARGETS = tuple(
+    np.array([row for row in range(_SS_POOL) if row != source])
+    for source in range(_SS_POOL)
+)
+_OUTPUT_ROWS = np.tile(np.arange(_SS_POOL), 2)
+_SHIFT = np.uint32(16)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray):
+    """``SeedSequence``'s ``hashmix``, one hash multiplier pair per row."""
+    values = values ^ xor
+    values *= mult
+    values ^= values >> _SHIFT
+    return values
+
+
+def _pair_seed_states(
+    entropy: int, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """``SeedSequence((entropy, u, v)).generate_state(4, np.uint64)`` per pair.
+
+    A port of the sequence's entropy mixing and state output, batched
+    over pairs: every stage runs on a ``(words, k)`` uint32 array, whose
+    products wrap modulo 2**32 exactly as the C code's do.  The entropy
+    words are ``entropy``'s uint32 words, least significant first (one
+    or two), then ``u`` and ``v`` (one each), zero-padded to the pool
+    size.  Returns ``(k, 4)`` C-contiguous uint64 rows.
+    """
+    k = src.size
+    if k and max(int(src.max()), int(dst.max())) > 0xFFFFFFFF:
+        raise EstimationError("pair-keyed draws need vertex ids below 2**32")
+    words = np.zeros((_SS_POOL, k), dtype=np.uint32)
+    row = 0
+    while True:
+        words[row] = entropy & 0xFFFFFFFF
+        row += 1
+        entropy >>= 32
+        if not entropy:
+            break
+    words[row] = src
+    words[row + 1] = dst
+    pool = _hashmix(words, _HASH_A[:_SS_POOL], _HASH_A[1:_SS_POOL + 1])
+    step = _SS_POOL
+    for source, targets in enumerate(_MIX_TARGETS):
+        # Row ``source`` is read, never written, while it mixes into the
+        # other rows, so its three hashes and mixes run as one batch.
+        stop = step + targets.size
+        hashed = _hashmix(
+            pool[source], _HASH_A[step:stop], _HASH_A[step + 1:stop + 1]
+        )
+        hashed *= _SS_MIX_R
+        mixed = pool[targets]
+        mixed *= _SS_MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> _SHIFT
+        pool[targets] = mixed
+        step = stop
+    out = _hashmix(
+        pool[_OUTPUT_ROWS], _HASH_B[:-1], _HASH_B[1:]
+    ).astype(np.uint64)
+    states = np.empty((k, _SS_POOL), dtype=np.uint64)
+    np.bitwise_or(out[0::2], out[1::2] << np.uint64(32), out=states.T)
+    return states
+
+
+class _StateSeed(ISeedSequence):
+    """A seed sequence whose state was generated ahead (by the batch)."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly ``(4, uint64)``: what the batch produced.
+        return self._state
+
+
+def _pair_keyed_uniforms(
+    entropy: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    n_samples: int,
+    antithetic: bool,
+) -> np.ndarray:
+    """``(k, n_samples)`` uniforms of the pairs ``(src[i], dst[i])``.
+
+    Row ``i`` is bit for bit ``np.random.default_rng((entropy, src[i],
+    dst[i])).random(n_samples)`` -- under antithetic pairing, ``n_samples
+    // 2`` such draws interleaved with their complements.  The seeding
+    hash runs batched (:func:`_pair_seed_states`); each pair then draws
+    its raw PCG64 words, and ``Generator.random``'s float conversion
+    ``(raw >> 11) * 2**-53`` runs once for the whole batch.
+    """
+    n_draw = n_samples // 2 if antithetic else n_samples
+    raw = np.empty((src.size, n_draw), dtype=np.uint64)
+    for row, state in zip(raw, _pair_seed_states(entropy, src, dst)):
+        row[:] = PCG64(_StateSeed(state)).random_raw(n_draw)
+    draws = (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    if not antithetic:
+        return draws
+    out = np.empty((src.size, n_samples), dtype=np.float64)
+    out[:, 0::2] = draws
+    out[:, 1::2] = 1.0 - draws
+    return out
 
 
 def sample_vertex_pairs(
@@ -119,6 +257,27 @@ def sample_vertex_pairs(
     return np.stack([u, v], axis=1)
 
 
+def _delta_vectors(
+    base: UncertainGraph, other: UncertainGraph
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, v, p_old, p_new)`` arrays of :func:`graph_delta`."""
+    if base.n_nodes != other.n_nodes:
+        raise EstimationError("graphs must share the vertex set")
+    base_p = base.pair_probabilities(other.edge_src, other.edge_dst)
+    changed = other.edge_probabilities != base_p
+    gone = (base.edge_probabilities != 0.0) & (
+        other.pair_edge_ids(base.edge_src, base.edge_dst) < 0
+    )
+    return (
+        np.concatenate([other.edge_src[changed], base.edge_src[gone]]),
+        np.concatenate([other.edge_dst[changed], base.edge_dst[gone]]),
+        np.concatenate([base_p[changed], base.edge_probabilities[gone]]),
+        np.concatenate([
+            other.edge_probabilities[changed], np.zeros(int(gone.sum()))
+        ]),
+    )
+
+
 def graph_delta(
     base: UncertainGraph, other: UncertainGraph
 ) -> list[tuple[int, int, float, float]]:
@@ -133,19 +292,16 @@ def graph_delta(
     :meth:`~repro.ugraph.graph.UncertainGraph.pair_edge_ids` lookups
     find both.
     """
-    if base.n_nodes != other.n_nodes:
-        raise EstimationError("graphs must share the vertex set")
-    base_p = base.pair_probabilities(other.edge_src, other.edge_dst)
-    changed = other.edge_probabilities != base_p
-    gone = (base.edge_probabilities != 0.0) & (
-        other.pair_edge_ids(base.edge_src, base.edge_dst) < 0
+    return list(zip(*(
+        vector.tolist() for vector in _delta_vectors(base, other)
+    )))
+
+
+def graph_delta_rows(base: UncertainGraph, other: UncertainGraph) -> np.ndarray:
+    """:func:`graph_delta` as the ``(m, 4)`` float64 rows ``derive`` takes."""
+    return np.column_stack(_delta_vectors(base, other)).astype(
+        np.float64, copy=False
     )
-    return list(zip(
-        other.edge_src[changed].tolist() + base.edge_src[gone].tolist(),
-        other.edge_dst[changed].tolist() + base.edge_dst[gone].tolist(),
-        base_p[changed].tolist() + base.edge_probabilities[gone].tolist(),
-        other.edge_probabilities[changed].tolist() + [0.0] * int(gone.sum()),
-    ))
 
 
 def _pairwise_equal_acc(labels: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -159,18 +315,20 @@ def _pairwise_equal_acc(labels: np.ndarray, n_nodes: int) -> np.ndarray:
 
     * components with at least ``ceil(n / 8)`` vertices (at most eight
       per world; in practice the giant component) are rows of a dense
-      float32 0/1 matrix ``O`` and add ``O^T O`` through one BLAS GEMM;
-    * smaller non-singleton components add a ``scipy.sparse`` one-hot
-      product, whose work is the sum of their squared sizes;
-    * singletons add to the diagonal.
+      float32 0/1 matrix ``O`` -- one label comparison per row -- and
+      add ``O^T O`` through one BLAS GEMM;
+    * every pair ``(u, v)`` of a smaller component, singletons'
+      ``(v, v)`` included, adds one to its ``u * n + v`` key, and one
+      ``bincount`` over those keys adds them all; the work is the sum of
+      the components' squared sizes.
 
     The GEMM is exact: every entry is an integer no larger than the
     block's world count, at most ``2**24``, and float32 holds every such
     integer, so no summation order or BLAS thread count changes the
     int64 result.  Every temporary stays within
     ``PAIRWISE_BLOCK_ELEMENTS`` elements: per world, ``O`` holds at most
-    ``8 * n`` entries and the sparse product fewer than
-    ``n * ceil(n / 8)``.
+    ``8 * n`` entries and the small components fewer than
+    ``n * ceil(n / 8)`` pairs.
     """
     acc = np.zeros((n_nodes, n_nodes), dtype=np.int64)
     if n_nodes == 0 or labels.shape[0] == 0:
@@ -179,8 +337,6 @@ def _pairwise_equal_acc(labels: np.ndarray, n_nodes: int) -> np.ndarray:
     block = min(
         1 << 24, max(1, PAIRWISE_BLOCK_ELEMENTS // (n_nodes * max(8, tau)))
     )
-    vertex_row = np.arange(n_nodes, dtype=np.int64)
-    diagonal = np.zeros(n_nodes, dtype=np.int64)
     for start in range(0, labels.shape[0], block):
         chunk = labels[start:start + block]
         keys = (
@@ -188,28 +344,49 @@ def _pairwise_equal_acc(labels: np.ndarray, n_nodes: int) -> np.ndarray:
             + chunk
         ).ravel()
         sizes = np.bincount(keys, minlength=keys.size)
-        entry_size = sizes[keys]
-        vertex = np.tile(vertex_row, chunk.shape[0])
-        diagonal += np.bincount(vertex[entry_size == 1], minlength=n_nodes)
-        big = entry_size >= tau
-        if big.any():
-            components = np.flatnonzero(sizes >= tau)
-            dense = np.zeros((components.size, n_nodes), dtype=np.float32)
-            dense[np.searchsorted(components, keys[big]), vertex[big]] = 1.0
+        big = np.flatnonzero(sizes >= tau)
+        if big.size:
+            dense = (
+                chunk[big // n_nodes] == (big % n_nodes)[:, None]
+            ).astype(np.float32)
             np.add(acc, dense.T @ dense, out=acc, casting="unsafe")
-        small = (entry_size > 1) & ~big
-        if small.any():
-            components = np.flatnonzero((sizes > 1) & (sizes < tau))
-            one_hot = csr_matrix(
-                (
-                    np.ones(int(small.sum()), dtype=np.int64),
-                    (np.searchsorted(components, keys[small]), vertex[small]),
-                ),
-                shape=(components.size, n_nodes),
+        entry_size = sizes[keys]
+        singles = np.flatnonzero(entry_size == 1) % n_nodes
+        pair_keys = singles * (n_nodes + 1)
+        small = np.flatnonzero((entry_size > 1) & (entry_size < tau))
+        if small.size:
+            # Group the entries by component; entry ``i`` of a group
+            # starting at ``first[i]`` pairs with the group's members.
+            small = small[np.argsort(keys[small], kind="stable")]
+            size = entry_size[small]
+            member = small % n_nodes
+            starts = np.flatnonzero(np.diff(keys[small], prepend=-1))
+            first = np.repeat(starts, size[starts])
+            ends = np.cumsum(size)
+            partner = np.repeat(first - ends + size, size) + np.arange(
+                ends[-1], dtype=np.int64
             )
-            acc += (one_hot.T @ one_hot).toarray()
-    acc[np.diag_indices(n_nodes)] += diagonal
+            pair_keys = np.concatenate([
+                pair_keys, np.repeat(member, size) * n_nodes + member[partner]
+            ])
+        acc += np.bincount(pair_keys, minlength=n_nodes * n_nodes).reshape(
+            n_nodes, n_nodes
+        )
     return acc
+
+
+def _widen(
+    block: np.ndarray, n_cols: int, capacity: int, alloc
+) -> np.ndarray:
+    """A ``capacity``-column copy of ``block``'s first ``n_cols`` columns.
+
+    ``alloc`` fills the spare columns: ``np.zeros`` for masks (all
+    False, the realization of a p = 0 column), ``np.empty`` for uniforms
+    (written before they are read).
+    """
+    fresh = alloc((block.shape[0], capacity), dtype=block.dtype)
+    fresh[:, :n_cols] = block[:, :n_cols]
+    return fresh
 
 
 #: Pair-count block width: keeps the two gathered ``(N, block)`` label
@@ -327,16 +504,20 @@ class WorldStore:
         # clones share the arrays by reference.
         self._col_keys, self._col_ids = graph._pair_key_index()
         self._has_uniforms = True
-        # Chunked storage: one row-block per chunk.  Uniform blocks may
-        # hold spare column capacity (geometric growth); ``_u_cols`` is
-        # the logical width.  Mutations rebind the block lists (or write
-        # only spare columns), never patch shared blocks in place, so
-        # clones can share blocks copy-on-write.
+        # Chunked storage: one row-block per chunk.  Uniform and mask
+        # blocks hold ``_capacity`` columns (geometric growth), of which
+        # the first ``n_columns`` are live; spare mask columns are all
+        # False, the realization of a grown p = 0 column.  Mutations
+        # rebind the block lists or write only blocks this store owns
+        # (spare uniform columns of unshared blocks, mask blocks it has
+        # just allocated), so clones can share blocks copy-on-write.
         self._u_blocks: list[np.ndarray] | None = None
-        self._u_cols = 0
-        self._u_capacity = 0
         self._m_blocks: list[np.ndarray] | None = None
+        self._capacity = 0
         self._l_blocks: list[np.ndarray] | None = None
+        #: True while another store may hold these uniform and mask
+        #: blocks (set on both sides of :meth:`clone`): growth then
+        #: re-allocates before it writes.
         self._storage_shared = False
         self._pair_counts: np.ndarray | None = None
         self._pair_acc: np.ndarray | None = None
@@ -404,9 +585,11 @@ class WorldStore:
         )
         store._has_uniforms = False
         masks = masks.astype(bool, copy=False)
+        # The caller's rows, no spare columns: growth re-allocates.
         store._m_blocks = [
             masks[start:stop] for start, stop in store._chunks
         ]
+        store._capacity = graph.n_edges
         if labels is not None:
             labels = np.asarray(labels)
             if labels.shape != (masks.shape[0], graph.n_nodes):
@@ -438,10 +621,12 @@ class WorldStore:
         (uniform, mask and label blocks, counts) and the sorted column-key
         index are shared by reference -- mutations rebind lists and
         arrays or write only spare uniform capacity or blocks the store
-        has just allocated for itself -- and column growth, which writes
-        new draws into spare uniform columns, re-allocates the clone's
-        uniform blocks first.  Clones are therefore O(1) in world-state
-        memory until they grow the universe.
+        has just allocated for itself.  Both this store and the clone
+        are marked as sharing their uniform and mask blocks, so the
+        first column growth on either side re-allocates them before
+        writing draws into spare columns, and a later :meth:`rebase`
+        patches only blocks so allocated.  Clones are therefore O(1) in
+        world-state memory until they grow the universe.
         """
         twin = object.__new__(WorldStore)
         twin._graph = self._graph
@@ -458,11 +643,13 @@ class WorldStore:
         twin._col_ids = self._col_ids
         twin._has_uniforms = self._has_uniforms
         twin._u_blocks = self._u_blocks
-        twin._u_cols = self._u_cols
-        twin._u_capacity = self._u_capacity
         twin._m_blocks = self._m_blocks
+        twin._capacity = self._capacity
         twin._l_blocks = self._l_blocks
-        twin._storage_shared = self._u_blocks is not None
+        shared = self._u_blocks is not None or self._m_blocks is not None
+        self._storage_shared = twin._storage_shared = (
+            self._storage_shared or shared
+        )
         twin._pair_counts = self._pair_counts
         twin._pair_acc = self._pair_acc
         twin._pairwise = self._pairwise
@@ -504,25 +691,6 @@ class WorldStore:
         out[1::2] = 1.0 - half
         return out
 
-    def _growth_uniform_column(self, u: int, v: int) -> np.ndarray:
-        """The ``(n_samples,)`` uniforms behind grown column ``(u, v)``.
-
-        Keyed by the pair through :attr:`_growth_entropy`, not by the
-        main stream: the same store seed assigns the same uniforms to a
-        pair whether its column appears in one big delta, over several
-        chained ``rebase`` calls, or interleaved with no-ops -- which is
-        what keeps incremental update paths bitwise-comparable to a
-        single-shot derivation.
-        """
-        rng = np.random.default_rng((self._growth_entropy, u, v))
-        if not self._antithetic:
-            return rng.random(self._n_samples)
-        half = rng.random(self._n_samples // 2)
-        out = np.empty(self._n_samples, dtype=np.float64)
-        out[0::2] = half
-        out[1::2] = 1.0 - half
-        return out
-
     def _ensure_uniforms(self) -> None:
         """Draw the base uniform blocks (chunk order == row order)."""
         if not self._has_uniforms:
@@ -540,8 +708,7 @@ class WorldStore:
             else np.empty((stop - start, 0))
             for start, stop in self._chunks
         ]
-        self._u_cols = n_cols
-        self._u_capacity = n_cols
+        self._capacity = n_cols
         self._storage_shared = False  # freshly drawn: nobody shares these
 
     def _ensure_masks(self) -> None:
@@ -549,10 +716,12 @@ class WorldStore:
             return
         self._ensure_uniforms()
         width = self._prob.shape[0]
-        self._m_blocks = [
-            np.less(u_block[:, :width], self._prob)
-            for u_block in self._u_blocks
-        ]
+        blocks = []
+        for u_block in self._u_blocks:
+            m_block = np.zeros(u_block.shape, dtype=bool)
+            np.less(u_block[:, :width], self._prob, out=m_block[:, :width])
+            blocks.append(m_block)
+        self._m_blocks = blocks
 
     def _ensure_labels(self) -> None:
         """Current base labels: computed on first use, stale rows flushed."""
@@ -561,8 +730,11 @@ class WorldStore:
             return
         self._ensure_masks()
         n = self._graph.n_nodes
+        width = self._prob.shape[0]
         self._l_blocks = [
-            component_labels_for_edges(n, self._src, self._dst, m_block)
+            component_labels_for_edges(
+                n, self._src, self._dst, m_block[:, :width]
+            )
             for m_block in self._m_blocks
         ]
 
@@ -645,9 +817,12 @@ class WorldStore:
         accessor; the chunked query paths stream blocks instead).
         """
         self._ensure_masks()
+        width = self._prob.shape[0]
         if len(self._m_blocks) == 1:
-            return self._m_blocks[0]
-        return np.concatenate(self._m_blocks, axis=0)
+            return self._m_blocks[0][:, :width]
+        return np.concatenate(
+            [block[:, :width] for block in self._m_blocks], axis=0
+        )
 
     @property
     def base_labels(self) -> np.ndarray:
@@ -783,13 +958,17 @@ class WorldStore:
 
         New columns carry base probability 0, so the base masks gain
         all-False columns and every cached base aggregate stays valid.
-        Every re-allocated uniform and mask block belongs to this store
-        alone afterwards.
+        Within capacity that costs no mask write at all: spare mask
+        columns are already all False.  Blocks are re-allocated, with
+        geometric spare capacity, only when the new width exceeds it or
+        another store shares them; every re-allocated block belongs to
+        this store alone afterwards.
         """
         k = int(src.size)
         if not k:
             return
         old_cols = self._prob.shape[0]
+        width = old_cols + k
         self._col_keys, self._col_ids = merge_key_index(
             self._col_keys, self._col_ids,
             src * np.int64(self._graph.n_nodes) + dst, old_cols,
@@ -798,37 +977,30 @@ class WorldStore:
         self._dst = np.concatenate([self._dst, dst])
         self._prob = np.concatenate([self._prob, np.zeros(k)])
         if self._has_uniforms:
-            # Blocks grow geometrically; each growth draw lands in spare
-            # capacity.  Grown columns are pair-keyed draws (below), so
-            # when the base draw happens is irrelevant to their values.
+            # Grown columns are pair-keyed draws (below), so when the
+            # base draw happens is irrelevant to their values.
             self._ensure_uniforms()
-            if self._storage_shared or self._u_capacity < old_cols + k:
-                # Copy-on-write (a clone shares these blocks), or out of
-                # spare columns: re-allocate before the in-place write.
-                capacity = max(
-                    self._u_capacity, old_cols + k, old_cols + old_cols // 2
-                )
-                grown = []
-                for block in self._u_blocks:
-                    fresh = np.empty((block.shape[0], capacity))
-                    fresh[:, :old_cols] = block[:, :old_cols]
-                    grown.append(fresh)
-                self._u_blocks = grown
-                self._u_capacity = capacity
-                self._storage_shared = False
-            grown = np.empty((self._n_samples, k), dtype=np.float64)
-            for offset, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
-                grown[:, offset] = self._growth_uniform_column(u, v)
+        if self._storage_shared or self._capacity < width:
+            capacity = max(self._capacity, width + width // 2)
+            if self._u_blocks is not None:
+                self._u_blocks = [
+                    _widen(block, old_cols, capacity, np.empty)
+                    for block in self._u_blocks
+                ]
+            if self._m_blocks is not None:
+                self._m_blocks = [
+                    _widen(block, old_cols, capacity, np.zeros)
+                    for block in self._m_blocks
+                ]
+            self._capacity = capacity
+            self._storage_shared = False
+        if self._has_uniforms:
+            grown = _pair_keyed_uniforms(
+                self._growth_entropy, src, dst, self._n_samples,
+                self._antithetic,
+            )
             for (start, stop), block in zip(self._chunks, self._u_blocks):
-                block[:, old_cols:old_cols + k] = grown[start:stop]
-            self._u_cols = old_cols + k
-        if self._m_blocks is not None:
-            padded = []
-            for block in self._m_blocks:
-                fresh = np.zeros((block.shape[0], old_cols + k), dtype=bool)
-                fresh[:, :old_cols] = block
-                padded.append(fresh)
-            self._m_blocks = padded  # rebind: shared lists stay untouched
+                block[:, old_cols:width] = grown[:, start:stop].T
 
     # -- derivation ------------------------------------------------------ #
 
@@ -928,6 +1100,7 @@ class WorldStore:
         """
         n = self._graph.n_nodes
         col_arr, p_arr, __ = self._merge_delta(delta)
+        width = self._prob.shape[0]
 
         if not col_arr.size:
             return DerivedWorlds(self, np.empty(0, dtype=np.int64),
@@ -943,7 +1116,7 @@ class WorldStore:
                 self._chunks, self._u_blocks, self._m_blocks
             ):
                 nc, d = kernels.rethreshold_masks(
-                    u_block[:, :self._u_cols], m_block, col_arr, p_arr
+                    u_block[:, :width], m_block[:, :width], col_arr, p_arr
                 )
                 new_parts.append(nc)
                 local_dirty.append(d)
@@ -976,17 +1149,28 @@ class WorldStore:
             # Relabel only the dirty rows, chunk by chunk: the gathered
             # mask block is bounded by the chunk size, and canonical
             # per-row labels make the concatenation bit-identical to one
-            # monolithic relabeling of all dirty rows.
+            # monolithic relabeling of all dirty rows.  Only the live
+            # columns are gathered: a row's labels depend only on its
+            # realized edges, and a uniform-backed column with p = 0 is
+            # realized nowhere (``U < 0`` never holds), so the candidate's
+            # worlds are its p > 0 base columns plus the delta's columns.
+            if self._has_uniforms:
+                live = self._prob > 0.0
+            else:
+                live = np.ones(width, dtype=bool)
+            live[col_arr] = False
+            base_live = np.flatnonzero(live)
+            columns = np.concatenate([base_live, col_arr])
+            src, dst = self._src[columns], self._dst[columns]
             label_parts = []
-            for (start, __), m_block, nc, d in zip(
-                self._chunks, self._m_blocks, new_parts, local_dirty
-            ):
+            for m_block, nc, d in zip(self._m_blocks, new_parts, local_dirty):
                 if d.size == 0:
                     continue
-                dirty_masks = m_block[d]
-                dirty_masks[:, col_arr] = nc[d]
+                dirty_masks = np.concatenate(
+                    [m_block[d][:, base_live], nc[d]], axis=1
+                )
                 label_parts.append(component_labels_for_edges(
-                    n, self._src, self._dst, dirty_masks
+                    n, src, dst, dirty_masks
                 ))
             dirty_labels = (
                 label_parts[0] if len(label_parts) == 1
@@ -1008,10 +1192,11 @@ class WorldStore:
         fresh ``WorldStore(patched_graph, N, seed)`` would draw), the
         changed columns are re-thresholded chunk by chunk, and only the
         chunks containing flipped worlds replace their mask blocks --
-        untouched chunks keep sharing blocks with any clones.  A
-        delta with fresh pairs has just re-allocated every mask block for
-        this store alone while growing the universe, so those blocks are
-        patched in place instead of being copied a second time.
+        untouched chunks keep sharing blocks with any clones.  When the
+        delta's fresh pairs made column growth re-allocate every mask
+        block for this store alone, those blocks are patched in place
+        instead of being copied a second time; growth within capacity
+        re-allocates nothing, so its blocks are copied like any other.
 
         Relabeling is **deferred** (write-back): the flipped worlds are
         only marked stale, and the first label-dependent read relabels
@@ -1047,6 +1232,7 @@ class WorldStore:
             raise EstimationError(
                 f"rebase graph has {graph.n_nodes} vertices, store has {n}"
             )
+        m_before = self._m_blocks
         col_arr, p_arr, n_new = self._merge_delta(delta)
         stats = {
             "n_dirty_worlds": 0,
@@ -1082,6 +1268,11 @@ class WorldStore:
         # Without cached labels there is nothing to mark: the first
         # labeling runs over the current masks anyway.
         track = self._l_blocks is not None
+        # Growth that re-allocated the mask blocks made them this
+        # store's alone; growth within capacity wrote no mask, so the
+        # blocks may still be shared or handed out (``base_masks``).
+        owned = self._m_blocks is not m_before
+        width = self._prob.shape[0]
         m_new = list(self._m_blocks)
         stale = dict(self._stale)
         total_dirty = 0
@@ -1089,13 +1280,13 @@ class WorldStore:
             zip(self._u_blocks, self._m_blocks)
         ):
             nc, d = kernels.rethreshold_masks(
-                u_block[:, :self._u_cols], m_block, col_arr, p_arr
+                u_block[:, :width], m_block[:, :width], col_arr, p_arr
             )
             if d.size == 0:
                 continue  # no world flipped here: block values unchanged
             total_dirty += int(d.size)
-            if n_new:
-                m_block[:, col_arr] = nc  # growth's block: ours alone
+            if owned:
+                m_block[:, col_arr] = nc
             else:
                 fresh_m = m_block.copy()
                 fresh_m[:, col_arr] = nc
@@ -1128,11 +1319,12 @@ class WorldStore:
             counts = self._pair_counts.copy()
         if self._pair_acc is not None:
             acc = self._pair_acc.copy()
+        width = self._prob.shape[0]
         l_new = list(self._l_blocks)
         for ci, rows in sorted(self._stale.items()):
             old_l = self._l_blocks[ci]
             labels = component_labels_for_edges(
-                n, self._src, self._dst, self._m_blocks[ci][rows]
+                n, self._src, self._dst, self._m_blocks[ci][rows, :width]
             )
             fresh_l = old_l.copy()
             fresh_l[rows] = labels

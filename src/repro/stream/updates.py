@@ -50,43 +50,54 @@ class UpdateBatch:
     def from_deltas(
         cls, deltas: Iterable[tuple[int, int, float, float]]
     ) -> "UpdateBatch":
-        """Build from ``(u, v, p_old, p_new)`` tuples."""
+        """Build from ``(u, v, p_old, p_new)`` tuples.
+
+        An invalid row raises :class:`ObfuscationError` naming it by its
+        0-based position, ``update row i``.
+        """
+        return cls._from_rows(deltas, lambda row: f"update row {row}")
+
+    @classmethod
+    def _from_rows(
+        cls, deltas: Iterable[tuple[int, int, float, float]], where
+    ) -> "UpdateBatch":
+        """Validate and build; ``where(i)`` names row ``i`` in errors."""
         us: list[int] = []
         vs: list[int] = []
         p_old: list[float] = []
         p_new: list[float] = []
-        seen: set[tuple[int, int]] = set()
+        seen: dict[tuple[int, int], int] = {}
         for row_number, row in enumerate(deltas):
             try:
                 u, v, old, new = row
             except (TypeError, ValueError):
                 raise ObfuscationError(
-                    f"update row {row_number} is not a (u, v, p_old, p_new) "
+                    f"{where(row_number)}: not a (u, v, p_old, p_new) "
                     f"tuple: {row!r}"
                 ) from None
             u, v = int(u), int(v)
             if u == v:
                 raise ObfuscationError(
-                    f"update row {row_number} is a self-loop on vertex {u}"
+                    f"{where(row_number)}: self-loop on vertex {u}"
                 )
             if u < 0 or v < 0:
                 raise ObfuscationError(
-                    f"update row {row_number} has a negative vertex id "
-                    f"({u}, {v})"
+                    f"{where(row_number)}: negative vertex id ({u}, {v})"
                 )
             pair = (u, v) if u < v else (v, u)
             if pair in seen:
                 raise ObfuscationError(
-                    f"update batch names pair {pair} more than once; merge "
-                    "duplicate updates before building the batch"
+                    f"{where(row_number)}: names pair {pair} more than "
+                    f"once (first at {where(seen[pair])}); merge duplicate "
+                    "updates before building the batch"
                 )
-            seen.add(pair)
+            seen[pair] = row_number
             old, new = float(old), float(new)
             for label, p in (("p_old", old), ("p_new", new)):
                 if not math.isfinite(p) or p < 0.0 or p > 1.0:
                     raise ObfuscationError(
-                        f"update row {row_number} has {label}={p!r}, "
-                        "expected a finite probability in [0, 1]"
+                        f"{where(row_number)}: {label}={p!r}, expected a "
+                        "finite probability in [0, 1]"
                     )
             us.append(pair[0])
             vs.append(pair[1])
@@ -160,13 +171,15 @@ class UpdateBatch:
 def read_update_file(path: str | Path) -> UpdateBatch:
     """Parse an update file: ``u v p_old p_new`` per line.
 
-    Blank lines and ``#`` comments are ignored.  Probabilities are
+    Blank lines and ``#`` comments are ignored; every error names the
+    file and the line it is on, as ``path:line: ...``.  Probabilities are
     parsed with full float precision (``write_update_file`` emits
     ``repr`` round-trippable values), because ``p_old`` must match the
     published graph *exactly* for the staleness check to pass.
     """
     path = Path(path)
     deltas: list[tuple[int, int, float, float]] = []
+    line_numbers: list[int] = []
     try:
         with path.open("r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -194,10 +207,13 @@ def read_update_file(path: str | Path) -> UpdateBatch:
                 f"{path}:{line_number}: vertex id outside the int64 range"
             )
         deltas.append((u, v, old, new))
+        line_numbers.append(line_number)
     try:
-        return UpdateBatch.from_deltas(deltas)
+        return UpdateBatch._from_rows(
+            deltas, lambda row: f"{path}:{line_numbers[row]}"
+        )
     except ObfuscationError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
+        raise GraphFormatError(str(exc)) from None
 
 
 def write_update_file(batch: UpdateBatch, path: str | Path) -> None:

@@ -200,6 +200,69 @@ class TestCloneCopyOnWrite:
         np.testing.assert_array_equal(view.labels, fresh_view.labels)
 
 
+def _absent_pairs(graph, count):
+    present = {tuple(p) for p in
+               zip(graph.edge_src.tolist(), graph.edge_dst.tolist())}
+    pairs = [(u, v) for u in range(graph.n_nodes)
+             for v in range(u + 1, graph.n_nodes) if (u, v) not in present]
+    return pairs[:count]
+
+
+class TestCapacityCopyOnWrite:
+    """Mask blocks carry spare columns, so growth within capacity writes
+    no mask; a rebase must then copy, never patch, blocks another store
+    or caller still reads."""
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_parent_rebase_after_clone_leaves_clone_intact(
+            self, small_profile_graph, chunk):
+        graph = small_profile_graph
+        first, second = _absent_pairs(graph, 2)
+        parent = WorldStore(graph, n_samples=N_SAMPLES, seed=21,
+                            chunk_worlds=chunk)
+        parent.rebase([(*first, 0.0, 0.5)])  # re-allocates, spare kept
+        parent.warm()
+        assert parent._capacity > parent.n_columns
+        clone = parent.clone()
+        masks = np.array(clone.base_masks, copy=True)
+        labels = np.array(clone.base_labels, copy=True)
+        reference = np.array(clone.uniforms, copy=True)
+
+        # Growth that fits the spare capacity, plus a base column the
+        # clone reads flipping in every world where it was absent.
+        u, v = int(graph.edge_src[0]), int(graph.edge_dst[0])
+        p = float(graph.edge_probabilities[0])
+        stats = parent.rebase([(*second, 0.0, 0.6), (u, v, p, 1.0)])
+        assert stats["n_new_columns"] == 1 and stats["n_dirty_worlds"] > 0
+        assert parent.base_masks[:, 0].all()
+
+        np.testing.assert_array_equal(clone.base_masks, masks)
+        np.testing.assert_array_equal(clone.base_labels, labels)
+        np.testing.assert_array_equal(clone.uniforms, reference)
+        # The clone grows its own columns without seeing the parent's.
+        view = clone.derive([(*second, 0.0, 0.6)])
+        fresh = WorldStore(graph, n_samples=N_SAMPLES, seed=21,
+                           chunk_worlds=chunk)
+        fresh.rebase([(*first, 0.0, 0.5)])
+        np.testing.assert_array_equal(
+            view.labels, fresh.derive([(*second, 0.0, 0.6)]).labels
+        )
+
+    def test_rebase_within_capacity_keeps_handed_out_masks(
+            self, small_profile_graph):
+        graph = small_profile_graph
+        first, second = _absent_pairs(graph, 2)
+        store = WorldStore(graph, n_samples=N_SAMPLES, seed=8)
+        store.rebase([(*first, 0.0, 0.5)])
+        handed_out = store.base_masks
+        before = np.array(handed_out, copy=True)
+        u, v = int(graph.edge_src[0]), int(graph.edge_dst[0])
+        p = float(graph.edge_probabilities[0])
+        store.rebase([(*second, 0.0, 0.6), (u, v, p, 1.0)])
+        np.testing.assert_array_equal(handed_out, before)
+        assert store.base_masks[:, 0].all()
+
+
 class TestTrialBackendIdentity:
     FAST = dict(
         method="rsme", seed=31, n_trials=2, relevance_samples=40,

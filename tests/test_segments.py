@@ -139,13 +139,19 @@ class TestFileOrphanReaper:
 # Hard-kill regression
 # --------------------------------------------------------------------- #
 
+# The child hands its shm segment to the parent's janitor alone: left
+# registered with ``multiprocessing.resource_tracker``, the child's
+# tracker outlives the SIGKILL and races the janitor to unlink it, and
+# warns whichever way the race goes.
 _KILL_SCRIPT = """
 import os, sys
+from multiprocessing import resource_tracker
 import numpy as np
 from repro import _segments
 
 seg = _segments.create_segment(1 << 16, kind="file")
 shm = _segments.create_segment(1 << 12, kind="shm")
+resource_tracker.unregister(shm._shm._name, "shared_memory")
 np.frombuffer(seg.buf, dtype=np.uint8)[:] = 1
 print(seg.name, shm.name, flush=True)
 sys.stdin.readline()  # parent never writes: wait here to be killed
@@ -175,6 +181,9 @@ def test_sigkilled_worker_leaves_no_segments(segment_dir):
         deadline = time.monotonic() + 10.0
         while _segments._pid_alive(proc.pid) and time.monotonic() < deadline:
             time.sleep(0.05)
+        # Nothing but the janitor may remove the dead child's segments.
+        assert (segment_dir / file_name).exists()
+        assert os.path.exists(os.path.join(_segments._SHM_DIR, shm_name))
 
         report = _segments.reap_orphan_segments()
         leaked = {file_name, shm_name}

@@ -120,6 +120,84 @@ def test_update_file_rejects_malformed(tmp_path):
         read_update_file(path)
 
 
+def test_update_file_errors_name_the_line(tmp_path):
+    """Row errors name the file line, not the row's position among the
+    parsed rows: comments and blank lines count."""
+    path = tmp_path / "u2.txt"
+    path.write_text("# header\n\n0 1 0.5 0.6\n2 2 0 0.5\n")
+    with pytest.raises(
+        GraphFormatError, match=r"u2\.txt:4: self-loop on vertex 2$"
+    ):
+        read_update_file(path)
+    path.write_text("0 1 0.5 0.6\n# gap\n\n1 2 0.1 0.2\n1 0 0.5 0.7\n")
+    with pytest.raises(
+        GraphFormatError,
+        match=r"u2\.txt:5: names pair \(0, 1\) more than once "
+              r"\(first at .*u2\.txt:1\)",
+    ):
+        read_update_file(path)
+    path.write_text("\n\n-1 2 0.1 0.2\n")
+    with pytest.raises(GraphFormatError, match=r"u2\.txt:3: negative"):
+        read_update_file(path)
+    path.write_text("# a\n1 2 0.1 1.5\n")
+    with pytest.raises(GraphFormatError, match=r"u2\.txt:2: p_new=1\.5"):
+        read_update_file(path)
+
+
+#: Tokens an update file row may hold: numbers of every size (ids past
+#: int64, floats past double), special floats, Python literal forms
+#: ``int``/``float`` accept or reject, comment marks and stray text.
+_FUZZ_TOKENS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.integers(0, 12).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from([
+        "nan", "-inf", "1e999", "-0.0", "0x1f", "1_0", "#", "1#2", "+3",
+        "9" * 5000, "\x00", "\t", "\r",
+    ]),
+    st.text(max_size=5),
+)
+_FUZZ_ROWS = st.lists(
+    st.lists(_FUZZ_TOKENS, max_size=6).map(" ".join), max_size=8
+).map(lambda rows: "\n".join(rows).encode("utf-8"))
+
+
+@st.composite
+def _truncated_update_files(draw) -> bytes:
+    """A valid update file cut at an arbitrary byte."""
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 30),
+                  st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        max_size=6,
+    ))
+    text = "# u v p_old p_new\n" + "".join(
+        f"{u} {v} {old!r} {new!r}\n" for u, v, old, new in rows
+    )
+    data = text.encode("utf-8")
+    return data[:draw(st.integers(0, len(data)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.one_of(
+    st.binary(max_size=300), _FUZZ_ROWS, _truncated_update_files()
+))
+def test_update_file_fuzz_ends_in_batch_or_format_error(
+    tmp_path_factory, data
+):
+    """Random bytes, huge numbers and truncated rows: every update file
+    parses to an :class:`UpdateBatch` or raises :class:`GraphFormatError`
+    -- never another exception."""
+    path = tmp_path_factory.mktemp("fuzz") / "batch.upd"
+    path.write_bytes(data)
+    try:
+        batch = read_update_file(path)
+    except GraphFormatError as exc:
+        assert str(path) in str(exc)
+        return
+    assert isinstance(batch, UpdateBatch)
+    assert np.all(batch.us < batch.vs)
+
+
 # -- the oracle property ------------------------------------------------ #
 
 @settings(max_examples=12, deadline=None)

@@ -10,6 +10,7 @@ from repro.privacy import (
     degree_uniqueness,
     uniqueness_scores,
 )
+from repro.privacy import uniqueness
 from repro.ugraph import UncertainGraph
 
 
@@ -74,8 +75,9 @@ def test_degree_uniqueness_flags_hubs():
     assert np.argmax(scores) == 0
 
 
-def test_chunked_path_matches_small_path():
-    """Commonness over > _CHUNK values agrees with the direct formula."""
+def test_chunked_path_matches_small_path(monkeypatch):
+    """Commonness over several row chunks agrees with the direct formula."""
+    monkeypatch.setattr(uniqueness, "_CHUNK_ELEMENTS", 1024 * 1500)
     rng = np.random.default_rng(1)
     values = rng.random(1500) * 4
     theta = 0.7
@@ -85,3 +87,26 @@ def test_chunked_path_matches_small_path():
     for i in sample:
         direct = (norm * np.exp(-((values[i] - values) ** 2) / (2 * theta**2))).sum()
         assert scores[i] == pytest.approx(direct)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 64, 299, 300, 10_000])
+def test_chunk_budget_does_not_change_scores(monkeypatch, rows):
+    """A row's kernel sum does not depend on how rows are chunked: the
+    scores are bit-identical from one chunk of every row down to 1-row
+    chunks, including budgets that leave a ragged last chunk."""
+    rng = np.random.default_rng(4)
+    values = np.round(rng.gamma(2.0, 3.0, size=300), 1)
+    whole = commonness_scores(values)
+    monkeypatch.setattr(uniqueness, "_CHUNK_ELEMENTS", rows * values.size)
+    np.testing.assert_array_equal(commonness_scores(values), whole)
+    np.testing.assert_array_equal(
+        uniqueness_scores(values), 1.0 / whole
+    )
+
+
+def test_chunk_budget_below_one_row_still_scores(monkeypatch):
+    """A budget smaller than one row still takes one row per chunk."""
+    values = np.linspace(0.0, 5.0, 50)
+    whole = commonness_scores(values)
+    monkeypatch.setattr(uniqueness, "_CHUNK_ELEMENTS", 3)
+    np.testing.assert_array_equal(commonness_scores(values), whole)

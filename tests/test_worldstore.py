@@ -30,8 +30,10 @@ from repro.reliability import (
     sample_vertex_pairs,
 )
 from repro.reliability import worldstore
+from repro.reliability.worldstore import graph_delta_rows
 from repro.ugraph import UncertainGraph, WorldSampler, overlay, sample_edge_masks
 from tests.connectivity_oracle import oracle_component_labels
+from tests.growth_oracle import growth_uniform_column
 
 
 def oracle_labels(store: WorldStore, view: DerivedWorlds) -> np.ndarray:
@@ -207,13 +209,102 @@ def mostly_dirty_case(n_dirty: int, n_samples: int = 24, seed: int = 5):
     graph = UncertainGraph(
         6, [(0, 1, 0.5), (1, 2, 0.4), (3, 4, 0.6), (4, 5, 0.3)]
     )
-    uniforms = np.sort(WorldStore(graph, n_samples=n_samples, seed=seed)
-                       ._growth_uniform_column(2, 3))
+    store = WorldStore(graph, n_samples=n_samples, seed=seed)
+    uniforms = np.sort(
+        growth_uniform_column(store._growth_entropy, 2, 3, n_samples)
+    )
     p_new = 1.0 if n_dirty == n_samples else float(
         uniforms[n_dirty - 1:n_dirty + 1].mean()
     )
     assert int((uniforms < p_new).sum()) == n_dirty
     return graph, [(2, 3, 0.0, p_new), (0, 1, 0.5, 0.5)]
+
+
+class TestPairKeyedGrowthDraws:
+    """A growth call's columns are drawn as one batch; each must equal
+    the per-pair ``default_rng((entropy, u, v))`` draw bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        entropy=st.one_of(
+            st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1)
+        ),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=6,
+        ),
+        n_samples=st.integers(1, 41),
+        antithetic=st.booleans(),
+    )
+    @example(entropy=0, pairs=[(0, 0)], n_samples=1, antithetic=False)
+    @example(entropy=2**32 - 1, pairs=[(0, 5), (5, 0)], n_samples=2,
+             antithetic=True)
+    @example(entropy=2**63 - 1, pairs=[(2**32 - 1, 0)], n_samples=9,
+             antithetic=False)
+    def test_batch_matches_per_pair_generator(
+        self, entropy, pairs, n_samples, antithetic
+    ):
+        if antithetic and n_samples % 2:
+            n_samples += 1  # the store only pairs an even world count
+        src = np.array([u for u, __ in pairs], dtype=np.int64)
+        dst = np.array([v for __, v in pairs], dtype=np.int64)
+        got = worldstore._pair_keyed_uniforms(
+            entropy, src, dst, n_samples, antithetic
+        )
+        assert got.shape == (len(pairs), n_samples)
+        for row, (u, v) in zip(got, pairs):
+            np.testing.assert_array_equal(
+                row, growth_uniform_column(entropy, u, v, n_samples,
+                                           antithetic)
+            )
+
+    def test_vertex_ids_beyond_one_word_raise(self):
+        with pytest.raises(EstimationError, match="2\\*\\*32"):
+            worldstore._pair_keyed_uniforms(
+                7, np.array([2**32]), np.array([1]), 4, False
+            )
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        n_samples=st.sampled_from([5, 6, 13]),
+        chunk=st.sampled_from([None, 1, 2, 4]),
+        antithetic=st.booleans(),
+    )
+    def test_store_columns_match_oracle(
+        self, seed, sizes, n_samples, chunk, antithetic
+    ):
+        """Chained growth calls of 1..5 columns, inside and beyond the
+        blocks' spare capacity, on chunked and antithetic stores: every
+        grown uniform column is the oracle's draw for its pair."""
+        if antithetic and n_samples % 2:
+            n_samples += 1
+        graph = UncertainGraph(9, [(0, 1, 0.5), (1, 2, 0.4), (3, 4, 0.7)])
+        store = WorldStore(graph, n_samples=n_samples, seed=seed,
+                           antithetic=antithetic, chunk_worlds=chunk)
+        store.warm()
+        fresh = [(u, v) for u in range(9) for v in range(u + 1, 9)
+                 if not graph.has_edge(u, v)]
+        order = np.random.default_rng(seed).permutation(len(fresh))
+        grown = [fresh[i] for i in order[:sum(sizes)]]
+        start = 0
+        for size in sizes:
+            batch = grown[start:start + size]
+            start += size
+            store.derive([(u, v, 0.0, 0.5) for u, v in batch])
+        uniforms = store.uniforms
+        masks = store.base_masks
+        assert uniforms.shape == masks.shape == (
+            n_samples, graph.n_edges + len(grown)
+        )
+        assert not masks[:, graph.n_edges:].any()
+        for j, (u, v) in enumerate(grown):
+            np.testing.assert_array_equal(
+                uniforms[:, graph.n_edges + j],
+                growth_uniform_column(store._growth_entropy, u, v,
+                                      n_samples, antithetic),
+            )
 
 
 class TestDeriveBitIdentity:
@@ -479,6 +570,25 @@ class TestGraphDelta:
             got = graph_delta(a, b)
             assert got == loop_graph_delta(a, b)
             assert all(type(x) is int for row in got for x in row[:2])
+            rows = graph_delta_rows(a, b)
+            assert rows.dtype == np.float64 and rows.shape == (len(got), 4)
+            np.testing.assert_array_equal(
+                rows, np.array(got, dtype=np.float64).reshape(-1, 4)
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=graphs_and_deltas(), seed=st.integers(0, 2**31 - 1))
+    def test_rows_derive_like_tuples(self, case, seed):
+        """``derive`` answers the same on the array rows as on the list."""
+        base, delta = case
+        other = overlay(base, [(u, v, p) for u, v, __, p in delta])
+        by_list = WorldStore(base, n_samples=12, seed=seed)
+        by_rows = WorldStore(base, n_samples=12, seed=seed)
+        a = by_list.derive(graph_delta(base, other))
+        b = by_rows.derive(graph_delta_rows(base, other))
+        np.testing.assert_array_equal(a.dirty_worlds, b.dirty_worlds)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(by_list.uniforms, by_rows.uniforms)
 
 
 class TestDiscrepancyEngines:

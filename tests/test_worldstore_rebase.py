@@ -275,11 +275,13 @@ class EagerWorldStore(WorldStore):
         m_new = list(self._m_blocks)
         l_new = list(self._l_blocks) if patch_labels else None
         total_dirty = 0
+        # Blocks carry spare column capacity: read the live width only.
+        width = self.n_columns
         for ci, ((start, __), u_block, m_block) in enumerate(
             zip(self._chunks, self._u_blocks, self._m_blocks)
         ):
             nc, d = kernels.rethreshold_masks(
-                u_block[:, :self._u_cols], m_block, col_arr, p_arr
+                u_block[:, :width], m_block[:, :width], col_arr, p_arr
             )
             if d.size == 0:
                 continue
@@ -289,7 +291,7 @@ class EagerWorldStore(WorldStore):
             m_new[ci] = fresh_m
             if patch_labels:
                 old_l = self._l_blocks[ci]
-                dirty_masks = m_block[d]
+                dirty_masks = m_block[d, :width]
                 dirty_masks[:, col_arr] = nc[d]
                 labels = worldstore.component_labels_for_edges(
                     n, self._src, self._dst, dirty_masks
