@@ -8,8 +8,7 @@ one-shot CLI invocations, and asserts the service's core contract:
    the one-shot run;
 2. a repeated identical request is answered from the result cache
    (no second sigma search) with -- again -- identical bytes;
-3. the service shuts down cleanly and leaves zero orphaned
-   shared-memory segments behind.
+3. the service shuts down cleanly (exit 0).
 
 Run it directly (CI does)::
 
@@ -29,7 +28,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro._segments import SEGMENT_PREFIX  # noqa: E402
 from repro.cli import _dispatch, build_parser, CommandRuntime  # noqa: E402
 from repro.server.client import ServiceClient  # noqa: E402
 
@@ -128,7 +126,7 @@ def main() -> int:
         assert stats["datasets"]["datasets"] >= 1, stats["datasets"]
         print("stats:", json.dumps(stats, indent=2))
 
-        # 4. Clean shutdown, zero leaked shm segments.
+        # 4. Clean shutdown.
         client.request({"op": "shutdown"})
     finally:
         try:
@@ -139,12 +137,7 @@ def main() -> int:
             raise RuntimeError("service did not shut down in time")
 
     stderr_tail = server.stderr.read()
-    leaked = [
-        name for name in os.listdir("/dev/shm")
-        if name.startswith(f"{SEGMENT_PREFIX}-{server.pid}-")
-    ] if os.path.isdir("/dev/shm") else []
     assert server.returncode == 0, (server.returncode, stderr_tail)
-    assert not leaked, f"service leaked shm segments: {leaked}"
     print("service smoke test passed")
     return 0
 

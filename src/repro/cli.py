@@ -36,8 +36,8 @@ Exit codes
 ``1``  the run completed but its goal was not met (no obfuscation
        found, criterion unsatisfied, infeasible target)
 ``2``  a library error (bad input, bad configuration, service protocol)
-``3``  supervised execution exhausted every recovery option (retries,
-       the degradation ladder) or a checkpoint could not be resumed
+``3``  supervised execution exhausted its retries or a checkpoint
+       could not be resumed
 ``4``  an unexpected internal error (traceback on stderr)
 ``141``  the output consumer closed the pipe early (128 + SIGPIPE);
        conventional for ``chameleon ... | head``-style pipelines
@@ -54,8 +54,7 @@ import sys
 import traceback
 
 from .baselines import rep_an
-from .core import TRIAL_BACKENDS, anonymize
-from .core.diagnostics import recommended_trial_backend
+from .core import anonymize
 from .datasets import dataset_tolerance, load_dataset
 from .exceptions import ReproError, ResilienceError, ServerError
 
@@ -63,7 +62,7 @@ from .exceptions import ReproError, ResilienceError, ServerError
 EXIT_UNSATISFIED = 1
 #: Exit code for library errors (bad input or configuration).
 EXIT_ERROR = 2
-#: Exit code when supervision (retries + degradation) was exhausted.
+#: Exit code when supervision (bounded retries) was exhausted.
 EXIT_RESILIENCE = 3
 #: Exit code for unexpected internal errors.
 EXIT_INTERNAL = 4
@@ -123,7 +122,9 @@ class CommandRuntime:
 def _worker_count(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"--workers must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"--job-workers must be >= 1, got {value}"
+        )
     return value
 
 
@@ -197,15 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     anon.add_argument("--trials", type=int, default=5)
     anon.add_argument("--seed", type=int, default=None)
     anon.add_argument(
-        "--trial-backend", default="serial",
-        choices=("auto", *TRIAL_BACKENDS),
-        help="GenObf trial executor (serial: in-process; process: "
-             "persistent worker pool over shared-memory base state -- "
-             "bit-identical results in both cases; auto: resolve from "
-             "the host's capability report; --workers sets the pool "
-             "size)",
-    )
-    anon.add_argument(
         "--utility-samples", type=int, default=0,
         help="worlds for sigma-search utility verification; every "
              "successful candidate's reliability discrepancy is scored "
@@ -218,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     anon.add_argument(
         "--max-retries", type=int, default=2,
-        help="probe re-executions per backend before the supervisor "
-             "degrades process -> serial (default: 2)",
+        help="probe re-executions before the supervisor gives up with "
+             "exit 3 (default: 2)",
     )
     anon.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -234,13 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     anon.add_argument(
         "--faults", default=None, metavar="PLAN",
         help="deterministic fault-injection plan for testing the "
-             "supervision layer, e.g. 'crash@0.0;delay@*.1:0.5;shm' "
+             "supervision layer, e.g. 'crash@0.0;delay@*.1:0.5' "
              "(default: the REPRO_FAULTS environment variable)",
-    )
-    anon.add_argument(
-        "--workers", type=_worker_count, default=None,
-        help="trial-pool size for --trial-backend process "
-             "(default: REPRO_NUM_WORKERS or the CPU count)",
     )
     _add_memory_budget_argument(anon)
 
@@ -364,18 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=int, default=300,
                        help="Monte-Carlo worlds for the utility column")
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument(
-        "--trial-backend", default="serial",
-        choices=("auto", *TRIAL_BACKENDS),
-        help="GenObf trial executor, amortized across every k "
-             "(bit-identical results for serial / process; "
-             "auto: resolve from the host's capability report)",
-    )
-    sweep.add_argument(
-        "--workers", type=_worker_count, default=None,
-        help="trial-pool size for --trial-backend process "
-             "(default: REPRO_NUM_WORKERS or the CPU count)",
-    )
 
     sub.add_parser(
         "capabilities",
@@ -462,18 +437,10 @@ def _cmd_anonymize(args, out, err, runtime) -> int:
         result = rep_an(graph, args.k, epsilon, seed=args.seed,
                         n_trials=args.trials)
     else:
-        trial_backend = args.trial_backend
-        if trial_backend == "auto":
-            # Resolved by a pure function of the host capability report,
-            # so a service job and a one-shot run pick the same engine
-            # (the choice is echoed in the result summary).
-            trial_backend = recommended_trial_backend()
         result = anonymize(graph, args.k, epsilon, method=args.method,
                            seed=args.seed, n_trials=args.trials,
                            degree_cache=runtime.degree_cache(graph),
                            observer=runtime.probe_observer,
-                           n_workers=args.workers,
-                           trial_backend=trial_backend,
                            utility_samples=args.utility_samples,
                            world_memory_budget=args.world_memory_budget,
                            trial_timeout=args.trial_timeout,
@@ -679,14 +646,9 @@ def _cmd_sweep(args, out, err, runtime) -> int:
     epsilon = args.epsilon
     if epsilon is None:
         epsilon = dataset_tolerance(args.input)
-    trial_backend = args.trial_backend
-    if trial_backend == "auto":
-        trial_backend = recommended_trial_backend()
     results = sweep_anonymize(
         graph, args.k, epsilon, method=args.method, seed=args.seed,
-        observer=runtime.probe_observer,
-        n_trials=args.trials, trial_backend=trial_backend,
-        n_workers=args.workers,
+        observer=runtime.probe_observer, n_trials=args.trials,
     )
     header = f"{'k':>6} {'status':>8} {'sigma':>10} {'rel.loss':>10}"
     print(header, file=out)

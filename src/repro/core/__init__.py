@@ -4,15 +4,14 @@
   the RSME / RS / ME variant presets (Table II).
 * :func:`anonymize` / :class:`Chameleon` -- Algorithm 1 (noise search).
 * :func:`gen_obf` -- Algorithm 3 (randomized obfuscation attempt).
-* :mod:`repro.core.parallel` -- deterministic serial / process
-  execution of the GenObf trials (shared-memory base state for the
-  process pool).
+* :mod:`repro.core.parallel` -- deterministic execution of the GenObf
+  trials (per-trial ``SeedSequence`` streams, one serial engine).
 * :mod:`repro.core.noise` -- truncated-normal noise and the max-entropy
   perturbation rule (Section V-F).
 * :mod:`repro.core.selection` -- uncertainty-aware edge selection.
 * :mod:`repro.core.resilience` / :mod:`repro.core.faults` -- supervised
-  trial execution (retry / degradation ladder / checkpoint-resume) and
-  the deterministic fault-injection harness that proves it.
+  trial execution (bounded retry / checkpoint-resume) and the
+  deterministic fault-injection harness that proves it.
 """
 
 from .calibration import calibrate_k, k_for_attack_rate
@@ -24,7 +23,6 @@ from .diagnostics import (
     diagnose_feasibility,
     execution_environment,
     peak_rss_bytes,
-    recommended_trial_backend,
 )
 from .refine import RefinementStats, refine_anonymization
 from .sweep import sweep_anonymize
@@ -37,20 +35,9 @@ from .noise import (
     truncated_normal_noise,
 )
 from .faults import FaultAction, FaultPlan
-from .parallel import (
-    TRIAL_BACKENDS,
-    ProcessTrialEngine,
-    SerialTrialEngine,
-    TrialResult,
-    create_trial_engine,
-)
-from .resilience import (
-    DEGRADATION_LADDER,
-    RetryPolicy,
-    SigmaSearchJournal,
-    SupervisedTrialEngine,
-)
-from .result import AnonymizationResult, DegradationEvent, GenObfOutcome
+from .parallel import SerialTrialEngine, TrialResult
+from .resilience import RetryPolicy, SigmaSearchJournal, SupervisedTrialEngine
+from .result import AnonymizationResult, GenObfOutcome
 from .selection import exclusion_set, select_candidate_edges, selection_weights
 
 __all__ = [
@@ -64,18 +51,13 @@ __all__ = [
     "gen_obf",
     "AnonymizationResult",
     "GenObfOutcome",
-    "TRIAL_BACKENDS",
     "TrialResult",
     "SerialTrialEngine",
-    "ProcessTrialEngine",
-    "create_trial_engine",
     "FaultAction",
     "FaultPlan",
-    "DEGRADATION_LADDER",
     "RetryPolicy",
     "SigmaSearchJournal",
     "SupervisedTrialEngine",
-    "DegradationEvent",
     "truncated_normal_noise",
     "draw_noise",
     "apply_max_entropy",
@@ -88,7 +70,6 @@ __all__ = [
     "diagnose_feasibility",
     "execution_environment",
     "peak_rss_bytes",
-    "recommended_trial_backend",
     "RefinementStats",
     "refine_anonymization",
     "sweep_anonymize",

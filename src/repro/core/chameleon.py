@@ -42,7 +42,7 @@ from ..ugraph.validation import validate_graph, validate_privacy_parameters
 from .config import ChameleonConfig, variant_config
 from .faults import FaultPlan
 from .genobf import build_selection_context
-from .parallel import create_trial_engine
+from .parallel import SerialTrialEngine
 from .resilience import RetryPolicy, SigmaSearchJournal, SupervisedTrialEngine
 from .result import AnonymizationResult, GenObfOutcome
 
@@ -142,8 +142,8 @@ class Chameleon:
         context = build_selection_context(graph, config, knowledge, seed=rng)
         # Root entropy of the per-trial SeedSequence streams (see
         # repro.core.parallel): drawn once from the run generator, so the
-        # whole search stays seed-reproducible while individual trials
-        # become independent of execution order and backend.
+        # whole search stays seed-reproducible while a retried or resumed
+        # trial reproduces its stream exactly.
         trial_entropy = int(rng.integers(0, 2**63 - 1))
         # One degree-pmf cache serves every GenObf trial of every sigma
         # probe: all candidates are deltas against the same base graph.
@@ -235,22 +235,16 @@ class Chameleon:
         # graphs the max-entropy rule reflects past r = 1/2 (p~ -> 1 - p),
         # so excessive noise can also fail and the feasible region is a
         # band.  We alternate 2^i and 2^-i multiples of sigma_initial until
-        # one succeeds (see DESIGN.md, documented deviations).  The probe
-        # levels are all known up front, so the engine can dispatch the
-        # ladder as one task wave (the process backend runs later probes
-        # speculatively and cancels them once a bracket is found; the
-        # outcome list -- and thus history and n_genobf_calls -- matches
-        # the sequential walk exactly).
+        # one succeeds (see DESIGN.md, documented deviations).
         best: GenObfOutcome | None = None
         best_probe = -1
         sigma_high = config.sigma_initial
         probes = _sigma_ladder(config)
 
-        # Supervised execution: retryable failures (worker death, trial
-        # timeouts, injected faults) rebuild the engine from this factory
-        # and re-run the probe -- bit-identically, since trials are pure
-        # functions of their coordinates -- degrading the backend
-        # process -> serial when retries are exhausted.
+        # Supervised execution: retryable failures (trial timeouts,
+        # injected faults) rebuild the engine from this factory and
+        # re-run the probe -- bit-identically, since trials are pure
+        # functions of their coordinates.
         fault_plan = FaultPlan.from_config(config)
         policy = RetryPolicy.from_config(config)
         journal = (
@@ -262,17 +256,13 @@ class Chameleon:
             else None
         )
 
-        def engine_factory(backend: str):
-            return create_trial_engine(
+        def engine_factory():
+            return SerialTrialEngine(
                 graph, config, context, cache=cache, entropy=trial_entropy,
-                trial_backend=backend, fault_plan=fault_plan,
-                task_timeout=config.trial_timeout,
+                fault_plan=fault_plan, task_timeout=config.trial_timeout,
             )
 
-        engine = SupervisedTrialEngine(
-            engine_factory, config.trial_backend, policy, journal=journal
-        )
-        trial_workers = engine.n_workers
+        engine = SupervisedTrialEngine(engine_factory, policy, journal=journal)
         search_started = time.perf_counter()
         try:
             outcomes = engine.run_ladder(probes, first_probe_index=0)
@@ -301,11 +291,8 @@ class Chameleon:
                     n_genobf_calls=calls,
                     sigma_history=tuple(history),
                     elapsed_seconds=elapsed,
-                    trial_backend=engine.backend,
-                    trial_workers=trial_workers,
                     search_seconds=search_seconds,
                     utility_history=tuple(utility_history),
-                    degradations=engine.degradations,
                     trial_retries=engine.retry_count,
                     resumed_probes=engine.resumed_probes,
                 )
@@ -335,9 +322,9 @@ class Chameleon:
         assert best is not None and best.graph is not None
         logger.info(
             "anonymize ok: method=%s k=%d sigma=%.5g eps_hat=%.4g "
-            "(%d GenObf calls, %.2fs search %.2fs, trial backend %s x%d)",
+            "(%d GenObf calls, %.2fs search %.2fs)",
             config.name, config.k, best.sigma, best.epsilon_achieved,
-            calls, elapsed, search_seconds, engine.backend, trial_workers,
+            calls, elapsed, search_seconds,
         )
         return AnonymizationResult(
             graph=best.graph,
@@ -350,12 +337,9 @@ class Chameleon:
             n_genobf_calls=calls,
             sigma_history=tuple(history),
             elapsed_seconds=elapsed,
-            trial_backend=engine.backend,
-            trial_workers=trial_workers,
             search_seconds=search_seconds,
             utility_discrepancy=utility_scores.get(best_probe),
             utility_history=tuple(utility_history),
-            degradations=engine.degradations,
             trial_retries=engine.retry_count,
             resumed_probes=engine.resumed_probes,
         )

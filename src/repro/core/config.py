@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 from ..exceptions import ConfigurationError
 from .faults import FaultPlan
-from .parallel import TRIAL_BACKENDS
 
 __all__ = ["ChameleonConfig", "variant_config", "VARIANTS"]
 
@@ -71,16 +70,6 @@ class ChameleonConfig:
         at every chunk size.  ``None`` (default) keeps the single-chunk
         layout.  ``REPRO_WORLD_CHUNK`` overrides the chunk size
         directly.
-    n_workers:
-        Worker count for the ``"process"`` trial backend; ``None`` defers
-        to ``REPRO_NUM_WORKERS`` / CPU count.
-    trial_backend:
-        Execution backend for the GenObf trials of the sigma search (one
-        of :data:`repro.core.parallel.TRIAL_BACKENDS`).  ``"serial"``
-        (default) runs trials in-process; ``"process"`` runs them on a
-        persistent per-run worker pool over shared-memory base state.
-        Results are bit-identical in both cases (per-trial
-        ``SeedSequence`` streams keyed by probe and trial index).
     selection_mode:
         ``"reliability-sensitive"`` folds (1 - normalized VRR) into the
         vertex sampling weights; ``"uniqueness-only"`` uses uniqueness
@@ -106,11 +95,11 @@ class ChameleonConfig:
         the same deterministic stream.  ``None`` (default) disables the
         deadline.
     max_retries:
-        Probe re-executions the supervisor attempts *per backend* before
-        walking the degradation ladder (``process -> serial``).
+        Probe re-executions the supervisor attempts before giving up
+        with :class:`~repro.exceptions.ResilienceError`.
     retry_backoff:
         Base of the exponential backoff (seconds) slept before a retry
-        rebuilds a crashed worker pool; attempt ``i`` sleeps
+        rebuilds the trial engine; attempt ``i`` sleeps
         ``retry_backoff * 2**(i - 1)``.
     fault_plan:
         Deterministic fault-injection plan (see
@@ -134,10 +123,8 @@ class ChameleonConfig:
     n_trials: int = 5
     relevance_samples: int = 400
     relevance_method: str = "merge-gain"
-    n_workers: int | None = None
     utility_samples: int = 0
     world_memory_budget: int | None = None
-    trial_backend: str = "serial"
     selection_mode: str = "reliability-sensitive"
     perturbation_mode: str = "max-entropy"
     sigma_initial: float = 1.0
@@ -184,15 +171,6 @@ class ChameleonConfig:
             raise ConfigurationError(
                 "world_memory_budget must be a positive byte count (or None "
                 f"for unbounded), got {self.world_memory_budget}"
-            )
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ConfigurationError(
-                f"n_workers must be >= 1 (or None for auto), got {self.n_workers}"
-            )
-        if self.trial_backend not in TRIAL_BACKENDS:
-            raise ConfigurationError(
-                f"trial_backend must be one of {TRIAL_BACKENDS}, "
-                f"got {self.trial_backend!r}"
             )
         if self.selection_mode not in _SELECTION_MODES:
             raise ConfigurationError(

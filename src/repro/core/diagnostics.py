@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import _segments
 from ..exceptions import ObfuscationError
 from ..kernels import usable_cpu_count
 from ..privacy.degree_distribution import expected_degree_knowledge
@@ -44,16 +43,12 @@ __all__ = [
     "diagnose_feasibility",
     "execution_environment",
     "peak_rss_bytes",
-    "recommended_trial_backend",
 ]
 
 #: Environment variables that change repro's execution behavior.
 _REPRO_ENV_VARS = (
-    "REPRO_NUM_WORKERS",
     "REPRO_FAULTS",
     "REPRO_WORLD_CHUNK",
-    "REPRO_SEGMENT_DIR",
-    "REPRO_SEGMENT_KIND",
 )
 
 
@@ -80,18 +75,12 @@ def execution_environment() -> dict:
     ``REPRO_*`` environment knobs in effect.  JSON-serializable by
     construction; surfaced by the ``chameleon capabilities`` subcommand
     and embedded in every benchmark results file.
-
-    Calling this also runs the shared-memory janitor
-    (:func:`repro._segments.reap_orphan_segments`): ``repro-<pid>-...``
-    segments whose owning process died without cleanup are unlinked, and
-    the report's ``shm`` section records what was found.
     """
     try:
         import scipy
         scipy_version = scipy.__version__
     except ImportError:  # pragma: no cover - scipy is a hard dependency
         scipy_version = None
-    reaped = _segments.reap_orphan_segments()
     return {
         "python": sys.version.split()[0],
         "platform": sys.platform,
@@ -106,33 +95,10 @@ def execution_environment() -> dict:
             for name in _REPRO_ENV_VARS
             if name in os.environ
         },
-        "shm": {
-            "active_segments": list(_segments.active_segments()),
-            "orphans_found": reaped["found"],
-            "orphans_reaped": reaped["reaped"],
-            "orphans_failed": reaped["failed"],
-        },
         "memory": {
             "peak_rss_bytes": peak_rss_bytes(),
         },
     }
-
-
-def recommended_trial_backend(environment: dict | None = None) -> str:
-    """Resolve ``--trial-backend auto`` to a concrete engine choice.
-
-    The mapping is a pure function of the capability report, so a CLI
-    one-shot and a service job on the same host resolve identically --
-    which is what keeps ``auto`` inside the bit-identity contract (the
-    chosen backend is echoed in result summaries).
-
-    * one usable CPU: ``serial`` (pools only add overhead);
-    * otherwise: ``process``.
-    """
-    env = environment if environment is not None else execution_environment()
-    if int(env.get("cpus", {}).get("usable", 1)) <= 1:
-        return "serial"
-    return "process"
 
 
 @dataclass(frozen=True)

@@ -1,45 +1,37 @@
-"""Deterministic fault injection for the trial engines.
+"""Deterministic fault injection for the trial engine.
 
 Fault tolerance that is never exercised is fault tolerance that does not
 work.  This module lets tests, benchmarks and operators *prove* the
-supervision layer (:mod:`repro.core.resilience`) by injecting the three
-failure classes a long anonymization run actually meets:
+supervision layer (:mod:`repro.core.resilience`) by injecting the two
+failure classes it recovers from:
 
-* ``crash`` -- the worker executing a given trial dies.  In a process
-  pool the worker calls ``os._exit``, producing a genuine
-  ``BrokenProcessPool`` in the parent; in the serial engine it
-  raises :class:`~repro.exceptions.InjectedFault` from the same code
-  path a real worker exception would take.
+* ``crash`` -- the trial raises :class:`~repro.exceptions.InjectedFault`
+  before doing its work, from the same code path a failing trial would
+  take.
 * ``delay`` -- the trial sleeps for a configured number of seconds
   before doing its work, driving it past a per-task deadline
   (``ChameleonConfig.trial_timeout``).
-* ``shm`` -- the next N process-pool spawns poison their shared-memory
-  attach: the pool initializer raises before reading the published
-  segment, so the first dispatched wave fails with
-  ``BrokenProcessPool``.
 
 Determinism contract
 --------------------
-Faults are *decided in the parent*, at dispatch time, keyed by the
-trial's ``(probe_index, trial_index)`` coordinates -- the same
-coordinates that key the trial's ``SeedSequence`` stream.  Each spec
-fires a bounded number of times (``times``, default 1) and dispatch
-order within an engine is deterministic, so a fault plan perturbs
-*execution* without perturbing *results*: the supervisor's retry re-runs
-the same coordinates with the spec exhausted and reproduces the trial
-bit for bit.
+Faults are drawn before each trial, keyed by the trial's
+``(probe_index, trial_index)`` coordinates -- the same coordinates that
+key the trial's ``SeedSequence`` stream.  Each spec fires a bounded
+number of times (``times``, default 1) and trials run in a fixed order,
+so a fault plan perturbs *execution* without perturbing *results*: the
+supervisor's retry re-runs the same coordinates with the spec exhausted
+and reproduces the trial bit for bit.
 
 Plan grammar
 ------------
 A plan is a ``;``-separated list of specs (environment variable
 ``REPRO_FAULTS`` or ``ChameleonConfig.fault_plan``)::
 
-    crash@P.T[xN]       kill the worker running trial (P, T)
+    crash@P.T[xN]       fail trial (P, T) with InjectedFault
     delay@P.T:SEC[xN]   sleep SEC seconds inside trial (P, T)
-    shm[:N]             poison the next N pool shm attaches (default 1)
 
 ``P`` / ``T`` are probe / trial indices or ``*`` (any).  ``xN`` caps the
-firing count (default 1).  Example: ``crash@0.1;delay@*.0:2.5x2;shm:1``.
+firing count (default 1).  Example: ``crash@0.1;delay@*.0:2.5x2``.
 """
 
 from __future__ import annotations
@@ -48,8 +40,6 @@ import os
 import re
 import time
 from dataclasses import dataclass
-
-from multiprocessing import parent_process
 
 from ..exceptions import ConfigurationError, InjectedFault
 
@@ -64,23 +54,17 @@ __all__ = [
 #: Environment variable holding the process-wide fault plan.
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Exit status of a worker killed by an injected ``crash`` fault;
-#: recognizable in process tables and tests.
-CRASH_EXIT_CODE = 87
-
 _SPEC = re.compile(
     r"^(?P<kind>crash|delay)@(?P<probe>\*|\d+)\.(?P<trial>\*|\d+)"
     r"(?::(?P<seconds>[0-9.]+))?(?:x(?P<times>\d+))?$"
 )
-_SHM_SPEC = re.compile(r"^shm(?::(?P<count>\d+))?$")
 
 
 @dataclass(frozen=True)
 class FaultAction:
-    """A concrete instruction shipped to the worker that must misbehave.
+    """A concrete instruction for the trial that must misbehave.
 
-    Picklable by construction: it rides inside process-pool task
-    payloads.  ``kind`` is ``"crash"`` or ``"delay"``.
+    ``kind`` is ``"crash"`` or ``"delay"``.
     """
 
     kind: str
@@ -106,37 +90,30 @@ class FaultSpec:
 
 
 class FaultPlan:
-    """A mutable budget of faults, consumed at dispatch time.
+    """A mutable budget of faults, consumed as trials run.
 
-    One plan instance belongs to one run: the engines ask
-    :meth:`draw` for every trial they dispatch (in deterministic
-    submission order) and :meth:`take_shm_poison` for every process-pool
-    spawn, decrementing the matching spec's budget.  An exhausted plan
-    injects nothing, which is what makes supervised retries converge.
+    One plan instance belongs to one run: the engine asks :meth:`draw`
+    before every trial (in deterministic trial order), decrementing the
+    matching spec's budget.  An exhausted plan injects nothing, which is
+    what makes supervised retries converge.
     """
 
-    def __init__(self, specs, shm_poisons: int = 0):
+    def __init__(self, specs):
         self._specs: list[FaultSpec] = list(specs)
-        self._shm_poisons = int(shm_poisons)
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
         """Parse the plan grammar; raises ``ConfigurationError`` on junk."""
         specs: list[FaultSpec] = []
-        shm_poisons = 0
         for token in re.split(r"[;,]", text):
             token = token.strip()
             if not token:
-                continue
-            shm = _SHM_SPEC.match(token)
-            if shm is not None:
-                shm_poisons += int(shm.group("count") or 1)
                 continue
             match = _SPEC.match(token)
             if match is None:
                 raise ConfigurationError(
                     f"unparseable fault spec {token!r}; expected "
-                    "crash@P.T[xN], delay@P.T:SEC[xN] or shm[:N]"
+                    "crash@P.T[xN] or delay@P.T:SEC[xN]"
                 )
             kind = match.group("kind")
             seconds = float(match.group("seconds") or 0.0)
@@ -154,7 +131,7 @@ class FaultPlan:
                 seconds=seconds,
                 remaining=int(match.group("times") or 1),
             ))
-        return cls(specs, shm_poisons)
+        return cls(specs)
 
     @classmethod
     def from_config(cls, config) -> "FaultPlan | None":
@@ -172,36 +149,23 @@ class FaultPlan:
         return cls.parse(text)
 
     def draw(self, probe_index: int, trial_index: int) -> FaultAction | None:
-        """Consume and return the action for one dispatched trial (or None)."""
+        """Consume and return the action for one trial (or None)."""
         for spec in self._specs:
             if spec.matches(probe_index, trial_index):
                 spec.remaining -= 1
                 return FaultAction(kind=spec.kind, seconds=spec.seconds)
         return None
 
-    def take_shm_poison(self) -> bool:
-        """Consume one shm-attach poisoning, if any budget remains."""
-        if self._shm_poisons > 0:
-            self._shm_poisons -= 1
-            return True
-        return False
-
     @property
     def exhausted(self) -> bool:
-        return self._shm_poisons == 0 and all(
-            spec.remaining <= 0 for spec in self._specs
-        )
+        return all(spec.remaining <= 0 for spec in self._specs)
 
 
 def execute_fault(action: FaultAction | None) -> None:
     """Carry out an injected action at the start of a trial.
 
-    ``delay`` sleeps and lets the trial proceed (late).  ``crash`` kills
-    the current *worker process* with ``os._exit`` when running inside a
-    pool child -- the parent observes ``BrokenProcessPool``, the real
-    failure signature -- and raises :class:`InjectedFault` when running
-    in-process (the serial engine), where a worker exception is
-    the real failure signature.
+    ``delay`` sleeps and lets the trial proceed (late); ``crash`` raises
+    :class:`InjectedFault`.
     """
     if action is None:
         return
@@ -209,9 +173,7 @@ def execute_fault(action: FaultAction | None) -> None:
         time.sleep(action.seconds)
         return
     if action.kind == "crash":
-        if parent_process() is not None:
-            os._exit(CRASH_EXIT_CODE)
         raise InjectedFault(
-            "injected worker crash (fault plan): this trial's worker died"
+            "injected trial crash (fault plan): this trial failed"
         )
     raise ConfigurationError(f"unknown fault action kind {action.kind!r}")

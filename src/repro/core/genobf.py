@@ -20,8 +20,8 @@ is returned; the sentinel ``epsilon_achieved = 1`` reports total failure,
 which the sigma search in :mod:`repro.core.chameleon` interprets as "more
 noise needed".  The trial loop itself lives in
 :mod:`repro.core.parallel`: each trial runs on its own
-``SeedSequence``-keyed stream, so the serial path here and the
-multi-process backend produce bit-identical results.
+``SeedSequence``-keyed stream, so a single call here and the sigma
+search's amortized engine produce bit-identical results.
 
 The expensive per-graph invariants -- uniqueness scores, reliability
 relevance, exclusion set, sampling weights -- do not depend on ``sigma``,
@@ -147,8 +147,7 @@ def gen_obf(
     :class:`~numpy.random.SeedSequence` streams keyed by
     ``(probe_index, trial_index)`` -- see
     :func:`repro.core.parallel.trial_generator` -- so trials are
-    independent of execution order and this function is the serial
-    reference for the parallel backends.  Each trial describes its
+    independent of execution order.  Each trial describes its
     candidate as delta arrays that feed a :class:`DegreeUncertaintyCache`
     (only perturbed endpoints recompute their degree pmfs), and only the
     winning trial is materialized into a graph.  Pass ``cache`` (built

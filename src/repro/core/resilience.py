@@ -1,28 +1,24 @@
-"""Supervised trial execution: retry, degradation and checkpoint/resume.
+"""Supervised trial execution: retry and checkpoint/resume.
 
-The trial engines (:mod:`repro.core.parallel`) made the sigma
-search fast; this module makes it *survivable*.  Long anonymization runs
-meet three failure classes -- a worker process dies
-(``BrokenProcessPool``), a trial wedges past any reasonable deadline,
-or the whole interpreter is killed mid-search -- and PR 5's determinism
-contract turns all three into recoverable events: every trial is a pure
-function of ``(entropy, probe_index, trial_index)``, so *re-executing*
-a failed probe on any backend reproduces it bit for bit.
+The trial engine (:mod:`repro.core.parallel`) runs the sigma search;
+this module makes it *survivable*.  A long anonymization run can meet
+a trial that overruns its deadline, a fault injected by the test
+harness, or the death of the whole interpreter mid-search.  The
+determinism contract turns each into a recoverable event: every trial
+is a pure function of ``(entropy, probe_index, trial_index)``, so
+*re-executing* a failed probe reproduces it bit for bit.
 
-:class:`SupervisedTrialEngine` wraps a backend engine behind the same
+:class:`SupervisedTrialEngine` wraps the engine behind the same
 ``run_probe`` / ``run_ladder`` interface and adds:
 
 * **Bounded deterministic retry** -- a retryable failure
-  (``BrokenExecutor``, :class:`~repro.exceptions.TrialTimeoutError`,
-  :class:`~repro.exceptions.InjectedFault`) discards the engine, sleeps
-  an exponential backoff, rebuilds from the factory and re-runs the same
-  probe coordinates.  Because trial streams are keyed by coordinates,
-  the retried probe's outcome is identical to the one the crash ate.
-* **A degradation ladder** -- when a backend exhausts its retries the
-  supervisor steps down ``process -> serial``, recording a
-  structured :class:`~repro.core.result.DegradationEvent` per rung.
-  The serial rung has no pool to break; only when *it* also exhausts
-  its retries does :class:`~repro.exceptions.ResilienceError` escape.
+  (:class:`~repro.exceptions.TrialTimeoutError`, raised after a trial
+  overran its deadline, or :class:`~repro.exceptions.InjectedFault`)
+  discards the engine, sleeps an exponential backoff, rebuilds it from
+  the factory and re-runs the same probe coordinates.  Because trial
+  streams are keyed by coordinates, the retried probe's outcome is
+  identical to the one the failure ate.  When the retries are spent,
+  :class:`~repro.exceptions.ResilienceError` escapes.
 * **Checkpoint/resume** -- an optional :class:`SigmaSearchJournal`
   persists every completed probe (as delta arrays against the base
   graph) to an append-only JSONL file keyed by a fingerprint of the
@@ -32,8 +28,8 @@ a failed probe on any backend reproduces it bit for bit.
   *different* run is rejected up front.
 
 Supervision composes with the fault-injection harness
-(:mod:`repro.core.faults`): injected crashes, delays and shm poisonings
-exercise exactly these recovery paths in tests and CI.
+(:mod:`repro.core.faults`): injected crashes and delays exercise
+exactly these recovery paths in tests and CI.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -51,10 +46,9 @@ from ..exceptions import InjectedFault, ResilienceError, TrialTimeoutError
 from ..privacy.obfuscation import ObfuscationReport
 from ..reliability.worldstore import graph_delta
 from ..ugraph.operations import apply_edge_updates
-from .result import FAILURE_EPSILON, DegradationEvent, GenObfOutcome
+from .result import FAILURE_EPSILON, GenObfOutcome
 
 __all__ = [
-    "DEGRADATION_LADDER",
     "RETRYABLE_EXCEPTIONS",
     "RetryPolicy",
     "update_graph_digest",
@@ -65,23 +59,17 @@ __all__ = [
 
 logger = logging.getLogger("repro.core.resilience")
 
-#: Next rung per backend; ``None`` means no further fallback exists.
-DEGRADATION_LADDER: dict[str, str | None] = {
-    "process": "serial",
-    "serial": None,
-}
-
-#: Failures worth re-executing: a broken pool (worker death, failed
-#: initializer / shm attach), an overrun deadline, or an injected fault.
-#: Everything else -- a genuine bug in trial code -- propagates raw.
-RETRYABLE_EXCEPTIONS = (BrokenExecutor, TrialTimeoutError, InjectedFault)
+#: Failures worth re-executing: an overrun deadline or an injected
+#: fault.  Everything else -- a genuine bug in trial code -- propagates
+#: raw.
+RETRYABLE_EXCEPTIONS = (TrialTimeoutError, InjectedFault)
 
 #: Journal format version; bumped on any incompatible layout change.
 _JOURNAL_VERSION = 1
 
 #: Config fields that determine trial *results* (as opposed to execution
-#: knobs like backends, worker counts, timeouts or fault plans, which
-#: must NOT invalidate a checkpoint).
+#: knobs like timeouts, retries or fault plans, which must NOT
+#: invalidate a checkpoint).
 _FINGERPRINT_CONFIG_FIELDS = (
     "k", "epsilon", "size_multiplier", "white_noise", "n_trials",
     "relevance_samples", "relevance_method",
@@ -91,11 +79,10 @@ _FINGERPRINT_CONFIG_FIELDS = (
 
 
 class RetryPolicy:
-    """How much failure the supervisor absorbs before degrading.
+    """How much failure the supervisor absorbs before giving up.
 
-    ``max_retries`` re-executions per backend; attempt ``i`` sleeps
-    ``backoff_seconds * 2**(i - 1)`` before rebuilding the engine (a
-    crashed pool's workers need a beat to be reaped before respawn).
+    ``max_retries`` re-executions in all; attempt ``i`` sleeps
+    ``backoff_seconds * 2**(i - 1)`` before rebuilding the engine.
     ``task_timeout`` is carried here for engine factories to consume.
     """
 
@@ -139,9 +126,8 @@ def run_fingerprint(graph, config, context, entropy: int) -> str:
     already embed the adversary knowledge and the run seed's relevance
     draws), the algorithmic configuration fields and the trial-stream
     entropy -- and deliberately *excludes* execution knobs
-    (``trial_backend``, ``n_workers``, ``trial_timeout``, fault plans),
-    so a checkpoint written by a process-backend run resumes on any
-    backend.
+    (``trial_timeout``, ``max_retries``, fault plans), so a checkpoint
+    written under one set of knobs resumes under any other.
     """
     digest = hashlib.sha256()
     update_graph_digest(digest, graph)
@@ -335,52 +321,37 @@ class SigmaSearchJournal:
 
 
 class SupervisedTrialEngine:
-    """Retry / degradation / checkpoint supervisor over a trial engine.
+    """Retry / checkpoint supervisor over a trial engine.
 
     Parameters
     ----------
     factory:
-        ``factory(backend) -> TrialEngine`` building a fresh engine of
-        the named backend; called lazily and again after every discard.
-    backend:
-        The starting rung of :data:`DEGRADATION_LADDER`.
+        ``factory() -> SerialTrialEngine`` building a fresh engine;
+        called lazily and again after every discard.
     policy:
         The run's :class:`RetryPolicy`.
     journal:
-        Optional :class:`SigmaSearchJournal`.  When present,
-        :meth:`run_ladder` walks probe by probe (each completed probe is
-        durable immediately) instead of dispatching the speculative
-        ladder wave -- checkpointing trades that overlap for
-        restartability.
+        Optional :class:`SigmaSearchJournal`.  Without one,
+        :meth:`run_ladder` retries the bracketing ladder as a whole;
+        with one it walks probe by probe, so each completed probe is
+        durable (and replayable) immediately and a retry re-runs only
+        the failed probe.
     """
 
-    def __init__(self, factory, backend: str, policy: RetryPolicy,
+    def __init__(self, factory, policy: RetryPolicy,
                  journal: SigmaSearchJournal | None = None):
-        if backend not in DEGRADATION_LADDER:
-            raise ResilienceError(
-                f"no degradation ladder rung named {backend!r}; expected "
-                f"one of {tuple(DEGRADATION_LADDER)}"
-            )
         self._factory = factory
-        self._backend = backend
         self._policy = policy
         self._journal = journal
         self._engine = None
         self._privacy: tuple[int, float] | None = None
         self._entropy: int | None = None
-        self._degradations: list[DegradationEvent] = []
         self._retries = 0
         self._resumed = 0
-        self._finished_trials_executed = 0
-        self._finished_trials_cancelled = 0
-
-    # ------------------------------------------------------------- #
-    # Engine lifecycle
-    # ------------------------------------------------------------- #
 
     def _ensure_engine(self):
         if self._engine is None:
-            engine = self._factory(self._backend)
+            engine = self._factory()
             # Re-apply any retargeting a previous incarnation received,
             # so a rebuilt engine is indistinguishable from the original.
             if self._privacy is not None:
@@ -390,25 +361,8 @@ class SupervisedTrialEngine:
             self._engine = engine
         return self._engine
 
-    def _discard_engine(self) -> None:
-        if self._engine is None:
-            return
-        engine, self._engine = self._engine, None
-        self._finished_trials_executed += engine.trials_executed
-        self._finished_trials_cancelled += engine.trials_cancelled
-        try:
-            engine.close()
-        except Exception as exc:  # noqa: BLE001 -- a broken pool's close
-            # must never mask the failure being recovered from.
-            logger.warning("discarding failed %s engine: close() raised %s",
-                           engine.backend, exc)
-
-    # ------------------------------------------------------------- #
-    # Supervision core
-    # ------------------------------------------------------------- #
-
     def _supervise(self, run):
-        """Execute ``run(engine)`` under retry + degradation.
+        """Execute ``run(engine)`` under bounded retry.
 
         Determinism: ``run`` re-dispatches fixed probe coordinates, and
         every trial is a pure function of its coordinates, so however
@@ -422,44 +376,23 @@ class SupervisedTrialEngine:
                 return run(engine)
             except RETRYABLE_EXCEPTIONS as exc:
                 reason = f"{type(exc).__name__}: {exc}"
-                self._discard_engine()
-                if attempt < self._policy.max_retries:
-                    attempt += 1
-                    self._retries += 1
-                    delay = self._policy.backoff(attempt)
-                    logger.warning(
-                        "supervised %s backend failed (%s); retry %d/%d "
-                        "after %.3fs backoff", self._backend, reason,
-                        attempt, self._policy.max_retries, delay,
-                    )
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    continue
-                next_backend = DEGRADATION_LADDER[self._backend]
-                if next_backend is None:
+                self._engine = None
+                if attempt >= self._policy.max_retries:
                     raise ResilienceError(
-                        f"supervised execution exhausted every recovery "
-                        f"option: the final {self._backend!r} rung failed "
-                        f"{attempt + 1} time(s); last failure: {reason}"
+                        "supervised execution exhausted every recovery "
+                        f"option: the trials failed {attempt + 1} time(s); "
+                        f"last failure: {reason}"
                     ) from exc
-                self._degradations.append(DegradationEvent(
-                    backend_from=self._backend,
-                    backend_to=next_backend,
-                    reason=reason,
-                    retries=attempt,
-                ))
-                logger.warning(
-                    "degrading trial backend %s -> %s after %d retr%s (%s)",
-                    self._backend, next_backend, attempt,
-                    "y" if attempt == 1 else "ies", reason,
-                )
-                self._backend = next_backend
+                attempt += 1
                 self._retries += 1
-                attempt = 0
-
-    # ------------------------------------------------------------- #
-    # TrialEngine interface
-    # ------------------------------------------------------------- #
+                delay = self._policy.backoff(attempt)
+                logger.warning(
+                    "supervised trial engine failed (%s); retry %d/%d "
+                    "after %.3fs backoff", reason, attempt,
+                    self._policy.max_retries, delay,
+                )
+                if delay > 0.0:
+                    time.sleep(delay)
 
     def run_probe(self, probe_index: int, sigma: float) -> GenObfOutcome:
         if self._journal is not None:
@@ -482,9 +415,6 @@ class SupervisedTrialEngine:
                     sigmas, first_probe_index=first_probe_index
                 )
             )
-        # Checkpointing walks the ladder probe by probe: each completed
-        # probe becomes durable (and replayable) immediately, at the
-        # cost of the process engine's speculative cross-probe overlap.
         outcomes: list[GenObfOutcome] = []
         for i, sigma in enumerate(sigmas):
             outcome = self.run_probe(first_probe_index + i, sigma)
@@ -504,49 +434,16 @@ class SupervisedTrialEngine:
             self._engine.set_entropy(entropy)
 
     def close(self) -> None:
-        self._discard_engine()
+        """Close the checkpoint journal, if any (idempotent)."""
         if self._journal is not None:
             self._journal.close()
 
-    def __enter__(self) -> "SupervisedTrialEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------- #
-    # Introspection
-    # ------------------------------------------------------------- #
-
-    @property
-    def backend(self) -> str:
-        """The rung currently (or next to be) executed on."""
-        return self._backend
-
-    @property
-    def n_workers(self) -> int:
-        return self._ensure_engine().n_workers
-
-    @property
-    def degradations(self) -> tuple[DegradationEvent, ...]:
-        return tuple(self._degradations)
-
     @property
     def retry_count(self) -> int:
-        """Probe re-executions performed (including post-degradation)."""
+        """Probe re-executions performed."""
         return self._retries
 
     @property
     def resumed_probes(self) -> int:
         """Probes replayed from the journal instead of recomputed."""
         return self._resumed
-
-    @property
-    def trials_executed(self) -> int:
-        live = self._engine.trials_executed if self._engine else 0
-        return self._finished_trials_executed + live
-
-    @property
-    def trials_cancelled(self) -> int:
-        live = self._engine.trials_cancelled if self._engine else 0
-        return self._finished_trials_cancelled + live

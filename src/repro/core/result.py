@@ -7,35 +7,10 @@ from dataclasses import dataclass, field
 from ..privacy.obfuscation import ObfuscationReport
 from ..ugraph.graph import UncertainGraph
 
-__all__ = ["GenObfOutcome", "DegradationEvent", "AnonymizationResult"]
+__all__ = ["GenObfOutcome", "AnonymizationResult"]
 
 #: Sentinel "all attempts failed" tolerance (Algorithm 3 returns eps~ = 1).
 FAILURE_EPSILON = 1.0
-
-
-@dataclass(frozen=True)
-class DegradationEvent:
-    """One rung of the supervised degradation ladder, as it fired.
-
-    Recorded by :class:`repro.core.resilience.SupervisedTrialEngine`
-    whenever it abandons a backend (``process -> serial``) after
-    exhausting that backend's retries.
-    Defined here (not in :mod:`repro.core.resilience`) so result types
-    never import the supervision machinery.
-    """
-
-    backend_from: str
-    backend_to: str
-    reason: str
-    retries: int
-
-    def summary(self) -> dict:
-        return {
-            "from": self.backend_from,
-            "to": self.backend_to,
-            "reason": self.reason,
-            "retries": self.retries,
-        }
 
 
 @dataclass(frozen=True)
@@ -89,12 +64,6 @@ class AnonymizationResult:
         ``(sigma, epsilon_achieved)`` per GenObf call, in search order.
     elapsed_seconds:
         Wall-clock time of the run.
-    trial_backend:
-        Trial-execution backend of the sigma search (``"serial"`` or
-        ``"process"``; see
-        :data:`repro.core.parallel.TRIAL_BACKENDS`).
-    trial_workers:
-        Worker count the trial engine ran with (1 for serial).
     search_seconds:
         Wall-clock time spent inside the sigma search (bracketing ladder
         plus bisection), excluding run setup such as selection-context
@@ -107,13 +76,9 @@ class AnonymizationResult:
     utility_history:
         ``(sigma, discrepancy)`` per *successful* GenObf call scored by
         the world store, in search order.
-    degradations:
-        :class:`DegradationEvent` per backend the supervised engine
-        abandoned, in firing order.  Empty when the run never degraded
-        (or supervision was off).
     trial_retries:
-        Probe re-executions the supervisor performed (crashes, timeouts
-        and injected faults recovered from), across all backends.
+        Probe re-executions the supervisor performed (timeouts and
+        injected faults recovered from).
     resumed_probes:
         Probe outcomes replayed from a checkpoint journal instead of
         being recomputed (``--resume``).
@@ -129,12 +94,9 @@ class AnonymizationResult:
     n_genobf_calls: int
     sigma_history: tuple[tuple[float, float], ...] = field(default_factory=tuple)
     elapsed_seconds: float = 0.0
-    trial_backend: str = "serial"
-    trial_workers: int = 1
     search_seconds: float = 0.0
     utility_discrepancy: float | None = None
     utility_history: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-    degradations: tuple[DegradationEvent, ...] = field(default_factory=tuple)
     trial_retries: int = 0
     resumed_probes: int = 0
 
@@ -159,6 +121,8 @@ class AnonymizationResult:
         byte-reproducible (and a served result can be byte-compared to a
         one-shot run).
         """
+        # Seeded stdout is an output format and must stay cmp-identical,
+        # so the retired engine keys stay, as constants.
         payload = {
             "method": self.method,
             "k": self.k,
@@ -167,10 +131,10 @@ class AnonymizationResult:
             "sigma": self.sigma,
             "epsilon_achieved": self.epsilon_achieved,
             "n_genobf_calls": self.n_genobf_calls,
-            "trial_backend": self.trial_backend,
-            "trial_workers": self.trial_workers,
+            "trial_backend": "serial",
+            "trial_workers": 1,
             "utility_discrepancy": self.utility_discrepancy,
-            "degradations": [d.summary() for d in self.degradations],
+            "degradations": [],
             "trial_retries": self.trial_retries,
             "resumed_probes": self.resumed_probes,
         }

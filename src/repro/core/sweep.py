@@ -9,15 +9,14 @@ recomputes them per run wastes most of its time.
 :func:`sweep_anonymize` computes the selection context once per
 (graph, variant) and reuses it across every k, delegating the sigma
 search to the same code path as :class:`repro.core.Chameleon`.  One
-trial engine (:func:`repro.core.parallel.create_trial_engine`) is
-likewise amortized across every k: the engine's pool, published
-shared-memory segment (process backend) and degree-pmf cache are built
-once, and :meth:`~repro.core.parallel.TrialEngine.set_privacy` /
-:meth:`~repro.core.parallel.TrialEngine.set_entropy` retarget it per run
-without a rebuild.  Per GenObf call the sweep draws one entropy value
-from the sweep generator -- the exact consumption order of the historical
-per-call :func:`repro.core.genobf.gen_obf` path -- so results are
-bit-identical to the unamortized sweep, on every backend.
+trial engine (:class:`repro.core.parallel.SerialTrialEngine`) is
+likewise amortized across every k: its degree-pmf cache is built once,
+and :meth:`~repro.core.parallel.SerialTrialEngine.set_privacy` /
+:meth:`~repro.core.parallel.SerialTrialEngine.set_entropy` retarget it
+per run without a rebuild.  Per GenObf call the sweep draws one entropy
+value from the sweep generator -- the exact consumption order of the
+historical per-call :func:`repro.core.genobf.gen_obf` path -- so
+results are bit-identical to the unamortized sweep.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .chameleon import _sigma_ladder
 from .config import variant_config
 from .faults import FaultPlan
 from .genobf import build_selection_context
-from .parallel import create_trial_engine
+from .parallel import SerialTrialEngine
 from .resilience import RetryPolicy, SupervisedTrialEngine
 from .result import AnonymizationResult
 
@@ -114,10 +113,8 @@ def sweep_anonymize(
     Returns ``{k: AnonymizationResult}`` in the order given.  Uniqueness
     and reliability relevance are computed once; note the exclusion set
     depends only on ``epsilon``, so sharing is exact (not approximate).
-    The trial engine named by ``trial_backend`` (serial / process, via
-    ``config_overrides``) is also built once and retargeted
-    per k, so a process pool's start-up and shared-memory publication
-    are paid once per sweep rather than once per run.
+    The trial engine and its degree-pmf cache are also built once and
+    retargeted per k.
     """
     ks = [int(k) for k in k_values]
     if not ks:
@@ -133,20 +130,19 @@ def sweep_anonymize(
     context = build_selection_context(graph, base_config, knowledge, seed=rng)
 
     results: dict[int, AnonymizationResult] = {}
-    # The amortized engine runs supervised (retry + degradation ladder)
-    # like the single-run path; checkpointing is a per-run feature and
-    # does not apply to sweeps.
+    # The amortized engine runs supervised (bounded retry) like the
+    # single-run path; checkpointing is a per-run feature and does not
+    # apply to sweeps.
     fault_plan = FaultPlan.from_config(base_config)
 
-    def engine_factory(backend: str):
-        return create_trial_engine(
-            graph, base_config, context, trial_backend=backend,
-            fault_plan=fault_plan, task_timeout=base_config.trial_timeout,
+    def engine_factory():
+        return SerialTrialEngine(
+            graph, base_config, context, fault_plan=fault_plan,
+            task_timeout=base_config.trial_timeout,
         )
 
     engine = SupervisedTrialEngine(
-        engine_factory, base_config.trial_backend,
-        RetryPolicy.from_config(base_config),
+        engine_factory, RetryPolicy.from_config(base_config)
     )
     try:
         for index, k in enumerate(ks):

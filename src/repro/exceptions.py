@@ -55,24 +55,24 @@ class ConfigurationError(ReproError):
 class ResilienceError(ReproError):
     """Raised when supervised execution exhausts every recovery option.
 
-    The :class:`repro.core.resilience.SupervisedTrialEngine` retries a
-    failed probe on its current backend and then walks the degradation
-    ladder (``process -> serial``); only when the *last* rung
-    has also exhausted its retries does this error escape.  It also
-    covers checkpoint-journal mismatches on ``--resume`` (the journal
-    belongs to a different graph / config / entropy, so replaying it
-    could not be bit-identical).
+    The :class:`repro.core.resilience.SupervisedTrialEngine` re-runs a
+    failed probe up to ``max_retries`` times; only when those retries
+    are spent does this error escape.  It also covers checkpoint-journal
+    mismatches on ``--resume`` (the journal belongs to a different
+    graph / config / entropy, so replaying it could not be
+    bit-identical).
     """
 
 
 class TrialTimeoutError(ResilienceError):
-    """Raised when a dispatched trial exceeds its per-task deadline.
+    """Raised when a trial exceeds its per-task deadline.
 
-    Retryable: the supervisor discards the (possibly wedged) engine and
-    re-runs the same deterministic trial coordinates, so a transient
-    stall recovers bit-identically.  Subclasses
-    :class:`ResilienceError` so an unsupervised escape still maps to the
-    CLI's timeout-exhausted exit code.
+    The serial engine checks the deadline after each trial, so this is
+    raised once an overrunning trial has finished.  Retryable: the
+    supervisor rebuilds the engine and re-runs the same deterministic
+    trial coordinates, so a transient stall recovers bit-identically.
+    Subclasses :class:`ResilienceError` so an unsupervised escape still
+    maps to the CLI's timeout-exhausted exit code.
     """
 
 
@@ -87,11 +87,10 @@ class ServerError(ReproError):
 
 
 class InjectedFault(ReproError):
-    """Raised (or simulated) by the deterministic fault-injection harness.
+    """Raised by the deterministic fault-injection harness.
 
     Never raised in production runs -- only when a
     :class:`repro.core.faults.FaultPlan` (``REPRO_FAULTS`` /
-    ``ChameleonConfig.fault_plan``) is active.  In-process engines raise
-    it directly; process-pool workers escalate a ``crash`` fault to
-    ``os._exit`` so the parent sees a genuine ``BrokenProcessPool``.
+    ``ChameleonConfig.fault_plan``) is active and a ``crash`` fault
+    fires at the start of a trial.
     """

@@ -294,18 +294,6 @@ class DegreeUncertaintyCache:
     def __init__(
         self, graph: UncertainGraph, knowledge: np.ndarray | None = None
     ):
-        self._bind(graph, knowledge)
-        rows = np.arange(self._n, dtype=np.int64)
-        lengths, values = _factor_rows(
-            self._indptr, self._indices, graph.edge_probabilities, rows
-        )
-        self._matrix = np.zeros(
-            (self._n, int(lengths.max(initial=0)) + 1), dtype=np.float64
-        )
-        _write_pmf_rows(self._matrix, rows, lengths, values)
-        self._terms = entropy_terms(self._matrix)
-
-    def _bind(self, graph: UncertainGraph, knowledge) -> None:
         self._graph = graph
         self._n = graph.n_nodes
         if knowledge is None:
@@ -317,33 +305,15 @@ class DegreeUncertaintyCache:
                 f"({self._n},)"
             )
         self._indptr, self._indices = _incident_index(graph)
-
-    @classmethod
-    def from_base_matrix(
-        cls,
-        graph: UncertainGraph,
-        matrix: np.ndarray,
-        knowledge: np.ndarray | None = None,
-    ) -> "DegreeUncertaintyCache":
-        """Rebuild a cache from an already-computed base pmf matrix.
-
-        The Poisson-binomial DP over every vertex is the expensive part
-        of construction; parallel trial workers skip it by receiving the
-        parent cache's :attr:`base_matrix` through shared memory and
-        re-deriving only the (cheap) CSR incident index.  ``matrix`` is
-        copied, so the caller's buffer may be a read-only view.
-        """
-        self = cls.__new__(cls)
-        self._bind(graph, knowledge)
-        matrix = np.array(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != self._n:
-            raise ObfuscationError(
-                f"base matrix has shape {matrix.shape}, expected "
-                f"({self._n}, width)"
-            )
-        self._matrix = matrix
-        self._terms = entropy_terms(matrix)
-        return self
+        rows = np.arange(self._n, dtype=np.int64)
+        lengths, values = _factor_rows(
+            self._indptr, self._indices, graph.edge_probabilities, rows
+        )
+        self._matrix = np.zeros(
+            (self._n, int(lengths.max(initial=0)) + 1), dtype=np.float64
+        )
+        _write_pmf_rows(self._matrix, rows, lengths, values)
+        self._terms = entropy_terms(self._matrix)
 
     def clone(self) -> "DegreeUncertaintyCache":
         """An independent cache answering identical checks.
@@ -371,12 +341,7 @@ class DegreeUncertaintyCache:
 
     @property
     def base_matrix(self) -> np.ndarray:
-        """The base graph's degree-pmf matrix (treat as read-only).
-
-        Publishing this to :meth:`from_base_matrix` reproduces the cache
-        without rerunning the per-vertex DP -- both caches then answer
-        every check bit-identically.
-        """
+        """The base graph's degree-pmf matrix (treat as read-only)."""
         return self._matrix
 
     # -- the delta engine ----------------------------------------------- #

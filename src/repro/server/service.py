@@ -35,9 +35,8 @@ Deterministic jobs are additionally memoized in a
 :class:`~repro.server.cache.ResultCache`: a repeated request replays the
 recorded bytes without re-running the sigma search.
 
-Shutdown (op, SIGTERM or SIGINT) cancels outstanding jobs, drains the
-executor, and sweeps this process's shared-memory segments -- a service
-exit leaves ``/dev/shm`` exactly as it found it.
+Shutdown (op, SIGTERM or SIGINT) cancels outstanding jobs and drains
+the executor.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import signal
 import time
 from pathlib import Path
 
-from .. import _segments
 from ..exceptions import ServerError
 from .cache import CachedResult, ResultCache
 from .fingerprint import CACHEABLE_COMMANDS, OUTPUT_FIELDS, job_fingerprint
@@ -276,7 +274,6 @@ class ChameleonService:
             "queue": self._jobs.stats(),
             "cache": self._cache.stats(),
             "datasets": self._registry.stats(),
-            "shm_segments": list(_segments.active_segments()),
         }}
 
     async def _handle_request(self, request: dict) -> dict:
@@ -377,11 +374,6 @@ class ChameleonService:
                 if job.state in ("queued", "running"):
                     job.state = "cancelled"
                     job.finished_at = time.time()
-            swept = _segments.sweep_segments("service shutdown")
-            if swept:
-                logger.warning(
-                    "shutdown swept %d leaked shm segment(s)", swept
-                )
             if self._port_file:
                 with contextlib.suppress(OSError):
                     Path(self._port_file).unlink()

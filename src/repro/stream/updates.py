@@ -18,6 +18,7 @@ while certifying privacy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -52,8 +53,10 @@ class UpdateBatch:
     ) -> "UpdateBatch":
         """Build from ``(u, v, p_old, p_new)`` tuples.
 
-        An invalid row raises :class:`ObfuscationError` naming it by its
-        0-based position, ``update row i``.
+        Vertex ids must be Python or NumPy integers below ``2**63``
+        (floats are rejected, never truncated) and probabilities numbers
+        in ``[0, 1]``.  An invalid row raises :class:`ObfuscationError`
+        naming it by its 0-based position, ``update row i``.
         """
         return cls._from_rows(deltas, lambda row: f"update row {row}")
 
@@ -75,7 +78,13 @@ class UpdateBatch:
                     f"{where(row_number)}: not a (u, v, p_old, p_new) "
                     f"tuple: {row!r}"
                 ) from None
-            u, v = int(u), int(v)
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ObfuscationError(
+                    f"{where(row_number)}: vertex ids must be integers, got "
+                    f"({u!r}, {v!r})"
+                ) from None
             if u == v:
                 raise ObfuscationError(
                     f"{where(row_number)}: self-loop on vertex {u}"
@@ -83,6 +92,10 @@ class UpdateBatch:
             if u < 0 or v < 0:
                 raise ObfuscationError(
                     f"{where(row_number)}: negative vertex id ({u}, {v})"
+                )
+            if max(u, v) >= 2**63:
+                raise ObfuscationError(
+                    f"{where(row_number)}: vertex id outside the int64 range"
                 )
             pair = (u, v) if u < v else (v, u)
             if pair in seen:
@@ -92,7 +105,13 @@ class UpdateBatch:
                     "updates before building the batch"
                 )
             seen[pair] = row_number
-            old, new = float(old), float(new)
+            try:
+                old, new = float(old), float(new)
+            except (TypeError, ValueError, OverflowError):
+                raise ObfuscationError(
+                    f"{where(row_number)}: probabilities must be numbers, "
+                    f"got ({old!r}, {new!r})"
+                ) from None
             for label, p in (("p_old", old), ("p_new", new)):
                 if not math.isfinite(p) or p < 0.0 or p > 1.0:
                     raise ObfuscationError(
@@ -202,10 +221,6 @@ def read_update_file(path: str | Path) -> UpdateBatch:
             old, new = float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise GraphFormatError(f"{path}:{line_number}: {exc}") from None
-        if max(abs(u), abs(v)) >= 2**63:
-            raise GraphFormatError(
-                f"{path}:{line_number}: vertex id outside the int64 range"
-            )
         deltas.append((u, v, old, new))
         line_numbers.append(line_number)
     try:

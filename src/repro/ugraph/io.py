@@ -109,17 +109,74 @@ def write_json(graph: UncertainGraph, path_or_file, metadata: dict | None = None
         Path(path_or_file).write_text(json.dumps(document))
 
 
-def read_json(path_or_file) -> tuple[UncertainGraph, dict]:
-    """Read a JSON graph document; returns ``(graph, metadata)``."""
-    if hasattr(path_or_file, "read"):
-        document = json.load(path_or_file)
-    else:
-        document = json.loads(Path(path_or_file).read_text())
-    if document.get("format") != "repro-uncertain-graph":
+def _document_edges(edges):
+    """Yield each JSON edge as ``(u, v, p)``; ids must be JSON integers."""
+    for i, edge in enumerate(edges):
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise GraphFormatError(f"edge {i}: expected [u, v, p]")
+        u, v, p = edge
+        if type(u) is not int or type(v) is not int:
+            raise GraphFormatError(
+                f"edge {i}: vertex ids must be integers, got {edge!r}"
+            )
+        if type(p) is not float and type(p) is not int:
+            raise GraphFormatError(
+                f"edge {i}: probability must be a number, got {p!r}"
+            )
+        yield u, v, p
+
+
+def _graph_from_document(document) -> tuple[UncertainGraph, dict]:
+    if not isinstance(document, dict) \
+            or document.get("format") != "repro-uncertain-graph":
         raise GraphFormatError("not a repro uncertain-graph JSON document")
-    graph = UncertainGraph(
-        document["n_nodes"],
-        [tuple(edge) for edge in document["edges"]],
-        labels=document.get("labels"),
-    )
-    return graph, document.get("metadata", {})
+    n_nodes = document.get("n_nodes")
+    if type(n_nodes) is not int:
+        raise GraphFormatError(f"n_nodes must be an integer, got {n_nodes!r}")
+    edges = document.get("edges")
+    if not isinstance(edges, list):
+        raise GraphFormatError("edges must be a list of [u, v, p] triples")
+    labels = document.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise GraphFormatError("labels must be a list or null")
+    metadata = document.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise GraphFormatError("metadata must be an object")
+    try:
+        graph = UncertainGraph(n_nodes, _document_edges(edges), labels=labels)
+    except GraphConstructionError as exc:
+        raise GraphFormatError(str(exc)) from None
+    except OverflowError as exc:
+        raise GraphFormatError(
+            f"a vertex id or probability is out of range ({exc})"
+        ) from None
+    return graph, metadata
+
+
+def read_json(path_or_file) -> tuple[UncertainGraph, dict]:
+    """Read a JSON graph document; returns ``(graph, metadata)``.
+
+    Every malformed input -- an unreadable file, bytes that are not
+    JSON, a document of the wrong shape, a non-integer vertex id or an
+    edge the graph rejects -- raises :class:`GraphFormatError` naming
+    its source.
+    """
+    is_file = hasattr(path_or_file, "read")
+    source = (getattr(path_or_file, "name", "JSON stream") if is_file
+              else str(path_or_file))
+    try:
+        if is_file:
+            document = json.load(path_or_file)
+        else:
+            document = json.loads(Path(path_or_file).read_bytes())
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read JSON graph: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
+        raise GraphFormatError(
+            f"{source}: not a JSON document ({exc})"
+        ) from None
+    try:
+        return _graph_from_document(document)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{source}: {exc}") from None

@@ -25,7 +25,6 @@ import bench_ablation_selection as bench_abl_sel  # noqa: E402
 import bench_connectivity_backends as bench  # noqa: E402
 import bench_incremental_update as bench_upd  # noqa: E402
 import bench_obfuscation_check as bench_obf  # noqa: E402
-import bench_parallel_trials as bench_pt  # noqa: E402
 import bench_world_store as bench_ws  # noqa: E402
 
 
@@ -143,23 +142,6 @@ def test_ablation_selection_smoke():
     )
     assert len(rows) == 1 and len(rows[0]) == 4
     assert all(np.isfinite(value) for value in rows[0])
-
-
-@pytest.mark.benchmark_smoke
-def test_parallel_trials_comparison_smoke():
-    """Serial and process trial engines at tiny scale; the audit
-    asserts bit-equality only -- speedup is a host property, never a
-    test."""
-    result = bench_pt.run_trial_backend_comparison(
-        scale=0.25, n_trials=2, worker_counts=(2,),
-        relevance_samples=40, sigma_tolerance=0.2,
-    )
-    assert result["identical"], "pooled backends diverged from serial"
-    backends = [(row[0], row[1]) for row in result["rows"]]
-    assert backends == [("serial", 1), ("process", 2)]
-    assert all(row[2] >= 0.0 and row[3] >= 0.0 for row in result["rows"])
-    assert all(row[6] for row in result["rows"])
-    assert result["host_cpus"] >= 1
 
 
 @pytest.mark.benchmark_smoke

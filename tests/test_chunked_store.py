@@ -263,42 +263,6 @@ class TestCapacityCopyOnWrite:
         assert store.base_masks[:, 0].all()
 
 
-class TestTrialBackendIdentity:
-    FAST = dict(
-        method="rsme", seed=31, n_trials=2, relevance_samples=40,
-        sigma_tolerance=0.1, utility_samples=12,
-    )
-
-    def _run(self, graph, **overrides):
-        return anonymize(graph, 4, 0.3, **{**self.FAST, **overrides})
-
-    @pytest.mark.parametrize("trial_backend", ["serial", "process"])
-    def test_backends_identical_under_chunked_world_store(
-            self, small_profile_graph, monkeypatch, trial_backend):
-        graph = small_profile_graph
-        reference = self._run(graph, trial_backend="serial")
-
-        monkeypatch.setenv("REPRO_WORLD_CHUNK", "5")
-        result = self._run(
-            graph, trial_backend=trial_backend,
-            n_workers=2 if trial_backend != "serial" else None,
-        )
-
-        assert result.success == reference.success
-        assert result.sigma == reference.sigma
-        assert result.n_genobf_calls == reference.n_genobf_calls
-        np.testing.assert_array_equal(
-            result.graph.edge_src, reference.graph.edge_src
-        )
-        np.testing.assert_array_equal(
-            result.graph.edge_dst, reference.graph.edge_dst
-        )
-        np.testing.assert_array_equal(
-            result.graph.edge_probabilities,
-            reference.graph.edge_probabilities,
-        )
-
-
 class TestGraphDeltaRoundtrip:
     def test_anonymize_result_chunk_invariant(self, small_profile_graph,
                                               monkeypatch):

@@ -178,25 +178,22 @@ def test_diagnose_subcommand(tmp_path, capsys):
 
 
 def test_backend_flags_parse(capsys):
-    """The execution flags left: ``--workers`` sizes the trial pool of
-    ``anonymize`` and ``sweep`` only, and every world-sampling
-    subcommand keeps ``--world-memory-budget``."""
+    """The execution flag left: every world-sampling subcommand keeps
+    ``--world-memory-budget``; ``--workers`` is gone from all of them
+    (there is one trial engine and one connectivity labeler)."""
     parser = build_parser()
-    for command_tail in (MONTE_CARLO_COMMANDS[0],
+    for command_tail in (*MONTE_CARLO_COMMANDS,
                          ["sweep", "a.pel", "--k", "3"]):
-        args = parser.parse_args(command_tail + ["--workers", "2"])
-        assert args.workers == 2
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command_tail + ["--workers", "2"])
+        assert exc.value.code == 2
     for command_tail in MONTE_CARLO_COMMANDS:
         args = parser.parse_args(
             command_tail + ["--world-memory-budget", "64m"]
         )
         assert args.world_memory_budget == 64 * 1024**2
         assert not hasattr(args, "backend")
-        if command_tail[0] == "anonymize":
-            continue
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(command_tail + ["--workers", "2"])
-        assert exc.value.code == 2
+        assert not hasattr(args, "workers")
     capsys.readouterr()
 
 
@@ -216,14 +213,32 @@ def test_checker_flag_parses_and_rejects_unknown(capsys):
 
 
 def test_thread_trial_backend_exits_2(capsys):
-    """The thread trial engine is gone from both commands that took it."""
+    """There is one trial engine: ``--trial-backend`` of any value, and
+    ``--workers``, are usage errors on both commands that took them."""
     parser = build_parser()
     for command in (["anonymize", "a.pel", "b.pel", "--k", "3"],
                     ["sweep", "ppi", "--k", "3"]):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(command + ["--trial-backend", "thread"])
-        assert exc.value.code == 2
+        args = parser.parse_args(command)
+        assert not hasattr(args, "trial_backend")
+        for flags in (["--trial-backend", "thread"],
+                      ["--trial-backend", "serial"],
+                      ["--trial-backend", "process"],
+                      ["--trial-backend", "auto"],
+                      ["--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(command + flags)
+            assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_shm_fault_exits_2(tmp_path, capsys):
+    """The ``shm`` fault kind went with the worker pool it poisoned."""
+    source = tmp_path / "orig.pel"
+    source.write_text("0 1 0.5\n1 2 0.5\n")
+    code = main(["anonymize", str(source), str(tmp_path / "anon.pel"),
+                 "--k", "2", "--epsilon", "0.5", "--faults", "shm"])
+    assert code == 2
+    assert "fault spec" in _single_error_line(capsys)
 
 
 def test_anonymize_with_full_checker(tmp_path, capsys, monkeypatch):
@@ -260,9 +275,9 @@ def test_backend_flag_rejects_unknown(capsys):
 def test_workers_flag_rejects_non_positive(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(MONTE_CARLO_COMMANDS[0] + ["--workers", "0"])
+        parser.parse_args(["serve", "--job-workers", "0"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert "--job-workers must be >= 1" in capsys.readouterr().err
 
 
 def test_pipeline_with_batched_backend(tmp_path, capsys):
@@ -327,9 +342,9 @@ def test_resume_without_checkpoint_exit_2(tmp_path, capsys):
 
 
 def test_exhausted_supervision_exit_3(tmp_path, capsys):
-    """An unbounded crash plan kills every rung of the degradation
-    ladder: the CLI must report it as exit 3, distinct from both
-    infeasibility (1) and bad input (2)."""
+    """An unbounded crash plan exhausts every retry: the CLI must report
+    it as exit 3, distinct from both infeasibility (1) and bad input
+    (2)."""
     source = tmp_path / "orig.pel"
     target = tmp_path / "anon.pel"
     main(["generate", "ppi", str(source), "--scale", "0.2", "--seed", "32"])
@@ -337,7 +352,7 @@ def test_exhausted_supervision_exit_3(tmp_path, capsys):
     code = main([
         "anonymize", str(source), str(target),
         "--method", "me", "--k", "4", "--epsilon", "0.08",
-        "--trials", "2", "--seed", "33", "--trial-backend", "serial",
+        "--trials", "2", "--seed", "33",
         "--faults", "crash@*.*x100000", "--max-retries", "0",
     ])
     err = capsys.readouterr().err
@@ -353,7 +368,7 @@ def test_fault_recovery_matches_clean_run(tmp_path, capsys):
     main(["generate", "ppi", str(source), "--scale", "0.2", "--seed", "34"])
     capsys.readouterr()
     common = ["--method", "me", "--k", "4", "--epsilon", "0.08",
-              "--trials", "2", "--seed", "35", "--trial-backend", "serial"]
+              "--trials", "2", "--seed", "35"]
     assert main(["anonymize", str(source), str(clean)] + common) == 0
     capsys.readouterr()
     assert main(["anonymize", str(source), str(faulted),

@@ -36,9 +36,9 @@ class TestValidation:
             {"relevance_samples": 0},
             {"selection_mode": "psychic"},
             {"perturbation_mode": "psychic"},
-            {"trial_backend": "gpu"},
-            {"n_workers": 0},
-            {"n_workers": -2},
+            {"trial_timeout": 0.0},
+            {"max_retries": -1},
+            {"retry_backoff": -0.5},
             {"sigma_initial": 0.0},
             {"sigma_initial": 100.0},  # above sigma_max
             {"sigma_tolerance": 0.0},
@@ -76,17 +76,16 @@ class TestVariants:
 
     def test_connectivity_backend_override(self):
         """There is one connectivity labeler, so no variant can pick
-        another; ``n_workers`` (the trial pool) still overrides."""
-        cfg = variant_config("rsme", n_workers=4)
-        assert cfg.n_workers == 4
+        another."""
         with pytest.raises(TypeError, match="connectivity_backend"):
             variant_config("rsme", connectivity_backend="batched-scipy")
 
     def test_connectivity_defaults(self):
         cfg = ChameleonConfig()
-        assert "connectivity_backend" not in {f.name for f in fields(cfg)}
-        assert len(fields(cfg)) == 25
-        assert cfg.n_workers is None
+        names = {f.name for f in fields(cfg)}
+        assert not names & {"connectivity_backend", "trial_backend",
+                            "n_workers"}
+        assert len(fields(cfg)) == 23
         assert cfg.utility_samples == 0
 
     def test_unknown_variant(self):

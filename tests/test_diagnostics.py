@@ -103,21 +103,3 @@ class TestValidation:
             diagnose_feasibility(
                 certain_square, k=2, epsilon=0.1, knowledge=np.array([1])
             )
-
-
-class TestRecommendedTrialBackend:
-    """``--trial-backend auto`` resolves from the usable CPU count."""
-
-    @pytest.mark.parametrize("usable,expected",
-                             [(1, "serial"), (2, "process"), (8, "process")])
-    def test_mapping(self, usable, expected):
-        from repro.core.diagnostics import recommended_trial_backend
-
-        env = {"cpus": {"usable": usable, "total": max(usable, 2)}}
-        assert recommended_trial_backend(env) == expected
-
-    def test_live_environment_resolves_to_an_engine(self):
-        from repro.core import TRIAL_BACKENDS
-        from repro.core.diagnostics import recommended_trial_backend
-
-        assert recommended_trial_backend() in TRIAL_BACKENDS

@@ -6,8 +6,12 @@ Every scenario here asserts a *library* exception (or a clean result),
 never an unrelated traceback.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.exceptions import (
@@ -19,6 +23,12 @@ from repro.exceptions import (
     ReproError,
 )
 from repro.ugraph import UncertainGraph, loads_edge_list, read_json
+
+#: A valid JSON graph document, the base every malformed one edits.
+_DOCUMENT = {
+    "format": "repro-uncertain-graph", "version": 1, "n_nodes": 3,
+    "labels": None, "edges": [[0, 1, 0.5], [1, 2, 1.0]], "metadata": {},
+}
 
 
 class TestMalformedFiles:
@@ -50,9 +60,116 @@ class TestMalformedFiles:
     def test_json_missing_fields(self, tmp_path):
         path = tmp_path / "bad2.json"
         path.write_text('{"format": "repro-uncertain-graph"}')
-        with pytest.raises((ReproError, KeyError)):
+        with pytest.raises(GraphFormatError):
             read_json(path)
 
+    @pytest.mark.parametrize("text", [
+        "[]",
+        "not json at all",
+        json.dumps({**_DOCUMENT, "edges": [[0, 1]]}),
+        json.dumps({**_DOCUMENT, "n_nodes": "x"}),
+        json.dumps({**_DOCUMENT, "edges": 5}),
+        json.dumps({**_DOCUMENT, "edges": [5]}),
+        json.dumps({**_DOCUMENT, "labels": 5}),
+        json.dumps({**_DOCUMENT, "metadata": []}),
+        json.dumps({**_DOCUMENT, "edges": [[0.5, 1, 0.5]]}),
+        json.dumps({**_DOCUMENT, "edges": [[0, 1, "0.5"]]}),
+        json.dumps({**_DOCUMENT, "edges": [[0, 1, 10**400]]}),
+        json.dumps({**_DOCUMENT, "n_nodes": 10**30,
+                    "edges": [[10**29, 10**29 + 1, 0.5]]}),
+        json.dumps(_DOCUMENT).replace('"n_nodes": 3', '"n_nodes": 1e999'),
+        json.dumps(_DOCUMENT).replace("0.5", "NaN"),
+        "[" * 100_000,
+    ], ids=[
+        "list", "not-json", "short-edge", "n_nodes-str", "edges-int",
+        "edge-int", "labels-int", "metadata-list", "fractional-id",
+        "p-str", "p-huge", "id-past-int64", "n_nodes-inf", "p-nan",
+        "deep-nesting",
+    ])
+    def test_json_malformed_document_is_format_error(self, tmp_path, text):
+        """Every malformed document -- wrong shape, wrong types, a
+        fractional vertex id that used to be truncated, numbers past
+        float or int64 -- ends in a ``GraphFormatError`` naming it."""
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match="bad.json"):
+            read_json(path)
+
+    def test_json_unreadable_and_undecodable_files(self, tmp_path):
+        with pytest.raises(GraphFormatError, match="cannot read"):
+            read_json(tmp_path)  # a directory
+        with pytest.raises(GraphFormatError, match="cannot read"):
+            read_json(tmp_path / "missing.json")
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"format": "\xff"}')
+        with pytest.raises(GraphFormatError, match="not a JSON document"):
+            read_json(path)
+
+
+#: Numbers of every size and kind a document or edge list may carry:
+#: ints past int64 and double, special floats, fractions and literals.
+_FUZZ_NUMBERS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-(10**400), 10**400),
+    st.integers(0, 6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.5, 1.0, -0.0, True, None, "1", [], {}]),
+)
+
+
+@st.composite
+def _fuzz_documents(draw) -> bytes:
+    """A JSON graph document with fuzzed fields, optionally truncated."""
+    document = dict(_DOCUMENT)
+    for key in draw(st.sets(st.sampled_from(sorted(_DOCUMENT)))):
+        document[key] = draw(st.one_of(
+            _FUZZ_NUMBERS,
+            st.lists(st.lists(_FUZZ_NUMBERS, max_size=4), max_size=4),
+        ))
+    data = json.dumps(document).encode("utf-8")
+    return data[:draw(st.integers(0, len(data)))]
+
+
+@st.composite
+def _fuzz_edge_lists(draw) -> bytes:
+    """Edge-list rows of fuzzed tokens, optionally truncated."""
+    token = st.one_of(
+        _FUZZ_NUMBERS.map(str),
+        st.sampled_from(["nan", "-inf", "1e999", "9" * 5000, "#", "\x00"]),
+        st.text(max_size=4),
+    )
+    rows = draw(st.lists(st.lists(token, max_size=4), max_size=6))
+    data = "\n".join(" ".join(row) for row in rows).encode("utf-8")
+    return data[:draw(st.integers(0, len(data)))]
+
+
+class TestReaderFuzz:
+    """Random bytes, huge and special numbers, and truncation at any byte:
+    each reader returns a graph or raises a ``ReproError`` -- never
+    another exception."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.one_of(st.binary(max_size=300), _fuzz_documents()))
+    def test_read_json_ends_in_graph_or_repro_error(
+        self, tmp_path_factory, data
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / "graph.json"
+        path.write_bytes(data)
+        try:
+            graph, metadata = read_json(path)
+        except ReproError:
+            return
+        assert isinstance(graph, UncertainGraph)
+        assert isinstance(metadata, dict)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.one_of(st.binary(max_size=300), _fuzz_edge_lists()))
+    def test_loads_edge_list_ends_in_graph_or_repro_error(self, data):
+        try:
+            graph = loads_edge_list(data.decode("latin-1"))
+        except ReproError:
+            return
+        assert isinstance(graph, UncertainGraph)
 
 class TestBoundaryAbuse:
     def test_nan_probability_cannot_enter_via_arrays(self, triangle):
@@ -127,7 +244,7 @@ class TestHalfFinishedPipelines:
 
 class TestRuntimeFaultInjection:
     """Deterministic runtime faults (``REPRO_FAULTS``) routed through the
-    supervised trial engines -- the run must recover, not crash."""
+    supervised trial engine -- the run must recover, not crash."""
 
     FAST = dict(k=5, epsilon=0.3, n_trials=2, relevance_samples=50,
                 sigma_tolerance=0.1)
@@ -138,8 +255,7 @@ class TestRuntimeFaultInjection:
         reference = repro.anonymize(small_profile_graph, seed=3, **self.FAST)
         monkeypatch.setenv("REPRO_FAULTS", "crash@0.0")
         result = repro.anonymize(
-            small_profile_graph, seed=3, trial_backend="serial",
-            retry_backoff=0.0, **self.FAST
+            small_profile_graph, seed=3, retry_backoff=0.0, **self.FAST
         )
         assert result.trial_retries >= 1
         assert result.sigma == reference.sigma
@@ -152,39 +268,20 @@ class TestRuntimeFaultInjection:
         # an explicit (empty = disabled) plan.
         monkeypatch.setenv("REPRO_FAULTS", "crash@0.0")
         result = repro.anonymize(
-            small_profile_graph, seed=3, trial_backend="serial",
-            fault_plan="", **self.FAST
+            small_profile_graph, seed=3, fault_plan="", **self.FAST
         )
         assert result.trial_retries == 0
-        assert result.degradations == ()
 
     def test_invalid_env_plan_fails_loudly(
         self, small_profile_graph, monkeypatch
     ):
         monkeypatch.setenv("REPRO_FAULTS", "explode@everywhere")
         with pytest.raises(ConfigurationError):
-            repro.anonymize(
-                small_profile_graph, seed=3, trial_backend="serial",
-                **self.FAST
-            )
+            repro.anonymize(small_profile_graph, seed=3, **self.FAST)
 
     def test_invalid_config_plan_rejected_at_construction(self):
         with pytest.raises(ConfigurationError):
             repro.ChameleonConfig(fault_plan="crash@")
-
-    def test_shm_poison_recovers_without_degrading(self, small_profile_graph):
-        """A poisoned shared-memory attach breaks the first process pool;
-        the respawned pool attaches cleanly and the run stays on the
-        process rung."""
-        from repro import _segments
-
-        result = repro.anonymize(
-            small_profile_graph, seed=3, trial_backend="process",
-            n_workers=2, fault_plan="shm:1", retry_backoff=0.0, **self.FAST
-        )
-        assert result.trial_retries >= 1
-        assert result.degradations == ()
-        assert _segments.active_segments() == ()
 
 
 class TestAdversarialParameters:

@@ -492,15 +492,6 @@ class TestCarriedForwardState:
         assert parent._terms.tobytes() == terms.tobytes()
         assert_carried_state(clone, 2, 0.1)
 
-    def test_from_base_matrix_builds_terms(self, small_profile_graph):
-        cache = DegreeUncertaintyCache(small_profile_graph)
-        twin = DegreeUncertaintyCache.from_base_matrix(
-            small_profile_graph, cache.base_matrix
-        )
-        assert twin._terms.tobytes() == cache._terms.tobytes()
-        assert_reports_identical(cache.check_base(3, 0.1),
-                                 twin.check_base(3, 0.1))
-
 
 class TestDeltaValidation:
     @pytest.fixture

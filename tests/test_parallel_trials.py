@@ -1,49 +1,24 @@
-"""Parallel GenObf trial engine: determinism, shm lifecycle, delta path.
+"""GenObf trial engine: per-trial streams, reduction, retargeting, delta path.
 
-The load-bearing guarantee is *bit-identity*: ``anonymize(seed=s)`` must
-produce exactly the same result for every ``trial_backend`` and every
-worker count, because the per-trial randomness is a pure function of
-``(entropy, probe_index, trial_index)`` and the reduction replays the
-sequential tie-break.  The shared-memory publication contract:
-descriptors -- not arrays -- cross the pool boundary, and the segment is
-unlinked even when the pool dies.
+The load-bearing guarantee is *bit-identity*: every trial's randomness
+is a pure function of ``(entropy, probe_index, trial_index)`` and the
+reduction replays the sequential tie-break, so a retried, resumed or
+retargeted probe reproduces the original exactly.
 """
-
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    ChameleonConfig,
-    Chameleon,
-    anonymize,
-    build_selection_context,
-    gen_obf,
-    variant_config,
-)
-from repro import _segments
-from repro.core import parallel
+from repro.core import ChameleonConfig, build_selection_context, gen_obf
 from repro.core.parallel import (
-    NUM_WORKERS_ENV,
-    ProcessTrialEngine,
     SerialTrialEngine,
-    TRIAL_BACKENDS,
-    _graph_from_arrays,
-    _init_trial_worker,
-    _pack_arrays,
-    _trial_task,
-    _unpack_arrays,
-    create_trial_engine,
     reduce_probe,
-    resolve_worker_count,
     run_trial,
     trial_generator,
 )
-from repro.exceptions import ConfigurationError
 from repro.privacy import expected_degree_knowledge
 from repro.privacy.incremental import DegreeUncertaintyCache
-from repro.ugraph import UncertainGraph, apply_edge_updates, overlay
+from repro.ugraph import apply_edge_updates, overlay
 from tests.checker_oracle import (
     assert_reports_identical,
     record_checks,
@@ -78,98 +53,6 @@ class TestTrialGenerator:
         for entropy, probe, trial in [(124, 4, 7), (123, 5, 7), (123, 4, 8)]:
             other = trial_generator(entropy, probe, trial).random(8)
             assert not np.array_equal(base, other)
-
-
-class TestSharedMemoryBundle:
-    def test_roundtrip_including_empty(self):
-        arrays = {
-            "a": np.arange(7, dtype=np.int64),
-            "empty": np.zeros(0, dtype=np.float64),
-            "m": np.linspace(0.0, 1.0, 12).reshape(3, 4),
-            "flags": np.array([5, 0, 3], dtype=np.int64),
-        }
-        shm, manifest = _pack_arrays(arrays)
-        try:
-            out = _unpack_arrays(shm.name, manifest)
-        finally:
-            _segments.release_segment(shm)
-        assert set(out) == set(arrays)
-        for name, arr in arrays.items():
-            assert out[name].dtype == arr.dtype
-            np.testing.assert_array_equal(out[name], arr)
-
-    def test_manifest_is_descriptors_not_payload(self):
-        arrays = {"a": np.arange(5, dtype=np.int64)}
-        shm, manifest = _pack_arrays(arrays)
-        try:
-            for entry in manifest:
-                name, dtype, shape, offset = entry
-                assert isinstance(name, str)
-                assert isinstance(dtype, str)
-                assert not any(isinstance(x, np.ndarray) for x in entry)
-        finally:
-            _segments.release_segment(shm)
-
-    def test_graph_reconstruction_matches(self, small_profile_graph):
-        g = small_profile_graph
-        rebuilt = _graph_from_arrays(
-            g.n_nodes, g.edge_src, g.edge_dst, g.edge_probabilities
-        )
-        assert rebuilt == UncertainGraph(
-            g.n_nodes,
-            [(int(u), int(v), float(p)) for u, v, p in
-             zip(g.edge_src, g.edge_dst, g.edge_probabilities)],
-        )
-        us = g.edge_src[:5]
-        vs = g.edge_dst[:5]
-        np.testing.assert_array_equal(
-            rebuilt.pair_probabilities(us, vs), g.pair_probabilities(us, vs)
-        )
-
-
-class TestWorkerPathEqualsParentPath:
-    def test_initializer_and_task_reproduce_run_trial(
-        self, small_profile_graph, monkeypatch
-    ):
-        """_init_trial_worker + _trial_task, run in-process, must equal a
-        direct run_trial call on the parent's objects."""
-        graph = small_profile_graph
-        config = ChameleonConfig(**FAST)
-        context, cache = _context_and_cache(graph, config)
-        entropy = 987654321
-
-        arrays = {
-            "edge_src": graph.edge_src,
-            "edge_dst": graph.edge_dst,
-            "edge_prob": graph.edge_probabilities,
-            "uniqueness": context.uniqueness,
-            "vertex_relevance": context.vertex_relevance,
-            "excluded": context.excluded,
-            "weights": context.weights,
-            "knowledge": context.knowledge,
-            "base_pmf": cache.base_matrix,
-        }
-        shm, manifest = _pack_arrays(arrays)
-        monkeypatch.setattr(parallel, "_WORKER_STATE", None)
-        try:
-            _init_trial_worker(
-                shm.name, manifest, graph.n_nodes, config, entropy
-            )
-            worker_result = _trial_task((3, 1, 0.5, None))
-        finally:
-            _segments.release_segment(shm)
-        parent_result = run_trial(
-            graph, config, context, 0.5, 3, 1, entropy, cache
-        )
-        assert worker_result.satisfied == parent_result.satisfied
-        assert worker_result.epsilon_achieved == parent_result.epsilon_achieved
-        for field in ("us", "vs", "p_old", "p_new", "entropies", "obfuscated"):
-            a = getattr(worker_result, field)
-            b = getattr(parent_result, field)
-            if a is None or b is None:
-                assert a is None and b is None
-            else:
-                np.testing.assert_array_equal(a, b)
 
 
 class TestReduction:
@@ -236,84 +119,11 @@ class TestGenObfOnEngine:
             assert_reports_identical(a.report, b.report)
 
 
-class TestCrossBackendBitIdentity:
-    """The tentpole guarantee: serial and process anonymization agree
-    bit-for-bit at every worker count."""
-
-    @pytest.fixture
-    def serial_result(self, small_profile_graph):
-        # The serial run is cheap; recompute per worker-count case rather
-        # than widening the fixture scope past small_profile_graph's.
-        return anonymize(
-            small_profile_graph, method="rsme", seed=7,
-            utility_samples=16, **FAST,
-        )
-
-    @pytest.mark.parametrize("backend", ["process"])
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_pooled_equals_serial(
-        self, small_profile_graph, serial_result, backend, n_workers
-    ):
-        got = anonymize(
-            small_profile_graph, method="rsme", seed=7,
-            utility_samples=16, trial_backend=backend,
-            n_workers=n_workers, **FAST,
-        )
-        assert got.trial_backend == backend
-        assert got.trial_workers == n_workers
-        assert serial_result.trial_backend == "serial"
-        assert got.sigma == serial_result.sigma
-        assert got.epsilon_achieved == serial_result.epsilon_achieved
-        assert got.n_genobf_calls == serial_result.n_genobf_calls
-        assert got.sigma_history == serial_result.sigma_history
-        assert got.utility_history == serial_result.utility_history
-        assert got.utility_discrepancy == serial_result.utility_discrepancy
-        assert got.graph == serial_result.graph
-        np.testing.assert_array_equal(
-            got.report.entropies, serial_result.report.entropies
-        )
-
-
-class TestLadderWave:
-    @pytest.mark.parametrize("engine_cls", [ProcessTrialEngine])
-    def test_pooled_ladder_matches_serial_walk(
-        self, small_profile_graph, engine_cls
-    ):
-        config = ChameleonConfig(**FAST)
-        context, cache = _context_and_cache(small_profile_graph, config)
-        sigmas = [1.0, 2.0, 0.5, 4.0, 0.25]
-        serial = SerialTrialEngine(
-            small_profile_graph, config, context, cache=cache, entropy=99
-        )
-        expected = serial.run_ladder(sigmas)
-        with engine_cls(
-            small_profile_graph, config, context, cache=cache, entropy=99,
-            n_workers=2,
-        ) as engine:
-            got = engine.run_ladder(sigmas)
-            cancelled = engine.trials_cancelled
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert a.sigma == b.sigma
-            assert a.epsilon_achieved == b.epsilon_achieved
-            assert (a.graph is None) == (b.graph is None)
-            if a.graph is not None:
-                assert a.graph == b.graph
-        # When the walk short-circuits, the speculative tail was cancelled
-        # or discarded -- never part of the outcome list.
-        if len(expected) < len(sigmas):
-            assert cancelled >= 0
-            assert got[-1].success
-
-
 class TestEngineRetargeting:
     """set_privacy / set_entropy retarget a live engine without rebuild;
-    a retargeted pooled engine must equal a freshly built serial one."""
+    a retargeted engine must equal a freshly built one."""
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_retargeted_engine_matches_fresh(
-        self, small_profile_graph, backend
-    ):
+    def test_retargeted_engine_matches_fresh(self, small_profile_graph):
         config = ChameleonConfig(**FAST)
         context, cache = _context_and_cache(small_profile_graph, config)
         fresh_config = config.with_privacy(3, 0.35)
@@ -322,14 +132,13 @@ class TestEngineRetargeting:
             entropy=1234,
         )
         expected = fresh.run_probe(0, 0.5)
-        with create_trial_engine(
+        engine = SerialTrialEngine(
             small_profile_graph, config, context, cache=cache, entropy=99,
-            trial_backend=backend, n_workers=2,
-        ) as engine:
-            engine.run_probe(0, 0.5)  # consume the pre-retarget state
-            engine.set_privacy(3, 0.35)
-            engine.set_entropy(1234)
-            got = engine.run_probe(0, 0.5)
+        )
+        engine.run_probe(0, 0.5)  # consume the pre-retarget state
+        engine.set_privacy(3, 0.35)
+        engine.set_entropy(1234)
+        got = engine.run_probe(0, 0.5)
         assert got.sigma == expected.sigma
         assert got.epsilon_achieved == expected.epsilon_achieved
         assert (got.graph is None) == (expected.graph is None)
@@ -337,167 +146,21 @@ class TestEngineRetargeting:
             assert got.graph == expected.graph
 
 
-class TestShmLifecycle:
-    def test_segment_unlinked_after_close(
-        self, small_profile_graph, monkeypatch
-    ):
-        names = []
-        original = parallel._pack_arrays
-
-        def recording(arrays):
-            shm, manifest = original(arrays)
-            names.append(shm.name)
-            return shm, manifest
-
-        monkeypatch.setattr(parallel, "_pack_arrays", recording)
-        config = ChameleonConfig(**FAST)
-        context, cache = _context_and_cache(small_profile_graph, config)
-        engine = ProcessTrialEngine(
-            small_profile_graph, config, context, cache=cache, entropy=1,
-            n_workers=2,
-        )
-        assert len(names) == 1
-        # Alive while the engine is open ...
-        seg = _segments.attach_segment(names[0])
-        seg.close()
-        engine.close()
-        # ... unlinked after close (idempotent).
-        engine.close()
-        with pytest.raises(FileNotFoundError):
-            _segments.attach_segment(names[0])
-
-    def test_segment_unlinked_when_pool_breaks(
-        self, small_profile_graph, monkeypatch
-    ):
-        names = []
-        original = parallel._pack_arrays
-
-        def recording(arrays):
-            shm, manifest = original(arrays)
-            names.append(shm.name)
-            return shm, manifest
-
-        class BrokenPool:
-            def submit(self, *args, **kwargs):
-                raise BrokenProcessPool("simulated worker death")
-
-            def shutdown(self, *args, **kwargs):
-                pass
-
-        monkeypatch.setattr(parallel, "_pack_arrays", recording)
-        config = ChameleonConfig(**FAST)
-        context, cache = _context_and_cache(small_profile_graph, config)
-        engine = ProcessTrialEngine(
-            small_profile_graph, config, context, cache=cache, entropy=1,
-            n_workers=2,
-        )
-        engine._pool.shutdown(wait=False, cancel_futures=True)
-        engine._pool = BrokenPool()
-        try:
-            with pytest.raises(BrokenProcessPool):
-                engine.run_probe(0, 0.5)
-        finally:
-            engine.close()
-        assert len(names) == 1
-        with pytest.raises(FileNotFoundError):
-            _segments.attach_segment(names[0])
-
-    def test_anonymize_survives_worker_crash_and_unlinks_shm(
-        self, small_profile_graph, monkeypatch
-    ):
-        """A dead process pool degrades to the serial backend and every
-        discarded engine's shm segment is unlinked along the way."""
-        names = []
-        original = parallel._pack_arrays
-
-        def recording(arrays):
-            shm, manifest = original(arrays)
-            names.append(shm.name)
-            return shm, manifest
-
-        def exploding_ladder(self, sigmas, first_probe_index=0):
-            raise BrokenProcessPool("simulated worker death")
-
-        monkeypatch.setattr(parallel, "_pack_arrays", recording)
-        monkeypatch.setattr(
-            parallel.ProcessTrialEngine, "run_ladder", exploding_ladder
-        )
-        config = variant_config(
-            "rsme", trial_backend="process", n_workers=2, max_retries=1,
-            retry_backoff=0.0, **FAST
-        )
-        result = Chameleon(config).anonymize(small_profile_graph, seed=3)
-        reference = anonymize(small_profile_graph, seed=3, **FAST)
-        # 1 original + 1 retry process engines, each with one segment.
-        assert len(names) == 2
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                _segments.attach_segment(name)
-        assert result.success == reference.success
-        assert result.sigma == reference.sigma
-        assert [
-            (d.backend_from, d.backend_to) for d in result.degradations
-        ] == [("process", "serial")]
-        assert result.trial_backend == "serial"
-        assert result.trial_retries >= 1
-        if reference.success:
-            np.testing.assert_array_equal(
-                result.graph.edge_probabilities,
-                reference.graph.edge_probabilities,
-            )
-
-
 class TestConfigurationSurface:
-    def test_backends_registry(self):
-        assert TRIAL_BACKENDS == ("serial", "process")
-        assert ChameleonConfig().trial_backend == "serial"
+    """There is one trial engine: no config field selects or sizes one."""
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="trial_backend"):
-            ChameleonConfig(trial_backend="threads")
-        with pytest.raises(ConfigurationError, match="trial backend"):
-            create_trial_engine(None, ChameleonConfig(), None,
-                                trial_backend="threads")
+        for knob, value in (("trial_backend", "serial"),
+                            ("trial_backend", "process"),
+                            ("trial_backend", "threads"),
+                            ("n_workers", 2)):
+            with pytest.raises(TypeError, match=knob):
+                ChameleonConfig(**{knob: value})
 
     def test_thread_backend_rejected(self):
-        """The thread trial engine is gone; naming it is a config error."""
-        with pytest.raises(ConfigurationError, match="trial_backend"):
+        """The thread trial engine is gone; naming it is an error."""
+        with pytest.raises(TypeError, match="trial_backend"):
             ChameleonConfig(trial_backend="thread")
-
-    def test_cli_exposes_trial_backend(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["anonymize", "ppi", "out.txt", "--k", "5",
-             "--trial-backend", "process", "--workers", "2"]
-        )
-        assert args.trial_backend == "process"
-        assert args.workers == 2
-
-
-class TestWorkerResolution:
-    """``resolve_worker_count`` sizes the ``process`` trial engine."""
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "7")
-        assert resolve_worker_count(3) == 3
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "5")
-        assert resolve_worker_count() == 5
-
-    def test_defaults_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
-        assert resolve_worker_count() >= 1
-
-    def test_rejects_non_integer_env(self, monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "many")
-        with pytest.raises(ConfigurationError, match=NUM_WORKERS_ENV):
-            resolve_worker_count()
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            resolve_worker_count(0)
 
 
 class TestDeltaPath:

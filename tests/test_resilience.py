@@ -1,37 +1,29 @@
-"""Fault-tolerance layer: supervision, fault injection, checkpoints, shm.
+"""Fault-tolerance layer: supervision, fault injection, checkpoints.
 
-The determinism contract of the trial engines (every trial is a pure
+The determinism contract of the trial engine (every trial is a pure
 function of its ``(entropy, probe, trial)`` coordinates) is what makes
-fault tolerance *testable*: a run that crashes, times out, degrades
-backends or resumes from a checkpoint must produce byte-for-byte the
-result of an undisturbed serial run.  Every recovery scenario here
-asserts exactly that, plus the hygiene property that no shared-memory
-segment outlives its run.
+fault tolerance *testable*: a run that crashes, times out or resumes
+from a checkpoint must produce byte-for-byte the result of an
+undisturbed run.  Every recovery scenario here asserts exactly that.
 """
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
 
-from repro import _segments
 from repro.core import (
     ChameleonConfig,
-    Chameleon,
     FaultPlan,
     RetryPolicy,
-    SigmaSearchJournal,
+    SerialTrialEngine,
     SupervisedTrialEngine,
     anonymize,
     build_selection_context,
-    create_trial_engine,
-    execution_environment,
-    variant_config,
 )
 from repro.core.faults import FAULTS_ENV, execute_fault
-from repro.core.resilience import DEGRADATION_LADDER, run_fingerprint
+from repro.core.resilience import run_fingerprint
 from repro.exceptions import (
     ConfigurationError,
     InjectedFault,
@@ -50,26 +42,29 @@ FAST = dict(
 )
 
 
-#: Open/probe/close cycles of the close-race test.
-CLOSE_CYCLES = 40
-
-
 def _context(graph, config, seed=11):
     knowledge = expected_degree_knowledge(graph)
     return build_selection_context(graph, config, knowledge, seed=seed)
 
 
-def _supervised(graph, config, context, plan=None, backend="process",
-                max_retries=0, task_timeout=None, n_workers=2, entropy=123):
-    def factory(name):
-        return create_trial_engine(
-            graph, config, context, entropy=entropy, trial_backend=name,
-            n_workers=n_workers, fault_plan=plan, task_timeout=task_timeout,
+def _supervised(graph, config, context, plan=None, max_retries=0,
+                task_timeout=None, entropy=123):
+    def factory():
+        return SerialTrialEngine(
+            graph, config, context, entropy=entropy, fault_plan=plan,
+            task_timeout=task_timeout,
         )
 
     policy = RetryPolicy(task_timeout=task_timeout, max_retries=max_retries,
                          backoff_seconds=0.0)
-    return SupervisedTrialEngine(factory, backend, policy)
+    return SupervisedTrialEngine(factory, policy)
+
+
+def _reference(graph, config, context, entropy=123):
+    """The undisturbed probe (0, sigma=1.0) every recovery must match."""
+    return SerialTrialEngine(
+        graph, config, context, entropy=entropy
+    ).run_probe(0, 1.0)
 
 
 # --------------------------------------------------------------------- #
@@ -78,18 +73,19 @@ def _supervised(graph, config, context, plan=None, backend="process",
 
 class TestFaultPlanParsing:
     def test_crash_delay_shm_grammar(self):
-        plan = FaultPlan.parse("crash@0.1;delay@*.0:2.5x2;shm:3")
+        plan = FaultPlan.parse("crash@0.1;delay@*.0:2.5x2")
         assert plan.draw(0, 1).kind == "crash"
         assert plan.draw(0, 1) is None  # budget of 1 consumed
         action = plan.draw(7, 0)
         assert action.kind == "delay" and action.seconds == 2.5
         assert plan.draw(8, 0).kind == "delay"
         assert plan.draw(9, 0) is None  # x2 budget consumed
-        assert plan.take_shm_poison()
-        assert plan.take_shm_poison()
-        assert plan.take_shm_poison()
-        assert not plan.take_shm_poison()
         assert plan.exhausted
+        # The shm kind poisoned a worker pool's segment attach; with one
+        # in-process engine there is nothing for it to poison.
+        for text in ("shm", "shm:1", "crash@0.0;shm"):
+            with pytest.raises(ConfigurationError, match="fault spec"):
+                FaultPlan.parse(text)
 
     def test_wildcards_match_any_coordinate(self):
         plan = FaultPlan.parse("crash@*.*x2")
@@ -98,9 +94,10 @@ class TestFaultPlanParsing:
         assert plan.draw(0, 0) is None
 
     def test_comma_separator_and_blank_tokens(self):
-        plan = FaultPlan.parse("crash@0.0, shm ,")
+        plan = FaultPlan.parse("crash@0.0, delay@1.1:0.5 ,")
         assert plan.draw(0, 0).kind == "crash"
-        assert plan.take_shm_poison()
+        assert plan.draw(1, 1).kind == "delay"
+        assert plan.exhausted
 
     def test_junk_rejected(self):
         for text in ("boom@0.0", "crash@x.y", "delay@0.0", "crash0.0",
@@ -144,25 +141,15 @@ class TestFaultPlanParsing:
 
 
 # --------------------------------------------------------------------- #
-# Supervision: retry, timeout, degradation ladder
+# Supervision: bounded retry of timeouts and injected faults
 # --------------------------------------------------------------------- #
 
 class TestSupervision:
-    def test_ladder_registry(self):
-        assert DEGRADATION_LADDER == {"process": "serial", "serial": None}
-
-    def test_unknown_rung_rejected(self):
-        with pytest.raises(ResilienceError, match="rung"):
-            SupervisedTrialEngine(lambda b: None, "gpu", RetryPolicy())
-
     def test_crash_retry_is_bit_identical(self, small_profile_graph):
-        """One injected worker crash, retried: same outcome as no crash."""
+        """One injected trial crash, retried: same outcome as no crash."""
         config = ChameleonConfig(**FAST)
         context = _context(small_profile_graph, config)
-        reference = create_trial_engine(
-            small_profile_graph, config, context, entropy=123,
-            trial_backend="serial",
-        ).run_probe(0, 1.0)
+        reference = _reference(small_profile_graph, config, context)
         plan = FaultPlan.parse("crash@0.0")
         engine = _supervised(small_profile_graph, config, context, plan,
                              max_retries=2)
@@ -171,7 +158,6 @@ class TestSupervision:
         finally:
             engine.close()
         assert engine.retry_count == 1
-        assert engine.degradations == ()
         assert outcome.epsilon_achieved == reference.epsilon_achieved
         if reference.success:
             np.testing.assert_array_equal(
@@ -179,97 +165,49 @@ class TestSupervision:
                 reference.graph.edge_probabilities,
             )
 
-    def test_full_ladder_fires_in_order(self, small_profile_graph):
-        """Exact crash budget: process wave crashes, serial runs clean."""
-        config = ChameleonConfig(**FAST)
-        context = _context(small_profile_graph, config)
-        # One probe of n_trials=2: process consumes both draws at
-        # dispatch, serial draws nothing.
-        plan = FaultPlan.parse("crash@0.*x2")
-        engine = _supervised(small_profile_graph, config, context, plan,
-                             max_retries=0)
-        try:
-            outcome = engine.run_probe(0, 1.0)
-            assert engine.backend == "serial"
-        finally:
-            engine.close()
-        assert [
-            (d.backend_from, d.backend_to) for d in engine.degradations
-        ] == [("process", "serial")]
-        assert all(d.reason for d in engine.degradations)
-        reference = create_trial_engine(
-            small_profile_graph, config, context, entropy=123,
-            trial_backend="serial",
-        ).run_probe(0, 1.0)
-        assert outcome.epsilon_achieved == reference.epsilon_achieved
-
     def test_exhausted_ladder_raises_resilience_error(
         self, small_profile_graph
     ):
-        """Both rungs crash: process degrades to serial, serial exhausts."""
+        """Every attempt at the bracketing ladder crashes: without a
+        journal the whole ladder is retried, and once the retries are
+        spent the supervisor raises."""
         config = ChameleonConfig(**FAST)
         context = _context(small_profile_graph, config)
         plan = FaultPlan.parse("crash@*.*x1000")
         engine = _supervised(small_profile_graph, config, context, plan,
-                             max_retries=0, backend="process")
+                             max_retries=2)
         with pytest.raises(ResilienceError, match="every recovery option"):
             try:
-                engine.run_probe(0, 1.0)
+                engine.run_ladder([1.0, 2.0, 0.5])
             finally:
                 engine.close()
-        assert [
-            (d.backend_from, d.backend_to) for d in engine.degradations
-        ] == [("process", "serial")]
+        assert engine.retry_count == 2
 
-    def test_pooled_timeout_recovers(self, small_profile_graph):
+    def test_timeout_retry_recovers(self, small_profile_graph):
         """A delayed trial overruns its deadline and the retry succeeds."""
         config = ChameleonConfig(**FAST)
         context = _context(small_profile_graph, config)
-        plan = FaultPlan.parse("delay@0.0:1.5")
+        plan = FaultPlan.parse("delay@0.0:0.5")
         engine = _supervised(small_profile_graph, config, context, plan,
-                             backend="process", max_retries=1,
-                             task_timeout=0.2)
+                             max_retries=1, task_timeout=0.2)
         try:
             outcome = engine.run_probe(0, 1.0)
         finally:
             engine.close()
         assert engine.retry_count == 1
-        reference = create_trial_engine(
-            small_profile_graph, config, context, entropy=123,
-            trial_backend="serial",
-        ).run_probe(0, 1.0)
+        reference = _reference(small_profile_graph, config, context)
         assert outcome.epsilon_achieved == reference.epsilon_achieved
 
     def test_serial_timeout_detected_post_hoc(self, small_profile_graph):
         config = ChameleonConfig(**FAST)
         context = _context(small_profile_graph, config)
         plan = FaultPlan.parse("delay@0.0:0.4")
-        engine = create_trial_engine(
+        engine = SerialTrialEngine(
             small_profile_graph, config, context, entropy=123,
-            trial_backend="serial", fault_plan=plan, task_timeout=0.1,
+            fault_plan=plan, task_timeout=0.1,
         )
         with pytest.raises(TrialTimeoutError):
             engine.run_probe(0, 1.0)
-
-    def test_shm_poison_breaks_first_pool_then_recovers(
-        self, small_profile_graph
-    ):
-        config = ChameleonConfig(**FAST)
-        context = _context(small_profile_graph, config)
-        plan = FaultPlan.parse("shm")
-        engine = _supervised(small_profile_graph, config, context, plan,
-                             max_retries=1)
-        try:
-            outcome = engine.run_probe(0, 1.0)
-        finally:
-            engine.close()
-        assert engine.retry_count == 1
-        assert engine.backend == "process"  # recovered without degrading
-        reference = create_trial_engine(
-            small_profile_graph, config, context, entropy=123,
-            trial_backend="serial",
-        ).run_probe(0, 1.0)
-        assert outcome.epsilon_achieved == reference.epsilon_achieved
 
     def test_retargeting_survives_engine_rebuild(self, small_profile_graph):
         """set_privacy/set_entropy must be re-applied after a discard."""
@@ -277,42 +215,34 @@ class TestSupervision:
         context = _context(small_profile_graph, config)
         plan = FaultPlan.parse("crash@0.0")
         engine = _supervised(small_profile_graph, config, context, plan,
-                             backend="serial", max_retries=1)
+                             max_retries=1)
         try:
+            engine.set_privacy(3, 0.35)
             engine.set_entropy(777)
             outcome = engine.run_probe(0, 1.0)
         finally:
             engine.close()
         assert engine.retry_count == 1
-        reference = create_trial_engine(
-            small_profile_graph, config, context, entropy=777,
-            trial_backend="serial",
-        ).run_probe(0, 1.0)
+        reference = _reference(
+            small_profile_graph, config.with_privacy(3, 0.35), context,
+            entropy=777,
+        )
         assert outcome.epsilon_achieved == reference.epsilon_achieved
 
     def test_non_retryable_errors_propagate(self, small_profile_graph):
-        config = ChameleonConfig(**FAST)
-        context = _context(small_profile_graph, config)
-
         class Boom(RuntimeError):
             pass
 
         class BrokenEngine:
-            backend = "serial"
-            trials_executed = 0
-            trials_cancelled = 0
-
             def run_probe(self, probe_index, sigma):
                 raise Boom("a genuine bug, not a recoverable failure")
 
-            def close(self):
-                pass
-
         engine = SupervisedTrialEngine(
-            lambda b: BrokenEngine(), "serial", RetryPolicy(max_retries=5)
+            BrokenEngine, RetryPolicy(max_retries=5)
         )
         with pytest.raises(Boom):
             engine.run_probe(0, 1.0)
+        assert engine.retry_count == 0
 
 
 # --------------------------------------------------------------------- #
@@ -323,17 +253,17 @@ class TestAnonymizeUnderFaults:
     def test_crash_plus_timeout_bit_identical_to_serial(
         self, small_profile_graph
     ):
-        """The acceptance scenario: a past-deadline delay AND a worker
-        crash on the process backend; the run completes via retries and
-        matches the undisturbed serial run byte for byte.
+        """The acceptance scenario: a past-deadline delay AND a trial
+        crash; the run completes via retries and matches the undisturbed
+        run byte for byte.
 
         Fault draws return the first matching spec, so trial (0, 0)
         first eats the delay (attempt 1 times out), then the crash
-        (attempt 2's pool breaks); attempt 3 runs clean."""
+        (attempt 2 fails); attempt 3 runs clean."""
         reference = anonymize(small_profile_graph, seed=7, **FAST)
         result = anonymize(
-            small_profile_graph, seed=7, trial_backend="process",
-            n_workers=2, fault_plan="delay@0.0:1.0;crash@0.0",
+            small_profile_graph, seed=7,
+            fault_plan="delay@0.0:1.0;crash@0.0",
             trial_timeout=0.3, retry_backoff=0.0, **FAST
         )
         assert result.success == reference.success
@@ -341,6 +271,9 @@ class TestAnonymizeUnderFaults:
         assert result.epsilon_achieved == reference.epsilon_achieved
         assert result.sigma_history == reference.sigma_history
         assert result.trial_retries == 2
+        assert result.summary(include_timing=False) == {
+            **reference.summary(include_timing=False), "trial_retries": 2,
+        }
         if reference.success:
             np.testing.assert_array_equal(
                 result.graph.edge_src, reference.graph.edge_src)
@@ -349,36 +282,6 @@ class TestAnonymizeUnderFaults:
             np.testing.assert_array_equal(
                 result.graph.edge_probabilities,
                 reference.graph.edge_probabilities)
-        assert _segments.active_segments() == ()
-
-    def test_degradation_recorded_in_result(self, small_profile_graph):
-        """Retries exhausted on the process rung: the run still succeeds
-        serially and reports the degradation path."""
-        reference = anonymize(small_profile_graph, seed=7, **FAST)
-        # Bounded budget: the process ladder wave consumes the single
-        # crash draw at dispatch, max_retries=0 forces an immediate
-        # degradation, and the serial walk then runs fault-free.
-        result = anonymize(
-            small_profile_graph, seed=7, trial_backend="process",
-            n_workers=2, fault_plan="crash@*.*x1", max_retries=0,
-            retry_backoff=0.0, **FAST
-        )
-        assert [
-            (d.backend_from, d.backend_to) for d in result.degradations
-        ] == [("process", "serial")]
-        assert result.trial_backend == "serial"
-        assert result.sigma == reference.sigma
-        summary = result.summary()
-        assert summary["degradations"][0]["from"] == "process"
-        assert summary["trial_retries"] == result.trial_retries
-
-    def test_no_segments_survive_fault_runs(self, small_profile_graph):
-        anonymize(
-            small_profile_graph, seed=9, trial_backend="process",
-            n_workers=2, fault_plan="crash@0.0;shm", retry_backoff=0.0,
-            **FAST
-        )
-        assert _segments.active_segments() == ()
 
 
 # --------------------------------------------------------------------- #
@@ -472,8 +375,7 @@ class TestCheckpointResume:
         config = ChameleonConfig(**FAST)
         context = _context(small_profile_graph, config)
         base = run_fingerprint(small_profile_graph, config, context, 1)
-        retargeted = ChameleonConfig(trial_backend="process", n_workers=4,
-                                     trial_timeout=1.0, max_retries=9,
+        retargeted = ChameleonConfig(trial_timeout=1.0, max_retries=9,
                                      fault_plan="crash@0.0", **FAST)
         assert run_fingerprint(
             small_profile_graph, retargeted, context, 1) == base
@@ -489,8 +391,8 @@ class TestFingerprintFieldDrift:
 
     ``_FINGERPRINT_CONFIG_FIELDS`` is the checkpoint-journal's notion of
     "same run": algorithmic fields invalidate a journal when they change,
-    execution/observability knobs must not (a checkpoint written by a
-    process-backend run resumes on any backend).  Adding a config field
+    execution/observability knobs must not (a checkpoint written under
+    one timeout or fault plan resumes under any other).  Adding a config field
     without deciding which side it lands on silently produces either
     stale resumes (algorithmic field missing) or needless invalidation
     (execution knob included) -- so this test fails until the new field
@@ -504,7 +406,6 @@ class TestFingerprintFieldDrift:
     #: drawn from the pipeline RNG *after* the selection context and the
     #: trial entropy, so toggling it cannot perturb any probe.
     EXECUTION_ONLY = frozenset({
-        "trial_backend", "n_workers",
         "utility_samples", "world_memory_budget", "trial_timeout",
         "max_retries", "retry_backoff", "fault_plan",
         "checkpoint_path", "resume", "seed",
@@ -517,8 +418,7 @@ class TestFingerprintFieldDrift:
         "relevance_method": "grouped",
         "selection_mode": "uniqueness-only", "perturbation_mode": "naive",
         "sigma_initial": 2.0, "sigma_max": 32.0, "sigma_tolerance": 0.05,
-        "uniqueness_bandwidth": 0.7, "name": "variant",
-        "trial_backend": "process", "n_workers": 3, "utility_samples": 8,
+        "uniqueness_bandwidth": 0.7, "name": "variant", "utility_samples": 8,
         "world_memory_budget": 1 << 20, "trial_timeout": 5.0,
         "max_retries": 7, "retry_backoff": 0.3,
         "fault_plan": "delay@0.5:0.01", "checkpoint_path": "probes.jsonl",
@@ -586,14 +486,12 @@ class TestFingerprintFieldDrift:
         still writes a journal a clean run can resume from."""
         path = tmp_path / "journal.jsonl"
         reference = anonymize(small_profile_graph, seed=7, **FAST)
-        anonymize(small_profile_graph, seed=7, trial_backend="process",
-                  n_workers=2, checkpoint_path=str(path),
+        anonymize(small_profile_graph, seed=7, checkpoint_path=str(path),
                   fault_plan="crash@0.0", retry_backoff=0.0, **FAST)
         resumed = anonymize(small_profile_graph, seed=7,
                             checkpoint_path=str(path), resume=True, **FAST)
         assert resumed.resumed_probes == resumed.n_genobf_calls
         assert resumed.sigma == reference.sigma
-        assert _segments.active_segments() == ()
 
     def test_journal_records_are_json(self, small_profile_graph, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -606,115 +504,3 @@ class TestFingerprintFieldDrift:
         probes = [json.loads(line) for line in lines[1:]]
         assert all(p["kind"] == "probe" for p in probes)
         assert any(p["success"] for p in probes)
-
-
-# --------------------------------------------------------------------- #
-# Shared-memory hygiene
-# --------------------------------------------------------------------- #
-
-class TestShmHygiene:
-    def test_registry_tracks_and_releases(self):
-        shm = _segments.create_segment(128)
-        assert shm.name in _segments.active_segments()
-        _segments.release_segment(shm)
-        assert shm.name not in _segments.active_segments()
-
-    def test_release_is_idempotent(self):
-        shm = _segments.create_segment(64)
-        _segments.release_segment(shm)
-        _segments.release_segment(shm)  # must not raise
-
-    def test_sweep_releases_owned_segments(self):
-        shm = _segments.create_segment(64)
-        assert _segments.sweep_segments("test") >= 1
-        assert shm.name not in _segments.active_segments()
-
-    def test_orphan_reaper_ignores_live_and_foreign(self, tmp_path):
-        # A segment "owned" by a dead pid is reaped; one owned by this
-        # (live) process and a non-repro file are left alone.
-        dead_pid = 2 ** 22 + 12345  # beyond any default pid_max
-        dead = tmp_path / f"repro-{dead_pid}-0-deadbeef"
-        live = tmp_path / f"repro-{os.getpid()}-0-cafecafe"
-        foreign = tmp_path / "psm_someothersegment"
-        for f in (dead, live, foreign):
-            f.write_bytes(b"x")
-        report = _segments.reap_orphan_segments(str(tmp_path))
-        assert report["reaped"] == [dead.name]
-        assert not dead.exists()
-        assert live.exists()
-        assert foreign.exists()
-
-    def test_execution_environment_reports_shm(self):
-        env = execution_environment()
-        assert "shm" in env
-        assert env["shm"]["active_segments"] == []
-        assert "REPRO_FAULTS" in str(env) or "env" in env
-        json.dumps(env)  # JSON-serializable by contract
-
-
-# --------------------------------------------------------------------- #
-# Bounded shutdown
-# --------------------------------------------------------------------- #
-
-class TestBoundedClose:
-    def test_process_close_kills_wedged_worker(self, small_profile_graph):
-        """close() must return within the shutdown deadline even while a
-        fault-delayed worker is still sleeping."""
-        import time as _time
-
-        config = ChameleonConfig(**FAST)
-        context = _context(small_profile_graph, config)
-        plan = FaultPlan.parse("delay@0.0:30")
-        engine = create_trial_engine(
-            small_profile_graph, config, context, entropy=123,
-            trial_backend="process", n_workers=2, fault_plan=plan,
-        )
-        engine.shutdown_timeout = 0.3
-        futures = engine._submit_probe(0, 1.0)
-        _time.sleep(0.3)  # let the worker pick the task up and sleep
-        started = _time.monotonic()
-        engine.close()
-        assert _time.monotonic() - started < 10.0
-        del futures
-        assert _segments.active_segments() == ()
-
-    def test_close_never_kills_a_reaped_worker(
-        self, small_profile_graph, monkeypatch, caplog
-    ):
-        """The executor's manager thread is the one reaper of the pool's
-        workers.  A close that joined them as well raced its ``waitpid``:
-        a worker the manager had already reaped then looked alive, and
-        close logged an expired deadline and killed its stale pid."""
-        import logging as _logging
-        from multiprocessing.process import BaseProcess
-
-        from repro.privacy import DegreeUncertaintyCache
-
-        killed = []
-        kill = BaseProcess.kill
-
-        def recording_kill(process):
-            killed.append(process.pid)
-            kill(process)
-
-        monkeypatch.setattr(BaseProcess, "kill", recording_kill)
-        config = ChameleonConfig(**FAST)
-        context = _context(small_profile_graph, config)
-        cache = DegreeUncertaintyCache(
-            small_profile_graph, knowledge=context.knowledge
-        )
-        with caplog.at_level(_logging.WARNING, logger="repro.core.parallel"):
-            for cycle in range(CLOSE_CYCLES):
-                engine = create_trial_engine(
-                    small_profile_graph, config, context, cache=cache,
-                    entropy=cycle, trial_backend="process", n_workers=2,
-                )
-                try:
-                    engine.run_probe(0, 1.0)
-                finally:
-                    engine.close()
-        assert killed == []
-        assert not any(
-            "shutdown deadline" in r.message for r in caplog.records
-        )
-        assert _segments.active_segments() == ()

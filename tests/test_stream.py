@@ -87,6 +87,29 @@ def test_batch_canonicalizes_and_validates():
         UpdateBatch.from_deltas([(-1, 2, 0.1, 0.2)])
 
 
+@pytest.mark.parametrize("row, message", [
+    ((1.7, 3, 0.1, 0.2), "must be integers"),
+    ((float("nan"), 3, 0.1, 0.2), "must be integers"),
+    ((1, float("inf"), 0.1, 0.2), "must be integers"),
+    (("1", 3, 0.1, 0.2), "must be integers"),
+    ((2**64, 3, 0.1, 0.2), "int64"),
+    ((2**63, 3, 0.1, 0.2), "int64"),
+    ((1, 3, "abc", 0.2), "must be numbers"),
+    ((1, 3, 0.1, None), "must be numbers"),
+    ((1, 3, 10**400, 0.2), "must be numbers"),
+])
+def test_batch_rejects_bad_ids_and_probabilities(row, message):
+    """A float id is an error, never a truncation, and every bad row ends
+    in an ``ObfuscationError`` naming it (``path:line`` from a file)."""
+    with pytest.raises(ObfuscationError, match=f"update row 1: .*{message}"):
+        UpdateBatch.from_deltas([(0, 1, 0.5, 0.6), row])
+
+
+def test_batch_accepts_numpy_integer_ids():
+    batch = UpdateBatch.from_deltas([(np.int64(4), np.int32(2), 0.1, 0.2)])
+    assert batch.as_delta() == [(2, 4, 0.1, 0.2)]
+
+
 def test_batch_from_graphs_round_trips(triangle):
     updated = UncertainGraph(3, [(0, 1, 0.9), (1, 2, 0.8), (0, 2, 0.3)])
     batch = UpdateBatch.from_graphs(triangle, updated)

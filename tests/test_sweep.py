@@ -66,14 +66,16 @@ def test_failed_entry_reports_largest_probed_sigma():
     )
 
 
-@pytest.mark.parametrize("backend", ["process"])
-def test_sweep_backends_bit_identical(graph, backend):
-    """One amortized pooled engine reproduces the serial sweep exactly."""
-    serial = sweep_anonymize(graph, [3, 5], 0.05, seed=4, **FAST)
-    pooled = sweep_anonymize(graph, [3, 5], 0.05, seed=4,
-                             trial_backend=backend, n_workers=2, **FAST)
+def test_sweep_under_faults_bit_identical(graph):
+    """A crash and a past-deadline delay rebuild the amortized engine;
+    the rebuilt engine is retargeted and the sweep equals the clean one."""
+    clean = sweep_anonymize(graph, [3, 5], 0.05, seed=4, **FAST)
+    faulted = sweep_anonymize(
+        graph, [3, 5], 0.05, seed=4, fault_plan="crash@0.0;delay@0.1:0.3",
+        trial_timeout=0.2, retry_backoff=0.0, **FAST
+    )
     for k in (3, 5):
-        a, b = serial[k], pooled[k]
+        a, b = clean[k], faulted[k]
         assert a.sigma == b.sigma
         assert a.epsilon_achieved == b.epsilon_achieved
         assert a.n_genobf_calls == b.n_genobf_calls
