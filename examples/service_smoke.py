@@ -8,7 +8,7 @@ one-shot CLI invocations, and asserts the service's core contract:
    the one-shot run;
 2. a repeated identical request is answered from the result cache
    (no second sigma search) with -- again -- identical bytes;
-3. the service shuts down cleanly (exit 0).
+3. the service shuts down cleanly (exit 0, no traceback on stderr).
 
 Run it directly (CI does)::
 
@@ -138,6 +138,7 @@ def main() -> int:
 
     stderr_tail = server.stderr.read()
     assert server.returncode == 0, (server.returncode, stderr_tail)
+    assert "Traceback" not in stderr_tail, stderr_tail
     print("service smoke test passed")
     return 0
 

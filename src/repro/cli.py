@@ -36,8 +36,7 @@ Exit codes
 ``1``  the run completed but its goal was not met (no obfuscation
        found, criterion unsatisfied, infeasible target)
 ``2``  a library error (bad input, bad configuration, service protocol)
-``3``  supervised execution exhausted its retries or a checkpoint
-       could not be resumed
+``3``  a checkpoint journal could not be read, written or resumed
 ``4``  an unexpected internal error (traceback on stderr)
 ``141``  the output consumer closed the pipe early (128 + SIGPIPE);
        conventional for ``chameleon ... | head``-style pipelines
@@ -62,7 +61,8 @@ from .exceptions import ReproError, ResilienceError, ServerError
 EXIT_UNSATISFIED = 1
 #: Exit code for library errors (bad input or configuration).
 EXIT_ERROR = 2
-#: Exit code when supervision (bounded retries) was exhausted.
+#: Exit code when a checkpoint journal could not be read, written or
+#: resumed.
 EXIT_RESILIENCE = 3
 #: Exit code for unexpected internal errors.
 EXIT_INTERNAL = 4
@@ -204,16 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
              "on one persistent world store (0 disables)",
     )
     anon.add_argument(
-        "--trial-timeout", type=float, default=None,
-        help="per-trial deadline in seconds; an overrunning trial is "
-             "retried on the same deterministic stream (default: none)",
-    )
-    anon.add_argument(
-        "--max-retries", type=int, default=2,
-        help="probe re-executions before the supervisor gives up with "
-             "exit 3 (default: 2)",
-    )
-    anon.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="sigma-search checkpoint journal; every completed probe "
              "is persisted so an interrupted run can be resumed",
@@ -222,12 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="replay completed probes from --checkpoint instead of "
              "recomputing them (bit-identical to an uninterrupted run)",
-    )
-    anon.add_argument(
-        "--faults", default=None, metavar="PLAN",
-        help="deterministic fault-injection plan for testing the "
-             "supervision layer, e.g. 'crash@0.0;delay@*.1:0.5' "
-             "(default: the REPRO_FAULTS environment variable)",
     )
     _add_memory_budget_argument(anon)
 
@@ -432,8 +416,8 @@ def _cmd_anonymize(args, out, err, runtime) -> int:
     if epsilon is None:
         epsilon = dataset_tolerance(args.input)
     if args.method == "rep-an":
-        # Rep-An's obfuscation phase is degree-based and never samples
-        # worlds, so the trial/resilience flags do not apply to it.
+        # Rep-An's obfuscation phase is degree-based and runs no sigma
+        # search, so the utility and checkpoint flags do not apply to it.
         result = rep_an(graph, args.k, epsilon, seed=args.seed,
                         n_trials=args.trials)
     else:
@@ -443,9 +427,6 @@ def _cmd_anonymize(args, out, err, runtime) -> int:
                            observer=runtime.probe_observer,
                            utility_samples=args.utility_samples,
                            world_memory_budget=args.world_memory_budget,
-                           trial_timeout=args.trial_timeout,
-                           max_retries=args.max_retries,
-                           fault_plan=args.faults,
                            checkpoint_path=args.checkpoint,
                            resume=args.resume)
     if not result.success:
@@ -807,9 +788,9 @@ def _dispatch(args, out, err, runtime, passthrough=()) -> int:
         raise
     except ResilienceError as exc:
         # Before the generic handler: ResilienceError is a ReproError,
-        # but "every recovery option failed" (timeouts exhausted, ladder
-        # walked to the end, unresumable checkpoint) deserves its own
-        # exit code so schedulers can distinguish it from bad input.
+        # but a checkpoint journal that cannot be read, written or
+        # resumed deserves its own exit code, so schedulers can tell it
+        # from bad input.
         print(f"resilience error: {exc}", file=err)
         return EXIT_RESILIENCE
     except ReproError as exc:

@@ -9,9 +9,8 @@
 * :mod:`repro.core.noise` -- truncated-normal noise and the max-entropy
   perturbation rule (Section V-F).
 * :mod:`repro.core.selection` -- uncertainty-aware edge selection.
-* :mod:`repro.core.resilience` / :mod:`repro.core.faults` -- supervised
-  trial execution (bounded retry / checkpoint-resume) and the
-  deterministic fault-injection harness that proves it.
+* :mod:`repro.core.resilience` -- the sigma-search checkpoint journal
+  (bit-identical resume of an interrupted run).
 """
 
 from .calibration import calibrate_k, k_for_attack_rate
@@ -34,9 +33,8 @@ from .noise import (
     perturb_probabilities,
     truncated_normal_noise,
 )
-from .faults import FaultAction, FaultPlan
 from .parallel import SerialTrialEngine, TrialResult
-from .resilience import RetryPolicy, SigmaSearchJournal, SupervisedTrialEngine
+from .resilience import SigmaSearchJournal
 from .result import AnonymizationResult, GenObfOutcome
 from .selection import exclusion_set, select_candidate_edges, selection_weights
 
@@ -53,11 +51,7 @@ __all__ = [
     "GenObfOutcome",
     "TrialResult",
     "SerialTrialEngine",
-    "FaultAction",
-    "FaultPlan",
-    "RetryPolicy",
     "SigmaSearchJournal",
-    "SupervisedTrialEngine",
     "truncated_normal_noise",
     "draw_noise",
     "apply_max_entropy",

@@ -40,11 +40,10 @@ from ..reliability.worldstore import (
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.validation import validate_graph, validate_privacy_parameters
 from .config import ChameleonConfig, variant_config
-from .faults import FaultPlan
 from .genobf import build_selection_context
 from .parallel import SerialTrialEngine
-from .resilience import RetryPolicy, SigmaSearchJournal, SupervisedTrialEngine
-from .result import AnonymizationResult, GenObfOutcome
+from .resilience import SigmaSearchJournal
+from .result import FAILURE_EPSILON, AnonymizationResult, GenObfOutcome
 
 __all__ = ["Chameleon", "anonymize"]
 
@@ -74,6 +73,58 @@ def _sigma_ladder(config: ChameleonConfig) -> list[float]:
             probes.append(config.sigma_initial / factor)
         factor *= 2.0
     return probes
+
+
+def _search_sigma(config: ChameleonConfig, probe):
+    """Algorithm 1's search, shared by ``anonymize`` and the sweeps.
+
+    ``probe(index, sigma)`` returns the :class:`GenObfOutcome` of probe
+    number ``index`` (0, 1, ... in search order) at noise ``sigma``.
+
+    Phase 1 -- exponential bracketing (Algorithm 1, lines 1-5),
+    extended to probe in BOTH directions.  The paper doubles sigma on
+    failure, which assumes privacy is monotone in noise; on uncertain
+    graphs the max-entropy rule reflects past r = 1/2 (p~ -> 1 - p), so
+    excessive noise can also fail and the feasible region is a band.
+    The ladder alternates 2^i and 2^-i multiples of sigma_initial until
+    one succeeds (see DESIGN.md, documented deviations).
+
+    Phase 2 -- bisection (Algorithm 1, lines 6-11) of ``[0, sigma]``
+    below the first success, keeping the smallest-sigma success.
+
+    Returns ``(best, best_index, history)``: ``history`` holds
+    ``(sigma, epsilon_achieved)`` per probe.  When no rung succeeds,
+    ``best`` is a failed outcome at the largest sigma probed -- the
+    noise range the search actually tried -- and ``best_index`` is -1.
+    """
+    history: list[tuple[float, float]] = []
+
+    def run(sigma: float) -> GenObfOutcome:
+        outcome = probe(len(history), sigma)
+        history.append((outcome.sigma, outcome.epsilon_achieved))
+        return outcome
+
+    ladder = _sigma_ladder(config)
+    for sigma in ladder:
+        best = run(sigma)
+        if best.success:
+            break
+    else:
+        failed = GenObfOutcome(
+            sigma=float(max(ladder)), epsilon_achieved=float(FAILURE_EPSILON),
+            graph=None, report=None, n_trials=config.n_trials,
+        )
+        return failed, -1, history
+    best_index = len(history) - 1
+    sigma_low, sigma_high = 0.0, best.sigma
+    while sigma_high - sigma_low > config.sigma_tolerance:
+        sigma_mid = (sigma_high + sigma_low) / 2.0
+        outcome = run(sigma_mid)
+        if outcome.success:
+            sigma_high, best, best_index = sigma_mid, outcome, len(history) - 1
+        else:
+            sigma_low = sigma_mid
+    return best, best_index, history
 
 
 class Chameleon:
@@ -142,8 +193,8 @@ class Chameleon:
         context = build_selection_context(graph, config, knowledge, seed=rng)
         # Root entropy of the per-trial SeedSequence streams (see
         # repro.core.parallel): drawn once from the run generator, so the
-        # whole search stays seed-reproducible while a retried or resumed
-        # trial reproduces its stream exactly.
+        # whole search stays seed-reproducible while a resumed trial
+        # reproduces its stream exactly.
         trial_entropy = int(rng.integers(0, 2**63 - 1))
         # One degree-pmf cache serves every GenObf trial of every sigma
         # probe: all candidates are deltas against the same base graph.
@@ -158,8 +209,6 @@ class Chameleon:
             cache = degree_cache
         else:
             cache = DegreeUncertaintyCache(graph, knowledge=context.knowledge)
-        history: list[tuple[float, float]] = []
-        calls = 0
 
         # Utility verification: one persistent CRN world store of the
         # input graph scores every successful candidate's reliability
@@ -209,10 +258,33 @@ class Chameleon:
             graph.n_nodes, graph.n_edges,
         )
 
-        def record(probe_index: int, outcome: GenObfOutcome) -> GenObfOutcome:
-            nonlocal calls
-            calls += 1
-            history.append((outcome.sigma, outcome.epsilon_achieved))
+        journal = (
+            SigmaSearchJournal(
+                config.checkpoint_path, graph=graph, config=config,
+                context=context, entropy=trial_entropy, resume=config.resume,
+            )
+            if config.checkpoint_path is not None
+            else None
+        )
+        engine = SerialTrialEngine(
+            graph, config, context, cache=cache, entropy=trial_entropy
+        )
+        resumed = 0
+
+        def probe(probe_index: int, sigma: float) -> GenObfOutcome:
+            # The one place the journal is consulted: a resumed run
+            # replays each recorded probe instead of recomputing it, and
+            # every computed probe is durable before the search moves on.
+            nonlocal resumed
+            outcome = None
+            if journal is not None:
+                outcome = journal.get(probe_index, sigma)
+            if outcome is not None:
+                resumed += 1
+            else:
+                outcome = engine.run_probe(probe_index, sigma)
+                if journal is not None:
+                    journal.record(probe_index, outcome)
             score_utility(probe_index, outcome)
             logger.debug(
                 "GenObf sigma=%.5g -> eps_hat=%.4g (%s)",
@@ -229,103 +301,28 @@ class Chameleon:
                 })
             return outcome
 
-        # Phase 1 -- exponential bracketing (Algorithm 1, lines 1-5),
-        # extended to probe in BOTH directions.  The paper doubles sigma on
-        # failure, which assumes privacy is monotone in noise; on uncertain
-        # graphs the max-entropy rule reflects past r = 1/2 (p~ -> 1 - p),
-        # so excessive noise can also fail and the feasible region is a
-        # band.  We alternate 2^i and 2^-i multiples of sigma_initial until
-        # one succeeds (see DESIGN.md, documented deviations).
-        best: GenObfOutcome | None = None
-        best_probe = -1
-        sigma_high = config.sigma_initial
-        probes = _sigma_ladder(config)
-
-        # Supervised execution: retryable failures (trial timeouts,
-        # injected faults) rebuild the engine from this factory and
-        # re-run the probe -- bit-identically, since trials are pure
-        # functions of their coordinates.
-        fault_plan = FaultPlan.from_config(config)
-        policy = RetryPolicy.from_config(config)
-        journal = (
-            SigmaSearchJournal(
-                config.checkpoint_path, graph=graph, config=config,
-                context=context, entropy=trial_entropy, resume=config.resume,
-            )
-            if config.checkpoint_path is not None
-            else None
-        )
-
-        def engine_factory():
-            return SerialTrialEngine(
-                graph, config, context, cache=cache, entropy=trial_entropy,
-                fault_plan=fault_plan, task_timeout=config.trial_timeout,
-            )
-
-        engine = SupervisedTrialEngine(engine_factory, policy, journal=journal)
         search_started = time.perf_counter()
         try:
-            outcomes = engine.run_ladder(probes, first_probe_index=0)
-            for i, outcome in enumerate(outcomes):
-                record(i, outcome)
-            if outcomes and outcomes[-1].success:
-                best = outcomes[-1]
-                best_probe = len(outcomes) - 1
-                sigma_high = best.sigma
-            if best is None:
-                search_seconds = time.perf_counter() - search_started
-                elapsed = time.perf_counter() - started
-                logger.warning(
-                    "anonymize FAILED: no (k=%d, eps=%g)-obfuscation at any "
-                    "probed sigma (%d GenObf calls)",
-                    config.k, config.epsilon, calls,
-                )
-                return AnonymizationResult(
-                    graph=None,
-                    method=config.name,
-                    k=config.k,
-                    epsilon=config.epsilon,
-                    sigma=float(max(probes)),
-                    epsilon_achieved=1.0,
-                    report=None,
-                    n_genobf_calls=calls,
-                    sigma_history=tuple(history),
-                    elapsed_seconds=elapsed,
-                    search_seconds=search_seconds,
-                    utility_history=tuple(utility_history),
-                    trial_retries=engine.retry_count,
-                    resumed_probes=engine.resumed_probes,
-                )
-            sigma_low = 0.0
-
-            # Phase 2 -- bisection (Algorithm 1, lines 6-11).  Probe
-            # indices continue past the ladder's, keeping every trial
-            # stream unique within the run.
-            probe_counter = len(outcomes)
-            while sigma_high - sigma_low > config.sigma_tolerance:
-                sigma_mid = (sigma_high + sigma_low) / 2.0
-                outcome = record(
-                    probe_counter, engine.run_probe(probe_counter, sigma_mid)
-                )
-                if outcome.success:
-                    sigma_high = sigma_mid
-                    best = outcome
-                    best_probe = probe_counter
-                else:
-                    sigma_low = sigma_mid
-                probe_counter += 1
-            search_seconds = time.perf_counter() - search_started
+            best, best_probe, history = _search_sigma(config, probe)
         finally:
-            engine.close()
-
+            if journal is not None:
+                journal.close()
+        search_seconds = time.perf_counter() - search_started
         elapsed = time.perf_counter() - started
-        assert best is not None and best.graph is not None
-        logger.info(
-            "anonymize ok: method=%s k=%d sigma=%.5g eps_hat=%.4g "
-            "(%d GenObf calls, %.2fs search %.2fs)",
-            config.name, config.k, best.sigma, best.epsilon_achieved,
-            calls, elapsed, search_seconds,
-        )
+        calls = len(history)
+        if best.success:
+            logger.info(
+                "anonymize ok: method=%s k=%d sigma=%.5g eps_hat=%.4g "
+                "(%d GenObf calls, %.2fs search %.2fs)",
+                config.name, config.k, best.sigma, best.epsilon_achieved,
+                calls, elapsed, search_seconds,
+            )
+        else:
+            logger.warning(
+                "anonymize FAILED: no (k=%d, eps=%g)-obfuscation at any "
+                "probed sigma (%d GenObf calls)",
+                config.k, config.epsilon, calls,
+            )
         return AnonymizationResult(
             graph=best.graph,
             method=config.name,
@@ -340,8 +337,7 @@ class Chameleon:
             search_seconds=search_seconds,
             utility_discrepancy=utility_scores.get(best_probe),
             utility_history=tuple(utility_history),
-            trial_retries=engine.retry_count,
-            resumed_probes=engine.resumed_probes,
+            resumed_probes=resumed,
         )
 
 

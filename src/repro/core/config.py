@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..exceptions import ConfigurationError
-from .faults import FaultPlan
 
 __all__ = ["ChameleonConfig", "variant_config", "VARIANTS"]
 
@@ -88,24 +87,6 @@ class ChameleonConfig:
         the spread of the graph's expected degrees (Section V-C).
     seed:
         Reproducibility seed for the whole pipeline.
-    trial_timeout:
-        Per-trial deadline in seconds for the supervised sigma search;
-        a trial that overruns raises
-        :class:`~repro.exceptions.TrialTimeoutError` and is retried on
-        the same deterministic stream.  ``None`` (default) disables the
-        deadline.
-    max_retries:
-        Probe re-executions the supervisor attempts before giving up
-        with :class:`~repro.exceptions.ResilienceError`.
-    retry_backoff:
-        Base of the exponential backoff (seconds) slept before a retry
-        rebuilds the trial engine; attempt ``i`` sleeps
-        ``retry_backoff * 2**(i - 1)``.
-    fault_plan:
-        Deterministic fault-injection plan (see
-        :mod:`repro.core.faults`).  ``None`` defers to the
-        ``REPRO_FAULTS`` environment variable; an explicit empty string
-        disables injection outright.
     checkpoint_path:
         Path of the sigma-search checkpoint journal.  When set, every
         completed probe is appended to the journal so an interrupted run
@@ -132,10 +113,6 @@ class ChameleonConfig:
     sigma_tolerance: float = 0.02
     uniqueness_bandwidth: float | None = None
     seed: int | None = None
-    trial_timeout: float | None = None
-    max_retries: int = 2
-    retry_backoff: float = 0.05
-    fault_plan: str | None = None
     checkpoint_path: str | None = None
     resume: bool = False
     name: str = "rsme"
@@ -191,21 +168,6 @@ class ChameleonConfig:
             raise ConfigurationError(
                 f"sigma_tolerance must be positive, got {self.sigma_tolerance}"
             )
-        if self.trial_timeout is not None and self.trial_timeout <= 0.0:
-            raise ConfigurationError(
-                "trial_timeout must be positive (or None to disable), got "
-                f"{self.trial_timeout}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff < 0.0:
-            raise ConfigurationError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.fault_plan is not None:
-            FaultPlan.parse(self.fault_plan)  # reject junk plans up front
         if self.resume and self.checkpoint_path is None:
             raise ConfigurationError(
                 "resume=True needs checkpoint_path: there is no journal to "

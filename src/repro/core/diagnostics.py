@@ -46,10 +46,7 @@ __all__ = [
 ]
 
 #: Environment variables that change repro's execution behavior.
-_REPRO_ENV_VARS = (
-    "REPRO_FAULTS",
-    "REPRO_WORLD_CHUNK",
-)
+_REPRO_ENV_VARS = ("REPRO_WORLD_CHUNK",)
 
 
 def peak_rss_bytes() -> int | None:

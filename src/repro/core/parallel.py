@@ -11,7 +11,8 @@ candidate.  This module supplies that loop:
 * :func:`reduce_probe` -- folds one probe's results and materializes
   only the winner.
 * :class:`SerialTrialEngine` -- runs the trials of each probe in
-  process and walks the bracketing ladder.  Its
+  process; the bracketing and bisection around it live in
+  :mod:`repro.core.chameleon`.  Its
   :meth:`~SerialTrialEngine.set_privacy` and
   :meth:`~SerialTrialEngine.set_entropy` let multi-target sweeps
   (:func:`repro.core.sweep.sweep_anonymize`) amortize ONE engine and
@@ -25,8 +26,8 @@ entropy value (:func:`trial_generator`).  A trial's randomness therefore
 depends only on its coordinates -- not on how often or in what order it
 runs -- and :func:`reduce_probe` folds results with the sequential
 loop's exact ``(epsilon, trial index)`` tie-break.  That is what lets
-the supervisor (:mod:`repro.core.resilience`) re-run a failed probe and
-a resumed run replay a journaled one bit for bit.
+a resumed run replay a journaled probe (:mod:`repro.core.resilience`)
+bit for bit.
 
 The module keeps its name from when it also held a process pool: the
 pipeline benchmark's tracer patches ``SerialTrialEngine.run_probe`` and
@@ -36,17 +37,14 @@ this module's ``select_candidate_edges``, ``perturb_probabilities`` and
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import TrialTimeoutError
 from ..privacy.incremental import DegreeUncertaintyCache
 from ..privacy.obfuscation import ObfuscationReport
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.operations import apply_edge_updates
-from .faults import execute_fault
 from .noise import perturb_probabilities
 from .result import FAILURE_EPSILON, GenObfOutcome
 from .selection import select_candidate_edges
@@ -67,7 +65,7 @@ def trial_generator(
 
     Constructing the child :class:`~numpy.random.SeedSequence` directly
     from its spawn key makes the stream a pure function of the trial's
-    coordinates: a retried or resumed trial reproduces it bitwise.
+    coordinates: a resumed trial reproduces it bitwise.
     """
     seq = np.random.SeedSequence(
         int(entropy), spawn_key=(int(probe_index), int(trial_index))
@@ -236,21 +234,9 @@ class SerialTrialEngine:
     entropy:
         Per-run root entropy of the trial streams (see
         :func:`trial_generator`).
-    fault_plan:
-        Optional :class:`repro.core.faults.FaultPlan`; consulted (and
-        consumed) before every trial, in trial order.  ``None`` disables
-        injection.
-    task_timeout:
-        Per-trial deadline in seconds.  A single-threaded engine cannot
-        preempt a running trial, so the deadline is checked *after* each
-        trial; a trial that overran raises
-        :class:`~repro.exceptions.TrialTimeoutError` (the supervisor's
-        retry re-runs the same deterministic coordinates).  ``None``
-        (default) disables it.
     """
 
-    def __init__(self, graph, config, context, cache=None, entropy=0,
-                 fault_plan=None, task_timeout=None):
+    def __init__(self, graph, config, context, cache=None, entropy=0):
         self._graph = graph
         self._config = config
         self._context = context
@@ -258,8 +244,6 @@ class SerialTrialEngine:
             cache = DegreeUncertaintyCache(graph, knowledge=context.knowledge)
         self._cache = cache
         self._entropy = int(entropy)
-        self._fault_plan = fault_plan
-        self._task_timeout = task_timeout
 
     def set_privacy(self, k: int, epsilon: float) -> None:
         """Retarget the engine to a new (k, epsilon) without rebuilding.
@@ -280,35 +264,11 @@ class SerialTrialEngine:
         self._entropy = int(entropy)
 
     def run_probe(self, probe_index: int, sigma: float) -> GenObfOutcome:
-        results = []
-        for t in range(self._config.n_trials):
-            started = time.perf_counter()
-            if self._fault_plan is not None:
-                execute_fault(self._fault_plan.draw(probe_index, t))
-            results.append(run_trial(
+        results = [
+            run_trial(
                 self._graph, self._config, self._context, sigma,
                 probe_index, t, self._entropy, self._cache,
-            ))
-            elapsed = time.perf_counter() - started
-            if self._task_timeout is not None and elapsed > self._task_timeout:
-                raise TrialTimeoutError(
-                    f"trial (probe {probe_index}, trial {t}) took "
-                    f"{elapsed:.3f}s, over the {self._task_timeout}s deadline"
-                )
+            )
+            for t in range(self._config.n_trials)
+        ]
         return reduce_probe(self._graph, self._config, sigma, results)
-
-    def run_ladder(
-        self, sigmas, first_probe_index: int = 0
-    ) -> list[GenObfOutcome]:
-        """Probe ``sigmas`` in order, stopping at the first success.
-
-        Returns the outcomes of every evaluated probe, ending with the
-        first successful one (or every failure when none succeeds).
-        """
-        outcomes: list[GenObfOutcome] = []
-        for i, sigma in enumerate(sigmas):
-            outcome = self.run_probe(first_probe_index + i, sigma)
-            outcomes.append(outcome)
-            if outcome.success:
-                break
-        return outcomes

@@ -76,9 +76,6 @@ class AnonymizationResult:
     utility_history:
         ``(sigma, discrepancy)`` per *successful* GenObf call scored by
         the world store, in search order.
-    trial_retries:
-        Probe re-executions the supervisor performed (timeouts and
-        injected faults recovered from).
     resumed_probes:
         Probe outcomes replayed from a checkpoint journal instead of
         being recomputed (``--resume``).
@@ -97,7 +94,6 @@ class AnonymizationResult:
     search_seconds: float = 0.0
     utility_discrepancy: float | None = None
     utility_history: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-    trial_retries: int = 0
     resumed_probes: int = 0
 
     @property
@@ -122,7 +118,7 @@ class AnonymizationResult:
         one-shot run).
         """
         # Seeded stdout is an output format and must stay cmp-identical,
-        # so the retired engine keys stay, as constants.
+        # so the retired engine and retry keys stay, as constants.
         payload = {
             "method": self.method,
             "k": self.k,
@@ -135,7 +131,7 @@ class AnonymizationResult:
             "trial_workers": 1,
             "utility_discrepancy": self.utility_discrepancy,
             "degradations": [],
-            "trial_retries": self.trial_retries,
+            "trial_retries": 0,
             "resumed_probes": self.resumed_probes,
         }
         if include_timing:

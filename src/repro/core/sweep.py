@@ -28,57 +28,13 @@ from ..exceptions import ConfigurationError
 from ..privacy.degree_distribution import expected_degree_knowledge
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.validation import validate_graph, validate_privacy_parameters
-from .chameleon import _sigma_ladder
+from .chameleon import _search_sigma
 from .config import variant_config
-from .faults import FaultPlan
 from .genobf import build_selection_context
 from .parallel import SerialTrialEngine
-from .resilience import RetryPolicy, SupervisedTrialEngine
 from .result import AnonymizationResult
 
 __all__ = ["sweep_anonymize"]
-
-
-def _search_sigma(engine, config, rng):
-    """Bracketing + bisection identical to Chameleon.anonymize.
-
-    ``engine`` must already be retargeted to ``config``'s (k, epsilon);
-    each probe re-roots the trial streams with a fresh entropy draw
-    (mirroring one ``gen_obf`` call) and reuses probe index 0, exactly
-    as the historical per-call path did.
-    """
-    history: list[tuple[float, float]] = []
-    calls = 0
-
-    def run(sigma):
-        nonlocal calls
-        calls += 1
-        engine.set_entropy(int(rng.integers(0, 2**63 - 1)))
-        outcome = engine.run_probe(0, sigma)
-        history.append((outcome.sigma, outcome.epsilon_achieved))
-        return outcome
-
-    probes = _sigma_ladder(config)
-    best = None
-    for sigma in probes:
-        outcome = run(sigma)
-        if outcome.success:
-            best = outcome
-            sigma_high = sigma
-            break
-    if best is None:
-        return None, max(probes), history, calls
-
-    sigma_low = 0.0
-    while sigma_high - sigma_low > config.sigma_tolerance:
-        sigma_mid = (sigma_high + sigma_low) / 2.0
-        outcome = run(sigma_mid)
-        if outcome.success:
-            sigma_high = sigma_mid
-            best = outcome
-        else:
-            sigma_low = sigma_mid
-    return best, sigma_high, history, calls
 
 
 def sweep_anonymize(
@@ -130,51 +86,33 @@ def sweep_anonymize(
     context = build_selection_context(graph, base_config, knowledge, seed=rng)
 
     results: dict[int, AnonymizationResult] = {}
-    # The amortized engine runs supervised (bounded retry) like the
-    # single-run path; checkpointing is a per-run feature and does not
-    # apply to sweeps.
-    fault_plan = FaultPlan.from_config(base_config)
+    engine = SerialTrialEngine(graph, base_config, context)
 
-    def engine_factory():
-        return SerialTrialEngine(
-            graph, base_config, context, fault_plan=fault_plan,
-            task_timeout=base_config.trial_timeout,
+    def probe(_index: int, sigma: float):
+        # Each GenObf call re-roots the trial streams with a fresh
+        # entropy draw and reuses probe index 0, exactly as the
+        # historical per-call gen_obf path did.
+        engine.set_entropy(int(rng.integers(0, 2**63 - 1)))
+        return engine.run_probe(0, sigma)
+
+    for index, k in enumerate(ks):
+        config = base_config.with_privacy(k, epsilon)
+        engine.set_privacy(k, epsilon)
+        started = time.perf_counter()
+        best, _, history = _search_sigma(config, probe)
+        results[k] = AnonymizationResult(
+            graph=best.graph, method=config.name, k=k, epsilon=epsilon,
+            sigma=best.sigma, epsilon_achieved=best.epsilon_achieved,
+            report=best.report, n_genobf_calls=len(history),
+            sigma_history=tuple(history),
+            elapsed_seconds=time.perf_counter() - started,
         )
-
-    engine = SupervisedTrialEngine(
-        engine_factory, RetryPolicy.from_config(base_config)
-    )
-    try:
-        for index, k in enumerate(ks):
-            config = base_config.with_privacy(k, epsilon)
-            engine.set_privacy(k, epsilon)
-            started = time.perf_counter()
-            best, sigma_high, history, calls = _search_sigma(
-                engine, config, rng
-            )
-            elapsed = time.perf_counter() - started
-            if best is None:
-                results[k] = AnonymizationResult(
-                    graph=None, method=config.name, k=k, epsilon=epsilon,
-                    sigma=float(sigma_high), epsilon_achieved=1.0, report=None,
-                    n_genobf_calls=calls, sigma_history=tuple(history),
-                    elapsed_seconds=elapsed,
-                )
-            else:
-                results[k] = AnonymizationResult(
-                    graph=best.graph, method=config.name, k=k, epsilon=epsilon,
-                    sigma=best.sigma, epsilon_achieved=best.epsilon_achieved,
-                    report=best.report, n_genobf_calls=calls,
-                    sigma_history=tuple(history), elapsed_seconds=elapsed,
-                )
-            if observer is not None:
-                observer({
-                    "type": "k_done",
-                    "k": k,
-                    "index": index,
-                    "total": len(ks),
-                    "success": results[k].success,
-                })
-    finally:
-        engine.close()
+        if observer is not None:
+            observer({
+                "type": "k_done",
+                "k": k,
+                "index": index,
+                "total": len(ks),
+                "success": results[k].success,
+            })
     return results

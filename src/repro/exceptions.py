@@ -53,26 +53,12 @@ class ConfigurationError(ReproError):
 
 
 class ResilienceError(ReproError):
-    """Raised when supervised execution exhausts every recovery option.
+    """Raised when a sigma-search checkpoint journal cannot be used.
 
-    The :class:`repro.core.resilience.SupervisedTrialEngine` re-runs a
-    failed probe up to ``max_retries`` times; only when those retries
-    are spent does this error escape.  It also covers checkpoint-journal
-    mismatches on ``--resume`` (the journal belongs to a different
-    graph / config / entropy, so replaying it could not be
-    bit-identical).
-    """
-
-
-class TrialTimeoutError(ResilienceError):
-    """Raised when a trial exceeds its per-task deadline.
-
-    The serial engine checks the deadline after each trial, so this is
-    raised once an overrunning trial has finished.  Retryable: the
-    supervisor rebuilds the engine and re-runs the same deterministic
-    trial coordinates, so a transient stall recovers bit-identically.
-    Subclasses :class:`ResilienceError` so an unsupervised escape still
-    maps to the CLI's timeout-exhausted exit code.
+    The journal (:class:`repro.core.resilience.SigmaSearchJournal`)
+    could not be read or written, holds a malformed record, or belongs
+    to a different graph / config / entropy, so replaying it could not
+    be bit-identical.  The CLI maps it to exit code 3.
     """
 
 
@@ -85,12 +71,3 @@ class ServerError(ReproError):
     exit code (2), like any other bad-input error.
     """
 
-
-class InjectedFault(ReproError):
-    """Raised by the deterministic fault-injection harness.
-
-    Never raised in production runs -- only when a
-    :class:`repro.core.faults.FaultPlan` (``REPRO_FAULTS`` /
-    ``ChameleonConfig.fault_plan``) is active and a ``crash`` fault
-    fires at the start of a trial.
-    """

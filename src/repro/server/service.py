@@ -153,6 +153,8 @@ class ChameleonService:
             max_workers=int(job_workers), thread_name_prefix="repro-job"
         )
         self._futures: dict[str, asyncio.Future] = {}
+        #: Open connections: handler task -> its stream reader.
+        self._connections: dict[asyncio.Task, asyncio.StreamReader] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._started = time.time()
@@ -244,7 +246,10 @@ class ChameleonService:
         )
         self._futures[job.id] = future
         if request.get("wait"):
-            await asyncio.shield(future)
+            # asyncio.wait, unlike awaiting the future, returns when
+            # shutdown cancels a queued job: the reply then reports the
+            # job's 'cancelled' state.
+            await asyncio.wait([future])
             return {
                 "ok": True, "job": job.id, "state": job.state,
                 "result": job.snapshot(with_output=True),
@@ -255,7 +260,7 @@ class ChameleonService:
         job = self._jobs.get(str(request.get("job")))
         future = self._futures.get(job.id)
         if request.get("wait", True) and future is not None:
-            await asyncio.shield(future)
+            await asyncio.wait([future])
         return {"ok": True, "result": job.snapshot(with_output=True)}
 
     def _op_status(self, request: dict) -> dict:
@@ -295,6 +300,8 @@ class ChameleonService:
         raise ServerError(f"unknown op {op!r}")
 
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = reader
         try:
             while True:
                 try:
@@ -318,7 +325,9 @@ class ChameleonService:
                     reply = await self._handle_request(request)
                 except ServerError as exc:
                     reply = {"ok": False, "error": str(exc)}
-                except (ValueError, UnicodeDecodeError) as exc:
+                except (ValueError, RecursionError) as exc:
+                    # A frame nested past the decoder's recursion limit
+                    # is as malformed as undecodable bytes (a ValueError).
                     reply = {"ok": False, "error": f"bad request: {exc}"}
                 except asyncio.CancelledError:
                     raise
@@ -332,6 +341,7 @@ class ChameleonService:
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -360,20 +370,27 @@ class ChameleonService:
         if announce is not None:
             announce(self._host, port)
         try:
-            async with server:
-                await self._stop.wait()
+            await self._stop.wait()
         finally:
+            server.close()
             for job in self._jobs.all_jobs():
                 if job.state in ("queued", "running"):
                     job.cancel()
-            server.close()
-            with contextlib.suppress(Exception):
-                await server.wait_closed()
             self._executor.shutdown(wait=True, cancel_futures=True)
             for job in self._jobs.all_jobs():
                 if job.state in ("queued", "running"):
                     job.state = "cancelled"
                     job.finished_at = time.time()
+            # End every open connection before the loop closes: a
+            # handler waiting for its next request reads end-of-file and
+            # returns.  Left to asyncio.run's teardown it would be
+            # cancelled mid-read, which Python 3.11 reports as an
+            # unhandled error with a traceback.
+            for reader in self._connections.values():
+                reader.feed_eof()
+            await asyncio.gather(*self._connections, return_exceptions=True)
+            with contextlib.suppress(Exception):
+                await server.wait_closed()
             if self._port_file:
                 with contextlib.suppress(OSError):
                     Path(self._port_file).unlink()

@@ -8,6 +8,7 @@ from repro.cli import build_parser, main
 from repro.ugraph import read_edge_list
 from tests.checker_oracle import use_full_checker
 from tests.connectivity_oracle import use_oracle_labeler
+from tests.trial_faults import crash_at_probe
 
 #: The five world-sampling subcommands, with their required arguments.
 MONTE_CARLO_COMMANDS = (
@@ -232,13 +233,32 @@ def test_thread_trial_backend_exits_2(capsys):
 
 
 def test_shm_fault_exits_2(tmp_path, capsys):
-    """The ``shm`` fault kind went with the worker pool it poisoned."""
+    """The ``shm`` fault kind went with the worker pool it poisoned, and
+    ``--faults`` with the in-library fault harness: a usage error."""
     source = tmp_path / "orig.pel"
     source.write_text("0 1 0.5\n1 2 0.5\n")
-    code = main(["anonymize", str(source), str(tmp_path / "anon.pel"),
-                 "--k", "2", "--epsilon", "0.5", "--faults", "shm"])
-    assert code == 2
-    assert "fault spec" in _single_error_line(capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["anonymize", str(source), str(tmp_path / "anon.pel"),
+              "--k", "2", "--epsilon", "0.5", "--faults", "shm"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --faults shm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trial-timeout", "5.0"],
+    ["--max-retries", "1"],
+    ["--faults", "crash@0.0"],
+])
+def test_supervision_flags_exit_2(capsys, flags):
+    """The sigma search runs unsupervised: the deadline, retry and
+    fault-plan flags are usage errors on both search commands."""
+    parser = build_parser()
+    for command in (["anonymize", "a.pel", "b.pel", "--k", "3"],
+                    ["sweep", "ppi", "--k", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command + flags)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_anonymize_with_full_checker(tmp_path, capsys, monkeypatch):
@@ -311,21 +331,16 @@ def test_resilience_flags_parse():
     parser = build_parser()
     args = parser.parse_args([
         "anonymize", "a.pel", "b.pel", "--k", "3",
-        "--trial-timeout", "5.0", "--max-retries", "1",
         "--checkpoint", "search.jsonl", "--resume",
-        "--faults", "crash@0.0",
     ])
-    assert args.trial_timeout == 5.0
-    assert args.max_retries == 1
     assert args.checkpoint == "search.jsonl"
     assert args.resume is True
-    assert args.faults == "crash@0.0"
-    # Defaults: no timeout, no checkpoint, faults deferred to the env.
+    # Defaults: no checkpoint, nothing to resume.
     args = parser.parse_args(["anonymize", "a.pel", "b.pel", "--k", "3"])
-    assert args.trial_timeout is None
     assert args.checkpoint is None
     assert args.resume is False
-    assert args.faults is None
+    for retired in ("trial_timeout", "max_retries", "faults"):
+        assert not hasattr(args, retired)
 
 
 def test_resume_without_checkpoint_exit_2(tmp_path, capsys):
@@ -341,41 +356,68 @@ def test_resume_without_checkpoint_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_exhausted_supervision_exit_3(tmp_path, capsys):
-    """An unbounded crash plan exhausts every retry: the CLI must report
-    it as exit 3, distinct from both infeasibility (1) and bad input
-    (2)."""
+@pytest.mark.parametrize("journal, problem", [
+    ("dir", "cannot read checkpoint journal"),
+    ("missing/search.jsonl", "cannot open checkpoint journal"),
+    (b"[1, 2]\n", "has no recognizable header"),
+    (b"\xff\xfe\n", "line 1 is not UTF-8 text"),
+])
+def test_unusable_checkpoint_exit_3(tmp_path, capsys, journal, problem):
+    """A checkpoint journal that cannot be read, written or resumed is
+    exit 3 with one message naming it, never an internal error."""
     source = tmp_path / "orig.pel"
     target = tmp_path / "anon.pel"
     main(["generate", "ppi", str(source), "--scale", "0.2", "--seed", "32"])
     capsys.readouterr()
+    if isinstance(journal, bytes):
+        path = tmp_path / "search.jsonl"
+        path.write_bytes(journal)
+    else:
+        path = tmp_path / journal
+        if journal == "dir":
+            path.mkdir()
     code = main([
         "anonymize", str(source), str(target),
         "--method", "me", "--k", "4", "--epsilon", "0.08",
         "--trials", "2", "--seed", "33",
-        "--faults", "crash@*.*x100000", "--max-retries", "0",
+        "--checkpoint", str(path), "--resume",
     ])
     err = capsys.readouterr().err
     assert code == 3
-    assert "resilience error" in err
+    assert "Traceback" not in err
+    assert err.startswith("resilience error: ") and problem in err
+    assert str(path) in err
     assert not target.exists()
 
 
-def test_fault_recovery_matches_clean_run(tmp_path, capsys):
+def test_fault_recovery_matches_clean_run(tmp_path, capsys, monkeypatch):
+    """A run killed mid-search by a failing trial resumes from its
+    checkpoint to the clean run's exact bytes."""
     source = tmp_path / "orig.pel"
     clean = tmp_path / "clean.pel"
-    faulted = tmp_path / "faulted.pel"
+    recovered = tmp_path / "recovered.pel"
+    journal = tmp_path / "search.jsonl"
     main(["generate", "ppi", str(source), "--scale", "0.2", "--seed", "34"])
     capsys.readouterr()
     common = ["--method", "me", "--k", "4", "--epsilon", "0.08",
               "--trials", "2", "--seed", "35"]
     assert main(["anonymize", str(source), str(clean)] + common) == 0
-    capsys.readouterr()
-    assert main(["anonymize", str(source), str(faulted),
-                 "--faults", "crash@0.0"] + common) == 0
+    clean_summary = json.loads(capsys.readouterr().out)
+
+    with monkeypatch.context() as patch:
+        crash_at_probe(patch, 2)
+        assert main(["anonymize", str(source), str(recovered),
+                     "--checkpoint", str(journal)] + common) == 4
+    assert "killed at probe 2" in capsys.readouterr().err
+    assert not recovered.exists()
+    assert len(journal.read_text().splitlines()) == 3  # header + 2 probes
+
+    assert main(["anonymize", str(source), str(recovered),
+                 "--checkpoint", str(journal), "--resume"] + common) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["trial_retries"] >= 1
-    assert clean.read_text() == faulted.read_text()
+    assert summary == {**clean_summary, "resumed_probes": 2}
+    assert summary["trial_retries"] == 0
+    assert clean.read_bytes() == recovered.read_bytes()
 
 
 def test_checkpoint_resume_roundtrip(tmp_path, capsys):

@@ -36,9 +36,9 @@ class TestValidation:
             {"relevance_samples": 0},
             {"selection_mode": "psychic"},
             {"perturbation_mode": "psychic"},
-            {"trial_timeout": 0.0},
-            {"max_retries": -1},
-            {"retry_backoff": -0.5},
+            {"utility_samples": -1},
+            {"world_memory_budget": 0},
+            {"resume": True},  # without a checkpoint_path
             {"sigma_initial": 0.0},
             {"sigma_initial": 100.0},  # above sigma_max
             {"sigma_tolerance": 0.0},
@@ -47,6 +47,20 @@ class TestValidation:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigurationError):
             ChameleonConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("trial_timeout", 5.0),
+        ("max_retries", 1),
+        ("retry_backoff", 0.0),
+        ("fault_plan", "crash@0.0"),
+    ])
+    def test_supervision_fields_are_gone(self, field, value):
+        """The sigma search runs unsupervised: no deadline, retry or
+        fault-plan knob is left to set."""
+        with pytest.raises(TypeError, match=field):
+            ChameleonConfig(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            variant_config("rsme", **{field: value})
 
 
 class TestVariants:
@@ -84,8 +98,9 @@ class TestVariants:
         cfg = ChameleonConfig()
         names = {f.name for f in fields(cfg)}
         assert not names & {"connectivity_backend", "trial_backend",
-                            "n_workers"}
-        assert len(fields(cfg)) == 23
+                            "n_workers", "trial_timeout", "max_retries",
+                            "retry_backoff", "fault_plan"}
+        assert len(fields(cfg)) == 19
         assert cfg.utility_samples == 0
 
     def test_unknown_variant(self):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.exceptions import (
-    ConfigurationError,
     EstimationError,
     GraphConstructionError,
     GraphFormatError,
@@ -240,48 +239,6 @@ class TestHalfFinishedPipelines:
         b = UncertainGraph(4, [(0, 1, 0.5)])
         with pytest.raises(ReproError):
             build_report(a, b, 2, 0.1, n_samples=5)
-
-
-class TestRuntimeFaultInjection:
-    """Deterministic runtime faults (``REPRO_FAULTS``) routed through the
-    supervised trial engine -- the run must recover, not crash."""
-
-    FAST = dict(k=5, epsilon=0.3, n_trials=2, relevance_samples=50,
-                sigma_tolerance=0.1)
-
-    def test_env_fault_plan_recovered_via_retry(
-        self, small_profile_graph, monkeypatch
-    ):
-        reference = repro.anonymize(small_profile_graph, seed=3, **self.FAST)
-        monkeypatch.setenv("REPRO_FAULTS", "crash@0.0")
-        result = repro.anonymize(
-            small_profile_graph, seed=3, retry_backoff=0.0, **self.FAST
-        )
-        assert result.trial_retries >= 1
-        assert result.sigma == reference.sigma
-        assert result.sigma_history == reference.sigma_history
-
-    def test_config_plan_overrides_env(
-        self, small_profile_graph, monkeypatch
-    ):
-        # An unparseable env plan must be ignored when the config carries
-        # an explicit (empty = disabled) plan.
-        monkeypatch.setenv("REPRO_FAULTS", "crash@0.0")
-        result = repro.anonymize(
-            small_profile_graph, seed=3, fault_plan="", **self.FAST
-        )
-        assert result.trial_retries == 0
-
-    def test_invalid_env_plan_fails_loudly(
-        self, small_profile_graph, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_FAULTS", "explode@everywhere")
-        with pytest.raises(ConfigurationError):
-            repro.anonymize(small_profile_graph, seed=3, **self.FAST)
-
-    def test_invalid_config_plan_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError):
-            repro.ChameleonConfig(fault_plan="crash@")
 
 
 class TestAdversarialParameters:

@@ -1,10 +1,12 @@
-"""Fault-tolerance layer: supervision, fault injection, checkpoints.
+"""The sigma-search checkpoint journal: resume, fingerprint, bad input.
 
 The determinism contract of the trial engine (every trial is a pure
 function of its ``(entropy, probe, trial)`` coordinates) is what makes
-fault tolerance *testable*: a run that crashes, times out or resumes
-from a checkpoint must produce byte-for-byte the result of an
-undisturbed run.  Every recovery scenario here asserts exactly that.
+checkpointing *testable*: a run that dies mid-search and resumes from
+its journal must produce byte-for-byte the result of an undisturbed
+run.  Every recovery scenario here asserts exactly that.  A journal is
+also untrusted input: whatever its bytes, a resume ends in a result or
+a :class:`~repro.exceptions.ReproError`.
 """
 
 import dataclasses
@@ -12,25 +14,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import (
-    ChameleonConfig,
-    FaultPlan,
-    RetryPolicy,
-    SerialTrialEngine,
-    SupervisedTrialEngine,
-    anonymize,
-    build_selection_context,
-)
-from repro.core.faults import FAULTS_ENV, execute_fault
+from repro.core import ChameleonConfig, anonymize, build_selection_context
 from repro.core.resilience import run_fingerprint
-from repro.exceptions import (
-    ConfigurationError,
-    InjectedFault,
-    ResilienceError,
-    TrialTimeoutError,
-)
+from repro.datasets import load_profile
+from repro.exceptions import ConfigurationError, ReproError, ResilienceError
 from repro.privacy import expected_degree_knowledge
+from tests.trial_faults import Killed, crash_at_probe
 
 #: Small-but-nontrivial search configuration shared by the suite.
 FAST = dict(
@@ -47,241 +39,21 @@ def _context(graph, config, seed=11):
     return build_selection_context(graph, config, knowledge, seed=seed)
 
 
-def _supervised(graph, config, context, plan=None, max_retries=0,
-                task_timeout=None, entropy=123):
-    def factory():
-        return SerialTrialEngine(
-            graph, config, context, entropy=entropy, fault_plan=plan,
-            task_timeout=task_timeout,
-        )
-
-    policy = RetryPolicy(task_timeout=task_timeout, max_retries=max_retries,
-                         backoff_seconds=0.0)
-    return SupervisedTrialEngine(factory, policy)
-
-
-def _reference(graph, config, context, entropy=123):
-    """The undisturbed probe (0, sigma=1.0) every recovery must match."""
-    return SerialTrialEngine(
-        graph, config, context, entropy=entropy
-    ).run_probe(0, 1.0)
-
-
-# --------------------------------------------------------------------- #
-# Fault-plan grammar
-# --------------------------------------------------------------------- #
-
-class TestFaultPlanParsing:
-    def test_crash_delay_shm_grammar(self):
-        plan = FaultPlan.parse("crash@0.1;delay@*.0:2.5x2")
-        assert plan.draw(0, 1).kind == "crash"
-        assert plan.draw(0, 1) is None  # budget of 1 consumed
-        action = plan.draw(7, 0)
-        assert action.kind == "delay" and action.seconds == 2.5
-        assert plan.draw(8, 0).kind == "delay"
-        assert plan.draw(9, 0) is None  # x2 budget consumed
-        assert plan.exhausted
-        # The shm kind poisoned a worker pool's segment attach; with one
-        # in-process engine there is nothing for it to poison.
-        for text in ("shm", "shm:1", "crash@0.0;shm"):
-            with pytest.raises(ConfigurationError, match="fault spec"):
-                FaultPlan.parse(text)
-
-    def test_wildcards_match_any_coordinate(self):
-        plan = FaultPlan.parse("crash@*.*x2")
-        assert plan.draw(3, 1) is not None
-        assert plan.draw(99, 0) is not None
-        assert plan.draw(0, 0) is None
-
-    def test_comma_separator_and_blank_tokens(self):
-        plan = FaultPlan.parse("crash@0.0, delay@1.1:0.5 ,")
-        assert plan.draw(0, 0).kind == "crash"
-        assert plan.draw(1, 1).kind == "delay"
-        assert plan.exhausted
-
-    def test_junk_rejected(self):
-        for text in ("boom@0.0", "crash@x.y", "delay@0.0", "crash0.0",
-                     "shm:two"):
-            with pytest.raises(ConfigurationError):
-                FaultPlan.parse(text)
-
-    def test_delay_requires_duration(self):
-        with pytest.raises(ConfigurationError, match="needs a duration"):
-            FaultPlan.parse("delay@0.1")
-
-    def test_config_takes_precedence_over_env(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "crash@0.0")
-        config = ChameleonConfig(fault_plan="delay@1.1:0.5", **FAST)
-        plan = FaultPlan.from_config(config)
-        assert plan.draw(0, 0) is None
-        assert plan.draw(1, 1).kind == "delay"
-
-    def test_empty_config_string_disables_env_plan(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "crash@0.0")
-        assert FaultPlan.from_config(ChameleonConfig(fault_plan="", **FAST)) \
-            is None
-
-    def test_env_plan_used_when_config_silent(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "crash@2.0")
-        plan = FaultPlan.from_config(ChameleonConfig(**FAST))
-        assert plan.draw(2, 0).kind == "crash"
-
-    def test_no_plan_anywhere(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
-        assert FaultPlan.from_config(ChameleonConfig(**FAST)) is None
-
-    def test_config_validates_plan_up_front(self):
-        with pytest.raises(ConfigurationError, match="fault spec"):
-            ChameleonConfig(fault_plan="garbage", **FAST)
-
-    def test_in_process_crash_raises_injected_fault(self):
-        plan = FaultPlan.parse("crash@0.0")
-        with pytest.raises(InjectedFault):
-            execute_fault(plan.draw(0, 0))
-
-
-# --------------------------------------------------------------------- #
-# Supervision: bounded retry of timeouts and injected faults
-# --------------------------------------------------------------------- #
-
-class TestSupervision:
-    def test_crash_retry_is_bit_identical(self, small_profile_graph):
-        """One injected trial crash, retried: same outcome as no crash."""
-        config = ChameleonConfig(**FAST)
-        context = _context(small_profile_graph, config)
-        reference = _reference(small_profile_graph, config, context)
-        plan = FaultPlan.parse("crash@0.0")
-        engine = _supervised(small_profile_graph, config, context, plan,
-                             max_retries=2)
-        try:
-            outcome = engine.run_probe(0, 1.0)
-        finally:
-            engine.close()
-        assert engine.retry_count == 1
-        assert outcome.epsilon_achieved == reference.epsilon_achieved
-        if reference.success:
-            np.testing.assert_array_equal(
-                outcome.graph.edge_probabilities,
-                reference.graph.edge_probabilities,
-            )
-
-    def test_exhausted_ladder_raises_resilience_error(
-        self, small_profile_graph
-    ):
-        """Every attempt at the bracketing ladder crashes: without a
-        journal the whole ladder is retried, and once the retries are
-        spent the supervisor raises."""
-        config = ChameleonConfig(**FAST)
-        context = _context(small_profile_graph, config)
-        plan = FaultPlan.parse("crash@*.*x1000")
-        engine = _supervised(small_profile_graph, config, context, plan,
-                             max_retries=2)
-        with pytest.raises(ResilienceError, match="every recovery option"):
-            try:
-                engine.run_ladder([1.0, 2.0, 0.5])
-            finally:
-                engine.close()
-        assert engine.retry_count == 2
-
-    def test_timeout_retry_recovers(self, small_profile_graph):
-        """A delayed trial overruns its deadline and the retry succeeds."""
-        config = ChameleonConfig(**FAST)
-        context = _context(small_profile_graph, config)
-        plan = FaultPlan.parse("delay@0.0:0.5")
-        engine = _supervised(small_profile_graph, config, context, plan,
-                             max_retries=1, task_timeout=0.2)
-        try:
-            outcome = engine.run_probe(0, 1.0)
-        finally:
-            engine.close()
-        assert engine.retry_count == 1
-        reference = _reference(small_profile_graph, config, context)
-        assert outcome.epsilon_achieved == reference.epsilon_achieved
-
-    def test_serial_timeout_detected_post_hoc(self, small_profile_graph):
-        config = ChameleonConfig(**FAST)
-        context = _context(small_profile_graph, config)
-        plan = FaultPlan.parse("delay@0.0:0.4")
-        engine = SerialTrialEngine(
-            small_profile_graph, config, context, entropy=123,
-            fault_plan=plan, task_timeout=0.1,
-        )
-        with pytest.raises(TrialTimeoutError):
-            engine.run_probe(0, 1.0)
-
-    def test_retargeting_survives_engine_rebuild(self, small_profile_graph):
-        """set_privacy/set_entropy must be re-applied after a discard."""
-        config = ChameleonConfig(**FAST)
-        context = _context(small_profile_graph, config)
-        plan = FaultPlan.parse("crash@0.0")
-        engine = _supervised(small_profile_graph, config, context, plan,
-                             max_retries=1)
-        try:
-            engine.set_privacy(3, 0.35)
-            engine.set_entropy(777)
-            outcome = engine.run_probe(0, 1.0)
-        finally:
-            engine.close()
-        assert engine.retry_count == 1
-        reference = _reference(
-            small_profile_graph, config.with_privacy(3, 0.35), context,
-            entropy=777,
-        )
-        assert outcome.epsilon_achieved == reference.epsilon_achieved
-
-    def test_non_retryable_errors_propagate(self, small_profile_graph):
-        class Boom(RuntimeError):
-            pass
-
-        class BrokenEngine:
-            def run_probe(self, probe_index, sigma):
-                raise Boom("a genuine bug, not a recoverable failure")
-
-        engine = SupervisedTrialEngine(
-            BrokenEngine, RetryPolicy(max_retries=5)
-        )
-        with pytest.raises(Boom):
-            engine.run_probe(0, 1.0)
-        assert engine.retry_count == 0
-
-
-# --------------------------------------------------------------------- #
-# End-to-end: anonymize under faults
-# --------------------------------------------------------------------- #
-
-class TestAnonymizeUnderFaults:
-    def test_crash_plus_timeout_bit_identical_to_serial(
-        self, small_profile_graph
-    ):
-        """The acceptance scenario: a past-deadline delay AND a trial
-        crash; the run completes via retries and matches the undisturbed
-        run byte for byte.
-
-        Fault draws return the first matching spec, so trial (0, 0)
-        first eats the delay (attempt 1 times out), then the crash
-        (attempt 2 fails); attempt 3 runs clean."""
-        reference = anonymize(small_profile_graph, seed=7, **FAST)
-        result = anonymize(
-            small_profile_graph, seed=7,
-            fault_plan="delay@0.0:1.0;crash@0.0",
-            trial_timeout=0.3, retry_backoff=0.0, **FAST
-        )
-        assert result.success == reference.success
-        assert result.sigma == reference.sigma
-        assert result.epsilon_achieved == reference.epsilon_achieved
-        assert result.sigma_history == reference.sigma_history
-        assert result.trial_retries == 2
-        assert result.summary(include_timing=False) == {
-            **reference.summary(include_timing=False), "trial_retries": 2,
-        }
-        if reference.success:
-            np.testing.assert_array_equal(
-                result.graph.edge_src, reference.graph.edge_src)
-            np.testing.assert_array_equal(
-                result.graph.edge_dst, reference.graph.edge_dst)
-            np.testing.assert_array_equal(
-                result.graph.edge_probabilities,
-                reference.graph.edge_probabilities)
+def _assert_same_run(result, reference):
+    """Graph, report and search history of two runs are bit-identical."""
+    assert result.sigma == reference.sigma
+    assert result.epsilon_achieved == reference.epsilon_achieved
+    assert result.sigma_history == reference.sigma_history
+    np.testing.assert_array_equal(
+        result.graph.edge_src, reference.graph.edge_src)
+    np.testing.assert_array_equal(
+        result.graph.edge_dst, reference.graph.edge_dst)
+    np.testing.assert_array_equal(
+        result.graph.edge_probabilities, reference.graph.edge_probabilities)
+    np.testing.assert_array_equal(
+        result.report.entropies, reference.report.entropies)
+    np.testing.assert_array_equal(
+        result.report.obfuscated, reference.report.obfuscated)
 
 
 # --------------------------------------------------------------------- #
@@ -375,8 +147,8 @@ class TestCheckpointResume:
         config = ChameleonConfig(**FAST)
         context = _context(small_profile_graph, config)
         base = run_fingerprint(small_profile_graph, config, context, 1)
-        retargeted = ChameleonConfig(trial_timeout=1.0, max_retries=9,
-                                     fault_plan="crash@0.0", **FAST)
+        retargeted = ChameleonConfig(utility_samples=8,
+                                     checkpoint_path="probes.jsonl", **FAST)
         assert run_fingerprint(
             small_profile_graph, retargeted, context, 1) == base
         assert run_fingerprint(
@@ -391,8 +163,8 @@ class TestFingerprintFieldDrift:
 
     ``_FINGERPRINT_CONFIG_FIELDS`` is the checkpoint-journal's notion of
     "same run": algorithmic fields invalidate a journal when they change,
-    execution/observability knobs must not (a checkpoint written under
-    one timeout or fault plan resumes under any other).  Adding a config field
+    execution/observability knobs must not (a checkpoint written with
+    one utility setting resumes under any other).  Adding a config field
     without deciding which side it lands on silently produces either
     stale resumes (algorithmic field missing) or needless invalidation
     (execution knob included) -- so this test fails until the new field
@@ -406,8 +178,7 @@ class TestFingerprintFieldDrift:
     #: drawn from the pipeline RNG *after* the selection context and the
     #: trial entropy, so toggling it cannot perturb any probe.
     EXECUTION_ONLY = frozenset({
-        "utility_samples", "world_memory_budget", "trial_timeout",
-        "max_retries", "retry_backoff", "fault_plan",
+        "utility_samples", "world_memory_budget",
         "checkpoint_path", "resume", "seed",
     })
 
@@ -419,9 +190,7 @@ class TestFingerprintFieldDrift:
         "selection_mode": "uniqueness-only", "perturbation_mode": "naive",
         "sigma_initial": 2.0, "sigma_max": 32.0, "sigma_tolerance": 0.05,
         "uniqueness_bandwidth": 0.7, "name": "variant", "utility_samples": 8,
-        "world_memory_budget": 1 << 20, "trial_timeout": 5.0,
-        "max_retries": 7, "retry_backoff": 0.3,
-        "fault_plan": "delay@0.5:0.01", "checkpoint_path": "probes.jsonl",
+        "world_memory_budget": 1 << 20, "checkpoint_path": "probes.jsonl",
         "resume": True, "seed": 123,
     }
 
@@ -480,18 +249,27 @@ class TestFingerprintFieldDrift:
                 )
 
     def test_journal_survives_injected_crashes(
-        self, small_profile_graph, tmp_path
+        self, small_profile_graph, tmp_path, monkeypatch
     ):
-        """Checkpointing composes with supervision: a crash-ridden run
-        still writes a journal a clean run can resume from."""
+        """Kill and resume: a run whose trials raise at probe 2 leaves a
+        journal of probes 0-1, and resuming from it reproduces the clean
+        run's graph, report and sigma history."""
         path = tmp_path / "journal.jsonl"
         reference = anonymize(small_profile_graph, seed=7, **FAST)
-        anonymize(small_profile_graph, seed=7, checkpoint_path=str(path),
-                  fault_plan="crash@0.0", retry_backoff=0.0, **FAST)
+        assert reference.n_genobf_calls > 2
+        with monkeypatch.context() as patch:
+            crash_at_probe(patch, 2)
+            with pytest.raises(Killed):
+                anonymize(small_profile_graph, seed=7,
+                          checkpoint_path=str(path), **FAST)
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0])["kind"] == "header"
+        assert [json.loads(line)["probe_index"] for line in lines[1:]] \
+            == [0, 1]
         resumed = anonymize(small_profile_graph, seed=7,
                             checkpoint_path=str(path), resume=True, **FAST)
-        assert resumed.resumed_probes == resumed.n_genobf_calls
-        assert resumed.sigma == reference.sigma
+        assert resumed.resumed_probes == 2
+        _assert_same_run(resumed, reference)
 
     def test_journal_records_are_json(self, small_profile_graph, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -504,3 +282,147 @@ class TestFingerprintFieldDrift:
         probes = [json.loads(line) for line in lines[1:]]
         assert all(p["kind"] == "probe" for p in probes)
         assert any(p["success"] for p in probes)
+
+
+# --------------------------------------------------------------------- #
+# The journal is untrusted input
+# --------------------------------------------------------------------- #
+
+@pytest.fixture(scope="module")
+def journaled_run(tmp_path_factory):
+    """A clean checkpointed run: ``(graph, journal lines, result)``."""
+    graph = load_profile("ppi", scale=0.25, seed=42)
+    path = tmp_path_factory.mktemp("journal") / "clean.jsonl"
+    result = anonymize(graph, seed=7, checkpoint_path=str(path), **FAST)
+    return graph, path.read_bytes().splitlines(), result
+
+
+def _resume(graph, path):
+    return anonymize(graph, seed=7, checkpoint_path=str(path), resume=True,
+                     **FAST)
+
+
+class TestJournalInput:
+    """Whatever a journal holds, a resume ends in a result or a
+    ``ReproError``; unreadable files and malformed records end in a
+    ``ResilienceError`` naming the path and the bad line."""
+
+    @pytest.mark.parametrize("body, problem", [
+        (b"[1, 2]", "is not a JSON object"),
+        (b'{"kind": "probe", "sigma": 1.0, "epsilon_achieved": 0.0, '
+         b'"success": false}', "'probe_index' is missing"),
+        (b'{"kind": "probe", "probe_index": 0, "sigma": 1.0, '
+         b'"epsilon_achieved": 0.0, "success": true}', "'us' is missing"),
+        (b'{"kind": "probe", "probe_index": 0, "sigma": "1.0", '
+         b'"epsilon_achieved": 0.0, "success": false}', "'sigma' has"),
+        (b'{"kind": "probe", "probe_index": "0", "sigma": 1.0, '
+         b'"epsilon_achieved": 0.0, "success": false}', "'probe_index' has"),
+        (b'{"kind": "probe", "probe_index": true, "sigma": 1.0, '
+         b'"epsilon_achieved": 0.0, "success": false}', "'probe_index' has"),
+        (b"\xff\xfe\x00", "is not UTF-8 text"),
+        (b"[" * 5000, "cannot be decoded"),
+        (b'{"probe_index": ' + b"9" * 5000 + b"}", "cannot be decoded"),
+    ])
+    def test_malformed_record_names_its_line(
+        self, journaled_run, tmp_path, body, problem
+    ):
+        graph, lines, _ = journaled_run
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(lines[0] + b"\n" + body + b"\n")
+        with pytest.raises(ResilienceError, match=problem) as exc:
+            _resume(graph, path)
+        assert f"{path} line 2 " in str(exc.value)
+
+    def test_header_that_is_not_an_object(self, journaled_run, tmp_path):
+        graph, lines, _ = journaled_run
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"[1, 2]\n" + b"\n".join(lines[1:]))
+        with pytest.raises(ResilienceError, match="no recognizable header"):
+            _resume(graph, path)
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_unusable_path(self, journaled_run, tmp_path, resume):
+        graph = journaled_run[0]
+        for path, problem in ((tmp_path, "Is a directory"),
+                              (tmp_path / "missing" / "j.jsonl",
+                               "No such file or directory")):
+            with pytest.raises(ResilienceError, match=problem) as exc:
+                anonymize(graph, seed=7, checkpoint_path=str(path),
+                          resume=resume, **FAST)
+            assert str(path) in str(exc.value)
+
+    def test_failed_write(self, journaled_run, tmp_path, monkeypatch):
+        import errno
+
+        import repro.core.resilience
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(repro.core.resilience.os, "fsync", full_disk)
+        path = tmp_path / "j.jsonl"
+        with pytest.raises(ResilienceError, match="cannot write") as exc:
+            anonymize(journaled_run[0], seed=7, checkpoint_path=str(path),
+                      **FAST)
+        assert str(path) in str(exc.value)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_fuzzed_probe_lines_end_in_result_or_repro_error(
+        self, journaled_run, tmp_path_factory, data
+    ):
+        """Probe lines after a valid header: random bytes, arbitrary JSON,
+        and probe records whose fields are mutated, dropped or replaced
+        by any JSON value."""
+        graph, lines, clean = journaled_run
+        sigmas = [sigma for sigma, _ in clean.sigma_history]
+        scalars = (st.none() | st.booleans() | st.integers()
+                   | st.floats(allow_nan=True) | st.text(max_size=5))
+        any_json = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+            max_leaves=8,
+        )
+        ids = st.integers(-2, graph.n_nodes + 1)
+        numbers = st.floats(allow_nan=True) | st.integers(-3, 3)
+        n = graph.n_nodes
+        well_typed = st.integers(0, len(sigmas) - 1).flatmap(
+            lambda i: st.fixed_dictionaries({
+                "kind": st.just("probe"),
+                "probe_index": st.just(i),
+                "sigma": st.just(sigmas[i]),
+                "epsilon_achieved": numbers,
+                "success": st.booleans(),
+                "n_trials": st.integers(-1, 3),
+                "us": st.lists(ids, max_size=3),
+                "vs": st.lists(ids, max_size=3),
+                "p_new": st.lists(st.floats(0, 1) | numbers, max_size=3),
+                "entropies": st.lists(numbers, min_size=n, max_size=n)
+                | st.lists(numbers, max_size=3),
+                "obfuscated": st.lists(st.booleans(), min_size=n, max_size=n),
+            })
+        )
+
+        def mutated(rec):
+            keys = st.sampled_from(sorted(rec))
+            return st.tuples(
+                st.dictionaries(keys, any_json, max_size=2),
+                st.sets(keys, max_size=1),
+            ).map(lambda edit: {
+                key: value for key, value in {**rec, **edit[0]}.items()
+                if key not in edit[1]
+            })
+
+        record = well_typed.flatmap(mutated)
+        line = (st.binary(max_size=60).map(lambda b: b.replace(b"\n", b""))
+                | any_json.map(lambda v: json.dumps(v).encode())
+                | record.map(lambda v: json.dumps(v).encode()))
+        body = data.draw(st.lists(line, min_size=1, max_size=3))
+        path = tmp_path_factory.mktemp("fuzz") / "journal.jsonl"
+        path.write_bytes(b"\n".join([lines[0], *body]) + b"\n")
+        try:
+            result = _resume(graph, path)
+        except ReproError:
+            return
+        assert result.n_genobf_calls >= 1

@@ -6,11 +6,17 @@ bounded queue, cooperative cancellation, the TCP protocol -- is tested
 around that invariant.
 """
 
+import asyncio
+import contextlib
 import io
+import json
+import logging
+import socket
 import threading
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import CommandRuntime, _dispatch, build_parser
@@ -27,6 +33,7 @@ from repro.server import (
     job_fingerprint,
 )
 from repro.server.service import _make_runtime, _parse_job_argv
+from tests.trial_faults import slow_trials
 
 
 def one_shot(argv):
@@ -260,15 +267,15 @@ def test_observer_raises_after_cancel(toy_graph):
         runtime.probe_observer({"type": "probe", "probe": 1})
 
 
-def test_cancel_mid_run(toy_graph, tmp_path):
+def test_cancel_mid_run(toy_graph, tmp_path, monkeypatch):
     """Cooperative cancellation lands at a probe boundary: a running
-    job slowed by injected delays ends up 'cancelled', not 'done'."""
+    job whose trials are slowed ends up 'cancelled', not 'done'."""
+    slow_trials(monkeypatch, 0.4)
     service = ChameleonService()
     job = service._jobs.submit([
         "anonymize", str(toy_graph), str(tmp_path / "slow.pel"),
         "--method", "me", "--k", "4", "--epsilon", "0.08",
         "--trials", "2", "--seed", "50",
-        "--faults", "delay@*.*:0.4x1000",
     ])
     timer = threading.Timer(0.2, job.cancel)
     timer.start()
@@ -331,10 +338,32 @@ def test_registry_evicts_lru(toy_graph, tmp_path):
 
 # -- the TCP protocol --------------------------------------------------- #
 
-@pytest.fixture()
-def live_service():
-    import asyncio
+class ErrorRecords(logging.Handler):
+    """Collects every ERROR-or-worse record logged while attached."""
 
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@contextlib.contextmanager
+def logs_no_errors():
+    """Fail when anything -- the service or asyncio -- logs at ERROR
+    inside the block."""
+    errors = ErrorRecords()
+    logging.getLogger().addHandler(errors)
+    try:
+        yield
+    finally:
+        logging.getLogger().removeHandler(errors)
+    assert [record.getMessage() for record in errors.records] == []
+
+
+def start_service():
+    """A service on a free port, its event loop in a daemon thread."""
     service = ChameleonService(port=0)
     ready = threading.Event()
     endpoint = {}
@@ -349,11 +378,19 @@ def live_service():
     )
     thread.start()
     assert ready.wait(timeout=30), "service did not start"
-    client = ServiceClient("127.0.0.1", endpoint["port"], timeout=120.0)
-    yield client
-    client.request({"op": "shutdown"})
-    thread.join(timeout=30)
-    assert not thread.is_alive()
+    return ServiceClient("127.0.0.1", endpoint["port"], timeout=120.0), thread
+
+
+@pytest.fixture()
+def live_service():
+    """A running service; its teardown asserts a clean shutdown that
+    logged no ERROR record (the service's own or asyncio's)."""
+    with logs_no_errors():
+        client, thread = start_service()
+        yield client
+        client.request({"op": "shutdown"})
+        thread.join(timeout=30)
+        assert not thread.is_alive()
 
 
 def test_tcp_protocol_roundtrip(live_service, toy_graph):
@@ -416,10 +453,6 @@ def test_oversize_frame_gets_protocol_error(live_service, caplog):
     """A request line past the 64 KiB stream limit gets one protocol
     error instead of a reset connection and a logged traceback, and the
     service keeps answering new connections."""
-    import json
-    import logging
-    import socket
-
     endpoint = (live_service._host, live_service._port)
     frame = b'{"op": "stats", "pad": "' + b"x" * (70 * 1024) + b'"}\n'
     with caplog.at_level(logging.ERROR):
@@ -433,3 +466,122 @@ def test_oversize_frame_gets_protocol_error(live_service, caplog):
         }
         assert live_service.request({"op": "stats"})["ok"]
     assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
+def exchange(endpoint, frames):
+    """Send each frame as one request line on one connection; return
+    the reply lines, read one per frame."""
+    with socket.create_connection(endpoint, timeout=30) as sock:
+        stream = sock.makefile("rwb")
+        replies = []
+        for frame in frames:
+            stream.write(frame + b"\n")
+            stream.flush()
+            replies.append(stream.readline())
+        return replies
+
+
+def test_deeply_nested_frame_is_a_bad_request(live_service):
+    """A frame that nests past the JSON decoder's recursion limit (but
+    fits the 64 KiB frame limit) gets a bad-request reply; the
+    connection keeps serving."""
+    endpoint = (live_service._host, live_service._port)
+    nested, stats = exchange(endpoint, [b"[" * 60000, b'{"op": "stats"}'])
+    reply = json.loads(nested)
+    assert reply["ok"] is False
+    assert reply["error"].startswith("bad request: maximum recursion depth")
+    assert json.loads(stats)["ok"] is True
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=True) | st.text(max_size=8))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+_OPS = (st.sampled_from(["status", "result", "cancel", "stats"])
+        | st.text(max_size=8).filter(lambda op: op not in ("submit",
+                                                           "shutdown"))
+        | _JSON.filter(lambda op: not isinstance(op, str)))
+_REQUESTS = st.builds(
+    lambda op, fields: {**fields, "op": op},
+    _OPS,
+    st.dictionaries(
+        st.sampled_from(["job", "wait", "argv"]) | st.text(max_size=6),
+        st.sampled_from(["j1", "j2"]) | _JSON,
+        max_size=3,
+    ),
+)
+_FRAMES = (
+    st.binary(max_size=200).map(lambda data: data.replace(b"\n", b""))
+    | _JSON.map(lambda value: json.dumps(value).encode())
+    | st.builds(lambda depth, opener: opener * depth,
+                st.integers(1, 12000), st.sampled_from([b"[", b'{"a":']))
+    | _REQUESTS.map(lambda request: json.dumps(request).encode())
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(frame=_FRAMES)
+def test_fuzzed_frames_get_exactly_one_reply(live_service, frame):
+    """Arbitrary bytes, nested JSON values and status / result / cancel /
+    stats / unknown-op requests with arbitrary fields: each frame gets
+    exactly one JSON reply line (the next line on the connection answers
+    the stats request sent after it), and nothing is logged at ERROR
+    (the fixture's teardown checks)."""
+    endpoint = (live_service._host, live_service._port)
+    reply, stats = exchange(endpoint, [frame, b'{"op": "stats"}'])
+    assert isinstance(json.loads(reply)["ok"], bool)
+    assert "stats" in json.loads(stats)
+
+
+def test_shutdown_ends_open_connections():
+    """A client connection still open at shutdown reads end-of-file;
+    its handler returns instead of being cancelled mid-read, which
+    Python 3.11 would log at ERROR with a traceback."""
+    with logs_no_errors():
+        client, thread = start_service()
+        with socket.create_connection(
+            ("127.0.0.1", client._port), timeout=30
+        ) as idle:
+            assert client.request({"op": "stats"})["ok"]
+            client.request({"op": "shutdown"})
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert idle.recv(1) == b""
+
+
+def test_shutdown_answers_a_client_waiting_on_a_queued_job(
+    toy_graph, tmp_path, monkeypatch
+):
+    """A client blocked on ``submit --wait`` for a job still queued when
+    the service shuts down gets that job's ``cancelled`` state back
+    instead of a dropped connection."""
+    slow_trials(monkeypatch, 0.2)
+    with logs_no_errors():
+        client, thread = start_service()
+        tail = ["--method", "me", "--k", "4", "--epsilon", "0.08",
+                "--trials", "2", "--seed", "60"]
+        client.request({"op": "submit", "argv": [
+            "anonymize", str(toy_graph), str(tmp_path / "a.pel")] + tail})
+        client.request({"op": "submit", "argv": [
+            "anonymize", str(toy_graph), str(tmp_path / "b.pel")] + tail})
+        replies = []
+        waiter = threading.Thread(target=lambda: replies.append(
+            client.request({"op": "submit", "wait": True, "argv": [
+                "anonymize", str(toy_graph), str(tmp_path / "c.pel")]
+                + tail})
+        ))
+        waiter.start()
+        deadline = time.monotonic() + 30
+        while (client.request({"op": "stats"})["stats"]["queue"]["depth"]
+               < 3 and time.monotonic() < deadline):
+            time.sleep(0.01)
+        client.request({"op": "shutdown"})
+        thread.join(timeout=60)
+        waiter.join(timeout=60)
+        assert not thread.is_alive() and not waiter.is_alive()
+    assert [reply["result"]["state"] for reply in replies] == ["cancelled"]

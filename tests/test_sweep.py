@@ -66,25 +66,6 @@ def test_failed_entry_reports_largest_probed_sigma():
     )
 
 
-def test_sweep_under_faults_bit_identical(graph):
-    """A crash and a past-deadline delay rebuild the amortized engine;
-    the rebuilt engine is retargeted and the sweep equals the clean one."""
-    clean = sweep_anonymize(graph, [3, 5], 0.05, seed=4, **FAST)
-    faulted = sweep_anonymize(
-        graph, [3, 5], 0.05, seed=4, fault_plan="crash@0.0;delay@0.1:0.3",
-        trial_timeout=0.2, retry_backoff=0.0, **FAST
-    )
-    for k in (3, 5):
-        a, b = clean[k], faulted[k]
-        assert a.sigma == b.sigma
-        assert a.epsilon_achieved == b.epsilon_achieved
-        assert a.n_genobf_calls == b.n_genobf_calls
-        assert a.sigma_history == b.sigma_history
-        assert (a.graph is None) == (b.graph is None)
-        if a.graph is not None:
-            assert a.graph == b.graph
-
-
 def test_empty_k_values_rejected(graph):
     with pytest.raises(ConfigurationError):
         sweep_anonymize(graph, [], 0.05)
