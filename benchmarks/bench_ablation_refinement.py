@@ -11,8 +11,6 @@ quantifies, per dataset at the top privacy level of the sweep:
 
 from __future__ import annotations
 
-import numpy as np
-
 from _harness import (
     DATASETS,
     EPSILONS,

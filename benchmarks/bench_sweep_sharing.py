@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 import repro
 from _harness import EPSILONS, K_VALUES, RUN_KWARGS, SEED, dataset, emit, format_table
 from repro.core import sweep_anonymize

@@ -55,7 +55,12 @@ import traceback
 from .baselines import rep_an
 from .core import anonymize
 from .datasets import dataset_tolerance, load_dataset
-from .exceptions import ReproError, ResilienceError, ServerError
+from .exceptions import (
+    ConfigurationError,
+    ReproError,
+    ResilienceError,
+    ServerError,
+)
 
 #: Exit code of a run whose goal was not met (infeasible target).
 EXIT_UNSATISFIED = 1
@@ -199,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     anon.add_argument("--seed", type=int, default=None)
     anon.add_argument(
         "--utility-samples", type=int, default=0,
-        help="worlds for sigma-search utility verification; every "
-             "successful candidate's reliability discrepancy is scored "
-             "on one persistent world store (0 disables)",
+        help="worlds for utility verification; the accepted "
+             "candidate's reliability discrepancy is scored once, after "
+             "the sigma search (0 disables)",
     )
     anon.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -417,7 +422,17 @@ def _cmd_anonymize(args, out, err, runtime) -> int:
         epsilon = dataset_tolerance(args.input)
     if args.method == "rep-an":
         # Rep-An's obfuscation phase is degree-based and runs no sigma
-        # search, so the utility and checkpoint flags do not apply to it.
+        # search, so the utility and checkpoint flags do not apply to it
+        # (--world-memory-budget is accepted: the CLI takes one uniform
+        # flag set).
+        for flag, given in (("--checkpoint", args.checkpoint is not None),
+                            ("--resume", args.resume),
+                            ("--utility-samples", args.utility_samples)):
+            if given:
+                raise ConfigurationError(
+                    f"{flag} does not apply to --method rep-an, which "
+                    "runs no sigma search"
+                )
         result = rep_an(graph, args.k, epsilon, seed=args.seed,
                         n_trials=args.trials)
     else:

@@ -92,10 +92,10 @@ def _search_sigma(config: ChameleonConfig, probe):
     Phase 2 -- bisection (Algorithm 1, lines 6-11) of ``[0, sigma]``
     below the first success, keeping the smallest-sigma success.
 
-    Returns ``(best, best_index, history)``: ``history`` holds
+    Returns ``(best, history)``: ``history`` holds
     ``(sigma, epsilon_achieved)`` per probe.  When no rung succeeds,
     ``best`` is a failed outcome at the largest sigma probed -- the
-    noise range the search actually tried -- and ``best_index`` is -1.
+    noise range the search actually tried.
     """
     history: list[tuple[float, float]] = []
 
@@ -114,17 +114,16 @@ def _search_sigma(config: ChameleonConfig, probe):
             sigma=float(max(ladder)), epsilon_achieved=float(FAILURE_EPSILON),
             graph=None, report=None, n_trials=config.n_trials,
         )
-        return failed, -1, history
-    best_index = len(history) - 1
+        return failed, history
     sigma_low, sigma_high = 0.0, best.sigma
     while sigma_high - sigma_low > config.sigma_tolerance:
         sigma_mid = (sigma_high + sigma_low) / 2.0
         outcome = run(sigma_mid)
         if outcome.success:
-            sigma_high, best, best_index = sigma_mid, outcome, len(history) - 1
+            sigma_high, best = sigma_mid, outcome
         else:
             sigma_low = sigma_mid
-    return best, best_index, history
+    return best, history
 
 
 class Chameleon:
@@ -210,15 +209,14 @@ class Chameleon:
         else:
             cache = DegreeUncertaintyCache(graph, knowledge=context.knowledge)
 
-        # Utility verification: one persistent CRN world store of the
-        # input graph scores every successful candidate's reliability
-        # discrepancy incrementally -- only worlds where a perturbed
-        # edge's realization flipped are relabeled.
+        # Utility verification: the accepted candidate's reliability
+        # discrepancy, scored once after the search on a CRN world store
+        # of the input graph.  The search steers sigma by privacy alone,
+        # so no other probe is scored.  The store seed and the pair
+        # sample are drawn here, before the search, which keeps the run
+        # generator's consumption fixed.
         store: WorldStore | None = None
         utility_pairs = None
-        utility_base_counts = None
-        utility_history: list[tuple[float, float]] = []
-        utility_scores: dict[int, float] = {}
         if config.utility_samples > 0:
             store = WorldStore(
                 graph, config.utility_samples,
@@ -226,31 +224,9 @@ class Chameleon:
                 memory_budget=config.world_memory_budget,
             )
             if graph.n_nodes > FULL_MATRIX_LIMIT:
-                # One fixed pair set scores every candidate, keeping the
-                # sigma search's utility signal comparable across probes.
                 utility_pairs = sample_vertex_pairs(
                     graph.n_nodes, DEFAULT_PAIR_SAMPLE, seed=rng
                 )
-
-        def score_utility(probe_index: int, outcome: GenObfOutcome) -> None:
-            nonlocal utility_base_counts
-            if store is None or outcome.graph is None:
-                return
-            if utility_pairs is not None and utility_base_counts is None:
-                utility_base_counts = store.base_pair_equal_counts(utility_pairs)
-            view = store.derive(graph_delta_rows(graph, outcome.graph))
-            value = store.discrepancy(
-                view, pairs=utility_pairs, base_counts=utility_base_counts
-            )
-            # Keyed by the stable probe counter: id(outcome) is only
-            # unique while the outcome object is alive, so a recycled id
-            # could silently attach another probe's score to the winner.
-            utility_scores[probe_index] = value
-            utility_history.append((outcome.sigma, value))
-            logger.debug(
-                "utility sigma=%.5g -> Delta=%.6g (%d/%d dirty worlds)",
-                outcome.sigma, value, view.n_dirty, store.n_samples,
-            )
 
         logger.debug(
             "anonymize start: method=%s k=%d eps=%g n=%d |E|=%d",
@@ -285,7 +261,6 @@ class Chameleon:
                 outcome = engine.run_probe(probe_index, sigma)
                 if journal is not None:
                     journal.record(probe_index, outcome)
-            score_utility(probe_index, outcome)
             logger.debug(
                 "GenObf sigma=%.5g -> eps_hat=%.4g (%s)",
                 outcome.sigma, outcome.epsilon_achieved,
@@ -303,11 +278,19 @@ class Chameleon:
 
         search_started = time.perf_counter()
         try:
-            best, best_probe, history = _search_sigma(config, probe)
+            best, history = _search_sigma(config, probe)
         finally:
             if journal is not None:
                 journal.close()
         search_seconds = time.perf_counter() - search_started
+        utility = None
+        if store is not None and best.success:
+            view = store.derive(graph_delta_rows(graph, best.graph))
+            utility = store.discrepancy(view, pairs=utility_pairs)
+            logger.debug(
+                "utility sigma=%.5g -> Delta=%.6g (%d/%d dirty worlds)",
+                best.sigma, utility, view.n_dirty, store.n_samples,
+            )
         elapsed = time.perf_counter() - started
         calls = len(history)
         if best.success:
@@ -335,8 +318,7 @@ class Chameleon:
             sigma_history=tuple(history),
             elapsed_seconds=elapsed,
             search_seconds=search_seconds,
-            utility_discrepancy=utility_scores.get(best_probe),
-            utility_history=tuple(utility_history),
+            utility_discrepancy=utility,
             resumed_probes=resumed,
         )
 

@@ -17,7 +17,7 @@ ME      uniqueness-only          max-entropy (anonymity-oriented)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..exceptions import ConfigurationError
 
@@ -51,13 +51,13 @@ class ChameleonConfig:
     relevance_method:
         ``"merge-gain"`` (default) or ``"grouped"`` (Algorithm 2 verbatim).
     utility_samples:
-        Possible worlds for utility verification during the sigma
-        search.  When positive, the anonymizer keeps one persistent
-        :class:`repro.reliability.WorldStore` of the input graph and
-        scores every successful GenObf candidate's reliability
-        discrepancy incrementally (dirty-world relabeling);
-        ``AnonymizationResult.utility_discrepancy`` reports the accepted
-        solution's score.  0 (default) skips utility verification.
+        Possible worlds for utility verification.  When positive, the
+        anonymizer builds a :class:`repro.reliability.WorldStore` of the
+        input graph and, once the sigma search is over, scores the
+        accepted candidate's reliability discrepancy on it (dirty-world
+        relabeling); ``AnonymizationResult.utility_discrepancy`` reports
+        it.  The search steers sigma by privacy alone, so no other
+        probe is scored.  0 (default) skips utility verification.
     world_memory_budget:
         Soft cap, in bytes, on the per-chunk temporaries and the
         ``(N, M)`` pair-equality cache of any single

@@ -1,8 +1,9 @@
 """GenObf trial execution for the sigma search (Algorithms 1 and 3).
 
-Each sigma probe runs ``t`` randomized GenObf trials -- the trial loop
-of Boldi et al.'s obfuscation scheme -- and keeps the best satisfying
-candidate.  This module supplies that loop:
+Each sigma probe runs up to ``t`` randomized GenObf trials -- the trial
+loop of Boldi et al.'s obfuscation scheme -- and keeps the best
+satisfying candidate; a trial that reaches epsilon-hat 0 ends the loop,
+since no later trial can beat it.  This module supplies that loop:
 
 * :func:`run_trial` -- ONE GenObf trial (candidate selection, noise
   split, perturbation, (k, epsilon) check) producing a compact
@@ -264,11 +265,20 @@ class SerialTrialEngine:
         self._entropy = int(entropy)
 
     def run_probe(self, probe_index: int, sigma: float) -> GenObfOutcome:
-        results = [
-            run_trial(
+        """Run probe ``probe_index``'s trials at ``sigma`` and reduce them.
+
+        The loop ends at the first satisfying trial with epsilon-hat 0:
+        under :func:`reduce_probe`'s strict tie-break no later trial can
+        beat it, and trial streams are keyed by coordinates, so skipping
+        the rest cannot change the outcome.
+        """
+        results = []
+        for t in range(self._config.n_trials):
+            result = run_trial(
                 self._graph, self._config, self._context, sigma,
                 probe_index, t, self._entropy, self._cache,
             )
-            for t in range(self._config.n_trials)
-        ]
+            results.append(result)
+            if result.satisfied and result.epsilon_achieved == 0.0:
+                break
         return reduce_probe(self._graph, self._config, sigma, results)

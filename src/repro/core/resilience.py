@@ -129,14 +129,6 @@ class SigmaSearchJournal:
                 )
             self._start_fresh()
 
-    @property
-    def path(self) -> str:
-        return self._path
-
-    @property
-    def n_recorded(self) -> int:
-        return len(self._records)
-
     def _unusable(self, action: str, exc: OSError) -> ResilienceError:
         return ResilienceError(
             f"cannot {action} checkpoint journal {self._path}: "

@@ -70,12 +70,11 @@ class AnonymizationResult:
         and degree-pmf construction.
     utility_discrepancy:
         Reliability discrepancy of the accepted solution against the
-        input graph, measured on the anonymizer's world store when
-        ``ChameleonConfig.utility_samples > 0``; ``None`` when utility
-        verification was off (or the search failed).
-    utility_history:
-        ``(sigma, discrepancy)`` per *successful* GenObf call scored by
-        the world store, in search order.
+        input graph, scored once after the search on a world store of
+        the input when ``ChameleonConfig.utility_samples > 0``; ``None``
+        when utility verification was off (or the search failed).  The
+        search steers sigma by privacy alone, so no other probe is
+        scored.
     resumed_probes:
         Probe outcomes replayed from a checkpoint journal instead of
         being recomputed (``--resume``).
@@ -93,7 +92,6 @@ class AnonymizationResult:
     elapsed_seconds: float = 0.0
     search_seconds: float = 0.0
     utility_discrepancy: float | None = None
-    utility_history: tuple[tuple[float, float], ...] = field(default_factory=tuple)
     resumed_probes: int = 0
 
     @property

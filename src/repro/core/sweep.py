@@ -99,7 +99,7 @@ def sweep_anonymize(
         config = base_config.with_privacy(k, epsilon)
         engine.set_privacy(k, epsilon)
         started = time.perf_counter()
-        best, _, history = _search_sigma(config, probe)
+        best, history = _search_sigma(config, probe)
         results[k] = AnonymizationResult(
             graph=best.graph, method=config.name, k=k, epsilon=epsilon,
             sigma=best.sigma, epsilon_achieved=best.epsilon_achieved,

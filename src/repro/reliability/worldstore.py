@@ -885,10 +885,10 @@ class WorldStore:
     def _base_pair_equal(self, pairs: np.ndarray) -> np.ndarray:
         """Boolean ``(N, M)`` base connectivity per pair, cached.
 
-        The sigma search evaluates every candidate against one fixed
-        pair set; caching this matrix lets each derived view reduce its
-        dirty-world correction to a row gather + sum instead of a fresh
-        label comparison.  Only the most recent pair set is kept.
+        Views are scored against a fixed pair set; caching this matrix
+        lets each derived view reduce its dirty-world correction to a
+        row gather + sum instead of a fresh label comparison.  Only the
+        most recent pair set is kept.
         """
         key = self._pair_cache_key(pairs)
         if self._pair_equal_cache is not None and \
@@ -1358,8 +1358,8 @@ class WorldStore:
         policy: all pairs when the graph is small enough and neither
         ``n_pairs`` nor ``pairs`` is given, a sampled pair set otherwise.
         Passing an explicit ``pairs`` array (with optional precomputed
-        ``base_counts``) lets repeated callers -- the sigma search --
-        evaluate every candidate on one fixed pair set.
+        ``base_counts``) lets a repeated caller evaluate every candidate
+        on one fixed pair set.
         """
         n = self._graph.n_nodes
         total_pairs = n * (n - 1) / 2

@@ -6,11 +6,7 @@ import pytest
 from repro.core import Chameleon, anonymize, variant_config
 from repro.exceptions import ObfuscationError
 from repro.privacy import check_obfuscation, expected_degree_knowledge
-from repro.ugraph import (
-    UncertainGraph,
-    probability_l1_distance,
-    write_edge_list,
-)
+from repro.ugraph import UncertainGraph, write_edge_list
 from tests.checker_oracle import use_full_checker
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.baselines import rep_an
 from repro.cli import build_parser, main
 from repro.ugraph import read_edge_list
 from tests.checker_oracle import use_full_checker
@@ -114,20 +115,55 @@ def test_report_to_stdout(tmp_path, capsys):
     assert "## Utility preservation" in out
 
 
+REP_AN_ARGS = ["--method", "rep-an", "--k", "3", "--epsilon", "0.1",
+               "--trials", "2", "--seed", "15"]
+
+
 def test_anonymize_repan_method(tmp_path, capsys):
+    """A plain rep-an run prints the library's summary; the uniform
+    --world-memory-budget flag is accepted and changes nothing."""
     source = tmp_path / "orig.pel"
     target = tmp_path / "anon.pel"
     main(["generate", "ppi", str(source), "--scale", "0.2", "--seed", "14"])
     capsys.readouterr()
-    code = main([
-        "anonymize", str(source), str(target),
-        "--method", "rep-an", "--k", "3", "--epsilon", "0.1",
-        "--trials", "2", "--seed", "15",
-    ])
-    summary = json.loads(capsys.readouterr().out)
+    code = main(["anonymize", str(source), str(target)] + REP_AN_ARGS)
+    stdout = capsys.readouterr().out
+    summary = json.loads(stdout)
     assert code == 0
     assert summary["method"] == "rep-an"
     assert target.exists()
+    expected = rep_an(read_edge_list(source), 3, 0.1, seed=15, n_trials=2)
+    assert stdout == json.dumps(
+        expected.summary(include_timing=False), indent=2
+    ) + "\n"
+
+    budgeted = tmp_path / "budgeted.pel"
+    code = main(["anonymize", str(source), str(budgeted)] + REP_AN_ARGS
+                + ["--world-memory-budget", "64k"])
+    assert code == 0
+    assert capsys.readouterr().out == stdout
+    assert budgeted.read_bytes() == target.read_bytes()
+
+
+@pytest.mark.parametrize("flag, extra", [
+    ("--checkpoint", ["--checkpoint", "journal.jsonl"]),
+    ("--resume", ["--resume"]),
+    ("--utility-samples", ["--utility-samples", "20"]),
+])
+def test_anonymize_repan_rejects_sigma_search_flags(
+    tmp_path, capsys, monkeypatch, flag, extra
+):
+    """Rep-An runs no sigma search: a flag that only steers one is an
+    error naming the flag, not silently ignored."""
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "ppi", "orig.pel", "--scale", "0.2", "--seed", "14"])
+    capsys.readouterr()
+    code = main(["anonymize", "orig.pel", "anon.pel"] + REP_AN_ARGS + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flag in captured.err and "rep-an" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["orig.pel"]
 
 
 def test_anonymize_failure_exit_code(tmp_path, capsys):

@@ -10,7 +10,7 @@ from repro.reliability import (
     pair_counts_from_labels,
 )
 from repro.reliability.union_find import canonical_component_labels
-from repro.ugraph import UncertainGraph, sample_edge_masks
+from repro.ugraph import sample_edge_masks
 from tests.connectivity_oracle import (
     oracle_component_labels,
     world_component_labels,

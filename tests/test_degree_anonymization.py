@@ -1,7 +1,5 @@
 """Liu-Terzi k-degree anonymization baseline."""
 
-import itertools
-
 import numpy as np
 import pytest
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import repro
 from repro.exceptions import (
     EstimationError,
-    GraphConstructionError,
     GraphFormatError,
     ObfuscationError,
     ReproError,
@@ -219,8 +218,6 @@ class TestHalfFinishedPipelines:
         assert np.isnan(failed.noise_added(g))
 
     def test_refine_rejects_failure(self):
-        from dataclasses import replace
-
         from repro.core import refine_anonymization
         from repro.core.result import AnonymizationResult
 

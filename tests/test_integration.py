@@ -5,7 +5,6 @@ anonymize -> verify privacy -> measure utility -> publish, including the
 paper's headline comparisons at miniature scale.
 """
 
-import numpy as np
 import pytest
 
 import repro

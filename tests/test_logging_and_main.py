@@ -4,8 +4,6 @@ import logging
 import subprocess
 import sys
 
-import pytest
-
 import repro
 
 

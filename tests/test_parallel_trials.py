@@ -24,6 +24,7 @@ from tests.checker_oracle import (
     record_checks,
     use_full_checker,
 )
+from tests.search_oracle import early_exit_trial_count
 
 #: Small-but-nontrivial search configuration shared by the suite.
 FAST = dict(
@@ -104,10 +105,18 @@ class TestGenObfOnEngine:
         a probe checked by the oracle alone picks the same winner."""
         config = ChameleonConfig(**FAST)
         ctx_inc, cache = _context_and_cache(small_profile_graph, config)
+        # gen_obf draws its trial entropy first from the seed's generator;
+        # the probe stops at the first trial that reaches epsilon-hat 0.
+        entropy = int(np.random.default_rng(5).integers(0, 2**63 - 1))
+        expected = early_exit_trial_count([
+            run_trial(small_profile_graph, config, ctx_inc, 0.5, 0, t,
+                      entropy, cache)
+            for t in range(config.n_trials)
+        ], config.n_trials)
         checks = record_checks(monkeypatch)
         a = gen_obf(small_profile_graph, config, 0.5, ctx_inc, seed=5,
                     cache=cache)
-        assert len(checks) == config.n_trials
+        assert len(checks) == expected
         for incremental, full in checks:
             assert_reports_identical(incremental, full)
         monkeypatch.undo()

@@ -1,6 +1,5 @@
 """Post-anonymization refinement."""
 
-import numpy as np
 import pytest
 
 import repro

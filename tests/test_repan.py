@@ -1,6 +1,5 @@
 """Rep-An baseline pipeline tests (Section IV)."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import RepAn, obfuscate_deterministic, rep_an
@@ -8,7 +7,6 @@ from repro.core import anonymize
 from repro.exceptions import ObfuscationError
 from repro.metrics import average_reliability_discrepancy
 from repro.privacy import check_obfuscation, expected_degree_knowledge
-from repro.ugraph import UncertainGraph
 
 
 FAST = dict(n_trials=2, relevance_samples=100, sigma_tolerance=0.05)

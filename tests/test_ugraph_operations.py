@@ -1,6 +1,5 @@
 """Unit tests for structural graph operations."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import GraphConstructionError

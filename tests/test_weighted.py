@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import EstimationError, GraphConstructionError
-from repro.ugraph import UncertainGraph, WeightedUncertainGraph
+from repro.ugraph import WeightedUncertainGraph
 
 
 @pytest.fixture

@@ -34,6 +34,7 @@ from repro.reliability.worldstore import graph_delta_rows
 from repro.ugraph import UncertainGraph, WorldSampler, overlay, sample_edge_masks
 from tests.connectivity_oracle import oracle_component_labels
 from tests.growth_oracle import growth_uniform_column
+from tests.search_oracle import oracle_anonymize
 
 
 def oracle_labels(store: WorldStore, view: DerivedWorlds) -> np.ndarray:
@@ -662,15 +663,17 @@ class TestSuiteAndSigmaSearchWiring:
             )
 
     def test_anonymize_scores_utility(self, small_profile_graph):
-        result = anonymize(
-            small_profile_graph, k=3, epsilon=0.3, seed=8,
-            n_trials=2, relevance_samples=30, utility_samples=40,
+        kwargs = dict(
+            seed=8, n_trials=2, relevance_samples=30, utility_samples=40,
             sigma_tolerance=0.5,
         )
+        result = anonymize(small_profile_graph, k=3, epsilon=0.3, **kwargs)
         assert result.success
         assert result.utility_discrepancy is not None
         assert result.utility_discrepancy >= 0.0
-        assert len(result.utility_history) >= 1
+        oracle = oracle_anonymize(small_profile_graph, 3, 0.3, **kwargs)
+        assert np.float64(result.utility_discrepancy).tobytes() == \
+            np.float64(oracle.utility_discrepancy).tobytes()
         assert result.summary()["utility_discrepancy"] == (
             result.utility_discrepancy
         )
