@@ -7,8 +7,7 @@ a small sigma-perturbed edge set -- under two evaluation strategies:
 * ``fresh`` -- what a store-less evaluator does per candidate given the
   same CRN uniforms: re-threshold the full mask matrix, relabel all N
   base worlds AND all N candidate worlds, recount every query pair on
-  both sides, then difference the reliabilities (this is the per-call
-  work of ``reliability_discrepancy(engine="fresh")``);
+  both sides, then difference the reliabilities;
 * ``store`` -- one persistent :class:`repro.reliability.WorldStore`:
   the base side is labeled/counted once, each candidate is a
   :meth:`WorldStore.derive` delta that re-thresholds only the changed
@@ -20,12 +19,7 @@ counts, and the final discrepancy float must match exactly.  The store
 row's total includes its one-off construction (base sampling, labeling,
 pair counting), so the speedup is end-to-end for a D-candidate search.
 
-A second table times the public ``reliability_discrepancy`` entry point
-under both engines on one materialized candidate (the anonymize ->
-evaluate path; the engines draw different candidate streams there, so
-agreement is statistical rather than bitwise).
-
-A third table times the all-pairs path (``pairs=None``, ``n <=
+A second table times the all-pairs path (``pairs=None``, ``n <=
 FULL_MATRIX_LIMIT``) that utility scoring in the sigma search runs:
 every candidate's full ``n x n`` reliability matrix comes from the
 pairwise equality accumulator.  The accumulator is timed against the
@@ -59,12 +53,10 @@ from repro.datasets import load_profile
 from repro.reliability import (
     WorldStore,
     component_labels_for_edges,
-    reliability_discrepancy,
     sample_vertex_pairs,
 )
 from repro.reliability import worldstore
 from repro.reliability.worldstore import _pair_equal_counts
-from repro.ugraph import overlay
 from tests.test_worldstore import broadcast_pairwise_acc, canonical_labels
 
 WS_SCALE = float(os.environ.get("REPRO_BENCH_WS_SCALE", "2.0"))
@@ -117,11 +109,10 @@ def _fresh_eval(store, delta, pairs, seed):
 
     Redraws the base uniforms (as a fresh estimator does on every call),
     re-thresholds every column, relabels all base and candidate worlds,
-    and recounts every pair on both sides -- exactly the per-candidate
-    work ``reliability_discrepancy(engine="fresh")`` performs.  The
-    redraw consumes the generator identically to the store's first
-    block, so the result stays bit-comparable to the store path; grown
-    (new-pair) columns reuse the store's growth blocks.
+    and recounts every pair on both sides.  The redraw consumes the
+    generator identically to the store's first block, so the result
+    stays bit-comparable to the store path; grown (new-pair) columns
+    reuse the store's growth blocks.
     """
     n = store.graph.n_nodes
     n_samples = store.n_samples
@@ -179,16 +170,15 @@ def run_store_comparison(
     warm.derive(deltas[0]).pair_counts
 
     # --- store path: one persistent store, construction included ----- #
+    # The first discrepancy counts the base worlds on ``pairs``; the
+    # store keeps those counts for the rest of the stream.
     started = time.perf_counter()
     store = WorldStore(graph, n_samples=n_samples, seed=seed)
-    base_counts = store.base_pair_equal_counts(pairs)
     views = []
     store_discs = []
     for delta in deltas:
         view = store.derive(delta)
-        store_discs.append(
-            store.discrepancy(view, pairs=pairs, base_counts=base_counts)
-        )
+        store_discs.append(store.discrepancy(view, pairs=pairs))
         views.append(view)
     store_seconds = time.perf_counter() - started
     dirty_fraction = float(
@@ -223,48 +213,6 @@ def run_store_comparison(
         "dirty_fraction": dirty_fraction,
         "speedup": fresh_seconds / store_seconds,
     }
-
-
-def run_engine_comparison(
-    scale: float = WS_SCALE,
-    n_samples: int = WS_SAMPLES,
-    seed: int = WS_SEED,
-    n_pairs: int = WS_PAIRS,
-    repeats: int = 3,
-) -> dict:
-    """Public-API timing: ``reliability_discrepancy`` store vs fresh.
-
-    One materialized candidate (a mid-band sigma delta), both engines
-    called through the anonymize -> evaluate entry point.  The fresh
-    engine samples the candidate from an independent stream, so the two
-    values agree statistically, not bitwise.
-    """
-    graph = load_profile("brightkite", scale=scale, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    delta = _sample_sigma_delta(graph, WS_EDGES, 0.02, rng)
-    candidate = overlay(graph, [(u, v, p) for u, v, __, p in delta])
-
-    timings = {}
-    values = {}
-    for engine in ("fresh", "store"):
-        reliability_discrepancy(
-            graph, candidate, n_samples=min(n_samples, 32), seed=seed,
-            n_pairs=n_pairs, engine=engine,
-        )
-        started = time.perf_counter()
-        for __ in range(repeats):
-            values[engine] = reliability_discrepancy(
-                graph, candidate, n_samples=n_samples, seed=seed,
-                n_pairs=n_pairs, engine=engine,
-            )
-        timings[engine] = (time.perf_counter() - started) / repeats
-    rows = [
-        ["fresh", timings["fresh"], values["fresh"], 1.0],
-        ["store", timings["store"], values["store"],
-         timings["fresh"] / timings["store"]],
-    ]
-    return {"rows": rows, "graph": (graph.n_nodes, graph.n_edges),
-            "speedup": timings["fresh"] / timings["store"]}
 
 
 def run_pairwise_comparison(
@@ -362,19 +310,12 @@ def test_bench_world_store():
         f"queries bit-identical to fresh oracle: {result['identical']}\n"
         f"mean dirty-world fraction: {result['dirty_fraction']:.3f}\n"
     )
-    engines = run_engine_comparison()
-    engine_table = _harness.format_table(
-        ["engine", "seconds/call", "discrepancy", "speedup"],
-        engines["rows"], precision=5,
-    )
     pairwise = run_pairwise_comparison()
     pairwise_headers = ["case", "kernel", "seconds", "speedup", "identical"]
     pairwise_table = _harness.format_table(pairwise_headers, pairwise["rows"])
     _harness.emit(
         "bench_world_store",
         header + table
-        + "\n\nreliability_discrepancy end-to-end (one candidate):\n"
-        + engine_table
         + f"\n\nall-pairs discrepancy path (pairs=None, n={n_nodes}, "
           f"N={pairwise['n_samples']} worlds): pairwise accumulator vs "
           f"broadcast compare over {pairwise['n_deltas']} profile "
@@ -392,10 +333,6 @@ def test_bench_world_store():
             **_harness.table_data(
                 ["strategy", "seconds", "ms/candidate", "speedup"],
                 result["rows"],
-            ),
-            "engine": _harness.table_data(
-                ["engine", "seconds/call", "discrepancy", "speedup"],
-                engines["rows"],
             ),
             "pairwise": _harness.table_data(
                 pairwise_headers, pairwise["rows"]

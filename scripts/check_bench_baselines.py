@@ -6,13 +6,15 @@ Every benchmark that emits a machine-readable ``BENCH_<name>.json`` twin
 assert without re-running the full-scale benchmark on shared runners:
 
 * **bit-equality verdicts** -- a top-level ``identical`` flag and/or
-  per-case ``bit-identical`` / ``success`` fields.  These must all be
-  true: they certify that the fast path reproduced the oracle bitwise
-  when the numbers were recorded.
-* **case counts** -- each bench's number of recorded cases must not
-  shrink below the committed baseline (``BASELINES.json``), so a bench
-  cannot silently drop coverage (a fraction row, a backend, a worker
-  count) while still looking green.
+  per-case ``bit-identical`` / ``success`` / ``identical`` fields, in
+  the top-level ``cases`` table and in every nested ``{"cases": [...]}``
+  table (a bench's second or third table).  These must all be true:
+  they certify that the fast path reproduced the oracle bitwise when
+  the numbers were recorded.
+* **case counts** -- each bench's number of top-level recorded cases
+  must not shrink below the committed baseline (``BASELINES.json``), so
+  a bench cannot silently drop coverage (a fraction row, a backend, a
+  worker count) while still looking green.
 
 Timings are deliberately NOT gated: CI hosts are noisy, and wall-clock
 assertions live inside the benchmarks themselves where the execution
@@ -43,6 +45,16 @@ def _case_verdicts(case: dict) -> list[tuple[str, bool]]:
     ]
 
 
+def _case_tables(table: dict, prefix: str = ""):
+    """``(prefix, cases)`` of every ``{"cases": [...]}`` table in
+    ``table``, itself first, then nested tables depth-first."""
+    if isinstance(table.get("cases"), list):
+        yield prefix, table["cases"]
+    for key, value in table.items():
+        if isinstance(value, dict):
+            yield from _case_tables(value, f"{prefix}{key}.")
+
+
 def check_payload(payload: dict, baseline: dict | None) -> list[str]:
     """All violations for one ``BENCH_*.json`` payload (empty == pass)."""
     name = payload.get("bench", "<unnamed>")
@@ -51,12 +63,13 @@ def check_payload(payload: dict, baseline: dict | None) -> list[str]:
     verdicts: list[tuple[str, bool]] = []
     if "identical" in payload:
         verdicts.append(("identical", bool(payload["identical"])))
-    cases = payload.get("cases", [])
-    for index, case in enumerate(cases):
-        verdicts.extend(
-            (f"cases[{index}].{field}", value)
-            for field, value in _case_verdicts(case)
-        )
+    for prefix, cases in _case_tables(payload):
+        for index, case in enumerate(cases):
+            if isinstance(case, dict):
+                verdicts.extend(
+                    (f"{prefix}cases[{index}].{field}", value)
+                    for field, value in _case_verdicts(case)
+                )
     if not verdicts:
         problems.append(
             f"{name}: no bit-equality verdict found (expected a top-level "
@@ -69,6 +82,7 @@ def check_payload(payload: dict, baseline: dict | None) -> list[str]:
     )
 
     if baseline is not None:
+        cases = payload.get("cases", [])
         floor = int(baseline.get("cases", 0))
         if len(cases) < floor:
             problems.append(

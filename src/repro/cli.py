@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import signal
 import sys
@@ -124,11 +125,42 @@ class CommandRuntime:
         )
 
 
-def _worker_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
+def _int_at_least(minimum: int, flag: str):
+    """An argparse ``type`` taking integers ``>= minimum``.
+
+    A bad value is a usage error (exit 2) at parse time, so it never
+    reaches a command, a world sampler or the service's job queue.
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_worker_count = _int_at_least(1, "--job-workers")
+_seed = _int_at_least(0, "--seed")
+_samples = _int_at_least(1, "--samples")
+
+
+def _scale(text: str) -> float:
+    """``--scale``: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(
-            f"--job-workers must be >= 1, got {value}"
+            f"--scale must be a finite number > 0, got {text!r}"
         )
     return value
 
@@ -189,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="materialize a dataset profile")
     gen.add_argument("profile", help="dblp | brightkite | ppi")
     gen.add_argument("output", help="edge-list file to write")
-    gen.add_argument("--scale", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--scale", type=_scale, default=1.0)
+    gen.add_argument("--seed", type=_seed, default=None)
 
     anon = sub.add_parser("anonymize", help="anonymize an uncertain graph")
     anon.add_argument("input", help="edge-list file or profile name")
@@ -201,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     anon.add_argument("--epsilon", type=float, default=None,
                       help="tolerance (defaults to the profile's)")
     anon.add_argument("--trials", type=int, default=5)
-    anon.add_argument("--seed", type=int, default=None)
+    anon.add_argument("--seed", type=_seed, default=None)
     anon.add_argument(
         "--utility-samples", type=int, default=0,
         help="worlds for utility verification; the accepted "
@@ -246,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="graph whose degrees the adversary knows "
                           "(default: the published graph's expectation)")
     upd.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=_seed, default=0,
         help="deterministic entropy for the repair trials and the "
              "world store; an integer (never wall-clock), so the "
              "outcome is a pure function of the inputs (default: 0)",
@@ -264,25 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="candidate-pool multiplier c for the repair "
                           "selection walk (default: 1.3)")
     upd.add_argument(
-        "--samples", type=int, default=0,
-        help="Monte-Carlo worlds for utility tracking: rebases a CRN "
-             "world store through the update and reports the "
-             "reliability discrepancy against the pre-update graph "
-             "(0 disables)",
+        "--samples", type=_int_at_least(0, "--samples"), default=0,
+        help="Monte-Carlo worlds for utility tracking: derives the "
+             "re-certified graph from a CRN world store of the published "
+             "graph and reports its reliability discrepancy (0 disables)",
     )
     _add_memory_budget_argument(upd)
 
     ev = sub.add_parser("evaluate", help="utility comparison of two graphs")
     ev.add_argument("original", help="edge-list file or profile name")
     ev.add_argument("anonymized", help="edge-list file")
-    ev.add_argument("--samples", type=int, default=200)
-    ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument(
-        "--engine", default="store", choices=("store", "fresh"),
-        help="reliability-group engine (store: one CRN world store, the "
-             "anonymized graph derived as a delta; fresh: two "
-             "independently sampled estimators)",
-    )
+    ev.add_argument("--samples", type=_samples, default=200)
+    ev.add_argument("--seed", type=_seed, default=None)
     ev.add_argument(
         "--antithetic", action="store_true",
         help="antithetic world pairing for the reliability group "
@@ -297,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     disc.add_argument("original", help="edge-list file or profile name")
     disc.add_argument("anonymized", help="edge-list file")
-    disc.add_argument("--samples", type=int, default=200)
+    disc.add_argument("--samples", type=_samples, default=200)
     disc.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=_seed, default=0,
         help="world-store seed; an integer (never wall-clock entropy), "
              "so the store is a pure function of (graph, samples, seed) "
              "and a warm service can serve it from cache (default: 0)",
@@ -308,15 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     summ = sub.add_parser("summary", help="dataset characteristics (Table I)")
     summ.add_argument("input", help="edge-list file or profile name")
-    summ.add_argument("--seed", type=int, default=None)
+    summ.add_argument("--seed", type=_seed, default=None)
 
     rep = sub.add_parser("report", help="full Markdown release report")
     rep.add_argument("original", help="edge-list file or profile name")
     rep.add_argument("anonymized", help="edge-list file")
     rep.add_argument("--k", type=int, required=True)
     rep.add_argument("--epsilon", type=float, default=0.05)
-    rep.add_argument("--samples", type=int, default=200)
-    rep.add_argument("--seed", type=int, default=None)
+    rep.add_argument("--samples", type=_samples, default=200)
+    rep.add_argument("--seed", type=_seed, default=None)
     rep.add_argument("--output", default=None,
                      help="write the report here instead of stdout")
 
@@ -337,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--method", default="rsme",
                        choices=("rsme", "rs", "me"))
     sweep.add_argument("--trials", type=int, default=4)
-    sweep.add_argument("--samples", type=int, default=300,
+    sweep.add_argument("--samples", type=_samples, default=300,
                        help="Monte-Carlo worlds for the utility column")
-    sweep.add_argument("--seed", type=int, default=None)
+    sweep.add_argument("--seed", type=_seed, default=None)
 
     sub.add_parser(
         "capabilities",
@@ -497,19 +522,8 @@ def _cmd_update(args, out, err, runtime) -> int:
     # here, which is what makes a served update skip the O(n * d^2)
     # pmf construction entirely.
     cache = runtime.degree_cache(published)
-    pristine = work = None
-    if args.samples > 0:
-        pristine = runtime.world_store(
-            published, args.samples, args.seed,
-            memory_budget=args.world_memory_budget,
-        )
-        # The recertifier rebases a COW clone; the pristine store keeps
-        # answering for the pre-update graph so the discrepancy below
-        # compares against what was actually published.
-        work = pristine.clone()
     recertifier = IncrementalRecertifier(
-        published, args.k, args.epsilon,
-        knowledge=knowledge, cache=cache, store=work,
+        published, args.k, args.epsilon, knowledge=knowledge, cache=cache,
     )
     policy = None
     if not args.no_repair:
@@ -537,17 +551,18 @@ def _cmd_update(args, out, err, runtime) -> int:
     if outcome.repair is not None:
         payload["repair_sigma"] = outcome.repair.sigma
         payload["repair_trials"] = outcome.repair.n_trials_run
-    if pristine is not None:
-        view = pristine.derive(graph_delta(published, outcome.graph))
+    if args.samples > 0:
+        # Utility tracking reads a store of the *published* graph: the
+        # re-certified graph is one delta against it, so the dirty-world
+        # count and the discrepancy cover batch and repair together.
+        store = runtime.world_store(
+            published, args.samples, args.seed,
+            memory_budget=args.world_memory_budget,
+        )
+        view = store.derive(graph_delta(published, outcome.graph))
         payload["samples"] = args.samples
-        # Count dirty worlds from the pristine store's view of the
-        # *total* published -> re-certified delta, not the rebase
-        # stats: a warm store rebases batch and repair separately
-        # (double-counting worlds both flip) and a lazy cold store
-        # defers thresholding entirely, so only the view's count is
-        # identical across every runtime.
         payload["n_dirty_worlds"] = int(view.n_dirty)
-        payload["update_discrepancy"] = pristine.discrepancy(
+        payload["update_discrepancy"] = store.discrepancy(
             view, seed=args.seed
         )
     print(json.dumps(payload, indent=2), file=out)
@@ -559,8 +574,7 @@ def _cmd_evaluate(args, out, err, runtime) -> int:
     anonymized = read_edge_list(args.anonymized)
     comparison = compare_graphs(
         original, anonymized, n_samples=args.samples, seed=args.seed,
-        reliability_engine=args.engine, antithetic=args.antithetic,
-        memory_budget=args.world_memory_budget,
+        antithetic=args.antithetic, memory_budget=args.world_memory_budget,
     )
     rows = {
         name: {

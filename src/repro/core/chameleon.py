@@ -112,7 +112,7 @@ def _search_sigma(config: ChameleonConfig, probe):
     else:
         failed = GenObfOutcome(
             sigma=float(max(ladder)), epsilon_achieved=float(FAILURE_EPSILON),
-            graph=None, report=None, n_trials=config.n_trials,
+            graph=None, report=None,
         )
         return failed, history
     sigma_low, sigma_high = 0.0, best.sigma

@@ -202,7 +202,6 @@ def reduce_probe(
             epsilon_achieved=float(FAILURE_EPSILON),
             graph=None,
             report=None,
-            n_trials=config.n_trials,
         )
     candidate = apply_edge_updates(graph, best.us, best.vs, best.p_new)
     report = ObfuscationReport(
@@ -217,7 +216,6 @@ def reduce_probe(
         epsilon_achieved=float(best.epsilon_achieved),
         graph=candidate,
         report=report,
-        n_trials=config.n_trials,
     )
 
 

@@ -246,9 +246,6 @@ class SigmaSearchJournal:
             "sigma": float(field("sigma", (int, float))),
             "epsilon_achieved": float(field("epsilon_achieved", (int, float))),
             "success": field("success", bool),
-            "n_trials": _typed(
-                record.get("n_trials", self._config.n_trials), int, "n_trials"
-            ),
         }
         if parsed["success"]:
             for name, dtype, kinds in _CANDIDATE_ARRAYS:
@@ -287,11 +284,10 @@ class SigmaSearchJournal:
 
     def _rebuild(self, record: dict) -> GenObfOutcome:
         sigma = float(record["sigma"])
-        n_trials = int(record["n_trials"])
         if not record["success"]:
             return GenObfOutcome(
                 sigma=sigma, epsilon_achieved=float(FAILURE_EPSILON),
-                graph=None, report=None, n_trials=n_trials,
+                graph=None, report=None,
             )
         us = np.asarray(record["us"], dtype=np.int64)
         vs = np.asarray(record["vs"], dtype=np.int64)
@@ -309,7 +305,6 @@ class SigmaSearchJournal:
             epsilon_achieved=float(record["epsilon_achieved"]),
             graph=graph,
             report=report,
-            n_trials=n_trials,
         )
 
     def record(self, probe_index: int, outcome: GenObfOutcome) -> None:
@@ -323,7 +318,9 @@ class SigmaSearchJournal:
             "sigma": float(outcome.sigma),
             "epsilon_achieved": float(outcome.epsilon_achieved),
             "success": bool(outcome.success),
-            "n_trials": int(outcome.n_trials),
+            # The configured trial budget (a probe may stop earlier),
+            # kept under its key so journal bytes stay stable.
+            "n_trials": self._config.n_trials,
         }
         if outcome.success:
             # graph_delta lists changed pairs in the candidate's edge

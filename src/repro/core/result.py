@@ -26,7 +26,6 @@ class GenObfOutcome:
     epsilon_achieved: float
     graph: UncertainGraph | None
     report: ObfuscationReport | None
-    n_trials: int
 
     @property
     def success(self) -> bool:

@@ -25,15 +25,13 @@ def average_reliability_discrepancy(
     n_samples: int = 500,
     n_pairs: int | None = None,
     seed=None,
-    engine: str = "store",
     antithetic: bool = False,
 ) -> float:
     """Average per-pair reliability discrepancy (the Figure 4/8 y-axis).
 
     See :func:`repro.reliability.reliability_discrepancy`; this wrapper
     fixes ``per_pair=True`` which is the scale-free quantity the paper
-    reports.  ``engine``/``antithetic`` select the world-store derivation
-    path vs. the fresh two-estimator oracle, and antithetic pairing.
+    reports.  ``antithetic`` selects antithetic world pairing.
     """
     return reliability_discrepancy(
         original,
@@ -42,7 +40,6 @@ def average_reliability_discrepancy(
         n_pairs=n_pairs,
         seed=seed,
         per_pair=True,
-        engine=engine,
         antithetic=antithetic,
     )
 

@@ -19,7 +19,6 @@ from ..ugraph.graph import UncertainGraph
 from .clustering import expected_clustering_coefficient
 from .degree import expected_average_degree, expected_max_degree
 from .distance import distance_statistics
-from .reliability_metrics import average_reliability_discrepancy
 
 __all__ = [
     "MetricComparison",
@@ -75,7 +74,6 @@ def compare_graphs(
     n_samples: int = 200,
     distance_method: str = "anf",
     seed=None,
-    reliability_engine: str = "store",
     antithetic: bool = False,
     memory_budget: int | None = None,
 ) -> dict[str, MetricComparison]:
@@ -89,13 +87,6 @@ def compare_graphs(
         Monte-Carlo worlds per sampled metric.
     distance_method:
         ``"anf"`` or ``"bfs"`` for the node-separation group.
-    reliability_engine:
-        ``"store"`` (default) serves the whole reliability group from one
-        :class:`repro.reliability.WorldStore` of the original -- the
-        anonymized graph is derived as a delta (common random numbers,
-        dirty-world relabeling only), so identical graphs score exactly
-        0.  ``"fresh"`` keeps the pre-store path: two independently
-        sampled estimators plus a separately sampled discrepancy.
     antithetic:
         Antithetic world pairing for the reliability group (requires an
         even ``n_samples``).
@@ -107,15 +98,12 @@ def compare_graphs(
     Returns a dict keyed by metric name.  The ``"reliability"`` entry is
     special: its *relative_error* is the average per-pair reliability
     discrepancy itself (the original/anonymized columns hold the two
-    graphs' mean all-pairs reliability for context).
+    graphs' mean all-pairs reliability for context).  One
+    :class:`repro.reliability.WorldStore` of the original serves that
+    whole group: the anonymized graph is derived from it as a delta
+    (common random numbers, dirty-world relabeling only), so identical
+    graphs score exactly 0.
     """
-    from ..reliability.estimator import DISCREPANCY_ENGINES
-
-    if reliability_engine not in DISCREPANCY_ENGINES:
-        raise EstimationError(
-            f"unknown reliability engine {reliability_engine!r}, "
-            f"expected one of {DISCREPANCY_ENGINES}"
-        )
     rng = as_generator(seed)
     known = set(DEFAULT_METRICS) | set(EXTENDED_METRICS)
     unknown = set(metrics) - known
@@ -167,44 +155,23 @@ def compare_graphs(
             "clustering_coefficient", a, b, _relative_error(a, b)
         )
     if "reliability" in metrics:
-        if reliability_engine == "store":
-            from ..reliability.worldstore import WorldStore, graph_delta
+        from ..reliability.worldstore import WorldStore, graph_delta
 
-            # One store serves the whole group: the original's value from
-            # the base worlds, the anonymized's from the derived view
-            # (only flipped worlds relabeled), and the discrepancy from
-            # the paired comparison -- Delta(G, G) is structurally 0.
-            store = WorldStore(
-                original, n_samples=n_samples, seed=rng,
-                antithetic=antithetic, memory_budget=memory_budget,
-            )
-            view = store.derive(graph_delta(original, anonymized))
-            results["reliability"] = MetricComparison(
-                "reliability",
-                store.base_view().average_all_pairs_reliability(),
-                view.average_all_pairs_reliability(),
-                store.discrepancy(view, seed=rng),
-            )
-        else:
-            from ..reliability.estimator import ReliabilityEstimator
-
-            est_a = ReliabilityEstimator(
-                original, n_samples=n_samples, seed=rng, antithetic=antithetic
-            )
-            est_b = ReliabilityEstimator(
-                anonymized, n_samples=n_samples, seed=rng,
-                antithetic=antithetic,
-            )
-            discrepancy = average_reliability_discrepancy(
-                original, anonymized, n_samples=n_samples, seed=rng,
-                engine="fresh", antithetic=antithetic,
-            )
-            results["reliability"] = MetricComparison(
-                "reliability",
-                est_a.average_all_pairs_reliability(),
-                est_b.average_all_pairs_reliability(),
-                discrepancy,
-            )
+        # One store serves the whole group: the original's value from the
+        # base worlds, the anonymized's from the derived view (only
+        # flipped worlds relabeled), and the discrepancy from the paired
+        # comparison -- Delta(G, G) is structurally 0.
+        store = WorldStore(
+            original, n_samples=n_samples, seed=rng,
+            antithetic=antithetic, memory_budget=memory_budget,
+        )
+        view = store.derive(graph_delta(original, anonymized))
+        results["reliability"] = MetricComparison(
+            "reliability",
+            store.base_view().average_all_pairs_reliability(),
+            view.average_all_pairs_reliability(),
+            store.discrepancy(view, seed=rng),
+        )
     if "degree_distribution" in metrics:
         from .degree import degree_distribution_l1_error
 

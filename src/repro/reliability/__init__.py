@@ -17,7 +17,6 @@ from .connectivity import (
     pair_counts_from_labels,
 )
 from .estimator import (
-    DISCREPANCY_ENGINES,
     ReliabilityEstimator,
     reliability_discrepancy,
     sample_vertex_pairs,
@@ -63,7 +62,6 @@ __all__ = [
     "batch_pair_counts",
     "component_labels_for_edges",
     "pair_counts_from_labels",
-    "DISCREPANCY_ENGINES",
     "ReliabilityEstimator",
     "reliability_discrepancy",
     "sample_vertex_pairs",

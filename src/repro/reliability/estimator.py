@@ -7,23 +7,22 @@ components once, and then answers any number of reliability queries
 labels.  This sharing is what makes the paper's evaluation loop and
 Algorithm 2 tractable.
 
-Since PR 4 the estimator is backed by a
-:class:`repro.reliability.worldstore.WorldStore`: the uniforms behind its
-worlds persist, so candidate graphs described as probability deltas can
-be evaluated incrementally via :meth:`ReliabilityEstimator.derive` --
-only the worlds where a changed edge actually flipped are relabeled.
-Sampling is bit-compatible with the previous direct path (the store
-consumes the generator exactly like ``sample_edge_masks``).
+The estimator is a view of one
+:class:`repro.reliability.worldstore.WorldStore`, which answers every
+query: the uniforms behind its worlds persist, so candidate graphs
+described as probability deltas can be evaluated incrementally via
+:meth:`ReliabilityEstimator.derive` -- only the worlds where a changed
+edge actually flipped are relabeled.  The store consumes the generator
+exactly like ``sample_edge_masks``, so its worlds are those masks.
 
 :func:`reliability_discrepancy` estimates the utility-loss metric
 ``Delta`` of Definition 2 between an original and an anonymized graph.
 For large graphs the exact sum over all ``n(n-1)/2`` pairs is replaced by
 a uniform sample of vertex pairs, reported as the *average* discrepancy
 per pair (the quantity Figure 4 of the paper plots), optionally rescaled
-to the full-sum estimate.  Its default ``engine="store"`` evaluates the
-anonymized graph as a delta against the original's world store; the
-``"fresh"`` engine (two independently built estimators over common
-random numbers) is kept as the oracle path.
+to the full-sum estimate.  It evaluates the anonymized graph as a delta
+against one world store of the original, so both graphs are read from
+the same sampled worlds (common random numbers).
 """
 
 from __future__ import annotations
@@ -34,9 +33,6 @@ from .._rng import as_generator
 from ..exceptions import EstimationError
 from ..ugraph.graph import UncertainGraph
 from .worldstore import (
-    DEFAULT_PAIR_SAMPLE,
-    FULL_MATRIX_LIMIT,
-    PAIRWISE_BLOCK_ELEMENTS,
     DerivedWorlds,
     WorldStore,
     graph_delta,
@@ -50,12 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 1000
-# Backward-compatible aliases (the limits now live in worldstore).
-_FULL_MATRIX_LIMIT = FULL_MATRIX_LIMIT
-_PAIRWISE_BLOCK_ELEMENTS = PAIRWISE_BLOCK_ELEMENTS
-
-#: Engines accepted by :func:`reliability_discrepancy`.
-DISCREPANCY_ENGINES = ("store", "fresh")
 
 
 class ReliabilityEstimator:
@@ -80,9 +70,10 @@ class ReliabilityEstimator:
 
     Sampling and labeling (one batched connected-components pass over
     every world, :mod:`repro.reliability.connectivity`) happen lazily on
-    first query and are then reused by every method.  The backing
-    :class:`WorldStore` is exposed via :attr:`store`, and :meth:`derive`
-    evaluates candidate graphs incrementally as probability deltas.
+    first query and are then reused by every method.  Every query is
+    answered by the backing :class:`WorldStore` (exposed via
+    :attr:`store`), chunk by chunk, and :meth:`derive` evaluates
+    candidate graphs incrementally as probability deltas.
     """
 
     def __init__(
@@ -93,14 +84,7 @@ class ReliabilityEstimator:
         antithetic: bool = False,
         memory_budget: int | None = None,
     ):
-        if n_samples <= 0:
-            raise EstimationError(f"n_samples must be positive, got {n_samples}")
-        if antithetic and n_samples % 2 != 0:
-            raise EstimationError(
-                f"antithetic sampling needs an even n_samples, got {n_samples}"
-            )
         self._graph = graph
-        self._n_samples = int(n_samples)
         self._store = WorldStore(
             graph, n_samples, seed=seed, antithetic=antithetic,
             memory_budget=memory_budget,
@@ -114,7 +98,7 @@ class ReliabilityEstimator:
 
     @property
     def n_samples(self) -> int:
-        return self._n_samples
+        return self._store.n_samples
 
     @property
     def store(self) -> WorldStore:
@@ -154,17 +138,11 @@ class ReliabilityEstimator:
             raise EstimationError(f"vertex pair ({u}, {v}) outside 0..{n - 1}")
         if u == v:
             return 1.0
-        labels = self.labels
-        return float(np.mean(labels[:, u] == labels[:, v]))
+        return float(self._store.base_reliability_of_pairs([[u, v]])[0])
 
     def reliability_of_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Vectorized ``R_{u,v}`` for an ``(M, 2)`` array of vertex pairs."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise EstimationError(f"pairs must be (M, 2), got {pairs.shape}")
-        labels = self.labels
-        equal = labels[:, pairs[:, 0]] == labels[:, pairs[:, 1]]
-        return equal.mean(axis=0)
+        return self._store.base_reliability_of_pairs(pairs)
 
     def expected_connected_pairs(self) -> float:
         """Estimate of the expected number of connected vertex pairs."""
@@ -195,7 +173,6 @@ def reliability_discrepancy(
     n_pairs: int | None = None,
     seed=None,
     per_pair: bool = True,
-    engine: str = "store",
     antithetic: bool = False,
     memory_budget: int | None = None,
 ) -> float:
@@ -206,7 +183,7 @@ def reliability_discrepancy(
     original, anonymized:
         Graphs over the same vertex set (edge sets may differ).
     n_samples:
-        Worlds sampled from *each* graph.
+        Sampled possible worlds.
     n_pairs:
         If ``None``, all unordered pairs are evaluated when the graph is
         small enough, otherwise 20,000 pairs are sampled.  An explicit int
@@ -215,74 +192,27 @@ def reliability_discrepancy(
         If True (default) return the *average* discrepancy per evaluated
         pair -- the scale-free quantity the paper's figures report.  If
         False, return the (estimated) total sum over all pairs.
-    engine:
-        ``"store"`` (default) samples one :class:`WorldStore` from the
-        original and derives the anonymized graph as a delta -- the
-        common random numbers become structural, so ``Delta(G, G)`` is
-        exactly 0 and only flipped worlds are relabeled.  ``"fresh"``
-        builds two independent estimators over the same seed (the
-        pre-store oracle path).  When the anonymized graph reuses the
-        original's edge universe (the GenObf case), both engines are
-        bit-identical.
     antithetic:
-        Sample worlds in antithetic pairs (both engines).
+        Sample worlds in antithetic pairs (requires an even
+        ``n_samples``).
     memory_budget:
         Byte cap on the world store's per-chunk temporaries (see
         :class:`WorldStore`); results are unchanged.
 
-    The same sampled pair set is applied to both graphs so the comparison
-    is paired, which dramatically reduces estimator variance.
+    One :class:`WorldStore` samples the original's worlds and the
+    anonymized graph is derived from it as a delta: each world reuses
+    the original's uniforms, so shared edges realize identically,
+    ``Delta(G, G)`` is exactly 0, and only the worlds where a changed
+    edge flipped are relabeled.  The same pair set is applied to both
+    graphs, so the comparison is paired, which greatly reduces the
+    estimator's variance.
     """
     if original.n_nodes != anonymized.n_nodes:
         raise EstimationError("graphs must share the vertex set")
-    if engine not in DISCREPANCY_ENGINES:
-        raise EstimationError(
-            f"unknown discrepancy engine {engine!r}, "
-            f"expected one of {DISCREPANCY_ENGINES}"
-        )
-    n = original.n_nodes
     rng = as_generator(seed)
-    # Common random numbers: both graphs sample worlds from the SAME seed,
-    # so shared edges realize identically.  This pairs the comparison
-    # (large variance reduction) and makes Delta(G, G) exactly zero.
-    shared_seed = int(rng.integers(0, 2**63 - 1))
-
-    if engine == "store":
-        store = WorldStore(
-            original, n_samples, seed=shared_seed, antithetic=antithetic,
-            memory_budget=memory_budget,
-        )
-        view = store.derive(graph_delta(original, anonymized))
-        return store.discrepancy(
-            view, n_pairs=n_pairs, seed=rng, per_pair=per_pair
-        )
-
-    est_a = ReliabilityEstimator(
-        original, n_samples, seed=shared_seed, antithetic=antithetic,
-        memory_budget=memory_budget,
+    store = WorldStore(
+        original, n_samples, seed=int(rng.integers(0, 2**63 - 1)),
+        antithetic=antithetic, memory_budget=memory_budget,
     )
-    est_b = ReliabilityEstimator(
-        anonymized, n_samples, seed=shared_seed, antithetic=antithetic,
-        memory_budget=memory_budget,
-    )
-
-    total_pairs = n * (n - 1) / 2
-    use_all = n_pairs is None and n <= FULL_MATRIX_LIMIT
-    if use_all:
-        diff = np.abs(est_a.pairwise_reliability() - est_b.pairwise_reliability())
-        total = float(np.triu(diff, k=1).sum())
-        evaluated = total_pairs
-    else:
-        m = int(n_pairs) if n_pairs is not None else DEFAULT_PAIR_SAMPLE
-        pairs = sample_vertex_pairs(n, m, seed=rng)
-        diff = np.abs(
-            est_a.reliability_of_pairs(pairs) - est_b.reliability_of_pairs(pairs)
-        )
-        total = float(diff.sum())
-        evaluated = m
-
-    if per_pair:
-        return total / evaluated
-    if use_all:
-        return total
-    return total / evaluated * total_pairs
+    view = store.derive(graph_delta(original, anonymized))
+    return store.discrepancy(view, n_pairs=n_pairs, seed=rng, per_pair=per_pair)

@@ -20,11 +20,10 @@ possible worlds for *all* edges (the reuse that brings the cost from
 
 Edges whose sampled presence is degenerate (all worlds on one side) fall
 back to a direct forced-absent evaluation so the estimate stays defined.
-The fallback reuses the caller's shared worlds: for each degenerate edge
-only the worlds where it was realized *present* are relabeled (with its
-column cleared), all degenerate edges sharing one batched connectivity
-call -- so graphs with many p ~ 0/1 edges cost far less than the old
-per-edge dedicated resampling (p ~ 0 edges need no relabeling at all).
+The fallback reuses the shared worlds: for each degenerate edge only the
+worlds where it was realized *present* are relabeled (with its column
+cleared), so no edge samples worlds of its own and p ~ 0 edges need no
+relabeling at all.
 
 The **vertex reliability relevance** ``VRR(u) = sum_{e in E(u)}
 p(e) * ERR(e)`` aggregates edge relevance to vertices and is the
@@ -43,7 +42,6 @@ from ..exceptions import EstimationError
 from ..ugraph.graph import UncertainGraph
 from ..ugraph.worlds import sample_edge_masks
 from .connectivity import batch_component_labels, pair_counts_from_labels
-from .worldstore import WorldStore
 
 __all__ = [
     "RelevanceResult",
@@ -146,40 +144,35 @@ def _merge_gain_total(labels_block: np.ndarray, u: int, v: int) -> float:
 def _forced_absent_err_batch(
     graph: UncertainGraph,
     edges: np.ndarray,
-    store: WorldStore,
+    masks: np.ndarray,
+    labels: np.ndarray,
 ) -> np.ndarray:
     """``ERR`` for degenerate edges by forcing each absent, reusing worlds.
 
-    Replaces the per-edge dedicated-resampling fallback (an
-    ``O(#degenerate * N * |E|)`` blowup on graphs with many p ~ 0/1
-    edges).  Every edge reuses the ``store``'s shared base worlds: worlds
-    where the edge is already absent keep the base labels untouched, and
-    the ``p -> 0`` derivation relabels exactly the worlds where it was
-    realized present (the dirty set of that delta).  A p ~ 0 edge (absent
-    everywhere) therefore costs no relabeling at all.
+    Every edge reuses the shared sampled worlds (``masks`` and their
+    ``labels``): worlds where the edge is already absent keep their
+    labels, and only the worlds where it was realized present are
+    relabeled, with its column cleared -- no per-edge resampling, which
+    would cost ``O(#degenerate * N * |E|)`` on graphs with many p ~ 0/1
+    edges.  A p ~ 0 edge (absent everywhere) costs no relabeling at all.
     """
-    edges = np.asarray(edges, dtype=np.int64)
     src, dst = graph.edge_src, graph.edge_dst
-    p = graph.edge_probabilities
     totals = np.zeros(edges.size, dtype=np.float64)
-
     for j, e in enumerate(edges.tolist()):
         u, v = int(src[e]), int(dst[e])
-        # Worlds where the edge was already absent: the shared labels are
-        # the labels of the forced-absent world.  The per-column /
-        # per-row accessors stream from the store's world-chunks without
-        # materializing the full mask or label matrix.
-        absent = np.flatnonzero(~store.base_mask_column(e))
+        # Where the edge is absent, the sampled world already is the
+        # forced-absent world.
+        absent = np.flatnonzero(~masks[:, e])
         if absent.size:
+            totals[j] += _merge_gain_total(labels[absent], u, v)
+        present = np.flatnonzero(masks[:, e])
+        if present.size:
+            forced = masks[present]
+            forced[:, e] = False
             totals[j] += _merge_gain_total(
-                store.base_label_rows(absent), u, v
+                batch_component_labels(graph, forced), u, v
             )
-        # Worlds where it was present: the forced-absent delta's dirty
-        # set, relabeled by the store with the column cleared.
-        view = store.derive([(u, v, float(p[e]), 0.0)])
-        if view.n_dirty:
-            totals[j] += _merge_gain_total(view.dirty_labels, u, v)
-    return totals / store.n_samples
+    return totals / masks.shape[0]
 
 
 def edge_reliability_relevance(
@@ -227,9 +220,8 @@ def edge_reliability_relevance(
 
     degenerate_ids = np.flatnonzero(degenerate)
     if degenerate_ids.size:
-        store = WorldStore.from_masks(graph, masks, labels=labels)
         err[degenerate_ids] = _forced_absent_err_batch(
-            graph, degenerate_ids, store
+            graph, degenerate_ids, masks, labels
         )
 
     # ERR is provably non-negative; clip residual sampling noise.

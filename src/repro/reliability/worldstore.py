@@ -446,11 +446,6 @@ class WorldStore:
         ``chunk_worlds`` when that is not given and disables the
         pair-equality cache when the cache alone would exceed it.
         Values are unchanged either way.
-
-    Use :meth:`from_masks` to wrap an already-sampled mask matrix; such a
-    store has no uniforms and therefore only supports forced-present /
-    forced-absent deltas (``p_new`` in ``{0, 1}``) -- exactly what the
-    relevance estimator's degenerate-edge passes need.
     """
 
     def __init__(
@@ -503,7 +498,6 @@ class WorldStore:
         # by insertion when columns grow.  Never written in place, so
         # clones share the arrays by reference.
         self._col_keys, self._col_ids = graph._pair_key_index()
-        self._has_uniforms = True
         # Chunked storage: one row-block per chunk.  Uniform and mask
         # blocks hold ``_capacity`` columns (geometric growth), of which
         # the first ``n_columns`` are live; spare mask columns are all
@@ -522,7 +516,12 @@ class WorldStore:
         self._pair_counts: np.ndarray | None = None
         self._pair_acc: np.ndarray | None = None
         self._pairwise: np.ndarray | None = None
-        self._pair_equal_cache: tuple[tuple, np.ndarray] | None = None
+        #: ``(key, equal, counts)`` of the most recent pair set: the
+        #: base worlds' read-only ``(N, M)`` pair connectivity and its
+        #: int64 column sums.
+        self._pair_equal_cache: (
+            tuple[tuple, np.ndarray, np.ndarray] | None
+        ) = None
         #: chunk index -> sorted chunk-local rows whose cached labels (and
         #: their share of the pair counts / accumulator) predate a rebase.
         self._stale: dict[int, np.ndarray] = {}
@@ -555,52 +554,11 @@ class WorldStore:
             # Antithetic rows come in (2i, 2i+1) pairs drawn together; an
             # even chunk size keeps every pair inside one chunk, which is
             # what makes the per-chunk draws consume the generator stream
-            # exactly like the monolithic draw.
-            chunk = max(2, chunk - 1)
+            # exactly like the monolithic draw.  Rounding up keeps the
+            # chunk count within ``_MAX_CHUNKS``; ``n_samples`` is even,
+            # so an odd chunk is below it and the even one still fits.
+            chunk += 1
         return chunk
-
-    @classmethod
-    def from_masks(
-        cls,
-        graph: UncertainGraph,
-        masks: np.ndarray,
-        labels: np.ndarray | None = None,
-        memory_budget: int | None = None,
-    ) -> "WorldStore":
-        """Wrap an existing ``(N, |E|)`` mask matrix (no uniforms kept).
-
-        The resulting store answers base queries and forced-present /
-        forced-absent derivations (``p_new`` in ``{0, 1}``); general
-        re-thresholding raises because the uniforms behind ``masks`` are
-        unknown.  ``labels`` optionally seeds the base-label cache.
-        Chunking wraps zero-copy row views of the given arrays.
-        """
-        masks = np.asarray(masks)
-        if masks.ndim != 2 or masks.shape[1] != graph.n_edges:
-            raise EstimationError(
-                f"mask matrix must be (N, {graph.n_edges}), got {masks.shape}"
-            )
-        store = cls(
-            graph, n_samples=masks.shape[0], memory_budget=memory_budget
-        )
-        store._has_uniforms = False
-        masks = masks.astype(bool, copy=False)
-        # The caller's rows, no spare columns: growth re-allocates.
-        store._m_blocks = [
-            masks[start:stop] for start, stop in store._chunks
-        ]
-        store._capacity = graph.n_edges
-        if labels is not None:
-            labels = np.asarray(labels)
-            if labels.shape != (masks.shape[0], graph.n_nodes):
-                raise EstimationError(
-                    f"labels must be {(masks.shape[0], graph.n_nodes)}, "
-                    f"got {labels.shape}"
-                )
-            store._l_blocks = [
-                labels[start:stop] for start, stop in store._chunks
-            ]
-        return store
 
     def clone(self) -> "WorldStore":
         """An independent store, bitwise-indistinguishable from this one.
@@ -641,7 +599,6 @@ class WorldStore:
         twin._prob = self._prob
         twin._col_keys = self._col_keys
         twin._col_ids = self._col_ids
-        twin._has_uniforms = self._has_uniforms
         twin._u_blocks = self._u_blocks
         twin._m_blocks = self._m_blocks
         twin._capacity = self._capacity
@@ -693,10 +650,6 @@ class WorldStore:
 
     def _ensure_uniforms(self) -> None:
         """Draw the base uniform blocks (chunk order == row order)."""
-        if not self._has_uniforms:
-            raise EstimationError(
-                "store was built from masks; its uniforms are unknown"
-            )
         if self._u_blocks is not None:
             return
         # The first draw covers exactly the base graph's columns so base
@@ -750,21 +703,6 @@ class WorldStore:
                 out[sel] = block[rows[sel] - start]
         return out
 
-    def base_label_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Public streaming gather of base-label rows (see `_label_rows`)."""
-        return self._label_rows(rows)
-
-    def base_mask_column(self, col: int) -> np.ndarray:
-        """One base-mask column ``(N,)`` without materializing the matrix."""
-        self._ensure_masks()
-        col = int(col)
-        if len(self._m_blocks) == 1:
-            return self._m_blocks[0][:, col]
-        out = np.empty(self._n_samples, dtype=bool)
-        for (start, stop), block in zip(self._chunks, self._m_blocks):
-            out[start:stop] = block[:, col]
-        return out
-
     def warm(self) -> None:
         """Force the expensive base state (uniforms, masks, labels) now.
 
@@ -783,11 +721,6 @@ class WorldStore:
     @property
     def n_samples(self) -> int:
         return self._n_samples
-
-    @property
-    def has_uniforms(self) -> bool:
-        """False for :meth:`from_masks` stores, which cannot :meth:`rebase`."""
-        return self._has_uniforms
 
     @property
     def n_columns(self) -> int:
@@ -882,18 +815,22 @@ class WorldStore:
             return True
         return self._n_samples * n_pairs <= self._memory_budget
 
-    def _base_pair_equal(self, pairs: np.ndarray) -> np.ndarray:
-        """Boolean ``(N, M)`` base connectivity per pair, cached.
+    def _base_pair_equal(
+        self, pairs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(equal, counts)`` of the base worlds for one pair set, cached.
 
-        Views are scored against a fixed pair set; caching this matrix
-        lets each derived view reduce its dirty-world correction to a
-        row gather + sum instead of a fresh label comparison.  Only the
-        most recent pair set is kept.
+        ``equal`` is the boolean ``(N, M)`` base connectivity per pair and
+        ``counts`` its int64 column sums, both read-only.  Views are
+        scored against a fixed pair set; caching both lets each derived
+        view reduce its dirty-world correction to a row gather + sum
+        instead of a fresh label comparison, and count the base worlds
+        once per pair set.  Only the most recent pair set is kept.
         """
         key = self._pair_cache_key(pairs)
         if self._pair_equal_cache is not None and \
                 self._pair_equal_cache[0] == key:
-            return self._pair_equal_cache[1]
+            return self._pair_equal_cache[1:]
         self._ensure_labels()
         equal = np.empty((self._n_samples, pairs.shape[0]), dtype=bool)
         for (c_start, c_stop), labels in zip(self._chunks, self._l_blocks):
@@ -903,8 +840,10 @@ class WorldStore:
                     labels.take(block[:, 0], axis=1)
                     == labels.take(block[:, 1], axis=1)
                 )
-        self._pair_equal_cache = (key, equal)
-        return equal
+        counts = equal.sum(axis=0, dtype=np.int64)
+        equal.flags.writeable = counts.flags.writeable = False
+        self._pair_equal_cache = (key, equal, counts)
+        return equal, counts
 
     def _cached_pair_equal(self, pairs: np.ndarray) -> np.ndarray | None:
         """The cached base pair-equality matrix, or None on a key miss."""
@@ -916,12 +855,13 @@ class WorldStore:
     def base_pair_equal_counts(self, pairs: np.ndarray) -> np.ndarray:
         """Int64 connected-world counts for an ``(M, 2)`` pair array.
 
-        Streams per-chunk partial sums when the boolean cache would
-        blow the memory budget; the int64 sums are bit-identical.
+        Read from the pair-equality cache (a read-only array); streams
+        per-chunk partial sums instead when the boolean cache would blow
+        the memory budget.  The int64 sums are bit-identical.
         """
         pairs = _validate_pairs(pairs)
         if self._pair_cache_allowed(pairs.shape[0]):
-            return self._base_pair_equal(pairs).sum(axis=0, dtype=np.int64)
+            return self._base_pair_equal(pairs)[1]
         self._ensure_labels()
         counts = np.zeros(pairs.shape[0], dtype=np.int64)
         for block in self._l_blocks:
@@ -976,17 +916,15 @@ class WorldStore:
         self._src = np.concatenate([self._src, src])
         self._dst = np.concatenate([self._dst, dst])
         self._prob = np.concatenate([self._prob, np.zeros(k)])
-        if self._has_uniforms:
-            # Grown columns are pair-keyed draws (below), so when the
-            # base draw happens is irrelevant to their values.
-            self._ensure_uniforms()
+        # Grown columns are pair-keyed draws (below), so when the base
+        # draw happens is irrelevant to their values.
+        self._ensure_uniforms()
         if self._storage_shared or self._capacity < width:
             capacity = max(self._capacity, width + width // 2)
-            if self._u_blocks is not None:
-                self._u_blocks = [
-                    _widen(block, old_cols, capacity, np.empty)
-                    for block in self._u_blocks
-                ]
+            self._u_blocks = [
+                _widen(block, old_cols, capacity, np.empty)
+                for block in self._u_blocks
+            ]
             if self._m_blocks is not None:
                 self._m_blocks = [
                     _widen(block, old_cols, capacity, np.zeros)
@@ -994,13 +932,11 @@ class WorldStore:
                 ]
             self._capacity = capacity
             self._storage_shared = False
-        if self._has_uniforms:
-            grown = _pair_keyed_uniforms(
-                self._growth_entropy, src, dst, self._n_samples,
-                self._antithetic,
-            )
-            for (start, stop), block in zip(self._chunks, self._u_blocks):
-                block[:, old_cols:width] = grown[:, start:stop].T
+        grown = _pair_keyed_uniforms(
+            self._growth_entropy, src, dst, self._n_samples, self._antithetic,
+        )
+        for (start, stop), block in zip(self._chunks, self._u_blocks):
+            block[:, old_cols:width] = grown[:, start:stop].T
 
     # -- derivation ------------------------------------------------------ #
 
@@ -1109,32 +1045,14 @@ class WorldStore:
         self._ensure_masks()
         new_parts: list[np.ndarray] = []
         local_dirty: list[np.ndarray] = []
-        if self._has_uniforms:
-            # One fused kernel pass per chunk: re-threshold the changed
-            # columns and find the rows where any of them flipped.
-            for (start, stop), u_block, m_block in zip(
-                self._chunks, self._u_blocks, self._m_blocks
-            ):
-                nc, d = kernels.rethreshold_masks(
-                    u_block[:, :width], m_block[:, :width], col_arr, p_arr
-                )
-                new_parts.append(nc)
-                local_dirty.append(d)
-        else:
-            nontrivial = (p_arr != 0.0) & (p_arr != 1.0)
-            if np.any(nontrivial):
-                raise EstimationError(
-                    "store was built from masks: only forced-present/absent "
-                    "deltas (p_new in {0, 1}) can be derived"
-                )
-            forced = p_arr == 1.0
-            for (start, stop), m_block in zip(self._chunks, self._m_blocks):
-                nc = np.broadcast_to(
-                    forced, (stop - start, col_arr.size)
-                ).copy()
-                flipped = nc != m_block[:, col_arr]
-                new_parts.append(nc)
-                local_dirty.append(np.flatnonzero(flipped.any(axis=1)))
+        # One fused kernel pass per chunk: re-threshold the changed
+        # columns and find the rows where any of them flipped.
+        for u_block, m_block in zip(self._u_blocks, self._m_blocks):
+            nc, d = kernels.rethreshold_masks(
+                u_block[:, :width], m_block[:, :width], col_arr, p_arr
+            )
+            new_parts.append(nc)
+            local_dirty.append(d)
         new_cols = (
             new_parts[0] if len(new_parts) == 1
             else np.concatenate(new_parts, axis=0)
@@ -1151,13 +1069,10 @@ class WorldStore:
             # per-row labels make the concatenation bit-identical to one
             # monolithic relabeling of all dirty rows.  Only the live
             # columns are gathered: a row's labels depend only on its
-            # realized edges, and a uniform-backed column with p = 0 is
-            # realized nowhere (``U < 0`` never holds), so the candidate's
-            # worlds are its p > 0 base columns plus the delta's columns.
-            if self._has_uniforms:
-                live = self._prob > 0.0
-            else:
-                live = np.ones(width, dtype=bool)
+            # realized edges, and a column with p = 0 is realized nowhere
+            # (``U < 0`` never holds), so the candidate's worlds are its
+            # p > 0 base columns plus the delta's columns.
+            live = self._prob > 0.0
             live[col_arr] = False
             base_live = np.flatnonzero(live)
             columns = np.concatenate([base_live, col_arr])
@@ -1223,10 +1138,6 @@ class WorldStore:
         thresholding against the updated probabilities is already the
         rebased state).
         """
-        if not self._has_uniforms:
-            raise EstimationError(
-                "store was built from masks; rebase needs the uniforms"
-            )
         n = self._graph.n_nodes
         if graph is not None and graph.n_nodes != n:
             raise EstimationError(
@@ -1350,16 +1261,15 @@ class WorldStore:
         pairs: np.ndarray | None = None,
         seed=None,
         per_pair: bool = True,
-        base_counts: np.ndarray | None = None,
     ) -> float:
         """Reliability discrepancy between the base graph and ``view``.
 
         Mirrors :func:`repro.reliability.reliability_discrepancy`'s pair
         policy: all pairs when the graph is small enough and neither
         ``n_pairs`` nor ``pairs`` is given, a sampled pair set otherwise.
-        Passing an explicit ``pairs`` array (with optional precomputed
-        ``base_counts``) lets a repeated caller evaluate every candidate
-        on one fixed pair set.
+        Passing an explicit ``pairs`` array lets a repeated caller
+        evaluate every candidate on one fixed pair set, whose base counts
+        the store then computes once (see :meth:`base_pair_equal_counts`).
         """
         n = self._graph.n_nodes
         total_pairs = n * (n - 1) / 2
@@ -1376,11 +1286,10 @@ class WorldStore:
                 pairs = sample_vertex_pairs(n, m, seed=seed)
             else:
                 pairs = _validate_pairs(pairs)
-            if base_counts is None:
-                base_counts = self.base_pair_equal_counts(pairs)
-            base_r = base_counts / self._n_samples
-            view_r = view.reliability_of_pairs(pairs, base_counts=base_counts)
-            diff = np.abs(base_r - view_r)
+            base_counts, counts = view._counts_of_pairs(pairs)
+            diff = np.abs(
+                base_counts / self._n_samples - counts / self._n_samples
+            )
             total = float(diff.sum())
             evaluated = pairs.shape[0]
 
@@ -1508,35 +1417,32 @@ class DerivedWorlds:
             return 1.0
         return float(self.reliability_of_pairs([[u, v]])[0])
 
-    def reliability_of_pairs(
-        self, pairs: np.ndarray, base_counts: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Vectorized ``R_{u,v}`` for an ``(M, 2)`` pair array.
-
-        ``base_counts`` may carry the store's precomputed
-        :meth:`WorldStore.base_pair_equal_counts` for the same pairs.
-        """
+    def _counts_of_pairs(
+        self, pairs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(base, candidate)`` int64 connected-world counts per pair."""
         self._require_current()
-        pairs = _validate_pairs(pairs)
-        if base_counts is None:
-            base_counts = self._store.base_pair_equal_counts(pairs)
+        base_counts = self._store.base_pair_equal_counts(pairs)
         if self._dirty.size == 0:
-            counts = base_counts
-        else:
-            cached = self._store._cached_pair_equal(pairs)
-            if cached is not None:
-                dirty_base = cached.take(self._dirty, axis=0).sum(
-                    axis=0, dtype=np.int64
-                )
-            else:
-                dirty_base = _pair_equal_counts(
-                    self._store._label_rows(self._dirty), pairs
-                )
-            counts = (
-                base_counts
-                - dirty_base
-                + _pair_equal_counts(self._dirty_labels, pairs)
+            return base_counts, base_counts
+        cached = self._store._cached_pair_equal(pairs)
+        if cached is not None:
+            dirty_base = cached.take(self._dirty, axis=0).sum(
+                axis=0, dtype=np.int64
             )
+        else:
+            dirty_base = _pair_equal_counts(
+                self._store._label_rows(self._dirty), pairs
+            )
+        return base_counts, (
+            base_counts
+            - dirty_base
+            + _pair_equal_counts(self._dirty_labels, pairs)
+        )
+
+    def reliability_of_pairs(self, pairs: np.ndarray) -> np.ndarray:
+        """Vectorized ``R_{u,v}`` for an ``(M, 2)`` pair array."""
+        counts = self._counts_of_pairs(_validate_pairs(pairs))[1]
         return counts / self._store.n_samples
 
     def expected_connected_pairs(self) -> float:

@@ -75,12 +75,11 @@ class IncrementalRecertifier:
     original graph when re-certifying an anonymization; default is the
     cache's own, i.e. expected degrees of the published graph).
 
-    An attached ``store`` must be able to rebase (drawn from uniforms,
-    not :meth:`~repro.reliability.worldstore.WorldStore.from_masks`) and
-    must answer for the published graph: same vertex count, same
-    probability on every pair.  Otherwise construction raises
-    :class:`~repro.exceptions.EstimationError`, because the store would
-    only reject the first batch after the degree cache had adopted it.
+    An attached ``store`` must answer for the published graph: same
+    vertex count, same probability on every pair.  Otherwise construction
+    raises :class:`~repro.exceptions.EstimationError`, because the store
+    would only reject the first batch after the degree cache had adopted
+    it.
     """
 
     def __init__(
@@ -112,11 +111,6 @@ class IncrementalRecertifier:
         self._store = store
 
     def _check_store(self, store: WorldStore) -> None:
-        if not store.has_uniforms:
-            raise EstimationError(
-                "world store was built from masks; it cannot rebase "
-                "update batches"
-            )
         n = self._graph.n_nodes
         if store.graph.n_nodes != n:
             raise EstimationError(

@@ -53,7 +53,7 @@ def oracle_anonymize(graph, k, epsilon, method="rsme", seed=None,
     context = build_selection_context(graph, config, knowledge, seed=rng)
     entropy = int(rng.integers(0, 2**63 - 1))
     cache = DegreeUncertaintyCache(graph, knowledge=context.knowledge)
-    store = pairs = base_counts = None
+    store = pairs = None
     if config.utility_samples > 0:
         store = WorldStore(
             graph, config.utility_samples,
@@ -70,7 +70,6 @@ def oracle_anonymize(graph, k, epsilon, method="rsme", seed=None,
     scores: dict[int, float] = {}
 
     def probe(sigma: float) -> tuple[GenObfOutcome, int]:
-        nonlocal base_counts
         index = len(history)
         results = [
             run_trial(graph, config, context, sigma, index, t, entropy,
@@ -81,12 +80,8 @@ def oracle_anonymize(graph, k, epsilon, method="rsme", seed=None,
         trials.append(results)
         history.append((outcome.sigma, outcome.epsilon_achieved))
         if store is not None and outcome.success:
-            if pairs is not None and base_counts is None:
-                base_counts = store.base_pair_equal_counts(pairs)
             view = store.derive(graph_delta_rows(graph, outcome.graph))
-            scores[index] = store.discrepancy(
-                view, pairs=pairs, base_counts=base_counts
-            )
+            scores[index] = store.discrepancy(view, pairs=pairs)
         return outcome, index
 
     ladder = _sigma_ladder(config)

@@ -95,18 +95,6 @@ def test_world_store_comparison_smoke():
 
 
 @pytest.mark.benchmark_smoke
-def test_world_store_engine_smoke():
-    """Public reliability_discrepancy entry point under both engines."""
-    result = bench_ws.run_engine_comparison(
-        scale=0.15, n_samples=16, n_pairs=200, repeats=1
-    )
-    engines = [row[0] for row in result["rows"]]
-    assert engines == ["fresh", "store"]
-    # Different candidate streams: agreement is statistical, both finite.
-    assert all(np.isfinite(row[2]) for row in result["rows"])
-
-
-@pytest.mark.benchmark_smoke
 def test_world_store_pairwise_smoke():
     """All-pairs accumulator vs the broadcast oracle at tiny scale."""
     result = bench_ws.run_pairwise_comparison(

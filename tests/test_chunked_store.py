@@ -8,8 +8,7 @@ pair-equality counts, every ``derive`` view query, and a full
 *any* chunk size and trial backend.  These tests enforce that contract
 at chunk sizes {1, 7, N}, under budget-derived chunking, under the
 ``REPRO_WORLD_CHUNK`` override, under the ``_MAX_CHUNKS`` cap, for
-antithetic draws, for masks-only stores, and across copy-on-write
-clones.
+antithetic draws, and across copy-on-write clones.
 """
 
 from __future__ import annotations
@@ -116,6 +115,21 @@ class TestChunkedBitIdentity:
         small = WorldStore(triangle, n_samples=16, chunk_worlds=3)
         assert small.n_chunks == 6
 
+    @pytest.mark.parametrize("n_samples", [2, 30, 128, 130, 300, 1000])
+    def test_antithetic_chunk_count_is_capped(self, triangle, n_samples):
+        """An antithetic store rounds an odd chunk up to even, never
+        down, so it keeps both promises: at most ``_MAX_CHUNKS`` chunks,
+        and every chunk holds whole antithetic pairs."""
+        from repro.reliability.worldstore import _MAX_CHUNKS
+
+        for chunk in sorted({1, 2, 3, 5, 7, n_samples - 1, n_samples}):
+            store = WorldStore(triangle, n_samples=n_samples,
+                               antithetic=True, chunk_worlds=max(1, chunk))
+            assert store.n_chunks <= _MAX_CHUNKS, (n_samples, chunk)
+            bounds = store.chunk_bounds
+            assert bounds[0][0] == 0 and bounds[-1][1] == n_samples
+            assert all((stop - start) % 2 == 0 for start, stop in bounds)
+
     def test_capped_store_is_exact(self, small_profile_graph, monkeypatch):
         """A store driven into the ``_MAX_CHUNKS`` cap by a tiny
         ``REPRO_WORLD_CHUNK`` stays bit-identical to the monolithic
@@ -140,7 +154,7 @@ class TestChunkedBitIdentity:
         graph = small_profile_graph
         mono = WorldStore(graph, n_samples=N_SAMPLES, seed=13,
                           antithetic=True, chunk_worlds=N_SAMPLES)
-        # Odd chunk request: the store must round down to even so the
+        # Odd chunk request: the store must round up to even so the
         # antithetic world pairs (2j, 2j+1) never straddle a chunk seam.
         sharded = WorldStore(graph, n_samples=N_SAMPLES, seed=13,
                              antithetic=True, chunk_worlds=7)
@@ -150,18 +164,6 @@ class TestChunkedBitIdentity:
         )
         np.testing.assert_array_equal(sharded.base_masks, mono.base_masks)
         np.testing.assert_array_equal(sharded.base_labels, mono.base_labels)
-
-    def test_masks_only_store_chunks(self, triangle):
-        rng = np.random.default_rng(0)
-        masks = rng.random((12, triangle.n_edges)) < 0.5
-        mono = WorldStore.from_masks(triangle, masks)
-        sharded = WorldStore.from_masks(triangle, masks)
-        sharded._chunks = ((0, 5), (5, 12))
-        sharded._m_blocks = [masks[0:5], masks[5:12]]
-        sharded._l_blocks = None
-        delta = [(0, 1, float(triangle.probability(0, 1)), 1.0)]
-        pairs = np.array([[0, 1], [0, 2], [1, 2]])
-        assert_store_equal(mono, sharded, delta, pairs)
 
 
 class TestCloneCopyOnWrite:

@@ -556,3 +556,114 @@ def test_broken_pipe_exits_141(monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "capabilities", raiser)
     assert cli.main(["capabilities"]) == 141
     assert "internal error" not in capsys.readouterr().err
+
+
+#: Every subcommand taking ``--seed``, ``--samples`` or ``--scale``:
+#: its argv before the flag.  ``{graph}`` is an edge-list file,
+#: ``{updates}`` an update file and ``{out}`` the file the command
+#: would write.
+NUMERIC_FLAG_COMMANDS = {
+    "generate": ["generate", "ppi", "{out}"],
+    "anonymize": ["anonymize", "{graph}", "{out}", "--k", "2"],
+    "discrepancy": ["discrepancy", "{graph}", "{graph}"],
+    "evaluate": ["evaluate", "{graph}", "{graph}"],
+    "report": ["report", "{graph}", "{graph}", "--k", "2",
+               "--output", "{out}"],
+    "sweep": ["sweep", "{graph}", "--k", "2"],
+    "summary": ["summary", "ppi"],
+    "update": ["update", "{graph}", "{updates}", "{out}", "--k", "2",
+               "--samples", "5"],
+}
+
+NUMERIC_FLAG_CASES = [
+    *[(command, "--seed", value)
+      for command in NUMERIC_FLAG_COMMANDS
+      for value in ("-1", "nan", "inf")],
+    *[(command, "--samples", value)
+      for command in ("discrepancy", "evaluate", "report", "sweep")
+      for value in ("-1", "0", "nan", "inf")],
+    *[("update", "--samples", value) for value in ("-1", "-2", "nan", "inf")],
+    *[("generate", "--scale", value) for value in ("-1", "0", "nan", "inf")],
+]
+
+
+def _numeric_flag_argv(tmp_path, command):
+    graph = tmp_path / "graph.pel"
+    graph.write_text("0 1 0.5\n1 2 0.5\n2 3 0.5\n")
+    updates = tmp_path / "updates.txt"
+    updates.write_text("0 1 0.5 0.6\n")
+    out = tmp_path / "out.pel"
+    argv = [part.format(graph=graph, updates=updates, out=out)
+            for part in NUMERIC_FLAG_COMMANDS[command]]
+    return argv, out
+
+
+@pytest.mark.parametrize("command, flag, value", NUMERIC_FLAG_CASES)
+def test_bad_numeric_flag_is_a_usage_error(
+    tmp_path, capsys, command, flag, value
+):
+    """A negative seed, a non-positive sample count (negative for
+    ``update``, where 0 disables) and a non-finite or non-positive scale
+    are usage errors: exit 2 naming the flag, no traceback and no output
+    file -- and the service refuses the job at parse time."""
+    from repro.exceptions import ServerError
+    from repro.server.service import _parse_job_argv
+
+    argv, out = _numeric_flag_argv(tmp_path, command)
+    argv += [flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "usage:" in err and f"argument {flag}: {flag} must be" in err
+    assert not out.exists()
+    with pytest.raises(ServerError, match=f"cannot parse.*{flag} must be"):
+        _parse_job_argv(argv)
+
+
+@pytest.mark.parametrize("command, flag, text, expected", [
+    ("summary", "--seed", "0", 0),
+    ("generate", "--seed", "12", 12),
+    ("evaluate", "--samples", "1", 1),
+    ("update", "--samples", "0", 0),
+    ("generate", "--scale", "0.25", 0.25),
+    ("generate", "--scale", "1e-3", 1e-3),
+])
+def test_valid_numeric_flags_parse_as_before(
+    tmp_path, command, flag, text, expected
+):
+    argv, __ = _numeric_flag_argv(tmp_path, command)
+    args = build_parser().parse_args(argv + [flag, text])
+    value = getattr(args, flag.lstrip("-"))
+    assert value == expected and type(value) is type(expected)
+
+
+def test_valid_numeric_flags_keep_their_stdout(tmp_path, capsys):
+    """In-range values run as before: ``generate`` prints the counts of
+    the graph the library builds, and ``update --samples 0`` reports no
+    utility tracking."""
+    from repro.datasets import load_dataset
+
+    out = tmp_path / "g.pel"
+    assert main(["generate", "ppi", str(out), "--scale", "0.2",
+                 "--seed", "0"]) == 0
+    graph = load_dataset("ppi", scale=0.2, seed=0)
+    assert capsys.readouterr().out == (
+        f"wrote {graph.n_nodes} nodes / {graph.n_edges} edges to {out}\n"
+    )
+    argv, target = _numeric_flag_argv(tmp_path, "update")
+    assert main(argv + ["--samples", "0", "--epsilon", "0.9"]) in (0, 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert "samples" not in payload and target.exists()
+
+
+@pytest.mark.parametrize("value", ["store", "fresh"])
+def test_evaluate_engine_flag_exits_2(tmp_path, capsys, value):
+    """There is one reliability estimator: ``evaluate --engine`` of any
+    value, the former default included, is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "a.pel", "b.pel", "--engine", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --engine {value}" in \
+        capsys.readouterr().err

@@ -30,6 +30,7 @@ from tests.connectivity_oracle import (
     oracle_component_labels,
     use_oracle_labeler,
 )
+from tests.discrepancy_oracle import two_estimator_discrepancy
 
 
 def equality_matrices(labels: np.ndarray) -> np.ndarray:
@@ -134,10 +135,8 @@ class TestEstimatorDeterminism:
         )
         if labeler == "oracle":
             use_oracle_labeler(monkeypatch)
-        for engine in ("store", "fresh"):
-            value = reliability_discrepancy(
-                bridge_graph, perturbed, n_samples=80, seed=3, engine=engine
-            )
+        for estimate in (reliability_discrepancy, two_estimator_discrepancy):
+            value = estimate(bridge_graph, perturbed, n_samples=80, seed=3)
             assert value == reference
 
 

@@ -41,9 +41,9 @@ class TestResultObjects:
     def test_genobf_outcome_repr(self):
         ok = GenObfOutcome(sigma=0.25, epsilon_achieved=0.01,
                            graph=repro.UncertainGraph(2, [(0, 1, 0.5)]),
-                           report=None, n_trials=3)
+                           report=None)
         fail = GenObfOutcome(sigma=0.25, epsilon_achieved=FAILURE_EPSILON,
-                             graph=None, report=None, n_trials=3)
+                             graph=None, report=None)
         assert "ok" in repr(ok)
         assert "fail" in repr(fail)
         assert ok.success and not fail.success

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import EstimationError
 from repro.reliability import (
     compute_relevance,
+    connectivity,
     edge_reliability_relevance,
     exact_edge_reliability_relevance,
     vertex_reliability_relevance,
 )
 from repro.ugraph import UncertainGraph
+from tests.relevance_oracle import edge_reliability_relevance_loop
 
 
 @pytest.mark.parametrize("method", ["grouped", "merge-gain"])
@@ -80,6 +84,59 @@ class TestDegenerateProbabilities:
         exact = exact_edge_reliability_relevance(g)
         estimated = edge_reliability_relevance(g, n_samples=64, seed=6)
         np.testing.assert_allclose(estimated, exact, atol=1e-12)
+
+
+@st.composite
+def graphs_with_degenerate_edges(draw) -> UncertainGraph:
+    """2-9 vertices, up to 14 edges, many of them at p = 1 or p ~ 0."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(
+        st.sampled_from(pairs), unique=True, min_size=1, max_size=14
+    ))
+    probs = draw(st.lists(
+        st.sampled_from([1.0, 0.0, 1e-12, 1.0 - 1e-12])
+        | st.floats(min_value=0.05, max_value=0.95),
+        min_size=len(chosen), max_size=len(chosen),
+    ))
+    return UncertainGraph(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+
+
+class TestForcedAbsentFallback:
+    """The degenerate-edge fallback reuses the sampled worlds and
+    relabels only those where the edge was present; forcing the edge
+    absent world by world must give the same bits."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        graph=graphs_with_degenerate_edges(),
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(["grouped", "merge-gain"]),
+        chunked=st.booleans(),
+    )
+    @example(
+        graph=UncertainGraph(
+            6, [(0, 1, 1.0), (1, 2, 1e-12), (2, 3, 1.0), (3, 4, 0.5),
+                (4, 5, 0.0), (0, 5, 1.0 - 1e-12)],
+        ),
+        seed=7, method="merge-gain", chunked=True,
+    )
+    def test_bit_identical_to_per_world_oracle(
+        self, graph, seed, method, chunked
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            if chunked:
+                # One world per labeling batch, and a chunked world
+                # store should anything build one.
+                patch.setattr(
+                    connectivity, "_BATCH_NODE_LIMIT", graph.n_nodes
+                )
+                patch.setenv("REPRO_WORLD_CHUNK", "3")
+            got = edge_reliability_relevance(
+                graph, n_samples=24, seed=seed, method=method
+            )
+        expected = edge_reliability_relevance_loop(graph, 24, seed, method)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestProperties:

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._rng import as_generator
 from repro.exceptions import EstimationError
 from repro.reliability import (
     ReliabilityEstimator,
+    WorldStore,
     exact_expected_connected_pairs,
     exact_pairwise_reliability,
     exact_reliability_discrepancy,
     exact_two_terminal,
+    graph_delta,
     reliability_discrepancy,
     sample_vertex_pairs,
 )
@@ -84,6 +87,122 @@ class TestEstimatorAgainstEnumeration:
             est.expected_connected_pairs()
             - exact_expected_connected_pairs(graph)
         ) <= 5.0 * standard_error + 1e-9
+
+
+@st.composite
+def graphs_with_candidates(draw) -> tuple[UncertainGraph, UncertainGraph]:
+    """A graph of 2-7 vertices and at most 12 edges, and a candidate of
+    at most 12 edges that perturbs some of its edges, drops others and
+    adds fresh pairs (so the world store grows columns)."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    probability = st.floats(min_value=0.05, max_value=0.95)
+    probs = draw(st.lists(
+        probability, min_size=len(chosen), max_size=len(chosen)
+    ))
+    graph = UncertainGraph(
+        n, [(u, v, p) for (u, v), p in zip(chosen, probs)]
+    )
+    candidate = []
+    for (u, v), p in zip(chosen, probs):
+        fate = draw(st.sampled_from(["keep", "perturb", "drop"]))
+        if fate == "keep":
+            candidate.append((u, v, p))
+        elif fate == "perturb":
+            candidate.append((u, v, draw(st.floats(0.0, 1.0))))
+    free = [pair for pair in pairs if pair not in chosen]
+    room = min(4, 12 - len(candidate))
+    if free and room > 0:
+        for u, v in draw(st.lists(
+            st.sampled_from(free), unique=True, max_size=room
+        )):
+            candidate.append((u, v, draw(probability)))
+    return graph, UncertainGraph(n, candidate)
+
+
+def binomial_bound(exact: np.ndarray, n_samples: int) -> np.ndarray:
+    """Five binomial standard errors of an ``n_samples`` mean, + 1/N."""
+    return (
+        5.0 * np.sqrt(exact * (1.0 - exact) / n_samples) + 1.0 / n_samples
+    )
+
+
+class TestDiscrepancyAgainstEnumeration:
+    """Delta (Definition 2) tied to exact world enumeration: every pair's
+    base and candidate reliability lands within five binomial standard
+    errors (+1/N) of enumeration, and the estimated Delta within the
+    sum of those bounds (triangle inequality) of the exact Delta -- on
+    the all-pairs and the ``n_pairs`` path, antithetic or not, in one
+    chunk or many."""
+
+    N = 2000
+    PAIRS = 40
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        case=graphs_with_candidates(),
+        seed=st.integers(0, 2**32 - 1),
+        antithetic=st.booleans(),
+        chunked=st.booleans(),
+        sampled=st.booleans(),
+    )
+    def test_delta_within_enumeration_bounds(
+        self, case, seed, antithetic, chunked, sampled
+    ):
+        graph, candidate = case
+        n_samples = self.N
+        # A 1-byte budget asks for 1-world chunks (the store coalesces
+        # them up to its chunk cap) and turns off the pair cache.
+        options = dict(
+            antithetic=antithetic, memory_budget=1 if chunked else None
+        )
+        exact_base = exact_pairwise_reliability(graph)
+        exact_cand = exact_pairwise_reliability(candidate)
+        slack = (
+            binomial_bound(exact_base, n_samples)
+            + binomial_bound(exact_cand, n_samples)
+        )
+
+        # The store and pair sample reliability_discrepancy draws.
+        rng = as_generator(seed)
+        store = WorldStore(
+            graph, n_samples, seed=int(rng.integers(0, 2**63 - 1)),
+            **options,
+        )
+        if chunked:
+            assert store.n_chunks > 1
+        view = store.derive(graph_delta(graph, candidate))
+        base_hat = store.base_pairwise_reliability()
+        cand_hat = view.pairwise_reliability()
+        assert np.all(np.abs(base_hat - exact_base)
+                      <= binomial_bound(exact_base, n_samples))
+        assert np.all(np.abs(cand_hat - exact_cand)
+                      <= binomial_bound(exact_cand, n_samples))
+
+        if sampled:
+            pairs = sample_vertex_pairs(graph.n_nodes, self.PAIRS, seed=rng)
+            u, v = pairs[:, 0], pairs[:, 1]
+            np.testing.assert_array_equal(
+                store.base_reliability_of_pairs(pairs), base_hat[u, v]
+            )
+            np.testing.assert_array_equal(
+                view.reliability_of_pairs(pairs), cand_hat[u, v]
+            )
+            value = reliability_discrepancy(
+                graph, candidate, n_samples, n_pairs=self.PAIRS, seed=seed,
+                **options,
+            )
+            exact = float(np.abs(exact_base[u, v] - exact_cand[u, v]).mean())
+            allowed = float(slack[u, v].mean())
+        else:
+            value = reliability_discrepancy(
+                graph, candidate, n_samples, seed=seed, per_pair=False,
+                **options,
+            )
+            exact = exact_reliability_discrepancy(graph, candidate)
+            allowed = float(np.triu(slack, k=1).sum())
+        assert abs(value - exact) <= allowed + 1e-9
 
 
 class TestEstimatorBehavior:

@@ -85,10 +85,7 @@ def spied_anonymize(graph, k, epsilon, **kwargs):
         return real_trial(graph, config, context, sigma, probe, *rest)
 
     def derive(store, delta):
-        # Relevance sampling derives on mask-backed stores; the utility
-        # store is the one with uniforms.
-        if store.has_uniforms:
-            derives.append(store.n_chunks)
+        derives.append(store.n_chunks)
         return real_derive(store, delta)
 
     with pytest.MonkeyPatch.context() as patch:

@@ -397,16 +397,6 @@ def test_stale_batch_raises(triangle):
         recertifier.apply(stale)
 
 
-def test_store_that_cannot_rebase_is_rejected_up_front():
-    """A masks-only store would reject the first batch only after the
-    degree cache had adopted it, leaving the recertifier half-applied."""
-    graph = random_graph(3)
-    sampled = WorldStore(graph, n_samples=8, seed=1)
-    store = WorldStore.from_masks(graph, sampled.base_masks)
-    with pytest.raises(EstimationError, match="built from masks"):
-        IncrementalRecertifier(graph, 2, 0.5, store=store)
-
-
 def test_store_of_another_graph_is_rejected_up_front():
     graph = random_graph(4)
     probs = graph.edge_probabilities.copy()

@@ -7,7 +7,7 @@ of the view's materialized masks bit for bit, across edge tweaks,
 p -> 0 removals, brand-new edge insertions, and the empty delta.  When
 the candidate shares the base graph's edge universe, the store path is
 additionally bit-identical to a fresh ``ReliabilityEstimator`` built
-with the same CRN seed.
+with the same CRN seed (``tests/discrepancy_oracle.py``).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.reliability import worldstore
 from repro.reliability.worldstore import graph_delta_rows
 from repro.ugraph import UncertainGraph, WorldSampler, overlay, sample_edge_masks
 from tests.connectivity_oracle import oracle_component_labels
+from tests.discrepancy_oracle import two_estimator_discrepancy
 from tests.growth_oracle import growth_uniform_column
 from tests.search_oracle import oracle_anonymize
 
@@ -500,29 +501,12 @@ class TestMergeDelta:
         np.testing.assert_array_equal(store._col_ids, np.argsort(keys))
 
 
-class TestMasksOnlyStore:
-    def test_forced_absent_matches_overlay(self, bridge_graph):
-        masks = sample_edge_masks(bridge_graph, 32, seed=21)
-        store = WorldStore.from_masks(bridge_graph, masks)
-        view = store.derive([(2, 3, 0.5, 0.0)])
-        ora = oracle_labels(store, view)
-        np.testing.assert_array_equal(view.labels, ora)
-
-    def test_forced_present_matches_overlay(self, bridge_graph):
-        masks = sample_edge_masks(bridge_graph, 32, seed=21)
-        store = WorldStore.from_masks(bridge_graph, masks)
-        view = store.derive([(2, 3, 0.5, 1.0)])
-        ora = oracle_labels(store, view)
-        np.testing.assert_array_equal(view.labels, ora)
-        assert view.n_dirty == int((~masks[:, 6]).sum())
-
-    def test_general_rethreshold_rejected(self, bridge_graph):
-        masks = sample_edge_masks(bridge_graph, 16, seed=21)
-        store = WorldStore.from_masks(bridge_graph, masks)
-        with pytest.raises(EstimationError, match="forced-present/absent"):
-            store.derive([(2, 3, 0.5, 0.4)])
-        with pytest.raises(EstimationError, match="uniforms are unknown"):
-            __ = store.uniforms
+def test_mask_only_store_is_gone():
+    """Every store draws its worlds from uniforms: the mask-only
+    constructor and its accessors are gone."""
+    for name in ("from_masks", "has_uniforms", "base_mask_column",
+                 "base_label_rows"):
+        assert not hasattr(WorldStore, name), name
 
 
 def loop_graph_delta(base: UncertainGraph, other: UncertainGraph) -> list:
@@ -594,16 +578,18 @@ class TestGraphDelta:
 
 class TestDiscrepancyEngines:
     def test_store_matches_fresh_on_shared_universe(self, small_profile_graph):
+        """On one edge universe the store path equals the two-estimator
+        oracle bit for bit."""
         g = small_profile_graph
         probs = g.edge_probabilities.copy()
         probs[:25] = np.linspace(0.05, 0.95, 25)
         other = g.with_probabilities(probs)
         for kwargs in ({}, {"n_pairs": 300}, {"per_pair": False}):
             a = reliability_discrepancy(
-                g, other, n_samples=40, seed=17, engine="store", **kwargs,
+                g, other, n_samples=40, seed=17, **kwargs,
             )
-            b = reliability_discrepancy(
-                g, other, n_samples=40, seed=17, engine="fresh", **kwargs,
+            b = two_estimator_discrepancy(
+                g, other, n_samples=40, seed=17, **kwargs,
             )
             assert a == b
 
@@ -614,8 +600,14 @@ class TestDiscrepancyEngines:
         assert value == 0.0
 
     def test_unknown_engine_rejected(self, triangle):
-        with pytest.raises(EstimationError, match="engine"):
-            reliability_discrepancy(triangle, triangle, engine="psychic")
+        """There is one estimator: ``engine=`` of any value, the former
+        ``store`` and ``fresh`` included, is a ``TypeError``."""
+        import repro.reliability
+
+        for engine in ("psychic", "store", "fresh"):
+            with pytest.raises(TypeError, match="engine"):
+                reliability_discrepancy(triangle, triangle, engine=engine)
+        assert not hasattr(repro.reliability, "DISCREPANCY_ENGINES")
 
     def test_antithetic_plumbed(self, small_profile_graph):
         value = reliability_discrepancy(
@@ -657,10 +649,11 @@ class TestSuiteAndSigmaSearchWiring:
         assert result["reliability"].original == result["reliability"].anonymized
 
     def test_compare_graphs_rejects_unknown_engine(self, bridge_graph):
-        with pytest.raises(EstimationError, match="engine"):
-            compare_graphs(
-                bridge_graph, bridge_graph, reliability_engine="psychic"
-            )
+        for engine in ("psychic", "store", "fresh"):
+            with pytest.raises(TypeError, match="reliability_engine"):
+                compare_graphs(
+                    bridge_graph, bridge_graph, reliability_engine=engine
+                )
 
     def test_anonymize_scores_utility(self, small_profile_graph):
         kwargs = dict(

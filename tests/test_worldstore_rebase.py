@@ -185,12 +185,6 @@ def test_rebase_validates_inputs():
     with pytest.raises(EstimationError, match="vertices"):
         store.rebase([(u, v, good, 0.5)], graph=make_graph(3, n=29))
 
-    from_masks = WorldStore.from_masks(
-        graph, np.zeros((4, graph.n_edges), dtype=bool)
-    )
-    with pytest.raises(EstimationError, match="uniforms"):
-        from_masks.rebase([(u, v, good, 0.5)])
-
 
 def test_rebase_noop_delta_is_free():
     graph = make_graph(7)
@@ -610,8 +604,8 @@ class WriteBackMachine(RuleBasedStateMachine):
                 ))
         elif kind == "label_rows":
             rows = np.arange(_SM_WORLDS)[::-2]
-            assert np.array_equal(lazy.base_label_rows(rows),
-                                  eager.base_label_rows(rows))
+            assert np.array_equal(lazy._label_rows(rows),
+                                  eager._label_rows(rows))
         elif kind == "pair_counts":
             assert np.array_equal(lazy.base_pair_counts,
                                   eager.base_pair_counts)
