@@ -26,9 +26,9 @@ pairwise equality accumulator.  The accumulator is timed against the
 broadcast compare it replaced (kept as the oracle in
 ``tests/test_worldstore.py``), once through ``WorldStore.discrepancy``
 on derived candidates of the profile graph and once on an adversarial
-label matrix: equal-size components of ``ceil(n / 8) - 1`` vertices,
-the largest that still take the sparse path.  Both must agree bit for
-bit.
+label matrix: equal-size components of ``ceil(n / D) - 1`` vertices
+(``D = worldstore.PAIRWISE_DENSE_DIVISOR``), the largest that still
+take the sparse path.  Both must agree bit for bit.
 
 Scaling knobs (environment variables):
 
@@ -263,7 +263,7 @@ def run_pairwise_comparison(
     fast_seconds, fast_values = discrepancies(production)
     profile_identical = base_identical and oracle_values == fast_values
 
-    size = max(1, -(-n // 8) - 1)
+    size = max(1, -(-n // worldstore.PAIRWISE_DENSE_DIVISOR) - 1)
     groups = np.stack([rng.permutation(n) // size for __ in range(n_samples)])
     labels = canonical_labels(groups)
     started = time.perf_counter()

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | None | np.random.Generator"
-
 
 def as_generator(seed=None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``seed``.

@@ -8,12 +8,6 @@
   pipeline (Section IV).
 """
 
-from .degree_anonymization import (
-    DegreeAnonymizationResult,
-    anonymize_degree_sequence,
-    k_degree_anonymize,
-    realize_supergraph,
-)
 from .deterministic_obfuscation import obfuscate_deterministic
 from .repan import RepAn, rep_an
 from .representative import (
@@ -33,8 +27,4 @@ __all__ = [
     "obfuscate_deterministic",
     "rep_an",
     "RepAn",
-    "anonymize_degree_sequence",
-    "realize_supergraph",
-    "k_degree_anonymize",
-    "DegreeAnonymizationResult",
 ]

@@ -152,17 +152,35 @@ _seed = _int_at_least(0, "--seed")
 _samples = _int_at_least(1, "--samples")
 
 
-def _scale(text: str) -> float:
-    """``--scale``: a finite number above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"--scale must be a finite number > 0, got {text!r}"
-        )
-    return value
+def _finite_float(flag: str, minimum: float, strict: bool):
+    """An argparse ``type`` taking finite floats ``> minimum`` when
+    ``strict``, else ``>= minimum``.
+
+    NaN and the infinities fail both forms, so a ``nan`` never reaches a
+    sigma ladder or a feasibility screen as a silently valid value.
+    """
+    relation = ">" if strict else ">="
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        above = value > minimum if strict else value >= minimum
+        if not (math.isfinite(value) and above):
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be a finite number {relation} {minimum:g}, "
+                f"got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_scale = _finite_float("--scale", 0.0, strict=True)
+_sigma = _finite_float("--sigma", 0.0, strict=True)
+_sigma_max = _finite_float("--sigma-max", 0.0, strict=True)
+_multiplier = _finite_float("--multiplier", 1.0, strict=False)
 
 
 def _byte_budget(text: str) -> int:
@@ -288,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "of attempting the targeted local repair")
     upd.add_argument("--trials", type=int, default=5,
                      help="repair trials per sigma rung (default: 5)")
-    upd.add_argument("--sigma", type=float, default=1.0,
+    upd.add_argument("--sigma", type=_sigma, default=1.0,
                      help="first rung of the repair noise ladder")
-    upd.add_argument("--sigma-max", type=float, default=64.0,
+    upd.add_argument("--sigma-max", type=_sigma_max, default=64.0,
                      help="last rung of the repair noise ladder")
-    upd.add_argument("--multiplier", type=float, default=1.3,
+    upd.add_argument("--multiplier", type=_multiplier, default=1.3,
                      help="candidate-pool multiplier c for the repair "
                           "selection walk (default: 1.3)")
     upd.add_argument(
@@ -350,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("input", help="edge-list file or profile name")
     diag.add_argument("--k", type=int, required=True)
     diag.add_argument("--epsilon", type=float, default=0.05)
-    diag.add_argument("--multiplier", type=float, default=2.0,
+    diag.add_argument("--multiplier", type=_multiplier, default=2.0,
                       help="candidate multiplier c the anonymizer will use")
 
     sweep = sub.add_parser("sweep",

@@ -15,7 +15,6 @@
 
 from .calibration import calibrate_k, k_for_attack_rate
 from .chameleon import Chameleon, anonymize
-from .frontier import FrontierPoint, privacy_utility_frontier
 from .config import VARIANTS, ChameleonConfig, variant_config
 from .diagnostics import (
     FeasibilityReport,
@@ -69,6 +68,4 @@ __all__ = [
     "sweep_anonymize",
     "calibrate_k",
     "k_for_attack_rate",
-    "FrontierPoint",
-    "privacy_utility_frontier",
 ]

@@ -17,6 +17,7 @@ ME      uniqueness-only          max-entropy (anonymity-oriented)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..exceptions import ConfigurationError
@@ -124,10 +125,11 @@ class ChameleonConfig:
             raise ConfigurationError(
                 f"epsilon must be in [0, 1), got {self.epsilon}"
             )
-        if self.size_multiplier < 1.0:
+        if not 1.0 <= self.size_multiplier < math.inf:
             raise ConfigurationError(
-                "size_multiplier must be >= 1 (the candidate-selection walk "
-                f"of Algorithm 3 needs c >= 1), got {self.size_multiplier}"
+                "size_multiplier must be finite and >= 1 (the candidate-"
+                "selection walk of Algorithm 3 needs c >= 1), got "
+                f"{self.size_multiplier}"
             )
         if not 0.0 <= self.white_noise <= 1.0:
             raise ConfigurationError(
@@ -159,14 +161,15 @@ class ChameleonConfig:
                 f"perturbation_mode must be one of {_PERTURBATION_MODES}, "
                 f"got {self.perturbation_mode!r}"
             )
-        if not 0.0 < self.sigma_initial <= self.sigma_max:
+        if not 0.0 < self.sigma_initial <= self.sigma_max < math.inf:
             raise ConfigurationError(
-                "need 0 < sigma_initial <= sigma_max, got "
+                "need 0 < sigma_initial <= sigma_max, both finite, got "
                 f"{self.sigma_initial} / {self.sigma_max}"
             )
-        if self.sigma_tolerance <= 0.0:
+        if not 0.0 < self.sigma_tolerance < math.inf:
             raise ConfigurationError(
-                f"sigma_tolerance must be positive, got {self.sigma_tolerance}"
+                "sigma_tolerance must be finite and positive, got "
+                f"{self.sigma_tolerance}"
             )
         if self.resume and self.checkpoint_path is None:
             raise ConfigurationError(

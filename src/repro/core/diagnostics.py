@@ -27,6 +27,7 @@ results embed it so numbers are never read without their environment.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -165,7 +166,7 @@ def _potential_degrees(
     incident = np.zeros(n, dtype=np.float64)
     np.add.at(incident, graph.edge_src, 1.0)
     np.add.at(incident, graph.edge_dst, 1.0)
-    extra_edges = max(candidate_multiplier - 1.0, 0.0) * graph.n_edges
+    extra_edges = (candidate_multiplier - 1.0) * graph.n_edges
     per_vertex_bonus = 2.0 * extra_edges / max(n, 1)
     return np.minimum(incident + per_vertex_bonus, n - 1)
 
@@ -188,8 +189,9 @@ def diagnose_feasibility(
     knowledge:
         Adversary property values; defaults to rounded expected degrees.
     candidate_multiplier:
-        The ``c`` the anonymizer will use; values above 1 credit every
-        vertex with its share of the added candidate edges.
+        The ``c`` the anonymizer will use: finite and ``>= 1``, the
+        domain of ``ChameleonConfig.size_multiplier``.  Values above 1
+        credit every vertex with its share of the added candidate edges.
 
     The analysis is conservative in the anonymizer's favor (it may call
     feasible a target the randomized search still fails), but an
@@ -199,6 +201,11 @@ def diagnose_feasibility(
         raise ObfuscationError(f"k must be >= 1, got {k}")
     if not 0.0 <= epsilon < 1.0:
         raise ObfuscationError(f"epsilon must be in [0, 1), got {epsilon}")
+    if not 1.0 <= candidate_multiplier < math.inf:
+        raise ObfuscationError(
+            "candidate_multiplier must be finite and >= 1, got "
+            f"{candidate_multiplier}"
+        )
     if knowledge is None:
         knowledge = expected_degree_knowledge(graph)
     knowledge = np.asarray(knowledge, dtype=np.int64)

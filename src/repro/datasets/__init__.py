@@ -7,7 +7,6 @@ the substitution rationale.
 
 from .generators import (
     barabasi_albert_edges,
-    stochastic_block_model_edges,
     chung_lu_edges,
     erdos_renyi_edges,
     power_law_weights,
@@ -28,7 +27,6 @@ __all__ = [
     "chung_lu_edges",
     "erdos_renyi_edges",
     "barabasi_albert_edges",
-    "stochastic_block_model_edges",
     "discrete_levels",
     "skewed_small",
     "near_uniform",

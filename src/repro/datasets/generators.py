@@ -108,41 +108,3 @@ def barabasi_albert_edges(
     )
     return [(min(u, v), max(u, v)) for u, v in graph.edges()]
 
-
-def stochastic_block_model_edges(
-    community_sizes,
-    p_within: float,
-    p_between: float,
-    seed=None,
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Stochastic-block-model edge set with known community labels.
-
-    Returns ``(edges, labels)`` where ``labels[v]`` is the community index
-    of vertex ``v``.  Used for community-preservation evaluations: the
-    ground-truth partition lets the metric suite check whether an
-    anonymizer destroyed the modular structure.
-    """
-    sizes = [int(s) for s in community_sizes]
-    if any(s <= 0 for s in sizes):
-        raise GraphConstructionError("community sizes must be positive")
-    for name, p in (("p_within", p_within), ("p_between", p_between)):
-        if not 0.0 <= p <= 1.0:
-            raise GraphConstructionError(f"{name} must be in [0, 1], got {p}")
-    rng = as_generator(seed)
-    n = sum(sizes)
-    labels = np.empty(n, dtype=np.int64)
-    start = 0
-    for community, size in enumerate(sizes):
-        labels[start: start + size] = community
-        start += size
-
-    edges: list[tuple[int, int]] = []
-    for u in range(n):
-        count = n - u - 1
-        if count <= 0:
-            continue
-        partners = np.arange(u + 1, n)
-        probs = np.where(labels[partners] == labels[u], p_within, p_between)
-        hits = np.flatnonzero(rng.random(count) < probs)
-        edges.extend((u, int(partners[j])) for j in hits)
-    return edges, labels

@@ -5,11 +5,6 @@ the reliability utility-loss metric, plus :func:`compare_graphs` which
 bundles them into the per-figure relative-error rows.
 """
 
-from .community import (
-    community_probability_profile,
-    expected_modularity,
-    modularity_preservation_error,
-)
 from .components import (
     expected_component_count,
     isolation_probabilities,
@@ -39,10 +34,7 @@ from .degree import (
     sampled_degree_matrix,
 )
 from .distance import average_distance, distance_statistics, effective_diameter
-from .reliability_metrics import (
-    average_reliability_discrepancy,
-    expected_reliability,
-)
+from .reliability_metrics import average_reliability_discrepancy
 from .suite import (
     DEFAULT_METRICS,
     EXTENDED_METRICS,
@@ -64,15 +56,11 @@ __all__ = [
     "sampled_triangle_count",
     "local_clustering_from_edges",
     "average_reliability_discrepancy",
-    "expected_reliability",
     "MetricComparison",
     "compare_graphs",
     "DEFAULT_METRICS",
     "EXTENDED_METRICS",
     "isolation_probabilities",
-    "expected_modularity",
-    "community_probability_profile",
-    "modularity_preservation_error",
     "expected_component_count",
     "largest_component_statistics",
     "expected_degree_sequence",

@@ -1,22 +1,15 @@
 """Reliability metrics packaged for the evaluation harness.
 
-Thin wrappers around :mod:`repro.reliability` exposing the quantities the
-paper's figures plot: the average (per-pair) reliability discrepancy and
-the expected connected-pair reliability of a single graph.
+A thin wrapper around :mod:`repro.reliability` exposing the quantity the
+paper's figures plot: the average (per-pair) reliability discrepancy.
 """
 
 from __future__ import annotations
 
-from ..reliability.estimator import (
-    ReliabilityEstimator,
-    reliability_discrepancy,
-)
+from ..reliability.estimator import reliability_discrepancy
 from ..ugraph.graph import UncertainGraph
 
-__all__ = [
-    "average_reliability_discrepancy",
-    "expected_reliability",
-]
+__all__ = ["average_reliability_discrepancy"]
 
 
 def average_reliability_discrepancy(
@@ -42,14 +35,3 @@ def average_reliability_discrepancy(
         per_pair=True,
         antithetic=antithetic,
     )
-
-
-def expected_reliability(
-    graph: UncertainGraph, n_samples: int = 500, seed=None,
-    antithetic: bool = False,
-) -> float:
-    """Average all-pairs reliability of one graph (connectivity level)."""
-    estimator = ReliabilityEstimator(
-        graph, n_samples=n_samples, seed=seed, antithetic=antithetic
-    )
-    return estimator.average_all_pairs_reliability()

@@ -38,24 +38,6 @@ from .obfuscation import (
     column_entropy_profile,
     report_from_entropy_profile,
 )
-from .properties import (
-    ComponentSizeProperty,
-    DegreeProperty,
-    NeighborhoodDegreeProperty,
-    VertexProperty,
-    check_obfuscation_for_property,
-)
-from .link_privacy import (
-    LinkPrivacyReport,
-    link_disclosure_confidence,
-    link_privacy_report,
-)
-from .sequential import (
-    composed_attack_success,
-    composed_entropy,
-    composed_posterior,
-    composition_report,
-)
 from .uniqueness import (
     commonness_scores,
     default_bandwidth,
@@ -87,16 +69,4 @@ __all__ = [
     "attack_success_probabilities",
     "expected_reidentification_rate",
     "top_candidate_hit_rate",
-    "VertexProperty",
-    "DegreeProperty",
-    "NeighborhoodDegreeProperty",
-    "ComponentSizeProperty",
-    "check_obfuscation_for_property",
-    "composed_posterior",
-    "composed_attack_success",
-    "composed_entropy",
-    "composition_report",
-    "link_disclosure_confidence",
-    "link_privacy_report",
-    "LinkPrivacyReport",
 ]

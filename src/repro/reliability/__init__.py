@@ -45,13 +45,6 @@ from .bounds import (
     reliability_lower_bound,
     reliability_upper_bound,
 )
-from .queries import (
-    expected_reachable_set_size,
-    most_reliable_pairs,
-    reliability_histogram,
-    reliable_knn,
-    set_reliability,
-)
 from .union_find import UnionFind, component_labels, connected_pair_count
 
 __all__ = [
@@ -78,11 +71,6 @@ __all__ = [
     "compute_relevance",
     "edge_reliability_relevance",
     "vertex_reliability_relevance",
-    "reliable_knn",
-    "set_reliability",
-    "expected_reachable_set_size",
-    "reliability_histogram",
-    "most_reliable_pairs",
     "reliability_bounds",
     "reliability_lower_bound",
     "reliability_upper_bound",

@@ -96,6 +96,10 @@ __all__ = [
 FULL_MATRIX_LIMIT = 1500
 #: Element budget for one ``(block, n, n)`` equality tensor.
 PAIRWISE_BLOCK_ELEMENTS = 16_000_000
+#: Components of at least ``ceil(n / PAIRWISE_DENSE_DIVISOR)`` vertices
+#: (at most this many per world) take the pairwise accumulator's GEMM
+#: path; smaller ones are counted pair by pair.
+PAIRWISE_DENSE_DIVISOR = 32
 #: Vertex pairs sampled when a graph is too large for the full matrix.
 DEFAULT_PAIR_SAMPLE = 20_000
 #: Tolerance when validating a delta's claimed ``p_old`` against the store.
@@ -313,30 +317,30 @@ def _pairwise_equal_acc(labels: np.ndarray, n_nodes: int) -> np.ndarray:
     outer products ``1_C 1_C^T``, split by component size within each
     block of worlds:
 
-    * components with at least ``ceil(n / 8)`` vertices (at most eight
-      per world; in practice the giant component) are rows of a dense
-      float32 0/1 matrix ``O`` -- one label comparison per row -- and
-      add ``O^T O`` through one BLAS GEMM;
+    * components with at least ``tau = ceil(n / D)`` vertices, ``D =
+      PAIRWISE_DENSE_DIVISOR`` (at most ``D`` per world; in practice
+      the giant component), are rows of a dense float32 0/1 matrix
+      ``O`` -- one label comparison per row -- and add ``O^T O`` through
+      one BLAS GEMM;
     * every pair ``(u, v)`` of a smaller component, singletons'
       ``(v, v)`` included, adds one to its ``u * n + v`` key, and one
       ``bincount`` over those keys adds them all; the work is the sum of
-      the components' squared sizes.
+      the components' squared sizes, below ``n * tau`` per world.
 
     The GEMM is exact: every entry is an integer no larger than the
     block's world count, at most ``2**24``, and float32 holds every such
     integer, so no summation order or BLAS thread count changes the
     int64 result.  Every temporary stays within
     ``PAIRWISE_BLOCK_ELEMENTS`` elements: per world, ``O`` holds at most
-    ``8 * n`` entries and the small components fewer than
-    ``n * ceil(n / 8)`` pairs.
+    ``D * n`` entries and the small components fewer than ``n * tau``
+    pairs.
     """
     acc = np.zeros((n_nodes, n_nodes), dtype=np.int64)
     if n_nodes == 0 or labels.shape[0] == 0:
         return acc
-    tau = max(2, -(-n_nodes // 8))
-    block = min(
-        1 << 24, max(1, PAIRWISE_BLOCK_ELEMENTS // (n_nodes * max(8, tau)))
-    )
+    tau = max(2, -(-n_nodes // PAIRWISE_DENSE_DIVISOR))
+    per_world = n_nodes * max(PAIRWISE_DENSE_DIVISOR, tau)
+    block = min(1 << 24, max(1, PAIRWISE_BLOCK_ELEMENTS // per_world))
     for start in range(0, labels.shape[0], block):
         chunk = labels[start:start + block]
         keys = (

@@ -26,6 +26,7 @@ pure function of ``(policy, violators, cache state)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,15 @@ class RepairPolicy:
             raise ObfuscationError(
                 f"repair needs at least one trial, got {self.n_trials}"
             )
-        if self.sigma_initial <= 0 or self.sigma_max < self.sigma_initial:
+        if not 0.0 < self.sigma_initial <= self.sigma_max < math.inf:
             raise ObfuscationError(
                 f"repair sigma ladder [{self.sigma_initial}, "
-                f"{self.sigma_max}] is empty or non-positive"
+                f"{self.sigma_max}] is empty, non-positive or not finite"
+            )
+        if not 1.0 <= self.size_multiplier < math.inf:
+            raise ObfuscationError(
+                "repair size_multiplier must be finite and >= 1, got "
+                f"{self.size_multiplier}"
             )
 
 

@@ -36,11 +36,6 @@ from .paths import (
     most_probable_path,
 )
 from .validation import summarize, validate_graph, validate_privacy_parameters
-from .weighted import (
-    WeightedUncertainGraph,
-    dumps_weighted_edge_list,
-    loads_weighted_edge_list,
-)
 from .worlds import WorldSampler, sample_edge_masks, world_log_probability
 
 __all__ = [
@@ -69,7 +64,4 @@ __all__ = [
     "most_probable_path",
     "distance_constrained_reachability",
     "expected_hop_distance",
-    "WeightedUncertainGraph",
-    "loads_weighted_edge_list",
-    "dumps_weighted_edge_list",
 ]

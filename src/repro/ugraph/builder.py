@@ -36,10 +36,6 @@ class UncertainGraphBuilder:
         self._labels: list[str] = []
         self._edges: dict[tuple[int, int], float] = {}
 
-    def node_id(self, name: Hashable) -> int:
-        """Dense id assigned to ``name``; raises ``KeyError`` if unseen."""
-        return self._ids[name]
-
     def add_node(self, name: Hashable) -> int:
         """Register a vertex (idempotent) and return its dense id."""
         existing = self._ids.get(name)

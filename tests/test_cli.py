@@ -558,10 +558,10 @@ def test_broken_pipe_exits_141(monkeypatch, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
-#: Every subcommand taking ``--seed``, ``--samples`` or ``--scale``:
-#: its argv before the flag.  ``{graph}`` is an edge-list file,
-#: ``{updates}`` an update file and ``{out}`` the file the command
-#: would write.
+#: Every subcommand taking ``--seed``, ``--samples``, ``--scale``,
+#: ``--sigma``, ``--sigma-max`` or ``--multiplier``: its argv before the
+#: flag.  ``{graph}`` is an edge-list file, ``{updates}`` an update file
+#: and ``{out}`` the file the command would write.
 NUMERIC_FLAG_COMMANDS = {
     "generate": ["generate", "ppi", "{out}"],
     "anonymize": ["anonymize", "{graph}", "{out}", "--k", "2"],
@@ -573,17 +573,23 @@ NUMERIC_FLAG_COMMANDS = {
     "summary": ["summary", "ppi"],
     "update": ["update", "{graph}", "{updates}", "{out}", "--k", "2",
                "--samples", "5"],
+    "diagnose": ["diagnose", "{graph}", "--k", "2"],
 }
 
 NUMERIC_FLAG_CASES = [
     *[(command, "--seed", value)
-      for command in NUMERIC_FLAG_COMMANDS
+      for command in NUMERIC_FLAG_COMMANDS if command != "diagnose"
       for value in ("-1", "nan", "inf")],
     *[(command, "--samples", value)
       for command in ("discrepancy", "evaluate", "report", "sweep")
       for value in ("-1", "0", "nan", "inf")],
     *[("update", "--samples", value) for value in ("-1", "-2", "nan", "inf")],
     *[("generate", "--scale", value) for value in ("-1", "0", "nan", "inf")],
+    *[(command, flag, value)
+      for command, flag in (("update", "--sigma"), ("update", "--sigma-max"),
+                            ("update", "--multiplier"),
+                            ("diagnose", "--multiplier"))
+      for value in ("nan", "inf", "-1", "0")],
 ]
 
 
@@ -603,9 +609,10 @@ def test_bad_numeric_flag_is_a_usage_error(
     tmp_path, capsys, command, flag, value
 ):
     """A negative seed, a non-positive sample count (negative for
-    ``update``, where 0 disables) and a non-finite or non-positive scale
-    are usage errors: exit 2 naming the flag, no traceback and no output
-    file -- and the service refuses the job at parse time."""
+    ``update``, where 0 disables), a non-finite or non-positive scale or
+    sigma rung and a non-finite multiplier below 1 are usage errors:
+    exit 2 naming the flag, no traceback and no output file -- and the
+    service refuses the job at parse time."""
     from repro.exceptions import ServerError
     from repro.server.service import _parse_job_argv
 
@@ -629,13 +636,17 @@ def test_bad_numeric_flag_is_a_usage_error(
     ("update", "--samples", "0", 0),
     ("generate", "--scale", "0.25", 0.25),
     ("generate", "--scale", "1e-3", 1e-3),
+    ("update", "--sigma", "0.25", 0.25),
+    ("update", "--sigma-max", "8", 8.0),
+    ("update", "--multiplier", "1", 1.0),
+    ("diagnose", "--multiplier", "2.5", 2.5),
 ])
 def test_valid_numeric_flags_parse_as_before(
     tmp_path, command, flag, text, expected
 ):
     argv, __ = _numeric_flag_argv(tmp_path, command)
     args = build_parser().parse_args(argv + [flag, text])
-    value = getattr(args, flag.lstrip("-"))
+    value = getattr(args, flag.lstrip("-").replace("-", "_"))
     assert value == expected and type(value) is type(expected)
 
 

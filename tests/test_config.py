@@ -42,6 +42,16 @@ class TestValidation:
             {"sigma_initial": 0.0},
             {"sigma_initial": 100.0},  # above sigma_max
             {"sigma_tolerance": 0.0},
+            # NaN fails every comparison, so each check is written to
+            # reject it; infinities are out of every field's domain.
+            {"size_multiplier": float("nan")},
+            {"size_multiplier": float("inf")},
+            {"sigma_initial": float("nan")},
+            {"sigma_max": float("nan")},
+            {"sigma_max": float("inf")},
+            {"sigma_initial": float("inf"), "sigma_max": float("inf")},
+            {"sigma_tolerance": float("nan")},
+            {"sigma_tolerance": float("inf")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -98,6 +98,18 @@ class TestValidation:
         with pytest.raises(ObfuscationError):
             diagnose_feasibility(certain_square, k=2, epsilon=1.5)
 
+    @pytest.mark.parametrize("multiplier", [
+        float("nan"), float("inf"), -1.0, 0.0, 0.5,
+    ])
+    def test_invalid_candidate_multiplier(self, certain_square, multiplier):
+        """c outside the config's domain (finite, >= 1) is an error, not
+        a screen computed from a NaN or clamped bonus."""
+        with pytest.raises(ObfuscationError, match="candidate_multiplier"):
+            diagnose_feasibility(
+                certain_square, k=2, epsilon=0.1,
+                candidate_multiplier=multiplier,
+            )
+
     def test_knowledge_shape_checked(self, certain_square):
         with pytest.raises(ObfuscationError):
             diagnose_feasibility(

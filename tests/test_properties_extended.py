@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import anonymize_degree_sequence
 from repro.reliability import (
     exact_two_terminal,
     reliability_bounds,
@@ -28,34 +27,6 @@ def small_graphs(draw, max_nodes=6, max_edges=9):
     probs = draw(st.lists(probabilities, min_size=k, max_size=k))
     return UncertainGraph(
         n, [(*all_pairs[i], p) for i, p in zip(indices, probs)]
-    )
-
-
-# --------------------------------------------------------------------- #
-# Degree-sequence anonymization
-# --------------------------------------------------------------------- #
-
-@given(
-    st.lists(st.integers(0, 15), min_size=2, max_size=25),
-    st.integers(2, 5),
-)
-def test_degree_sequence_dp_invariants(degrees, k):
-    degrees = np.asarray(degrees)
-    if k > degrees.shape[0]:
-        return
-    targets = anonymize_degree_sequence(degrees, k)
-    # Never decreases a degree.
-    assert (targets >= degrees).all()
-    # Every target value shared by >= k vertices.
-    __, counts = np.unique(targets, return_counts=True)
-    assert counts.min() >= k
-
-
-@given(st.lists(st.integers(0, 15), min_size=2, max_size=20))
-def test_degree_sequence_k1_identity(degrees):
-    degrees = np.asarray(degrees)
-    np.testing.assert_array_equal(
-        anonymize_degree_sequence(degrees, 1), degrees
     )
 
 

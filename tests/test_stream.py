@@ -379,6 +379,26 @@ def test_repair_requires_violations(triangle):
         )
 
 
+@pytest.mark.parametrize("fields", [
+    {"n_trials": 0},
+    {"sigma_initial": 0.0},
+    {"sigma_initial": 2.0, "sigma_max": 1.0},
+    {"sigma_initial": float("nan")},
+    {"sigma_max": float("nan")},
+    {"sigma_max": float("inf")},
+    {"sigma_initial": float("inf"), "sigma_max": float("inf")},
+    {"size_multiplier": float("nan")},
+    {"size_multiplier": float("inf")},
+    {"size_multiplier": -1.0},
+    {"size_multiplier": 0.0},
+])
+def test_repair_policy_rejects_bad_ladder(fields):
+    """A NaN or infinite rung or multiplier is an error up front, not a
+    ladder that runs no trial and reads as an infeasible repair."""
+    with pytest.raises(ObfuscationError):
+        RepairPolicy(**fields)
+
+
 def test_no_repair_policy_reports_violation():
     graph, knowledge, edges = hub_graph()
     recertifier = IncrementalRecertifier(graph, 4, 0.08, knowledge=knowledge)

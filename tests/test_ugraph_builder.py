@@ -19,8 +19,8 @@ def test_basic_build():
 def test_node_ids_follow_first_seen_order():
     b = UncertainGraphBuilder()
     b.add_edge("x", "y", 0.5)
-    assert b.node_id("x") == 0
-    assert b.node_id("y") == 1
+    assert b.add_node("x") == 0
+    assert b.add_node("y") == 1
 
 
 def test_explicit_nodes_can_be_isolated():

@@ -79,8 +79,12 @@ def canonical_labels(groups: np.ndarray) -> np.ndarray:
 def label_matrices(draw):
     """Canonical ``(N, n)`` label matrices: random partitions, all
     singletons, one component, and equal-size partitions on both sides
-    of the accumulator's ``ceil(n / 8)`` dense/sparse split."""
-    n = draw(st.integers(min_value=1, max_value=48))
+    of the accumulator's ``ceil(n / PAIRWISE_DENSE_DIVISOR)`` dense/sparse
+    split (``n`` reaches past ``4 * PAIRWISE_DENSE_DIVISOR``, so the
+    split also falls above its floor of 2)."""
+    n = draw(st.integers(
+        min_value=1, max_value=5 * worldstore.PAIRWISE_DENSE_DIVISOR
+    ))
     n_worlds = draw(st.integers(min_value=0, max_value=40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(
@@ -93,7 +97,7 @@ def label_matrices(draw):
     elif kind == "one-component":
         groups = np.zeros((n_worlds, n), dtype=np.int64)
     else:
-        tau = -(-n // 8)
+        tau = max(2, -(-n // worldstore.PAIRWISE_DENSE_DIVISOR))
         size = draw(st.sampled_from([max(1, tau - 1), tau, tau + 1]))
         groups = np.array(
             [rng.permutation(n) // size for __ in range(n_worlds)],
