@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.metrics import average_reliability_discrepancy
+from repro.reliability import reliability_discrepancy
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.6"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "2018"))
@@ -258,7 +258,7 @@ def reliability_loss(dataset_name: str, anonymized_graph) -> float:
     """Average per-pair reliability discrepancy against the original."""
     if anonymized_graph is None:
         return float("nan")
-    return average_reliability_discrepancy(
+    return reliability_discrepancy(
         dataset(dataset_name),
         anonymized_graph,
         n_samples=METRIC_SAMPLES,

@@ -19,7 +19,7 @@ import numpy as np
 
 from _harness import SEED, dataset, emit, format_table
 from repro.reliability import (
-    ReliabilityEstimator,
+    WorldStore,
     edge_reliability_relevance,
     exact_edge_reliability_relevance,
 )
@@ -37,11 +37,10 @@ def _naive_err(graph, edges, n_samples: int, seed: int) -> np.ndarray:
         for forced, label in ((1.0, "present"), (0.0, "absent")):
             p = graph.edge_probabilities.copy()
             p[e] = forced
-            est = ReliabilityEstimator(
-                graph.with_probabilities(p), n_samples=n_samples,
-                seed=seed + i,
-            )
-            values[label] = est.expected_connected_pairs()
+            view = WorldStore(
+                graph.with_probabilities(p), n_samples, seed=seed + i,
+            ).base_view()
+            values[label] = view.expected_connected_pairs()
         out[i] = values["present"] - values["absent"]
     return out
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from _harness import SEED, dataset, emit, format_table
-from repro.reliability import ReliabilityEstimator, reliability_discrepancy
+from repro.reliability import WorldStore, reliability_discrepancy
 
 _N_GRID = (50, 100, 200, 500, 1000)
 _REFERENCE_N = 4000
@@ -28,18 +28,18 @@ def _build_rows():
         np.clip(graph.edge_probabilities * 0.8 + 0.05, 0, 1)
     )
 
-    reference_cc = ReliabilityEstimator(
-        graph, n_samples=_REFERENCE_N, seed=SEED
-    ).expected_connected_pairs()
+    reference_cc = WorldStore(
+        graph, _REFERENCE_N, seed=SEED
+    ).base_view().expected_connected_pairs()
     reference_delta = reliability_discrepancy(
         graph, perturbed, n_samples=_REFERENCE_N, n_pairs=20_000, seed=SEED
     )
 
     rows = []
     for n in _N_GRID:
-        cc = ReliabilityEstimator(
-            graph, n_samples=n, seed=SEED + n
-        ).expected_connected_pairs()
+        cc = WorldStore(
+            graph, n, seed=SEED + n
+        ).base_view().expected_connected_pairs()
         delta = reliability_discrepancy(
             graph, perturbed, n_samples=n, n_pairs=20_000, seed=SEED + n
         )

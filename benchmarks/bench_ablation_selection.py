@@ -28,8 +28,8 @@ from repro.core import ChameleonConfig, build_selection_context
 from repro.core.genobf import _edge_noise_scales
 from repro.core.noise import perturb_probabilities
 from repro.core.selection import select_candidate_edges
-from repro.metrics import average_reliability_discrepancy
 from repro.privacy import expected_degree_knowledge
+from repro.reliability import reliability_discrepancy
 from repro.ugraph.operations import apply_edge_updates
 
 _SIGMAS = (0.1, 0.2, 0.4)
@@ -58,7 +58,7 @@ def _loss_under(graph, known, selection_mode: str, sigma: float,
             seed=SEED + trial,
         )
         candidate = apply_edge_updates(graph, us, vs, perturbed)
-        losses.append(average_reliability_discrepancy(
+        losses.append(reliability_discrepancy(
             graph, candidate, n_samples=n_samples, n_pairs=n_pairs, seed=SEED,
         ))
     return float(np.mean(losses))

@@ -159,7 +159,7 @@ def run_update_comparison(
             if read:
                 qpairs = list(outcome.graph.endpoint_pairs())[:50]
                 started = time.perf_counter()
-                rebased = store.base_reliability_of_pairs(qpairs)
+                rebased = store.base_view().reliability_of_pairs(qpairs)
                 read_seconds += time.perf_counter() - started
 
             started = time.perf_counter()

@@ -45,7 +45,7 @@ def run_method(graph, method: str, k: int, epsilon: float, seed: int):
                                  **kwargs)
     if not result.success:
         return result, float("nan"), float("nan")
-    loss = repro.average_reliability_discrepancy(
+    loss = repro.reliability_discrepancy(
         graph, result.graph, n_samples=300, seed=seed
     )
     noise = result.noise_added(graph)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 import repro
-from repro.reliability import ReliabilityEstimator, sample_vertex_pairs
+from repro.reliability import WorldStore, sample_vertex_pairs
 
 
 def spearman(a: np.ndarray, b: np.ndarray) -> float:
@@ -46,7 +46,7 @@ def main() -> None:
     graph = repro.load_dataset("ppi", scale=0.6, seed=33)
     print(f"PPI network          : {graph}")
 
-    est = ReliabilityEstimator(graph, n_samples=600, seed=1)
+    est = WorldStore(graph, 600, seed=1).base_view()
     candidates = sample_vertex_pairs(graph.n_nodes, 4000, seed=2)
     candidate_reliability = est.reliability_of_pairs(candidates)
 
@@ -81,7 +81,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name, released in releases.items():
-        est_anon = ReliabilityEstimator(released, n_samples=600, seed=1)
+        est_anon = WorldStore(released, 600, seed=1).base_view()
         anon_reliability = est_anon.reliability_of_pairs(pairs)
         mean_abs = float(np.abs(anon_reliability - true_reliability).mean())
         corr = spearman(true_reliability, anon_reliability)

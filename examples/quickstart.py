@@ -40,7 +40,7 @@ def main() -> None:
     print(f"privacy check  : {report}")
 
     # 4. Measure utility: how far did the uncertain structure move?
-    discrepancy = repro.average_reliability_discrepancy(
+    discrepancy = repro.reliability_discrepancy(
         graph, result.graph, n_samples=400, seed=7
     )
     print(f"utility        : avg reliability discrepancy = {discrepancy:.4f}")

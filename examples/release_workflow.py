@@ -63,10 +63,10 @@ def main() -> None:
           f"perturbed edges in {stats.checks_performed} privacy checks")
     print(f"  noise {stats.noise_before:.1f} -> {stats.noise_after:.1f} "
           f"(-{stats.noise_removed:.1f})")
-    loss_before = repro.average_reliability_discrepancy(
+    loss_before = repro.reliability_discrepancy(
         graph, result.graph, n_samples=300, seed=1
     )
-    loss_after = repro.average_reliability_discrepancy(
+    loss_after = repro.reliability_discrepancy(
         graph, refined.graph, n_samples=300, seed=1
     )
     print(f"  reliability loss {loss_before:.4f} -> {loss_after:.4f}\n")

@@ -84,7 +84,7 @@ def main() -> None:
           f"tolerance {report.epsilon_achieved:.1%})")
 
     # --- What did research utility cost? ------------------------------ #
-    discrepancy = repro.average_reliability_discrepancy(
+    discrepancy = repro.reliability_discrepancy(
         graph, result.graph, n_samples=400, seed=12
     )
     comparison = repro.compare_graphs(
@@ -99,8 +99,8 @@ def main() -> None:
               f"({row.relative_error:.1%} error)")
 
     # Influence reachability between specific users survives.
-    est_orig = repro.ReliabilityEstimator(graph, n_samples=500, seed=13)
-    est_anon = repro.ReliabilityEstimator(result.graph, n_samples=500, seed=13)
+    est_orig = repro.WorldStore(graph, 500, seed=13).base_view()
+    est_anon = repro.WorldStore(result.graph, 500, seed=13).base_view()
     hub = int(influencers[0])
     probe = [int(v) for v in range(0, graph.n_nodes, graph.n_nodes // 5)][:4]
     print(f"\ninfluence reach of {labels[hub]} (two-terminal reliability):")

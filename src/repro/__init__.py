@@ -10,7 +10,7 @@ Quickstart
 >>> result = repro.anonymize(graph, k=10, epsilon=0.05, method="rsme", seed=7)
 >>> result.success                                     # doctest: +SKIP
 True
->>> repro.average_reliability_discrepancy(graph, result.graph)  # doctest: +SKIP
+>>> repro.reliability_discrepancy(graph, result.graph)  # doctest: +SKIP
 0.01...
 
 Package map
@@ -46,15 +46,10 @@ from .exceptions import (
     ObfuscationError,
     ReproError,
 )
-from .metrics import (
-    average_reliability_discrepancy,
-    compare_graphs,
-    expected_average_degree,
-)
+from .metrics import compare_graphs, expected_average_degree
 from .privacy import check_obfuscation, expected_degree_knowledge
 from .reliability import (
     DerivedWorlds,
-    ReliabilityEstimator,
     WorldStore,
     graph_delta,
     reliability_discrepancy,
@@ -92,13 +87,11 @@ __all__ = [
     # privacy & reliability
     "check_obfuscation",
     "expected_degree_knowledge",
-    "ReliabilityEstimator",
     "reliability_discrepancy",
     "WorldStore",
     "DerivedWorlds",
     "graph_delta",
     # metrics
-    "average_reliability_discrepancy",
     "compare_graphs",
     "expected_average_degree",
     # datasets

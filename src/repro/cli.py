@@ -668,7 +668,7 @@ def _cmd_diagnose(args, out, err, runtime) -> int:
 
 def _cmd_sweep(args, out, err, runtime) -> int:
     from .core import sweep_anonymize
-    from .metrics import average_reliability_discrepancy
+    from .reliability import reliability_discrepancy
 
     graph = runtime.load(args.input, seed=args.seed)
     epsilon = args.epsilon
@@ -685,7 +685,7 @@ def _cmd_sweep(args, out, err, runtime) -> int:
     for k in args.k:
         result = results[k]
         if result.success:
-            loss = average_reliability_discrepancy(
+            loss = reliability_discrepancy(
                 graph, result.graph, n_samples=args.samples, seed=args.seed,
             )
             print(f"{k:>6} {'ok':>8} {result.sigma:>10.4f} {loss:>10.4f}",

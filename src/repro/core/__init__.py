@@ -13,7 +13,6 @@
   (bit-identical resume of an interrupted run).
 """
 
-from .calibration import calibrate_k, k_for_attack_rate
 from .chameleon import Chameleon, anonymize
 from .config import VARIANTS, ChameleonConfig, variant_config
 from .diagnostics import (
@@ -66,6 +65,4 @@ __all__ = [
     "RefinementStats",
     "refine_anonymization",
     "sweep_anonymize",
-    "calibrate_k",
-    "k_for_attack_rate",
 ]

@@ -34,6 +34,12 @@ __all__ = [
     "perturb_probabilities",
 ]
 
+#: Largest scale the sampler uses.  From here on the density of ``R_s``
+#: on [0, 1] is flat to within ``1 / (2 s^2) < 2^-53``, i.e. U(0, 1) in
+#: doubles, while at larger scales the span ``Phi(1 / s) - 1/2``
+#: cancels (every draw 0 from s ~ 1e16) and ``s = inf`` draws NaN.
+_MAX_SCALE = 1e8
+
 
 def truncated_normal_noise(
     sigma: np.ndarray | float, size: int | None = None, seed=None
@@ -47,7 +53,8 @@ def truncated_normal_noise(
     scales, then ``x = s * Phi^-1(1/2 + u * (Phi(1 / s) - 1/2))``, since
     ``R_s`` has CDF ``(Phi(x / s) - 1/2) / (Phi(1 / s) - 1/2)`` on
     ``[0, 1]``.  The clip only matters when ``u`` rounds to 1 and
-    ``ndtri`` saturates to ``inf``.
+    ``ndtri`` saturates to ``inf``.  Scales above ``_MAX_SCALE`` draw
+    as ``_MAX_SCALE``: ``R_s`` is U(0, 1) to double precision there.
     """
     rng = as_generator(seed)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -59,7 +66,7 @@ def truncated_normal_noise(
     out = np.zeros(size, dtype=np.float64)
     positive = sigma > 0
     if positive.any():
-        scale = sigma[positive]
+        scale = np.minimum(sigma[positive], _MAX_SCALE)
         u = rng.random(scale.shape[0])
         span = ndtr(1.0 / scale) - 0.5
         out[positive] = np.clip(scale * ndtri(0.5 + u * span), 0.0, 1.0)

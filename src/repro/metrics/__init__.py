@@ -1,19 +1,15 @@
 """Graph metrics for utility-preservation evaluation (Section VI).
 
-Degree group, node-separation group (ANF-based), clustering group, and
-the reliability utility-loss metric, plus :func:`compare_graphs` which
-bundles them into the per-figure relative-error rows.
+Degree group, node-separation group (ANF-based) and clustering group,
+plus :func:`compare_graphs`, which bundles them with the reliability
+utility-loss metric (Definition 2) into the per-figure relative-error
+rows.
 """
 
 from .components import (
     expected_component_count,
     isolation_probabilities,
     largest_component_statistics,
-)
-from .degree_sequence import (
-    degree_sequence_distance,
-    expected_degree_sequence,
-    k_degree_anonymity,
 )
 from .spectral import (
     expected_adjacency_spectrum,
@@ -34,7 +30,6 @@ from .degree import (
     sampled_degree_matrix,
 )
 from .distance import average_distance, distance_statistics, effective_diameter
-from .reliability_metrics import average_reliability_discrepancy
 from .suite import (
     DEFAULT_METRICS,
     EXTENDED_METRICS,
@@ -55,7 +50,6 @@ __all__ = [
     "expected_triangle_count",
     "sampled_triangle_count",
     "local_clustering_from_edges",
-    "average_reliability_discrepancy",
     "MetricComparison",
     "compare_graphs",
     "DEFAULT_METRICS",
@@ -63,9 +57,6 @@ __all__ = [
     "isolation_probabilities",
     "expected_component_count",
     "largest_component_statistics",
-    "expected_degree_sequence",
-    "k_degree_anonymity",
-    "degree_sequence_distance",
     "expected_adjacency_spectrum",
     "expected_laplacian_spectrum",
     "spectral_distance",

@@ -1,8 +1,10 @@
 """Reliability machinery: connectivity under possible-world semantics.
 
-* :class:`ReliabilityEstimator` -- shared-sample Monte-Carlo estimates of
-  two-terminal reliability, expected connected pairs, and the full
-  pairwise reliability matrix.
+* :class:`WorldStore` -- one shared set of sampled possible worlds; its
+  :meth:`~WorldStore.base_view` (a :class:`DerivedWorlds`) answers
+  two-terminal reliability, expected connected pairs and the full
+  pairwise reliability matrix, and :meth:`~WorldStore.derive` answers
+  them for a candidate graph given as a probability delta.
 * :func:`reliability_discrepancy` -- the paper's utility-loss metric
   (Definition 2).
 * :func:`edge_reliability_relevance` / :func:`vertex_reliability_relevance`
@@ -16,15 +18,12 @@ from .connectivity import (
     component_labels_for_edges,
     pair_counts_from_labels,
 )
-from .estimator import (
-    ReliabilityEstimator,
-    reliability_discrepancy,
-    sample_vertex_pairs,
-)
+from .estimator import reliability_discrepancy
 from .worldstore import (
     DerivedWorlds,
     WorldStore,
     graph_delta,
+    sample_vertex_pairs,
 )
 from .exact import (
     enumerate_worlds,
@@ -55,7 +54,6 @@ __all__ = [
     "batch_pair_counts",
     "component_labels_for_edges",
     "pair_counts_from_labels",
-    "ReliabilityEstimator",
     "reliability_discrepancy",
     "sample_vertex_pairs",
     "WorldStore",

@@ -92,7 +92,7 @@ __all__ = [
 ]
 
 #: Largest vertex count for which full ``n x n`` pairwise matrices are
-#: materialized (shared with :class:`repro.reliability.ReliabilityEstimator`).
+#: materialized.
 FULL_MATRIX_LIMIT = 1500
 #: Element budget for one ``(block, n, n)`` equality tensor.
 PAIRWISE_BLOCK_ELEMENTS = 16_000_000
@@ -872,10 +872,6 @@ class WorldStore:
             counts += _pair_equal_counts(block, pairs)
         return counts
 
-    def base_reliability_of_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        """Base-graph ``R_{u,v}`` for an ``(M, 2)`` pair array."""
-        return self.base_pair_equal_counts(pairs) / self._n_samples
-
     def base_pairwise_reliability(self) -> np.ndarray:
         """Base-graph ``n x n`` reliability matrix (cached float)."""
         if self._pairwise is None:
@@ -885,7 +881,12 @@ class WorldStore:
         return self._pairwise
 
     def base_view(self) -> "DerivedWorlds":
-        """The base graph itself as a (clean) derived view."""
+        """The base graph itself as a clean view (no dirty rows).
+
+        This is how the base graph's own reliability queries are asked:
+        ``R_{u,v}``, pair batches, expected connected pairs and the full
+        matrix, all from the cached base worlds.
+        """
         return self.derive([])
 
     # -- column growth -------------------------------------------------- #
@@ -1411,7 +1412,7 @@ class DerivedWorlds:
                 self._pair_counts = out
         return self._pair_counts
 
-    # -- queries (mirroring ReliabilityEstimator) ------------------------ #
+    # -- reliability queries (Definition 1) ------------------------------ #
 
     def two_terminal(self, u: int, v: int) -> float:
         n = self._store.graph.n_nodes

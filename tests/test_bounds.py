@@ -78,9 +78,9 @@ class TestEdgeCases:
 
 class TestSandwichesMonteCarloEstimator:
     def test_bounds_sandwich_mc_estimate(self, small_profile_graph):
-        from repro.reliability import ReliabilityEstimator
+        from repro.reliability import WorldStore
 
-        est = ReliabilityEstimator(small_profile_graph, n_samples=2000, seed=0)
+        est = WorldStore(small_profile_graph, 2000, seed=0).base_view()
         rng = np.random.default_rng(1)
         for __ in range(5):
             u, v = rng.integers(0, small_profile_graph.n_nodes, 2)

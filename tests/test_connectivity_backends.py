@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.reliability import (
-    ReliabilityEstimator,
+    WorldStore,
     batch_component_labels,
     batch_pair_counts,
     connected_pair_count,
@@ -99,9 +99,7 @@ class TestEstimatorDeterminism:
     def test_backend_does_not_change_seeded_results(
         self, small_profile_graph, labeler, monkeypatch
     ):
-        reference = ReliabilityEstimator(
-            small_profile_graph, n_samples=60, seed=11
-        )
+        reference = WorldStore(small_profile_graph, 60, seed=11).base_view()
         pairs = sample_vertex_pairs(small_profile_graph.n_nodes, 50, seed=5)
         expected = (
             reference.two_terminal(0, 1),
@@ -111,9 +109,7 @@ class TestEstimatorDeterminism:
         )
         if labeler == "oracle":
             use_oracle_labeler(monkeypatch)
-        estimator = ReliabilityEstimator(
-            small_profile_graph, n_samples=60, seed=11
-        )
+        estimator = WorldStore(small_profile_graph, 60, seed=11).base_view()
         assert estimator.two_terminal(0, 1) == expected[0]
         assert estimator.expected_connected_pairs() == expected[1]
         np.testing.assert_array_equal(
@@ -182,11 +178,11 @@ class TestValidation:
             )
 
     def test_unknown_backend_rejected(self, triangle):
-        """The estimator has no ``backend=`` knob left to forward: any
+        """The world store has no ``backend=`` knob left to forward: any
         value, the former default ``"scipy"`` included, is a TypeError."""
         for backend in ("gpu", "scipy", "auto"):
             with pytest.raises(TypeError, match="backend"):
-                ReliabilityEstimator(triangle, 4, seed=0, backend=backend)
+                WorldStore(triangle, 4, seed=0, backend=backend)
 
     def test_pair_counts_rejects_wrong_rank(self):
         with pytest.raises(ValueError):

@@ -186,7 +186,7 @@ class TestBoundaryAbuse:
 
     def test_estimator_on_single_vertex(self):
         g = UncertainGraph(1)
-        est = repro.ReliabilityEstimator(g, n_samples=5, seed=0)
+        est = repro.WorldStore(g, 5, seed=0).base_view()
         assert est.expected_connected_pairs() == 0.0
         assert est.average_all_pairs_reliability() == 0.0
 
@@ -248,12 +248,12 @@ class TestAdversarialParameters:
 
     def test_huge_sample_request_is_bounded_by_memory_not_crash(self):
         g = UncertainGraph(3, [(0, 1, 0.5)])
-        est = repro.ReliabilityEstimator(g, n_samples=100_000, seed=0)
+        est = repro.WorldStore(g, 100_000, seed=0).base_view()
         assert 0.45 < est.two_terminal(0, 1) < 0.55
 
     def test_zero_samples_rejected_everywhere(self, triangle):
         with pytest.raises((EstimationError, ValueError)):
-            repro.ReliabilityEstimator(triangle, n_samples=0)
+            repro.WorldStore(triangle, n_samples=0)
         from repro.ugraph import sample_edge_masks
 
         with pytest.raises((EstimationError, ValueError)):

@@ -72,12 +72,12 @@ class TestMethodOrdering:
             result = repro.anonymize(graph, k=k, epsilon=eps, method=method,
                                      seed=3, **FAST)
             assert result.success, method
-            losses[method] = repro.average_reliability_discrepancy(
+            losses[method] = repro.reliability_discrepancy(
                 graph, result.graph, n_samples=400, seed=4
             )
         repan = repro.rep_an(graph, k, eps, seed=3, **FAST)
         assert repan.success
-        losses["rep-an"] = repro.average_reliability_discrepancy(
+        losses["rep-an"] = repro.reliability_discrepancy(
             graph, repan.graph, n_samples=400, seed=4
         )
         assert losses["rsme"] < losses["rep-an"]

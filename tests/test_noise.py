@@ -44,6 +44,16 @@ class TestTruncatedNormal:
         with pytest.raises(ConfigurationError):
             truncated_normal_noise(0.5)
 
+    @pytest.mark.parametrize("sigma", [1e15, 1e16, 1e308, np.inf])
+    def test_huge_scale_draws_uniform(self, sigma):
+        """``R_s`` tends to U(0, 1) as ``s`` grows: a huge or infinite
+        scale draws finite, nonzero noise with mean 1/2, not zeros (the
+        truncation span cancelling) or NaN (``inf * 0``)."""
+        r = truncated_normal_noise(sigma, size=100_000, seed=8)
+        assert np.isfinite(r).all()
+        assert (r > 0.0).all()
+        assert r.mean() == pytest.approx(0.5, abs=0.01)
+
 
 class TestWhiteNoise:
     def test_white_noise_replaces_some_draws(self):

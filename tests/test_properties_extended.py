@@ -10,7 +10,7 @@ from repro.reliability import (
     reliability_bounds,
 )
 from repro.ugraph import UncertainGraph, most_probable_path
-from repro.metrics import isolation_probabilities, k_degree_anonymity
+from repro.metrics import isolation_probabilities
 
 probabilities = st.floats(0.01, 0.99, allow_nan=False)
 
@@ -72,14 +72,6 @@ def test_most_probable_path_consistency(graph):
 def test_isolation_probabilities_are_probabilities(graph):
     iso = isolation_probabilities(graph)
     assert (iso >= 0).all() and (iso <= 1).all()
-
-
-@settings(max_examples=30, deadline=None)
-@given(small_graphs(), st.floats(0.0, 0.4))
-def test_k_degree_anonymity_monotone_in_epsilon(graph, epsilon):
-    strict = k_degree_anonymity(graph, epsilon=0.0)
-    relaxed = k_degree_anonymity(graph, epsilon=epsilon)
-    assert relaxed >= strict
 
 
 # --------------------------------------------------------------------- #

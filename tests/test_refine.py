@@ -45,10 +45,10 @@ class TestRefinement:
         refined, stats = refine_anonymization(graph, result, seed=4)
         if stats.edges_reverted == 0:
             pytest.skip("nothing reverted; utility comparison vacuous")
-        before = repro.average_reliability_discrepancy(
+        before = repro.reliability_discrepancy(
             graph, result.graph, n_samples=300, seed=5
         )
-        after = repro.average_reliability_discrepancy(
+        after = repro.reliability_discrepancy(
             graph, refined.graph, n_samples=300, seed=5
         )
         assert after <= before + 0.01

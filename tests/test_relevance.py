@@ -13,7 +13,7 @@ from repro.reliability import (
     exact_edge_reliability_relevance,
     vertex_reliability_relevance,
 )
-from repro.ugraph import UncertainGraph
+from repro.ugraph import UncertainGraph, sample_edge_masks
 from tests.relevance_oracle import edge_reliability_relevance_loop
 
 
@@ -137,6 +137,96 @@ class TestForcedAbsentFallback:
             )
         expected = edge_reliability_relevance_loop(graph, 24, seed, method)
         assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def graphs_with_certain_edges(draw) -> UncertainGraph:
+    """2-7 vertices, at most 10 edges, p in [0, 1] with 0 and 1 common."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+    probs = draw(st.lists(
+        st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        min_size=len(chosen), max_size=len(chosen),
+    ))
+    return UncertainGraph(n, [(u, v, p) for (u, v), p in zip(chosen, probs)])
+
+
+def relevance_bounds(
+    graph: UncertainGraph, masks: np.ndarray, method: str
+) -> np.ndarray:
+    """Five standard errors (+1/N) of each edge's ERR estimate.
+
+    Each estimate is a mean (``grouped``: a difference of two means) of
+    per-world values with a known range, and a value of range ``R`` has
+    standard deviation at most ``R / 2``.  A world's add-edge gain
+    ``|C(u)| * |C(v)|`` lies in ``[0, floor(n^2 / 4)]`` and its
+    connected-pair count in ``[0, n(n - 1) / 2]``.  Merge-gain averages
+    gains over the worlds where the edge is absent, grouped differences
+    the pair-count means of the worlds where it is present and absent,
+    and the degenerate-edge fallback averages forced-absent gains over
+    all N worlds.  By Hoeffding's inequality an estimate leaves five such
+    standard errors with probability below ``2 exp(-12.5)``.
+    """
+    n_samples = masks.shape[0]
+    n = graph.n_nodes
+    gain_half_range = (n * n // 4) / 2.0
+    pairs_half_range = n * (n - 1) / 4.0
+    present = masks.sum(axis=0).astype(np.float64)
+    absent = n_samples - present
+    fallback = gain_half_range / np.sqrt(n_samples)
+    with np.errstate(divide="ignore"):
+        if method == "merge-gain":
+            se = np.where(
+                absent > 0, gain_half_range / np.sqrt(absent), fallback
+            )
+        else:
+            se = np.where(
+                (present > 0) & (absent > 0),
+                pairs_half_range * np.sqrt(1.0 / present + 1.0 / absent),
+                fallback,
+            )
+    return 5.0 * se + 1.0 / n_samples
+
+
+class TestAgainstEnumeration:
+    """ERR and VRR (Algorithm 2) tied to exact world enumeration, not to
+    another estimator: every edge's estimate lands within five standard
+    errors (+1/N) of :func:`exact_edge_reliability_relevance`, and each
+    vertex's VRR within the p-weighted sum of its edges' bounds of
+    ``sum p(e) * exact ERR(e)`` -- for both estimators, with p = 0 and
+    p = 1 edges driving the forced-absent fallback."""
+
+    N = 2000
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        graph=graphs_with_certain_edges(),
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(["grouped", "merge-gain"]),
+    )
+    @example(
+        graph=UncertainGraph(
+            6, [(0, 1, 1.0), (1, 2, 0.9), (2, 3, 1.0), (3, 4, 0.1),
+                (4, 5, 0.0), (0, 2, 0.5)],
+        ),
+        seed=3, method="merge-gain",
+    )
+    def test_within_five_standard_errors(self, graph, seed, method):
+        result = compute_relevance(
+            graph, n_samples=self.N, seed=seed, method=method
+        )
+        # The worlds the estimator sampled (same seed, same stream).
+        masks = sample_edge_masks(graph, self.N, seed=seed)
+        bound = relevance_bounds(graph, masks, method)
+        exact = exact_edge_reliability_relevance(graph)
+        assert np.all(np.abs(result.edge_relevance - exact) <= bound)
+
+        vrr_exact = vertex_reliability_relevance(graph, exact)
+        vrr_bound = vertex_reliability_relevance(graph, bound)
+        assert np.all(
+            np.abs(result.vertex_relevance - vrr_exact) <= vrr_bound + 1e-9
+        )
 
 
 class TestProperties:

@@ -1,4 +1,4 @@
-"""Monte-Carlo reliability estimator vs. the exact oracle."""
+"""Monte-Carlo reliability (world-store views) vs. the exact oracle."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro._rng import as_generator
 from repro.exceptions import EstimationError
 from repro.reliability import (
-    ReliabilityEstimator,
     WorldStore,
     exact_expected_connected_pairs,
     exact_pairwise_reliability,
@@ -23,7 +22,7 @@ from repro.ugraph import UncertainGraph
 
 class TestEstimatorAgainstOracle:
     def test_two_terminal_converges(self, triangle):
-        est = ReliabilityEstimator(triangle, n_samples=20_000, seed=0)
+        est = WorldStore(triangle, 20_000, seed=0).base_view()
         for u in range(3):
             for v in range(u + 1, 3):
                 assert est.two_terminal(u, v) == pytest.approx(
@@ -31,13 +30,13 @@ class TestEstimatorAgainstOracle:
                 )
 
     def test_expected_connected_pairs_converges(self, bridge_graph):
-        est = ReliabilityEstimator(bridge_graph, n_samples=20_000, seed=1)
+        est = WorldStore(bridge_graph, 20_000, seed=1).base_view()
         assert est.expected_connected_pairs() == pytest.approx(
             exact_expected_connected_pairs(bridge_graph), rel=0.03
         )
 
     def test_pairwise_matrix_converges(self, path4):
-        est = ReliabilityEstimator(path4, n_samples=20_000, seed=2)
+        est = WorldStore(path4, 20_000, seed=2).base_view()
         np.testing.assert_allclose(
             est.pairwise_reliability(),
             exact_pairwise_reliability(path4),
@@ -76,7 +75,7 @@ class TestEstimatorAgainstEnumeration:
     @settings(derandomize=True, deadline=None)
     @given(graph=small_uncertain_graphs(), seed=st.integers(0, 2**32 - 1))
     def test_estimates_within_five_standard_errors(self, graph, seed):
-        est = ReliabilityEstimator(graph, n_samples=self.N, seed=seed)
+        est = WorldStore(graph, self.N, seed=seed).base_view()
         exact = exact_pairwise_reliability(graph)
         bound = 5.0 * np.sqrt(exact * (1.0 - exact) / self.N) + 1e-9
         assert np.all(np.abs(est.pairwise_reliability() - exact) <= bound)
@@ -184,7 +183,7 @@ class TestDiscrepancyAgainstEnumeration:
             pairs = sample_vertex_pairs(graph.n_nodes, self.PAIRS, seed=rng)
             u, v = pairs[:, 0], pairs[:, 1]
             np.testing.assert_array_equal(
-                store.base_reliability_of_pairs(pairs), base_hat[u, v]
+                store.base_view().reliability_of_pairs(pairs), base_hat[u, v]
             )
             np.testing.assert_array_equal(
                 view.reliability_of_pairs(pairs), cand_hat[u, v]
@@ -207,42 +206,42 @@ class TestDiscrepancyAgainstEnumeration:
 
 class TestEstimatorBehavior:
     def test_self_pair_is_one(self, triangle):
-        est = ReliabilityEstimator(triangle, n_samples=10, seed=0)
+        est = WorldStore(triangle, 10, seed=0).base_view()
         assert est.two_terminal(2, 2) == 1.0
 
     def test_out_of_range_pair_rejected(self, triangle):
-        est = ReliabilityEstimator(triangle, n_samples=10, seed=0)
+        est = WorldStore(triangle, 10, seed=0).base_view()
         with pytest.raises(EstimationError):
             est.two_terminal(0, 9)
 
     def test_invalid_sample_count(self, triangle):
         with pytest.raises(EstimationError):
-            ReliabilityEstimator(triangle, n_samples=0)
+            WorldStore(triangle, n_samples=0)
 
     def test_reliability_of_pairs_matches_two_terminal(self, path4):
-        est = ReliabilityEstimator(path4, n_samples=5000, seed=4)
+        est = WorldStore(path4, 5000, seed=4).base_view()
         pairs = np.array([[0, 1], [0, 3]])
         vec = est.reliability_of_pairs(pairs)
         assert vec[0] == pytest.approx(est.two_terminal(0, 1))
         assert vec[1] == pytest.approx(est.two_terminal(0, 3))
 
     def test_reliability_of_pairs_shape_checked(self, path4):
-        est = ReliabilityEstimator(path4, n_samples=10, seed=0)
+        est = WorldStore(path4, 10, seed=0).base_view()
         with pytest.raises(EstimationError):
             est.reliability_of_pairs(np.array([0, 1, 2]))
 
     def test_average_all_pairs_reliability_bounds(self, small_profile_graph):
-        est = ReliabilityEstimator(small_profile_graph, n_samples=200, seed=5)
+        est = WorldStore(small_profile_graph, 200, seed=5).base_view()
         value = est.average_all_pairs_reliability()
         assert 0.0 <= value <= 1.0
 
     def test_deterministic_connected_graph(self, certain_square):
-        est = ReliabilityEstimator(certain_square, n_samples=50, seed=6)
+        est = WorldStore(certain_square, 50, seed=6).base_view()
         assert est.average_all_pairs_reliability() == pytest.approx(1.0)
 
     def test_seeded_reproducibility(self, triangle):
-        a = ReliabilityEstimator(triangle, n_samples=500, seed=7)
-        b = ReliabilityEstimator(triangle, n_samples=500, seed=7)
+        a = WorldStore(triangle, 500, seed=7).base_view()
+        b = WorldStore(triangle, 500, seed=7).base_view()
         assert a.two_terminal(0, 2) == b.two_terminal(0, 2)
 
 

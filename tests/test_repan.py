@@ -5,8 +5,8 @@ import pytest
 from repro.baselines import RepAn, obfuscate_deterministic, rep_an
 from repro.core import anonymize
 from repro.exceptions import ObfuscationError
-from repro.metrics import average_reliability_discrepancy
 from repro.privacy import check_obfuscation, expected_degree_knowledge
+from repro.reliability import reliability_discrepancy
 
 
 FAST = dict(n_trials=2, relevance_samples=100, sigma_tolerance=0.05)
@@ -78,10 +78,10 @@ class TestHeadlineResult:
         baseline = rep_an(small_profile_graph, k=k, epsilon=eps, seed=5,
                           **FAST)
         assert chameleon.success and baseline.success
-        loss_chameleon = average_reliability_discrepancy(
+        loss_chameleon = reliability_discrepancy(
             small_profile_graph, chameleon.graph, n_samples=400, seed=6
         )
-        loss_repan = average_reliability_discrepancy(
+        loss_repan = reliability_discrepancy(
             small_profile_graph, baseline.graph, n_samples=400, seed=6
         )
         assert loss_chameleon < loss_repan

@@ -290,7 +290,7 @@ def test_incremental_matches_full_recompute_oracle(
             qpairs = list(outcome.graph.endpoint_pairs())[:15]
             assert np.array_equal(
                 view.reliability_of_pairs(qpairs),
-                store.base_reliability_of_pairs(qpairs),
+                store.base_view().reliability_of_pairs(qpairs),
             )
     finally:
         monkeypatch.undo()
@@ -495,6 +495,48 @@ def test_cli_update_end_to_end(published_setup, tmp_path):
                 assert result.probability(u, v) == pytest.approx(
                     new, abs=5e-7
                 )
+
+
+@pytest.mark.parametrize("sigma", ["1e16", "1e17", "1e308"])
+def test_cli_update_huge_sigma_draws_noise(tmp_path, sigma):
+    """A huge repair sigma perturbs like U(0, 1) noise.  The hub batch
+    pins hub 0's edges at p = 1 and every other edge sits at the
+    max-entropy fixed point 1/2, so the repair, which targets hub 0,
+    moves a pinned edge off 1 unless its noise drew 0: the truncated
+    normal's span used to cancel to zero draws from sigma ~ 1e16, and
+    near 1e308 the per-edge scale overflowed to a NaN probability
+    (exit 2)."""
+    import json
+
+    graph, __, edges = hub_graph()
+    pub = tmp_path / "hub.pel"
+    write_edge_list(graph, pub)
+    on_disk = read_edge_list(pub)
+    # Knowledge: structural degrees, the expected degrees of the
+    # all-certain graph.
+    original = tmp_path / "certain.pel"
+    write_edge_list(
+        UncertainGraph(graph.n_nodes, [(u, v, 1.0) for u, v in edges]),
+        original,
+    )
+    pinned = [
+        (u, v, p, 1.0)
+        for u, v, p in (e.as_tuple() for e in on_disk.edges()) if u == 0
+    ]
+    upd = tmp_path / "hub.upd"
+    write_update_file(UpdateBatch.from_deltas(pinned), upd)
+    out_path = tmp_path / "out.pel"
+    code, stdout, err = _cli([
+        "update", str(pub), str(upd), str(out_path), "--k", "4",
+        "--epsilon", "0.08", "--original", str(original),
+        "--sigma", sigma, "--sigma-max", sigma, "--samples", "0",
+    ])
+    assert code == 0, err
+    payload = json.loads(stdout)
+    assert payload["repaired"] and payload["satisfied"]
+    released = read_edge_list(out_path).edge_probabilities
+    assert np.isfinite(released).all()
+    assert int((released == 1.0).sum()) <= len(pinned) // 2
 
 
 def test_cli_update_rejects_stale_updates(published_setup, tmp_path):

@@ -87,13 +87,13 @@ class TestAntitheticSampling:
     def test_variance_reduction_on_pair_count(self, path4):
         """Antithetic estimates of E[connected pairs] have lower spread
         across repetitions than independent sampling."""
-        from repro.reliability import ReliabilityEstimator
+        from repro.reliability import WorldStore
 
         def estimates(antithetic):
             return np.array([
-                ReliabilityEstimator(
-                    path4, n_samples=100, seed=trial, antithetic=antithetic
-                ).expected_connected_pairs()
+                WorldStore(
+                    path4, 100, seed=trial, antithetic=antithetic
+                ).base_view().expected_connected_pairs()
                 for trial in range(60)
             ])
 
@@ -103,10 +103,10 @@ class TestAntitheticSampling:
 
     def test_antithetic_estimator_validates_parity(self, triangle):
         from repro.exceptions import EstimationError
-        from repro.reliability import ReliabilityEstimator
+        from repro.reliability import WorldStore
 
         with pytest.raises(EstimationError):
-            ReliabilityEstimator(triangle, n_samples=11, antithetic=True)
+            WorldStore(triangle, n_samples=11, antithetic=True)
 
 
 def test_sampler_iter_worlds(triangle):

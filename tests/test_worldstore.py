@@ -6,8 +6,8 @@ reliabilities, the pairwise matrix) equals a fresh per-world relabeling
 of the view's materialized masks bit for bit, across edge tweaks,
 p -> 0 removals, brand-new edge insertions, and the empty delta.  When
 the candidate shares the base graph's edge universe, the store path is
-additionally bit-identical to a fresh ``ReliabilityEstimator`` built
-with the same CRN seed (``tests/discrepancy_oracle.py``).
+additionally bit-identical to the base view of a fresh store of the
+candidate built with the same CRN seed (``tests/discrepancy_oracle.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.exceptions import EstimationError
 from repro.metrics import compare_graphs
 from repro.reliability import (
     DerivedWorlds,
-    ReliabilityEstimator,
     WorldStore,
     graph_delta,
     pair_counts_from_labels,
@@ -196,12 +195,14 @@ class TestBaseReproduction:
         )
 
     def test_estimator_is_store_backed(self, small_profile_graph):
-        est = ReliabilityEstimator(
-            small_profile_graph, n_samples=48, seed=5
-        )
-        assert est.store.n_samples == 48
-        np.testing.assert_array_equal(est.masks, est.store.base_masks)
-        np.testing.assert_array_equal(est.labels, est.store.base_labels)
+        """The base view is a clean view of its store: no dirty rows,
+        the store's masks and labels."""
+        store = WorldStore(small_profile_graph, n_samples=48, seed=5)
+        est = store.base_view()
+        assert est.store is store and est.n_samples == 48
+        assert est.n_dirty == 0
+        np.testing.assert_array_equal(est.materialize(), store.base_masks)
+        np.testing.assert_array_equal(est.labels, store.base_labels)
 
     def test_antithetic_requires_even(self, triangle):
         with pytest.raises(EstimationError, match="even"):
@@ -341,13 +342,13 @@ class TestDeriveBitIdentity:
     @given(case=graphs_and_deltas(), seed=st.integers(0, 2**31 - 1))
     def test_same_universe_delta_matches_fresh_crn_estimator(self, case, seed):
         # When the candidate only re-weights existing columns the store
-        # view must match a from-scratch estimator with the same seed.
+        # view must match a from-scratch store's base view, same seed.
         graph, delta = case
         delta = [d for d in delta if graph.has_edge(d[0], d[1])]
         overlaid = overlay(graph, [(u, v, p_new) for u, v, __, p_new in delta])
         store = WorldStore(graph, n_samples=24, seed=seed)
         view = store.derive(delta)
-        est = ReliabilityEstimator(overlaid, n_samples=24, seed=seed)
+        est = WorldStore(overlaid, n_samples=24, seed=seed).base_view()
         np.testing.assert_array_equal(view.labels, est.labels)
         np.testing.assert_array_equal(view.pair_counts, est.pair_counts)
         np.testing.assert_array_equal(

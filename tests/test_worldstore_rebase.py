@@ -107,7 +107,7 @@ def test_rebase_matches_derive_and_recompute(seed, chunk, antithetic):
 
         # Base answers == the derived view's answers.
         assert np.array_equal(
-            store.base_reliability_of_pairs(qpairs), view_rel
+            store.base_view().reliability_of_pairs(qpairs), view_rel
         )
         # Full recompute oracle: a no-op derivation re-labels nothing,
         # so its materialized labels ARE the store's base labels.
@@ -115,9 +115,10 @@ def test_rebase_matches_derive_and_recompute(seed, chunk, antithetic):
         assert np.array_equal(base_labels, view_labels)
 
         # The pristine clone still answers for the pre-update state.
+        fresh = WorldStore(graph, n_samples=20, seed=3, antithetic=antithetic)
         assert np.array_equal(
-            pristine.base_reliability_of_pairs(qpairs),
-            pristine.derive([]).reliability_of_pairs(qpairs),
+            pristine.base_view().reliability_of_pairs(qpairs),
+            fresh.base_view().reliability_of_pairs(qpairs),
         )
     finally:
         monkeypatch.undo()
@@ -149,7 +150,7 @@ def test_chained_rebases_compose():
     ]
     view = pristine.derive(composed)
     assert np.array_equal(
-        store.base_reliability_of_pairs(qpairs),
+        store.base_view().reliability_of_pairs(qpairs),
         view.reliability_of_pairs(qpairs),
     )
 
@@ -170,7 +171,7 @@ def test_rebase_lazy_store_defers_thresholding():
     oracle.warm()
     view = oracle.derive(delta)
     assert np.array_equal(
-        lazy.base_reliability_of_pairs(qpairs),
+        lazy.base_view().reliability_of_pairs(qpairs),
         view.reliability_of_pairs(qpairs),
     )
 
@@ -209,19 +210,21 @@ def test_rebase_clone_cow_isolation():
         store = WorldStore(graph, n_samples=16, seed=5)
         store.warm()
         twin = store.clone()
-        before = store.base_reliability_of_pairs(qpairs)
+        before = store.base_view().reliability_of_pairs(qpairs)
         masks_before = twin.base_masks.copy()
 
         delta = make_delta(graph, rng, 4, fresh_pair=fresh_pair)
         expected = store.derive(delta).reliability_of_pairs(qpairs)
         store.rebase(delta)
         assert np.array_equal(
-            store.base_reliability_of_pairs(qpairs), expected
+            store.base_view().reliability_of_pairs(qpairs), expected
         )
         # Twin: untouched, still answers for the original graph, and can
         # itself derive the same delta to the same answers.
         assert np.array_equal(twin.base_masks, masks_before)
-        assert np.array_equal(twin.base_reliability_of_pairs(qpairs), before)
+        assert np.array_equal(
+            twin.base_view().reliability_of_pairs(qpairs), before
+        )
         assert np.array_equal(
             twin.derive(delta).reliability_of_pairs(qpairs), expected
         )
@@ -441,12 +444,13 @@ def test_rejected_delta_leaves_store_unchanged(operation):
     pairs = np.array(list(itertools.combinations(range(4), 2)))
     before = (store.uniforms.copy(), store.base_masks.copy(),
               store.base_labels.copy(), store.base_pair_acc.copy(),
-              store.base_reliability_of_pairs(pairs))
+              store.base_view().reliability_of_pairs(pairs))
     bad = [(0, 3, 0.0, 0.6), (0, 1, 0.4, 0.7)]
     with pytest.raises(EstimationError, match="p_old=0.4"):
         getattr(store, operation)(bad)
     after = (store.uniforms, store.base_masks, store.base_labels,
-             store.base_pair_acc, store.base_reliability_of_pairs(pairs))
+             store.base_pair_acc,
+             store.base_view().reliability_of_pairs(pairs))
     assert store.n_columns == 3
     for was, now in zip(before, after):
         assert np.array_equal(was, now)
@@ -476,8 +480,8 @@ def test_array_and_tuple_deltas_agree():
     assert by_list.rebase(delta) == by_array.rebase(rows)
     assert np.array_equal(by_list._col_keys, by_array._col_keys)
     assert np.array_equal(by_list._col_ids, by_array._col_ids)
-    assert np.array_equal(by_list.base_reliability_of_pairs(qpairs),
-                          by_array.base_reliability_of_pairs(qpairs))
+    assert np.array_equal(by_list.base_view().reliability_of_pairs(qpairs),
+                          by_array.base_view().reliability_of_pairs(qpairs))
     assert np.array_equal(by_list.base_labels, by_array.base_labels)
     with pytest.raises(EstimationError, match="rows"):
         by_array.derive(rows[:, :3])
@@ -615,8 +619,10 @@ class WriteBackMachine(RuleBasedStateMachine):
             assert np.array_equal(lazy.base_pairwise_reliability(),
                                   eager.base_pairwise_reliability())
         elif kind == "pairs":
-            assert np.array_equal(lazy.base_reliability_of_pairs(_SM_PAIRS),
-                                  eager.base_reliability_of_pairs(_SM_PAIRS))
+            assert np.array_equal(
+                lazy.base_view().reliability_of_pairs(_SM_PAIRS),
+                eager.base_view().reliability_of_pairs(_SM_PAIRS),
+            )
         else:
             assert np.array_equal(lazy.base_masks, eager.base_masks)
 
